@@ -1,0 +1,282 @@
+"""Exact linear algebra: the package's one elimination module.
+
+Sparse rows are dicts mapping column index to a nonzero integer. Their
+reductions (echelon, rank, nullspace) are fraction-free: cross-multiplication
+followed by gcd normalization, so the arithmetic stays in the integers and is
+exact at any size. IncrementalSpan keeps a rational row space that grows one
+row at a time. The dense helpers work over the rationals on the small systems
+of the cold paths (basis-change columns, affine fits, lattice coordinates).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
+from typing import Sequence
+
+# The benchmark records this tag with every result set.
+IMPLEMENTATION = "python"
+
+
+# ----- sparse integer elimination ---------------------------------------------
+
+
+def normalize_row(row: dict[int, int]) -> dict[int, int]:
+    """Divide by the content and make the leading coefficient positive."""
+    if not row:
+        return row
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+    lead = row[min(row)]
+    if g > 1:
+        row = {c: v // g for c, v in row.items()}
+        lead //= g
+    if lead < 0:
+        row = {c: -v for c, v in row.items()}
+    return row
+
+
+def _combine(row: dict[int, int], pivot_row: dict[int, int],
+             col: int, pivot_lead: int) -> dict[int, int]:
+    """Return pivot_lead*row - row[col]*pivot_row, gcd-normalized."""
+    factor = row[col]
+    out = {}
+    for c, v in row.items():
+        out[c] = v * pivot_lead
+    for c, v in pivot_row.items():
+        s = out.get(c, 0) - factor * v
+        if s:
+            out[c] = s
+        else:
+            out.pop(c, None)
+    return normalize_row(out)
+
+
+def echelon(rows: list[dict[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
+    """Reduced row echelon form over the integers.
+
+    Returns (pivot columns ascending, reduced rows in the same order). Every
+    returned row has its pivot as its smallest column, a positive pivot
+    coefficient, and zeros in every other row's pivot column.
+    """
+    work = [normalize_row(dict(r)) for r in rows if r]
+    pivots: list[int] = []
+    reduced: list[dict[int, int]] = []
+    while work:
+        col = min(min(r) for r in work)
+        best = -1
+        best_len = -1
+        for idx, r in enumerate(work):
+            if min(r) == col and (best < 0 or len(r) < best_len):
+                best, best_len = idx, len(r)
+        pivot_row = work.pop(best)
+        lead = pivot_row[col]
+        work = [_combine(r, pivot_row, col, lead) if col in r else r
+                for r in work]
+        work = [r for r in work if r]
+        reduced = [_combine(r, pivot_row, col, lead) if col in r else r
+                   for r in reduced]
+        pivots.append(col)
+        reduced.append(pivot_row)
+    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
+    return [pivots[i] for i in order], [reduced[i] for i in order]
+
+
+def rank(rows: list[dict[int, int]]) -> int:
+    return len(echelon(rows)[0])
+
+
+def nullspace(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
+    """Primitive integer basis of the right kernel, one vector per free column.
+
+    The basis is in bijection with the non-pivot columns (ascending); the
+    vector for free column f has a positive entry at f.
+    """
+    pivots, reduced = echelon(rows)
+    pivot_set = set(pivots)
+    basis: list[dict[int, int]] = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        entries: dict[int, Fraction] = {free: Fraction(1)}
+        for p, row in zip(pivots, reduced):
+            v = row.get(free)
+            if v:
+                entries[p] = Fraction(-v, row[p])
+        denom = 1
+        for val in entries.values():
+            denom = denom * val.denominator // gcd(denom, val.denominator)
+        vec = {c: int(v * denom) for c, v in entries.items()}
+        basis.append(normalize_row(vec))
+    return basis
+
+
+class IncrementalSpan:
+    """Rational row space with incremental insertion; pivots are minimal keys."""
+
+    __slots__ = ("pivots",)
+
+    def __init__(self):
+        self.pivots: dict = {}
+
+    def add(self, row: dict) -> dict | None:
+        """Reduce a row against the span; store and return it if independent.
+
+        A stored row is scaled so its pivot coefficient is 1.
+        """
+        row = dict(row)
+        while row:
+            lead = min(row)
+            pivot = self.pivots.get(lead)
+            if pivot is None:
+                scale = Fraction(row[lead])
+                row = {k: v / scale for k, v in row.items()}
+                self.pivots[lead] = row
+                return row
+            factor = row[lead]
+            for k, v in pivot.items():
+                s = row.get(k, 0) - factor * v
+                if s:
+                    row[k] = s
+                else:
+                    row.pop(k, None)
+        return None
+
+    def __len__(self) -> int:
+        return len(self.pivots)
+
+
+# ----- dense rational helpers -------------------------------------------------
+
+
+def solve_dense(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
+    """Solve rows * x = rhs exactly; free unknowns get 0.
+
+    Returns None when the system is inconsistent. Callers that need the
+    unique solution of a square system use invert_dense instead.
+    """
+    m = [[Fraction(v) for v in row] + [Fraction(b)]
+         for row, b in zip(rows, rhs)]
+    ncols = len(m[0]) - 1 if m else 0
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        lead = m[r][c]
+        m[r] = [v / lead for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append((r, c))
+        r += 1
+    for i in range(r, len(m)):
+        if m[i][ncols]:
+            return None
+    x = [Fraction(0)] * ncols
+    for row, col in pivots:
+        x[col] = m[row][ncols]
+    return x
+
+
+def invert_dense(rows: Sequence[Sequence]) -> list[list[Fraction]] | None:
+    """Exact inverse of a square matrix, or None if singular."""
+    n = len(rows)
+    m = [[Fraction(v) for v in row] + [Fraction(1 if i == j else 0)
+                                       for j in range(n)]
+         for i, row in enumerate(rows)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot is None:
+            return None
+        m[c], m[pivot] = m[pivot], m[c]
+        lead = m[c][c]
+        m[c] = [v / lead for v in m[c]]
+        for i in range(n):
+            if i != c and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return [row[n:] for row in m]
+
+
+def determinant(rows: Sequence[Sequence]) -> Fraction:
+    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    n = len(rows)
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        lead = m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] / lead
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
+
+
+def kernel_lattice_basis(int_rows: Sequence[dict[int, int] | Sequence[int]],
+                         ncols: int) -> list[list[int]]:
+    """Basis of the saturated integer kernel lattice ker(A) (cap) Z^ncols.
+
+    Row-HNF with a tracked unimodular transform on the transpose: the
+    transform rows matching zero rows of the HNF form a basis of the kernel
+    lattice itself, not merely a finite-index sublattice.
+    """
+    dense: list[list[int]] = []
+    for row in int_rows:
+        if isinstance(row, dict):
+            dense.append([row.get(c, 0) for c in range(ncols)])
+        else:
+            dense.append(list(row))
+    nrows = len(dense)
+    # Work on A^T: columns of A become rows.
+    a = [[dense[r][c] for r in range(nrows)] for c in range(ncols)]
+    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    row = 0
+    for col in range(nrows):
+        while True:
+            nonzero = [i for i in range(row, ncols) if a[i][col]]
+            if not nonzero:
+                break
+            pivot = min(nonzero, key=lambda i: (abs(a[i][col]), i))
+            if pivot != row:
+                a[row], a[pivot] = a[pivot], a[row]
+                u[row], u[pivot] = u[pivot], u[row]
+            p = a[row][col]
+            done = True
+            for i in range(row + 1, ncols):
+                if a[i][col]:
+                    q = a[i][col] // p
+                    a[i] = [x - q * y for x, y in zip(a[i], a[row])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[row])]
+                    if a[i][col]:
+                        done = False
+            if done:
+                break
+        if any(a[i][col] for i in range(row, ncols)):
+            row += 1
+        if row == ncols:
+            break
+    basis = [u[i] for i in range(ncols) if not any(a[i])]
+    normalized = []
+    for vec in basis:
+        g = 0
+        for v in vec:
+            g = gcd(g, v)
+        if g > 1:
+            vec = [v // g for v in vec]
+        lead = next((v for v in vec if v), 0)
+        if lead < 0:
+            vec = [-v for v in vec]
+        normalized.append(vec)
+    return sorted(normalized)

@@ -137,11 +137,6 @@ class Polynomial:
             return 0
         return max(m[index] for m in self.terms)
 
-    def max_degrees(self) -> tuple[int, ...]:
-        if not self.terms:
-            return (0,) * self.nvars
-        return tuple(max(m[j] for m in self.terms) for j in range(self.nvars))
-
     def canonical_items(self) -> list[tuple[Mono, Fraction]]:
         return sorted(self.terms.items())
 

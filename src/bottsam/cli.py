@@ -25,8 +25,16 @@ from .errors import (
     ValidationError,
 )
 from .okounkov import OkounkovEngine
-from .picard import Basis, DivisorClass, PicardLattice, parse_divisor
+from .picard import (
+    Basis,
+    DivisorClass,
+    PicardLattice,
+    format_divisor,
+    parse_divisor,
+)
 from .polyhedra import (
+    _int_row,
+    _pair,
     cone_payload,
     polytope_from_payload,
     polytope_payload,
@@ -57,15 +65,6 @@ class JobConfig:
         self.out = out
         self.seed = seed
         self.quick = quick
-
-
-def _pair(value) -> list[str]:
-    q = Fraction(value)
-    return [str(q.numerator), str(q.denominator)]
-
-
-def _int_row(row) -> list[str]:
-    return [str(int(v)) for v in row]
 
 
 def _parse_word(text: str) -> WeylWord:
@@ -160,11 +159,6 @@ def _require_bundle(config: JobConfig) -> DivisorClass:
     return parse_divisor(config.bundle, len(config.word))
 
 
-def _divisor_text(divisor: DivisorClass) -> str:
-    return divisor.basis.value + ":" + ",".join(str(v)
-                                                for v in divisor.coords)
-
-
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out is None:
@@ -203,7 +197,7 @@ def cmd_body(config: JobConfig) -> dict:
     body = engine.body(divisor, levels)
     payload = {
         "word": list(config.word.indices),
-        "divisor": _divisor_text(divisor),
+        "divisor": format_divisor(divisor),
         "max_level": levels,
         "body": polytope_payload(body.polytope),
     }
@@ -241,7 +235,7 @@ def cmd_weights(config: JobConfig) -> dict:
                                       config.torus_projection)
     return {
         "word": list(config.word.indices),
-        "divisor": _divisor_text(divisor),
+        "divisor": format_divisor(divisor),
         "mu": [_pair(v) for v in config.mu],
         "max_level": levels,
         "levels": [
@@ -459,7 +453,7 @@ def cmd_verify(config: JobConfig) -> dict:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--type", help="Cartan type such as A2, B3, G2")
+    parser.add_argument("--type", help="Cartan type A1, A2, A3, ... or B2")
     parser.add_argument("--matrix-file", dest="matrix_file",
                         help="path to a Cartan matrix file")
     parser.add_argument("--word", help="reduced word as a comma list, "

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import ChamberResolutionFailure, NotNef, Unstable, ValidationError
 from .picard import Basis, DivisorClass, PicardLattice
@@ -87,16 +87,11 @@ class OkounkovEngine:
         return points
 
     def _compute_points(self, mc: tuple[int, ...]) -> list[tuple[int, ...]]:
-        engine = self.lattice.engine
         if min(mc) >= 0:
             sums = self._minkowski_points(mc)
             if sums is not None:
                 return sums
-            basis = engine.section_basis(can=mc)
-        elif engine.is_multiplicity_free():
-            basis = engine.monomial_section_basis(can=mc)
-        else:
-            basis = engine.section_basis_glue(can=mc)
+        basis = self.lattice.engine.section_basis(can=mc)
         if not basis:
             return []
         return sorted(valuation(s) for s in adapted_basis(basis))

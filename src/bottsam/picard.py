@@ -27,7 +27,6 @@ from .rootsys import (
     CartanDatum,
     Character,
     Weight,
-    WeylWord,
     bs_character,
     demazure_operator,
 )
@@ -107,8 +106,7 @@ class BasisChange:
         n = len(self.matrix)
         if any(len(row) != n for row in self.matrix):
             raise ValidationError("basis change matrix must be square")
-        inverse = invert_dense(
-            [[Fraction(v) for v in row] for row in self.matrix])
+        inverse = invert_dense(self.matrix)
         if inverse is None:
             raise ValidationError("basis change matrix is singular")
         if any(v.denominator != 1 for row in inverse for v in row):
@@ -155,7 +153,7 @@ def compute_basis_change(engine: SectionEngine,
             raise VerificationFailure(
                 f"basis change has diagonal entry {matrix[j][j]} != 1 "
                 f"at column {j + 1}")
-    det = determinant([[Fraction(v) for v in row] for row in matrix])
+    det = determinant(matrix)
     if det not in (1, -1):
         raise VerificationFailure(
             f"basis change has determinant {det}; expected a unimodular "

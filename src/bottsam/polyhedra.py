@@ -73,6 +73,9 @@ def _dual_description(
     inequalities it satisfies with equality, and uses the combinatorial
     adjacency test (no third ray's tight set contains the common tight set)
     when pairing positive against negative rays.
+
+    By polarity the same sweep run on generators returns the facet
+    inequalities and span equations of the cone they generate.
     """
     lineality = [tuple(1 if k == i else 0 for k in range(dim))
                  for i in range(dim)]
@@ -143,13 +146,6 @@ def _dual_description(
     return [vec for vec, _ in rays], lineality
 
 
-def _hrep_from_rays(
-    generators: Sequence[Sequence[int]], dim: int
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Facet inequalities and span equations of the cone the rays generate."""
-    return _dual_description(generators, dim)
-
-
 class RationalCone:
     """A polyhedral cone with exact V- and H-descriptions."""
 
@@ -180,7 +176,7 @@ class RationalCone:
         cls._check_ambient(ambient)
         if any(len(v) != ambient for v in vecs):
             raise ValidationError("generators have mixed lengths")
-        ineqs, eqs = _hrep_from_rays(vecs, ambient)
+        ineqs, eqs = _dual_description(vecs, ambient)
         rows = list(ineqs)
         for e in eqs:
             rows.append(e)
@@ -207,7 +203,7 @@ class RationalCone:
         rays, lin = _dual_description(expanded, ambient)
         generators = list(rays) + list(lin) + [tuple(-x for x in v)
                                                for v in lin]
-        ineqs, eqs = _hrep_from_rays(generators, ambient)
+        ineqs, eqs = _dual_description(generators, ambient)
         return cls(ambient, rays, lin, ineqs, eqs)
 
     @property
@@ -289,7 +285,7 @@ class RationalPolytope:
         if any(len(p) != ambient for p in pts):
             raise ValidationError("points have mixed lengths")
         homog = [primitive_vector((Fraction(1),) + p) for p in pts]
-        ineqs, eqs = _hrep_from_rays(homog, ambient + 1)
+        ineqs, eqs = _dual_description(homog, ambient + 1)
         verts, unbounded = cls._vertices_from_hrep(ineqs, eqs, ambient)
         if unbounded:
             raise EngineError("hull of finitely many points came out unbounded")
@@ -464,7 +460,7 @@ def _pyramid_volume(vertices: list[Vector], d: int) -> Fraction:
         values = [v[0] for v in vertices]
         return max(values) - min(values)
     homog = [primitive_vector((Fraction(1),) + v) for v in vertices]
-    ineqs, eqs = _hrep_from_rays(homog, d + 1)
+    ineqs, eqs = _dual_description(homog, d + 1)
     if eqs:
         raise EngineError("volume recursion hit a degenerate facet")
     apex = vertices[0]
@@ -489,11 +485,6 @@ def _pyramid_volume(vertices: list[Vector], d: int) -> Fraction:
     return Fraction(total, d)
 
 
-def hull(points: Sequence[Sequence],
-         ambient: int | None = None) -> RationalPolytope:
-    return RationalPolytope.from_points(points, ambient)
-
-
 def extreme_rays(vectors: Sequence[Sequence],
                  ambient: int | None = None) -> list[tuple[int, ...]]:
     """Extreme rays of the cone the vectors generate, as primitive vectors.
@@ -505,21 +496,6 @@ def extreme_rays(vectors: Sequence[Sequence],
     if not cone.is_pointed:
         raise NotPointed("cone contains a line; extreme rays are undefined")
     return list(cone.rays)
-
-
-def volume(polytope: RationalPolytope) -> Fraction:
-    return polytope.volume()
-
-
-def slice_polytope(polytope: RationalPolytope,
-                   equalities: Sequence[tuple[Sequence, object]]
-                   ) -> RationalPolytope:
-    return polytope.sliced(equalities)
-
-
-def lattice_points(polytope: RationalPolytope,
-                   denominator: int = 1) -> list[Vector]:
-    return polytope.lattice_points(denominator)
 
 
 def minkowski_sum(first: RationalPolytope,

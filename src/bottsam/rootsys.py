@@ -10,6 +10,7 @@ Conventions, pinned by tests:
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -127,11 +128,21 @@ class CartanDatum:
 
     @classmethod
     def from_matrix_file(cls, path: str) -> "CartanDatum":
-        import json
-
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        matrix = data["matrix"] if isinstance(data, dict) else data
+        """Read a JSON file holding {"matrix": rows} or the bare rows."""
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+        except OSError as exc:
+            raise ValidationError(f"cannot read {path}: {exc}") from exc
+        except ValueError as exc:
+            raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+        matrix = data.get("matrix") if isinstance(data, dict) else data
+        if not isinstance(matrix, list) or not all(
+                isinstance(row, list) and all(type(v) is int for v in row)
+                for row in matrix):
+            raise ValidationError(
+                f"{path} must hold {{\"matrix\": [[...], ...]}} with "
+                "integer entries")
         return cls(matrix)
 
     def simple_root(self, i: int) -> Weight:

@@ -13,6 +13,10 @@ Section spaces are built two independent ways and cross-checked by the tests:
     the span against the Demazure character dimension;
   - section_basis_glue solves exact regularity (divisibility) conditions on
     every chart inside a growing degree box, with a stability certificate.
+
+On words without repeated letters monomial_section_basis reads a basis off
+the boundary vanishing orders.  SectionEngine.section_basis is the one rule
+that picks among the three routes.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from importlib import resources
 from math import factorial, gcd
 from typing import Iterable, Sequence
 
-from ._kernel import invert_dense, nullspace, solve_dense
+from ._kernel import IncrementalSpan, invert_dense, nullspace
 from ._poly import Mono, Polynomial
 from .errors import (
     BoxTooSmall,
@@ -215,7 +219,7 @@ class GroupModel:
             return cls.bundled("B2")
         raise ValidationError(
             "no built-in weight-basis model for this Cartan matrix; "
-            "load one from a representation data file")
+            "the supported types are A_n and B2")
 
 
 class SectionPoly:
@@ -269,44 +273,6 @@ class _ChartFrame:
         self.x_weights = x_weights
 
 
-class _IncrementalSpan:
-    """Row space with incremental insertion; pivots are minimal keys."""
-
-    __slots__ = ("pivots",)
-
-    def __init__(self):
-        self.pivots: dict = {}
-
-    def add(self, row: dict) -> dict | None:
-        """Reduce a row against the span; store and return it if independent."""
-        row = dict(row)
-        while row:
-            lead = min(row)
-            pivot = self.pivots.get(lead)
-            if pivot is None:
-                scale = row[lead]
-                row = {k: v / scale for k, v in row.items()}
-                self.pivots[lead] = row
-                return row
-            factor = row[lead]
-            for k, v in pivot.items():
-                s = row.get(k, 0) - factor * v
-                if s:
-                    row[k] = s
-                else:
-                    row.pop(k, None)
-        return None
-
-    def __len__(self) -> int:
-        return len(self.pivots)
-
-
-def _int_matmul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(rows)]
-
-
 def _matmul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0])
     out = []
@@ -331,7 +297,7 @@ def _exp_nilpotent(action: list[list[int]], t, size: int, const):
               for i in range(size)]
     power = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
     for k in range(1, size + 1):
-        power = _int_matmul(power, action)
+        power = _matmul(power, action)
         if not any(any(row) for row in power):
             return result
         scalar = (t ** k) * Fraction(1, factorial(k))
@@ -526,21 +492,6 @@ class SectionEngine:
         self._slot_polys[k] = polys
         return polys
 
-    def cell_polynomial(self, k: int, dual_index: int) -> SectionPoly:
-        """Pairing of the k-prefix against one dual basis vector.
-
-        The result may be the zero section; callers test truthiness.
-        """
-        if not 1 <= k <= self.n:
-            raise ValidationError(f"slot index {k} out of range 1..{self.n}")
-        letter = self._letters[k - 1]
-        rep = self.model.rep(letter)
-        if not 0 <= dual_index < rep.dim:
-            raise ValidationError("dual index out of range")
-        entry = self._bigcell_prefixes[letter][k][dual_index][rep.highest]
-        unit = tuple(1 if pos == k - 1 else 0 for pos in range(self.n))
-        return SectionPoly(entry, unit, rep.weights[dual_index])
-
     def boundary_section(self, j: int) -> SectionPoly:
         """The coordinate section t_j, the canonical section of the j-th
         effective-basis bundle.  Its class is deliberately left unlabeled so
@@ -570,7 +521,7 @@ class SectionEngine:
             polys = self.slot_polynomials(k)
             per_slot.append(list(
                 itertools.combinations_with_replacement(polys, m[k - 1])))
-        span = _IncrementalSpan()
+        span = IncrementalSpan()
         basis: list[SectionPoly] = []
         for choice in itertools.product(*per_slot):
             section = SectionPoly(Polynomial.one(self.n), (0,) * self.n,
@@ -618,12 +569,21 @@ class SectionEngine:
 
     def section_basis(self, can: Sequence[int] | None = None,
                       eff: Sequence[int] | None = None) -> list[SectionPoly]:
-        """Spanning route when it applies, glue route otherwise."""
-        if can is not None and all(v >= 0 for v in can):
+        """A section basis by the one route rule of the package.
+
+        A nef class takes the spanning route, falling back to the glue route
+        when the slot products fall short; a negative canonical class on a
+        word without repeated letters takes the monomial route; everything
+        else, effective coordinates included, takes the glue route.
+        """
+        can, eff = self._route(can, eff)
+        if can is not None and min(can) >= 0:
             try:
                 return self.section_basis_nef(can)
             except SpanDeficiency:
                 return self.section_basis_glue(can=can)
+        if can is not None and self.is_multiplicity_free():
+            return self.monomial_section_basis(can=can)
         return self.section_basis_glue(can=can, eff=eff)
 
     def is_multiplicity_free(self) -> bool:
@@ -847,7 +807,7 @@ class SectionEngine:
                 row[nv + bi] = row.get(nv + bi, Fraction(0)) - qc
         int_rows = [_clear_row(row) for row in rows.values()]
         solutions = nullspace(int_rows, nv + len(support))
-        span = _IncrementalSpan()
+        span = IncrementalSpan()
         filtered = []
         for sol in solutions:
             vec: dict[int, Fraction] = {}
@@ -901,17 +861,13 @@ class SectionEngine:
         checks live in the lattice layer, not here.
         """
         a_rows, b_rows = self._orders()
+        inverse = invert_dense(a_rows)
+        if inverse is None:
+            raise EngineError(
+                "the slot order matrix is singular; no basis change exists")
         n = self.n
-        columns = []
-        for j in range(n):
-            rhs = [Fraction(b_rows[l][j]) for l in range(n)]
-            sol = solve_dense([[Fraction(v) for v in row] for row in a_rows],
-                              rhs)
-            if sol is None:
-                raise EngineError(
-                    "order matrices are inconsistent; no basis change exists")
-            columns.append(sol)
-        return tuple(tuple(columns[j][k] for j in range(n)) for k in range(n))
+        return tuple(tuple(sum(inverse[k][l] * b_rows[l][j] for l in range(n))
+                           for j in range(n)) for k in range(n))
 
     def effective_exponents(self, eff: Sequence[int]) -> tuple[int, ...]:
         """Slot-factor exponents whose product realizes an effective class.
@@ -955,7 +911,7 @@ class SectionEngine:
         mins = tuple(min(sp.poly.min_degree_in(j) for sp in basis)
                      for j in range(self.n))
         matrix = self.effective_to_canonical_matrix()
-        inverse = invert_dense([[Fraction(v) for v in row] for row in matrix])
+        inverse = invert_dense(matrix)
         if inverse is not None:
             caps = [sum(inverse[j][k] * total[k] for k in range(self.n))
                     for j in range(self.n)]

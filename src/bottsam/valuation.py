@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ._kernel import IncrementalSpan
 from ._poly import Polynomial
 from .errors import ValidationError
-from .sections import SectionPoly, _IncrementalSpan
+from .sections import SectionPoly
 
 
 def valuation(section: SectionPoly | Polynomial) -> tuple[int, ...]:
@@ -41,7 +42,7 @@ def adapted_basis(sections: Sequence[SectionPoly]) -> list[SectionPoly]:
         groups[key].append(section)
     adapted: list[SectionPoly] = []
     for key in order:
-        span = _IncrementalSpan()
+        span = IncrementalSpan()
         members = groups[key]
         degree = members[0].multidegree
         if any(m.multidegree != degree for m in members):

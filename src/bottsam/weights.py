@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+from ._kernel import solve_dense
 from .errors import (
     NonIntegralAll,
     NotAffine,
@@ -25,7 +26,6 @@ from .okounkov import OkounkovEngine
 from .picard import DivisorClass, PicardLattice
 from .polyhedra import RationalPolytope
 from .rootsys import Weight, bs_character
-from .sections import SectionEngine
 from .valuation import adapted_basis, valuation
 
 
@@ -40,14 +40,6 @@ class WeightedSemigroup:
         self.levels = levels
         self.triples = tuple(triples)
         self.weight_dim = weight_dim
-
-
-def _labeled_basis(engine: SectionEngine, mc: tuple[int, ...]):
-    if min(mc) >= 0:
-        return engine.section_basis(can=mc)
-    if engine.is_multiplicity_free():
-        return engine.monomial_section_basis(can=mc)
-    return engine.section_basis_glue(can=mc)
 
 
 def _coerce_projection(torus_projection, rank: int):
@@ -83,7 +75,7 @@ def weighted_semigroup(lattice: PicardLattice, divisor: DivisorClass,
     triples = []
     for k in range(1, levels + 1):
         mc = lattice.canonical(divisor.scaled(k)).coords
-        for section in adapted_basis(_labeled_basis(lattice.engine, mc)):
+        for section in adapted_basis(lattice.engine.section_basis(can=mc)):
             if section.weight is None:
                 raise ValidationError(
                     "sections must carry torus weights; use the canonical "
@@ -119,40 +111,6 @@ class WeightProjection:
             for i, row in enumerate(self.matrix))
 
 
-def _solve_exact(rows: list[list[Fraction]],
-                 rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve an exact, possibly overdetermined system; free unknowns get 0.
-
-    Returns None when the system is inconsistent.
-    """
-    width = len(rows[0]) if rows else 0
-    aug = [list(row) + [value] for row, value in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []
-    row_at = 0
-    for col in range(width):
-        pivot = next((r for r in range(row_at, len(aug)) if aug[r][col]),
-                     None)
-        if pivot is None:
-            continue
-        aug[row_at], aug[pivot] = aug[pivot], aug[row_at]
-        scale = aug[row_at][col]
-        aug[row_at] = [v / scale for v in aug[row_at]]
-        for r in range(len(aug)):
-            if r != row_at and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v - factor * p
-                          for v, p in zip(aug[r], aug[row_at])]
-        pivots.append((row_at, col))
-        row_at += 1
-    for r in range(row_at, len(aug)):
-        if aug[r][width]:
-            return None
-    solution = [Fraction(0)] * width
-    for r, col in pivots:
-        solution[col] = aug[r][width]
-    return solution
-
-
 def weight_projection(semigroup: WeightedSemigroup) -> WeightProjection:
     """Fit the unique exact affine map (nu, k) -> mu through all triples.
 
@@ -168,7 +126,7 @@ def weight_projection(semigroup: WeightedSemigroup) -> WeightProjection:
     level_part = []
     for i in range(semigroup.weight_dim):
         rhs = [Fraction(mu[i]) for _, _, mu in semigroup.triples]
-        fit = _solve_exact(rows, rhs)
+        fit = solve_dense(rows, rhs)
         if fit is None:
             raise NotAffine(
                 f"weight coordinate {i + 1} admits no exact affine fit "

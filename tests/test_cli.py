@@ -121,6 +121,32 @@ def test_validation_errors_exit_2(capsys):
         assert code == 2, argv
 
 
+@pytest.mark.parametrize("content", [
+    None,
+    "not json",
+    '{"foo": 1}',
+    '{"matrix": [[2, -1.5], [-1, 2]]}',
+], ids=["missing", "not-json", "no-matrix-key", "non-integer"])
+def test_bad_matrix_files_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "cartan.json"
+    if content is not None:
+        path.write_text(content)
+    code = main(["body", "--matrix-file", str(path), "--word", "1,2",
+                 "--bundle", "can:1,1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unsupported_type_names_the_supported_ones(capsys):
+    code = main(["body", "--type", "C2", "--word", "1,2",
+                 "--bundle", "can:1,1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: no built-in weight-basis model for this Cartan matrix; "
+        "the supported types are A_n and B2\n")
+
+
 def test_instability_exits_3(capsys, monkeypatch):
     def explode(self, levels, box):
         raise Unstable("synthetic blowup")

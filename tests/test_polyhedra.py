@@ -8,17 +8,20 @@ from fractions import Fraction
 
 import pytest
 
-from bottsam import NotPointed, RationalCone, ValidationError, VerificationFailure
+from bottsam import (
+    NotPointed,
+    RationalCone,
+    RationalPolytope,
+    ValidationError,
+    VerificationFailure,
+)
 from bottsam.polyhedra import (
     cone_from_payload,
     cone_payload,
     extreme_rays,
-    hull,
-    lattice_points,
     minkowski_sum,
     polytope_from_payload,
     polytope_payload,
-    slice_polytope,
 )
 
 from oracles import extreme_rays_2d, shoelace_area
@@ -27,16 +30,17 @@ UNIT_TRIANGLE = ((0, 0), (1, 0), (0, 1))
 
 
 def test_hull_drops_interior_and_duplicate_points():
-    poly = hull([(0, 0), (1, 0), (0, 1), (0, 0), (Fraction(1, 4), Fraction(1, 4))])
+    poly = RationalPolytope.from_points(
+        [(0, 0), (1, 0), (0, 1), (0, 0), (Fraction(1, 4), Fraction(1, 4))])
     assert sorted(poly.vertices) == [(0, 0), (0, 1), (1, 0)]
     assert poly.volume() == Fraction(1, 2)
 
 
 def test_hull_of_single_point_and_segment():
-    point = hull([(2, 3)])
+    point = RationalPolytope.from_points([(2, 3)])
     assert point.vertices == ((2, 3),)
     assert point.volume() == 0
-    segment = hull([(0,), (3,)])
+    segment = RationalPolytope.from_points([(0,), (3,)])
     assert segment.volume() == 3
 
 
@@ -49,7 +53,7 @@ def test_random_triangle_volume_matches_shoelace():
         if area == 0:
             continue
         checked += 1
-        assert hull(pts).volume() == area
+        assert RationalPolytope.from_points(pts).volume() == area
     assert checked > 20
 
 
@@ -57,10 +61,10 @@ def test_volume_is_unimodular_invariant():
     rng = random.Random(11)
     for _ in range(20):
         pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(5)]
-        poly = hull(pts)
-        sheared = hull([(x + y, y) for x, y in pts])
+        poly = RationalPolytope.from_points(pts)
+        sheared = RationalPolytope.from_points([(x + y, y) for x, y in pts])
         assert sheared.volume() == poly.volume()
-        assert len(lattice_points(sheared)) == len(lattice_points(poly))
+        assert len(sheared.lattice_points()) == len(poly.lattice_points())
 
 
 def test_extreme_rays_matches_pairwise_oracle():
@@ -88,37 +92,38 @@ def test_extreme_rays_rejects_lines():
 
 
 def test_slice_of_triangle_is_segment():
-    tri = hull(UNIT_TRIANGLE)
-    seg = slice_polytope(tri, [((1, 0), Fraction(1, 2))])
+    tri = RationalPolytope.from_points(UNIT_TRIANGLE)
+    seg = tri.sliced([((1, 0), Fraction(1, 2))])
     assert sorted(seg.vertices) == [(Fraction(1, 2), 0),
                                     (Fraction(1, 2), Fraction(1, 2))]
 
 
 def test_slice_can_be_empty():
-    tri = hull(UNIT_TRIANGLE)
-    empty = slice_polytope(tri, [((1, 0), Fraction(7))])
+    tri = RationalPolytope.from_points(UNIT_TRIANGLE)
+    empty = tri.sliced([((1, 0), Fraction(7))])
     assert not empty.vertices
 
 
 def test_lattice_points_of_triangle_dilates():
     for k in range(1, 6):
-        dil = hull([(0, 0), (k, 0), (0, k)])
-        assert len(lattice_points(dil)) == (k + 1) * (k + 2) // 2
+        dil = RationalPolytope.from_points([(0, 0), (k, 0), (0, k)])
+        assert len(dil.lattice_points()) == (k + 1) * (k + 2) // 2
 
 
 def test_lattice_points_at_half_integer_grid():
-    tri = hull(UNIT_TRIANGLE)
-    assert len(lattice_points(tri, denominator=2)) == 6
+    tri = RationalPolytope.from_points(UNIT_TRIANGLE)
+    assert len(tri.lattice_points(denominator=2)) == 6
 
 
 def test_minkowski_sum_of_segments_is_square():
-    square = minkowski_sum(hull([(0, 0), (1, 0)]), hull([(0, 0), (0, 1)]))
+    square = minkowski_sum(RationalPolytope.from_points([(0, 0), (1, 0)]),
+                           RationalPolytope.from_points([(0, 0), (0, 1)]))
     assert sorted(square.vertices) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert square.volume() == 1
 
 
 def test_polytope_payload_roundtrip():
-    tri = hull([(0, 0), (2, 1), (0, 3), (1, 1)])
+    tri = RationalPolytope.from_points([(0, 0), (2, 1), (0, 3), (1, 1)])
     payload = polytope_payload(tri)
     back = polytope_from_payload(payload)
     assert sorted(back.vertices) == sorted(tri.vertices)
@@ -127,7 +132,8 @@ def test_polytope_payload_roundtrip():
 
 
 def test_payload_numbers_are_decimal_strings():
-    payload = polytope_payload(hull([(Fraction(1, 2), 0), (1, 0), (1, 1)]))
+    payload = polytope_payload(RationalPolytope.from_points(
+        [(Fraction(1, 2), 0), (1, 0), (1, 1)]))
 
     def leaves(node):
         if isinstance(node, dict):
@@ -147,7 +153,7 @@ def test_payload_numbers_are_decimal_strings():
 
 
 def test_corrupted_polytope_payload_fails_roundtrip():
-    payload = polytope_payload(hull(UNIT_TRIANGLE))
+    payload = polytope_payload(RationalPolytope.from_points(UNIT_TRIANGLE))
     bad = json.loads(json.dumps(payload))
     bad["inequalities"][0][0] = "7"
     with pytest.raises(VerificationFailure):
@@ -157,7 +163,7 @@ def test_corrupted_polytope_payload_fails_roundtrip():
 def test_malformed_polytope_payload_is_rejected():
     with pytest.raises(ValidationError):
         polytope_from_payload({"ambient": 2})
-    payload = polytope_payload(hull(UNIT_TRIANGLE))
+    payload = polytope_payload(RationalPolytope.from_points(UNIT_TRIANGLE))
     bad = json.loads(json.dumps(payload))
     bad["vertices"][0][0] = ["1.5", "1"]
     with pytest.raises(ValidationError):

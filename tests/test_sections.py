@@ -3,17 +3,13 @@
 from __future__ import annotations
 
 import json
-import random
-from fractions import Fraction
 
 import pytest
 
 from bottsam import (
     Basis,
     DivisorClass,
-    EngineError,
     ValidationError,
-    Weight,
     WeylWord,
     bs_character,
 )
@@ -144,6 +140,31 @@ def test_monomial_basis_matches_glue_for_multiplicity_free(eng12):
         glue = eng12.section_basis_glue(can=can)
         assert len(mono) == len(glue)
         assert span_rank(mono, glue) == len(mono)
+
+
+@pytest.mark.parametrize("engine, can, route", [
+    ("eng12", (-1, 1), "monomial_section_basis"),
+    ("eng12", (-2, 2), "monomial_section_basis"),
+    ("eng12", (1, 1), "section_basis_nef"),
+    ("eng121", (1, -1, 1), "section_basis_glue"),
+    ("eng121", (0, 1, 1), "section_basis_nef"),
+])
+def test_section_basis_route_rule(request, monkeypatch, engine, can, route):
+    engine = request.getfixturevalue(engine)
+    chosen = getattr(engine, route)
+    expected = chosen(can) if route == "section_basis_nef" else chosen(can=can)
+    calls = []
+    for name in ("section_basis_nef", "section_basis_glue",
+                 "monomial_section_basis"):
+        method = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *args, _name=name,
+                            _method=method, **kwargs:
+                            calls.append(_name) or _method(*args, **kwargs))
+    got = engine.section_basis(can=can)
+    assert calls == [route]
+    assert got
+    assert [(poly_terms(sp), sp.multidegree, sp.weight) for sp in got] \
+        == [(poly_terms(sp), sp.multidegree, sp.weight) for sp in expected]
 
 
 def test_monomial_basis_refuses_repeated_letters(eng121):
