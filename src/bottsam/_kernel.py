@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Mapping, Sequence
 
 # The benchmark records this tag with every result set.
 IMPLEMENTATION = "python"
@@ -104,12 +104,21 @@ def nullspace(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
             v = row.get(free)
             if v:
                 entries[p] = Fraction(-v, row[p])
-        denom = 1
-        for val in entries.values():
-            denom = denom * val.denominator // gcd(denom, val.denominator)
-        vec = {c: int(v * denom) for c, v in entries.items()}
-        basis.append(normalize_row(vec))
+        basis.append(normalize_row(clear_denominators(entries)))
     return basis
+
+
+def clear_denominators(row: Mapping[int, Fraction]) -> dict[int, int]:
+    """Scale a rational row by the lcm of its denominators.
+
+    The integer row spans the same rational line as the input.
+    """
+    denom = 1
+    for v in row.values():
+        d = v.denominator
+        if d != 1:
+            denom = denom * d // gcd(denom, d)
+    return {c: v.numerator * (denom // v.denominator) for c, v in row.items()}
 
 
 class IncrementalSpan:

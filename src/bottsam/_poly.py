@@ -11,6 +11,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
+from ._kernel import clear_denominators
+
 Mono = tuple[int, ...]
 
 
@@ -178,11 +180,6 @@ def integer_rows(polys: Iterable[Polynomial],
     Each polynomial's coefficients are scaled by their common denominator, so
     the rows span the same rational row space.
     """
-    rows = []
-    for poly in polys:
-        denom = 1
-        for c in poly.terms.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        rows.append({monomial_index[m]: int(c * denom)
-                     for m, c in poly.terms.items()})
-    return rows
+    return [clear_denominators({monomial_index[m]: c
+                                for m, c in poly.terms.items()})
+            for poly in polys]

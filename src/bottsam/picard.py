@@ -192,9 +192,20 @@ def compute_basis_change(engine: SectionEngine,
 class PicardLattice:
     """Divisor-class arithmetic for one reduced word.
 
-    The verified basis change is computed lazily, on the first operation
-    that actually converts between bases; nef tests, volumes and pullbacks
-    of canonical classes never trigger the probe run.
+    The verified basis change (``change``, built by compute_basis_change
+    with its probe run) is computed lazily, once per lattice, on the first
+    operation that converts between bases:
+
+    - ``canonical``, ``is_nef`` and ``volume`` on an effective class;
+    - ``effective`` on a canonical class;
+    - ``is_effective`` on a canonical class with a negative coordinate.
+
+    Everything else never triggers the probe run: ``is_effective`` on an
+    effective class or on any class with nonnegative coordinates (both
+    orthants lie in the effective cone), ``canonical``, ``is_nef`` and
+    ``volume`` on canonical classes, ``section_basis`` and
+    ``section_dimension`` in either basis, and
+    ``pullback_from_flag_variety``.
     """
 
     def __init__(self, datum: CartanDatum, word,
@@ -236,7 +247,12 @@ class PicardLattice:
         return self.change.to_effective(divisor)
 
     def is_effective(self, divisor: DivisorClass) -> bool:
-        return min(self.effective(divisor).coords, default=0) >= 0
+        divisor = self._check(divisor)
+        # The effective orthant is the effective cone, and the canonical
+        # orthant is the nef cone, which lies inside it.
+        if min(divisor.coords, default=0) >= 0:
+            return True
+        return min(self.effective(divisor).coords) >= 0
 
     def is_nef(self, divisor: DivisorClass) -> bool:
         return min(self.canonical(divisor).coords, default=0) >= 0

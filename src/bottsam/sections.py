@@ -26,10 +26,15 @@ import json
 import random
 from fractions import Fraction
 from importlib import resources
-from math import factorial, gcd
+from math import factorial
 from typing import Iterable, Sequence
 
-from ._kernel import IncrementalSpan, invert_dense, nullspace
+from ._kernel import (
+    IncrementalSpan,
+    clear_denominators,
+    invert_dense,
+    nullspace,
+)
 from ._poly import Mono, Polynomial
 from .errors import (
     BoxTooSmall,
@@ -337,14 +342,6 @@ def _assert_homogeneous(poly: Polynomial, x_weights: Sequence[Weight],
             raise EngineError(
                 f"{what} is not torus homogeneous; "
                 "representation data or chart conventions are inconsistent")
-
-
-def _clear_row(row: dict[int, Fraction]) -> dict[int, int]:
-    denom = 1
-    for v in row.values():
-        f = Fraction(v)
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    return {k: int(Fraction(v) * denom) for k, v in row.items()}
 
 
 class SectionEngine:
@@ -805,7 +802,7 @@ class SectionEngine:
                 mono = tuple(x + y for x, y in zip(b, qm))
                 row = rows.setdefault(mono, {})
                 row[nv + bi] = row.get(nv + bi, Fraction(0)) - qc
-        int_rows = [_clear_row(row) for row in rows.values()]
+        int_rows = [clear_denominators(row) for row in rows.values()]
         solutions = nullspace(int_rows, nv + len(support))
         span = IncrementalSpan()
         filtered = []

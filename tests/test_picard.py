@@ -2,21 +2,27 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bottsam import (
     Basis,
     BasisChange,
     DivisorClass,
     NotNef,
+    OkounkovEngine,
     PicardLattice,
     ValidationError,
     Weight,
     WeylWord,
+    cli,
     format_divisor,
     parse_divisor,
+    picard,
 )
 
 from oracles import weyl_dim_a2
@@ -103,18 +109,74 @@ def test_positivity_tests(lattice_a2_12):
 
 
 def test_nef_implies_effective(lattice_a2_12, lattice_b2_12, lattice_a2_121):
-    for lattice in (lattice_a2_12, lattice_b2_12):
-        for a in range(-2, 3):
-            for b in range(-2, 3):
-                divisor = can(a, b)
-                if lattice.is_nef(divisor):
-                    assert lattice.is_effective(divisor)
-    for a in range(-1, 2):
-        for b in range(-1, 2):
-            for c in range(-1, 2):
-                divisor = DivisorClass((a, b, c), Basis.CANONICAL)
-                if lattice_a2_121.is_nef(divisor):
-                    assert lattice_a2_121.is_effective(divisor)
+    """The nef orthant lies in the effective cone.
+
+    Checked through the verified basis change, because is_effective answers
+    nef classes without it.
+    """
+    for lattice, span in ((lattice_a2_12, range(-2, 3)),
+                          (lattice_b2_12, range(-2, 3)),
+                          (lattice_a2_121, range(-1, 2))):
+        for coords in itertools.product(span, repeat=lattice.n):
+            divisor = DivisorClass(coords, Basis.CANONICAL)
+            if lattice.is_nef(divisor):
+                assert min(lattice.change.to_effective(divisor).coords) >= 0
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.data())
+def test_is_effective_agrees_with_the_basis_change(
+        lattice_a2_12, lattice_b2_12, lattice_a2_121, data):
+    lattice = data.draw(st.sampled_from(
+        (lattice_a2_12, lattice_b2_12, lattice_a2_121)))
+    coords = data.draw(st.lists(st.integers(-4, 4), min_size=lattice.n,
+                                max_size=lattice.n))
+    divisor = DivisorClass(coords, Basis.CANONICAL)
+    assert lattice.is_effective(divisor) \
+        == (min(lattice.change.to_effective(divisor).coords) >= 0)
+
+
+class ProbeRun(Exception):
+    """Raised in place of building the verified basis change."""
+
+
+@pytest.fixture
+def no_probe_run(monkeypatch):
+    """Make every basis-change build raise; the list records each attempt."""
+    attempts = []
+
+    def refuse(engine, probe_bound=None):
+        attempts.append(engine.word.indices)
+        raise ProbeRun(f"basis change built for {engine.word.indices}")
+
+    monkeypatch.setattr(picard, "compute_basis_change", refuse)
+    return attempts
+
+
+def test_nef_work_never_builds_the_basis_change(no_probe_run, a2, capsys):
+    assert cli.main(["body", "--type", "A2", "--word", "1,2",
+                     "--bundle", "can:1,1"]) == 0
+    assert cli.main(["weights", "--type", "A2", "--word", "1,2,1",
+                     "--bundle", "can:0,1,1", "--mu", "0,0"]) == 0
+    capsys.readouterr()
+    lattice = PicardLattice(a2, WeylWord([1, 2]))
+    engine = OkounkovEngine(lattice)
+    points = engine.semigroup(can(1, 1), 2)
+    assert len(points) == sum(lattice.section_dimension(can(k, k))
+                              for k in (1, 2))
+    assert engine.volume_check(can(1, 1), 3)["certified"]
+    assert engine.restriction_check(can(0, 1), 3)["equal"]
+    assert no_probe_run == []
+
+
+def test_conversions_still_build_the_basis_change(no_probe_run, a2):
+    runs = (lambda lattice: OkounkovEngine(lattice).body(eff(1, 2), 2),
+            lambda lattice: lattice.is_effective(can(1, -1)),
+            lambda lattice: OkounkovEngine(lattice).global_cone(1, 1))
+    for run in runs:
+        with pytest.raises(ProbeRun):
+            run(PicardLattice(a2, WeylWord([1, 2])))
+    assert no_probe_run == [(1, 2)] * 3
 
 
 def test_section_dimensions(lattice_a2_12, lattice_a2_121, lattice_b2_12):

@@ -57,6 +57,15 @@ def test_invalid_cartan_matrix_rejected(tmp_path):
         CartanDatum.from_matrix_file(str(path))
 
 
+def test_fractional_cartan_entries_are_refused():
+    with pytest.raises(ValidationError, match="-1.5"):
+        CartanDatum([[2, -1.5], [-1, 2]])
+    with pytest.raises(ValidationError):
+        CartanDatum([[2, "x"], [-1, 2]])
+    assert CartanDatum([[2, -1.0], [Fraction(-1), 2]]).matrix \
+        == CartanDatum.from_type("A2").matrix
+
+
 def test_simple_roots_are_cartan_columns(a2):
     assert a2.simple_root(1).coords == (2, -1)
     assert a2.simple_root(2).coords == (-1, 2)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from importlib import resources
 
 import pytest
 
@@ -266,6 +267,18 @@ def test_group_model_file_validation(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"matrix": [[2]]}))
     with pytest.raises(ValidationError):
+        GroupModel.from_file(str(path))
+
+
+def test_group_model_refuses_fractional_cartan_entries(tmp_path):
+    payload = json.loads(resources.files("bottsam.repdata").joinpath(
+        "B2.json").read_text(encoding="utf-8"))
+    payload["cartan_matrix"] = [[2, -1.5], [-2, 2]]
+    with pytest.raises(ValidationError, match="-1.5"):
+        GroupModel.from_payload(payload)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValidationError, match="-1.5"):
         GroupModel.from_file(str(path))
 
 
