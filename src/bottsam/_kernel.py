@@ -108,10 +108,11 @@ def nullspace(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
     return basis
 
 
-def clear_denominators(row: Mapping[int, Fraction]) -> dict[int, int]:
+def clear_denominators(row: Mapping) -> dict:
     """Scale a rational row by the lcm of its denominators.
 
-    The integer row spans the same rational line as the input.
+    Values are ints or Fractions under any keys; the integer row spans the
+    same rational line as the input.
     """
     denom = 1
     for v in row.values():

@@ -1,8 +1,10 @@
 """Sparse exact multivariate polynomials over the rationals.
 
-Monomials are exponent tuples, coefficients are Fraction. Everything here is
-exact; nothing ever touches floating point. This is internal plumbing shared
-by the section and chart machinery.
+Monomials are exponent tuples. A coefficient is stored as an int when it is
+integral and as a Fraction only when it is not, so products of integral
+polynomials stay in int arithmetic; values and equality do not depend on the
+type. Everything here is exact; nothing ever touches floating point. This is
+internal plumbing shared by the section and chart machinery.
 """
 
 from __future__ import annotations
@@ -17,17 +19,25 @@ Mono = tuple[int, ...]
 
 
 class Polynomial:
-    """A sparse polynomial in nvars variables with Fraction coefficients."""
+    """A sparse polynomial in nvars variables with rational coefficients.
+
+    Each stored coefficient is an int when it is integral and a Fraction
+    otherwise.
+    """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Mono, Fraction | int] | None = None):
         self.nvars = nvars
-        clean: dict[Mono, Fraction] = {}
+        clean: dict[Mono, Fraction | int] = {}
         if terms:
             for mono, coeff in terms.items():
                 if coeff:
-                    clean[mono] = Fraction(coeff)
+                    if coeff.__class__ is not int:
+                        coeff = Fraction(coeff)
+                        if coeff.denominator == 1:
+                            coeff = coeff.numerator
+                    clean[mono] = coeff
         self.terms = clean
 
     @classmethod
@@ -36,7 +46,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
@@ -45,11 +55,11 @@ class Polynomial:
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
         mono = tuple(1 if j == index else 0 for j in range(nvars))
-        return cls(nvars, {mono: Fraction(1)})
+        return cls(nvars, {mono: 1})
 
     @classmethod
     def monomial(cls, nvars: int, mono: Sequence[int], coeff=1) -> "Polynomial":
-        return cls(nvars, {tuple(mono): Fraction(coeff)})
+        return cls(nvars, {tuple(mono): coeff})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -85,7 +95,7 @@ class Polynomial:
                               {m: c * other for m, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, Fraction | int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
@@ -139,7 +149,7 @@ class Polynomial:
             return 0
         return max(m[index] for m in self.terms)
 
-    def canonical_items(self) -> list[tuple[Mono, Fraction]]:
+    def canonical_items(self) -> list[tuple[Mono, Fraction | int]]:
         return sorted(self.terms.items())
 
     def normalized(self) -> "Polynomial":
@@ -147,16 +157,12 @@ class Polynomial:
         lexicographically smallest monomial has a positive coefficient."""
         if not self.terms:
             return self
-        denom = 1
-        for c in self.terms.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        numer = 0
-        for c in self.terms.values():
-            numer = gcd(numer, abs(c.numerator * (denom // c.denominator)))
-        scale = Fraction(denom, numer)
+        ints = clear_denominators(self.terms)
+        scale = gcd(*ints.values())
         if self.terms[self.lex_min_monomial()] < 0:
             scale = -scale
-        return self * scale
+        return Polynomial(self.nvars,
+                          {m: c // scale for m, c in ints.items()})
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from ._kernel import kernel_lattice_basis, solve_dense
+from ._kernel import clear_denominators, kernel_lattice_basis, solve_dense
 from .errors import (
     EngineError,
     NotPointed,
@@ -49,17 +49,13 @@ def primitive_vector(values: Iterable) -> tuple[int, ...]:
 
     The zero vector comes back unchanged; callers treat it as degenerate.
     """
-    fracs = [Fraction(v) for v in values]
-    if all(f == 0 for f in fracs):
-        return (0,) * len(fracs)
-    scale = 1
-    for f in fracs:
-        scale = scale * f.denominator // gcd(scale, f.denominator)
-    ints = [int(f * scale) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return tuple(v // g for v in ints)
+    exact = [v if isinstance(v, (int, Fraction)) else Fraction(v)
+             for v in values]
+    if not any(exact):
+        return (0,) * len(exact)
+    ints = clear_denominators(dict(enumerate(exact)))
+    g = gcd(*ints.values())
+    return tuple(ints[k] // g for k in range(len(exact)))
 
 
 def _dual_description(

@@ -278,6 +278,33 @@ class _ChartFrame:
         self.x_weights = x_weights
 
 
+class _ChartPowers:
+    """One chart's polynomial tables for one glue call.
+
+    npow[j] and dpow[j] hold the successive powers of the j-th coordinate
+    numerator and denominator, grown on demand and shared by every weight
+    class; num and den are the class-independent factors of the lifted
+    numerators and of the common denominator.
+    """
+
+    __slots__ = ("frame", "npow", "dpow", "num", "den")
+
+    def __init__(self, frame: _ChartFrame, num: Polynomial, den: Polynomial):
+        one = Polynomial.one(len(frame.flips))
+        self.frame = frame
+        self.npow = [[one] for _ in frame.flips]
+        self.dpow = [[one] for _ in frame.flips]
+        self.num = num
+        self.den = den
+
+    def grow(self, j: int, power: int) -> None:
+        """Extend the j-th power tables up to the given exponent."""
+        npow, dpow = self.npow[j], self.dpow[j]
+        while len(npow) <= power:
+            npow.append(npow[-1] * self.frame.numerators[j])
+            dpow.append(dpow[-1] * self.frame.denominators[j])
+
+
 def _matmul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0])
     out = []
@@ -707,12 +734,16 @@ class SectionEngine:
             for k, letter in enumerate(self._letters):
                 bundle_weight = bundle_weight + \
                     self.datum.fundamental_weight(letter).scaled(can[k])
+        tables: dict[tuple[int, ...], _ChartPowers] = {}
         result: list[SectionPoly] = []
         for key in sorted(classes):
             cands = classes[key]
-            vectors = [{i: Fraction(1)} for i in range(len(cands))]
+            vectors = [{i: 1} for i in range(len(cands))]
             for flips in charts:
-                vectors = self._chart_filter(flips, can, eff, cands, vectors)
+                chart = tables.get(flips)
+                if chart is None:
+                    chart = tables[flips] = self._chart_powers(flips, can, eff)
+                vectors = self._chart_filter(chart, cands, vectors)
                 if not vectors:
                     break
             weight = None
@@ -725,16 +756,16 @@ class SectionEngine:
                 result.append(SectionPoly(poly.normalized(), degree, weight))
         return result
 
-    def _chart_filter(self, flips, can, eff, cands, vectors):
+    def _chart_powers(self, flips, can, eff) -> _ChartPowers:
+        """The tables one glue call shares across weight classes on a chart."""
         frame = self._chart(flips)
         n = self.n
-        amax = tuple(max(a[j] for a in cands) for j in range(n))
-        num_common = Polynomial.one(n)
+        num = Polynomial.one(n)
         den = Polynomial.one(n)
         if can is not None:
             for k, mk in enumerate(can):
                 if mk > 0:
-                    num_common = num_common * frame.slot_factors[k] ** mk
+                    num = num * frame.slot_factors[k] ** mk
                 elif mk < 0:
                     den = den * frame.slot_factors[k] ** (-mk)
         else:
@@ -745,19 +776,23 @@ class SectionEngine:
                 e = sum(orders[l][j] * eff[j] for j in range(n))
                 mono = tuple(abs(e) if pos == l else 0 for pos in range(n))
                 if e > 0:
-                    num_common = num_common.shifted(mono)
+                    num = num.shifted(mono)
                 elif e < 0:
                     den = den.shifted(mono)
-        npow = [[Polynomial.one(n)] for _ in range(n)]
-        dpow = [[Polynomial.one(n)] for _ in range(n)]
+        return _ChartPowers(frame, num, den)
+
+    def _chart_filter(self, chart: _ChartPowers, cands, vectors):
+        frame = chart.frame
+        n = self.n
+        amax = tuple(max(a[j] for a in cands) for j in range(n))
+        npow, dpow = chart.npow, chart.dpow
+        den = chart.den
         for j in range(n):
-            for _ in range(amax[j]):
-                npow[j].append(npow[j][-1] * frame.numerators[j])
-                dpow[j].append(dpow[j][-1] * frame.denominators[j])
+            chart.grow(j, amax[j])
             den = den * dpow[j][amax[j]]
         lifted = {}
         for a in cands:
-            g = num_common
+            g = chart.num
             for j in range(n):
                 g = g * npow[j][a[j]] * dpow[j][amax[j] - a[j]]
             lifted[a] = g
@@ -801,7 +836,7 @@ class SectionEngine:
             for qm, qc in den.terms.items():
                 mono = tuple(x + y for x, y in zip(b, qm))
                 row = rows.setdefault(mono, {})
-                row[nv + bi] = row.get(nv + bi, Fraction(0)) - qc
+                row[nv + bi] = row.get(nv + bi, 0) - qc
         int_rows = [clear_denominators(row) for row in rows.values()]
         solutions = nullspace(int_rows, nv + len(support))
         span = IncrementalSpan()
@@ -813,7 +848,7 @@ class SectionEngine:
                 if not s:
                     continue
                 for cidx, cf in vectors[i].items():
-                    acc = vec.get(cidx, Fraction(0)) + s * cf
+                    acc = vec.get(cidx, 0) + s * cf
                     if acc:
                         vec[cidx] = acc
                     else:

@@ -22,11 +22,25 @@ from bottsam.polyhedra import (
     minkowski_sum,
     polytope_from_payload,
     polytope_payload,
+    primitive_vector,
 )
 
 from oracles import extreme_rays_2d, shoelace_area
 
 UNIT_TRIANGLE = ((0, 0), (1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("values, expected", [
+    ((4, -6, 0), (2, -3, 0)),
+    ((Fraction(1, 2), Fraction(-1, 3)), (3, -2)),
+    ((2, Fraction(3, 4), Fraction(4, 2)), (8, 3, 8)),
+    ((0.5, 1), (1, 2)),
+    ((0, Fraction(0)), (0, 0)),
+])
+def test_primitive_vector_scales_to_coprime_ints(values, expected):
+    got = primitive_vector(values)
+    assert got == expected
+    assert all(type(v) is int for v in got)
 
 
 def test_hull_drops_interior_and_duplicate_points():

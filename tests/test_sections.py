@@ -10,10 +10,12 @@ import pytest
 from bottsam import (
     Basis,
     DivisorClass,
+    PicardLattice,
     ValidationError,
     WeylWord,
     bs_character,
 )
+from bottsam._poly import Polynomial
 from bottsam.sections import GroupModel, SectionEngine
 from bottsam.valuation import valuation
 
@@ -132,6 +134,28 @@ def test_glue_off_the_nef_cone(eng12):
 def test_glue_accepts_effective_coordinates(eng12, eng121):
     assert len(eng12.section_basis_glue(eff=(2, 1))) == 5
     assert len(eng121.section_basis_glue(eff=(0, 0, 1))) == 1
+
+
+def test_probe_run_polynomial_products_stay_bounded(a2, monkeypatch):
+    """Work regression: the glue route shares its chart power tables.
+
+    Rebuilding the coordinate powers for every weight class took 1,228,788
+    products in this probe run; sharing them takes about 222,000.  A call
+    count is deterministic where a time bound would be flaky.
+    """
+    lattice = PicardLattice(a2, WeylWord([1, 2]))
+    calls = 0
+    multiply = Polynomial.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    monkeypatch.setattr(Polynomial, "__rmul__", counted)
+    assert lattice.change.matrix == ((1, -1), (0, 1))
+    assert calls <= 400_000
 
 
 def test_monomial_basis_matches_glue_for_multiplicity_free(eng12):
