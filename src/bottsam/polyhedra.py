@@ -55,7 +55,7 @@ def primitive_vector(values: Iterable) -> tuple[int, ...]:
         return (0,) * len(exact)
     ints = clear_denominators(dict(enumerate(exact)))
     g = gcd(*ints.values())
-    return tuple(ints[k] // g for k in range(len(exact)))
+    return tuple(v // g for v in ints.values())
 
 
 def _dual_description(
