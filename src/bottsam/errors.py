@@ -42,10 +42,6 @@ class SpanDeficiency(EngineError):
     """Products of slot sections failed to span the section space."""
 
 
-class BoxTooSmall(EngineError):
-    """Internal signal: the gluing degree box must be enlarged."""
-
-
 class Unstable(EngineError):
     """A computation did not stabilize within its configured caps."""
 

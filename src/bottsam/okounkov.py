@@ -290,7 +290,7 @@ class OkounkovEngine:
             dimension = bs_character(
                 self.lattice.datum, self.lattice.word,
                 tuple(k * c for c in canonical.coords)).dimension()
-            dilated = len(body.polytope.scaled(k).lattice_points(1))
+            dilated = len(body.polytope.lattice_points(k))
             rows.append({
                 "level": k,
                 "points": len(points),

@@ -180,28 +180,6 @@ class RationalCone:
         rays, lin = _dual_description(rows, ambient)
         return cls(ambient, rays, lin, ineqs, eqs)
 
-    @classmethod
-    def from_inequalities(cls, rows: Sequence[Sequence],
-                          equations: Sequence[Sequence] = (),
-                          ambient: int | None = None) -> "RationalCone":
-        ineq_rows = [primitive_vector(r) for r in rows]
-        eq_rows = [primitive_vector(e) for e in equations]
-        if ambient is None:
-            if not ineq_rows and not eq_rows:
-                raise ValidationError(
-                    "no rows given; pass the ambient dimension")
-            ambient = len((ineq_rows + eq_rows)[0])
-        cls._check_ambient(ambient)
-        expanded = list(ineq_rows)
-        for e in eq_rows:
-            expanded.append(e)
-            expanded.append(tuple(-x for x in e))
-        rays, lin = _dual_description(expanded, ambient)
-        generators = list(rays) + list(lin) + [tuple(-x for x in v)
-                                               for v in lin]
-        ineqs, eqs = _dual_description(generators, ambient)
-        return cls(ambient, rays, lin, ineqs, eqs)
-
     @property
     def is_pointed(self) -> bool:
         return not self.lineality
@@ -342,13 +320,6 @@ class RationalPolytope:
         return (all(_idot(a, p) >= 0 for a in self.inequalities)
                 and all(_idot(e, p) == 0 for e in self.equations))
 
-    def scaled(self, factor) -> "RationalPolytope":
-        f = Fraction(factor)
-        if f < 0:
-            raise ValidationError("polytope scaling factor must be >= 0")
-        return RationalPolytope.from_points(
-            [tuple(f * c for c in v) for v in self.vertices], self.ambient)
-
     def sliced(self, equalities: Sequence[tuple[Sequence, object]]
                ) -> "RationalPolytope":
         """Intersect with affine hyperplanes coeffs . x = value."""
@@ -427,12 +398,16 @@ class RationalPolytope:
                 raise ValidationError(
                     "lattice point enumeration exceeds the supported size")
             ranges.append(range(lo_int, hi_int + 1))
+        # c / k lies in the polytope exactly when c lies in its k-th
+        # dilation, so the integer rows are tested on c directly; the
+        # product runs in lexicographic order, which is the sorted order.
         points = []
-        for combo in itertools.product(*ranges):
-            p = tuple(Fraction(c, k) for c in combo)
-            if self.contains(p):
-                points.append(p)
-        points.sort()
+        for c in itertools.product(*ranges):
+            if (all(k * a[0] + _idot(a[1:], c) >= 0
+                    for a in self.inequalities)
+                    and all(k * e[0] + _idot(e[1:], c) == 0
+                            for e in self.equations)):
+                points.append(tuple(Fraction(x, k) for x in c))
         return points
 
     def __eq__(self, other) -> bool:

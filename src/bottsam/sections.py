@@ -12,7 +12,9 @@ Section spaces are built two independent ways and cross-checked by the tests:
   - section_basis_nef multiplies out per-slot generator sections and certifies
     the span against the Demazure character dimension;
   - section_basis_glue solves exact regularity (divisibility) conditions on
-    every chart inside a growing degree box, with a stability certificate.
+    every chart inside a degree box; one loop doubles the box until the
+    space there has the dimension of the space in the doubled box, which
+    certifies stability, and solves each box once.
 
 On words without repeated letters monomial_section_basis reads a basis off
 the boundary vanishing orders.  SectionEngine.section_basis is the one rule
@@ -27,6 +29,7 @@ import random
 from fractions import Fraction
 from importlib import resources
 from math import factorial
+from operator import mul
 from typing import Iterable, Sequence
 
 from ._kernel import (
@@ -36,13 +39,7 @@ from ._kernel import (
     nullspace,
 )
 from ._poly import Mono, Polynomial
-from .errors import (
-    BoxTooSmall,
-    EngineError,
-    SpanDeficiency,
-    Unstable,
-    ValidationError,
-)
+from .errors import EngineError, SpanDeficiency, Unstable, ValidationError
 from .polyhedra import RationalPolytope
 from .rootsys import (
     CartanDatum,
@@ -264,7 +261,7 @@ class SectionPoly:
 
 class _ChartFrame:
     """Symbolic data of one affine chart: t_j as ratios, slot factors, and
-    the torus weight carried by each chart coordinate."""
+    the torus weight (a coordinate tuple) carried by each chart coordinate."""
 
     __slots__ = ("flips", "numerators", "denominators", "slot_factors",
                  "x_weights")
@@ -340,35 +337,9 @@ def _exp_nilpotent(action: list[list[int]], t, size: int, const):
     raise EngineError("lowering or raising operator is not nilpotent")
 
 
-def _lift_matrix(matrix, nvars: int):
-    return [[Polynomial.constant(nvars, v) if isinstance(v, (int, Fraction))
-             else v for v in row] for row in matrix]
-
-
-def _poly_weight(poly: Polynomial, x_weights: Sequence[Weight]) -> tuple:
-    mono = next(iter(poly.terms))
-    coords = [0] * len(x_weights[0].coords)
-    for exp, w in zip(mono, x_weights):
-        if exp:
-            for i, c in enumerate(w.coords):
-                coords[i] += exp * c
-    return tuple(coords)
-
-
-def _assert_homogeneous(poly: Polynomial, x_weights: Sequence[Weight],
-                        what: str) -> None:
-    seen = set()
-    for mono in poly.terms:
-        coords = [0] * len(x_weights[0].coords)
-        for exp, w in zip(mono, x_weights):
-            if exp:
-                for i, c in enumerate(w.coords):
-                    coords[i] += exp * c
-        seen.add(tuple(coords))
-        if len(seen) > 1:
-            raise EngineError(
-                f"{what} is not torus homogeneous; "
-                "representation data or chart conventions are inconsistent")
+def _torus_weight(mono: Sequence[int], weights: Sequence[tuple]) -> tuple:
+    """Weight of an exponent vector whose j-th variable has weights[j]."""
+    return tuple([sum(map(mul, mono, col)) for col in zip(*weights)])
 
 
 class SectionEngine:
@@ -390,6 +361,8 @@ class SectionEngine:
                                   "Cartan matrix")
         self._letters = self.word.indices
         self._rep_indices = sorted(set(self._letters))
+        self._roots = tuple(datum.simple_root(letter).coords
+                            for letter in self._letters)
         self._fidx: dict[int, int] = {}
         for i in self._rep_indices:
             rep = self.model.rep(i)
@@ -426,7 +399,7 @@ class SectionEngine:
                     slot = _matmul(
                         _exp_nilpotent(rep.raising_matrix(letter), x,
                                        rep.dim, const),
-                        _lift_matrix(self._flip_matrix(rep, letter), n))
+                        self._flip_matrix(rep, letter))
                 else:
                     slot = _exp_nilpotent(rep.lowering_matrix(letter), x,
                                           rep.dim, const)
@@ -453,11 +426,13 @@ class SectionEngine:
             for poly, what in ((num, "coordinate numerator"),
                                (den, "coordinate denominator"),
                                (d_now, "slot factor")):
-                if poly:
-                    _assert_homogeneous(poly, x_weights,
-                                        f"{what} at slot {j + 1}")
+                if len({_torus_weight(m, x_weights) for m in poly.terms}) > 1:
+                    raise EngineError(
+                        f"{what} at slot {j + 1} is not torus homogeneous; "
+                        "representation data or chart conventions are "
+                        "inconsistent")
         frame = _ChartFrame(flips, tuple(numerators), tuple(denominators),
-                            tuple(slot_factors), tuple(x_weights))
+                            tuple(slot_factors), x_weights)
         if not any(flips):
             one = Polynomial.one(n)
             for j in range(n):
@@ -478,17 +453,17 @@ class SectionEngine:
         ee = _exp_nilpotent(e, -one, rep.dim, Fraction)
         return _matmul(_matmul(ef, ee), ef)
 
-    def _chart_weights(self, flips: tuple[int, ...]) -> list[Weight]:
+    def _chart_weights(self, flips: tuple[int, ...]) -> tuple[tuple, ...]:
         weights = []
         flipped_before: list[int] = []
         for l, letter in enumerate(self._letters):
             w = self.datum.simple_root(letter)
             for jp in reversed(flipped_before):
                 w = simple_reflection(self.datum, self._letters[jp], w)
-            weights.append(w if flips[l] else w.scaled(-1))
+            weights.append((w if flips[l] else w.scaled(-1)).coords)
             if flips[l]:
                 flipped_before.append(l)
-        return weights
+        return tuple(weights)
 
     # ----- generator sections ---------------------------------------------
 
@@ -570,8 +545,10 @@ class SectionEngine:
         """Solve chart regularity conditions inside a stable degree box.
 
         Exactly one of can (canonical multidegree) and eff (effective
-        coordinates) must be given.  The box doubles until the dimension
-        agrees with the doubled box; past the cap the bundle is reported
+        coordinates) must be given.  One loop solves the box and the doubled
+        box and returns the box's space once their dimensions agree;
+        otherwise the doubled space becomes the next base, so no box is
+        solved twice.  A doubled box past the cap reports the bundle
         Unstable.
         """
         can, eff = self._route(can, eff)
@@ -581,11 +558,19 @@ class SectionEngine:
             # clear its poles; the slot factors can, at these exponents.
             can, eff = self.effective_exponents(eff), None
         box = self._initial_box(can, eff)
+        basis = None
         while True:
-            try:
-                return self._certified_glue(can, eff, box)
-            except BoxTooSmall:
-                box = tuple(2 * b for b in box)
+            doubled = tuple(2 * b for b in box)
+            if any(b > _BOX_CAP for b in doubled):
+                raise Unstable(
+                    f"glue dimensions kept growing past the degree-box cap "
+                    f"({_BOX_CAP})")
+            if basis is None:
+                basis = self._glue_space(can, eff, box)
+            check = self._glue_space(can, eff, doubled)
+            if len(basis) == len(check):
+                return basis
+            box, basis = doubled, check
 
     def glue_dimension(self, can: Sequence[int] | None = None,
                        eff: Sequence[int] | None = None) -> int:
@@ -643,25 +628,24 @@ class SectionEngine:
         rows.extend((rhs[l],) + tuple(-b_rows[l][j] for j in range(n))
                     for l in range(n))
         polytope = RationalPolytope.from_inequalities(rows, ambient=n)
-        bundle_weight = None
-        if can is not None:
-            bundle_weight = self.datum.zero_weight()
-            for k, letter in enumerate(self._letters):
-                bundle_weight = bundle_weight + \
-                    self.datum.fundamental_weight(letter).scaled(can[k])
         basis = []
         for point in polytope.lattice_points(1):
             mono = tuple(int(v) for v in point)
-            weight = None
-            if bundle_weight is not None:
-                drop = self.datum.zero_weight()
-                for exp, letter in zip(mono, self._letters):
-                    drop = drop + self.datum.simple_root(letter).scaled(exp)
-                weight = bundle_weight - drop
-            degree = tuple(can) if can is not None else None
-            basis.append(SectionPoly(Polynomial.monomial(n, mono),
-                                     degree, weight))
+            basis.append(SectionPoly(Polynomial.monomial(n, mono), can,
+                                     self._section_weight(can, mono)))
         return basis
+
+    def _section_weight(self, can, mono) -> Weight | None:
+        """Torus weight of t^mono as a section of the canonical class can:
+        the bundle weight minus the simple roots the exponents drop.  None
+        for effective coordinates, whose sections stay unlabeled."""
+        if can is None:
+            return None
+        coords = [0] * self.datum.rank
+        for k, letter in enumerate(self._letters):
+            coords[letter - 1] += can[k]
+        drop = _torus_weight(mono, self._roots)
+        return Weight(c - d for c, d in zip(coords, drop))
 
     def _route(self, can, eff):
         if (can is None) == (eff is None):
@@ -694,20 +678,6 @@ class SectionEngine:
             box.append(total)
         return tuple(box)
 
-    def _certified_glue(self, can, eff, box) -> list[SectionPoly]:
-        doubled = tuple(2 * b for b in box)
-        if any(b > _BOX_CAP for b in doubled):
-            raise Unstable(
-                f"glue dimensions kept growing past the degree-box cap "
-                f"({_BOX_CAP})")
-        basis = self._glue_space(can, eff, box)
-        check = self._glue_space(can, eff, doubled)
-        if len(basis) != len(check):
-            raise BoxTooSmall(
-                f"dimension grew from {len(basis)} at box {box} to "
-                f"{len(check)} at box {doubled}")
-        return basis
-
     def _glue_space(self, can, eff, box) -> list[SectionPoly]:
         size = 1
         for b in box:
@@ -717,23 +687,11 @@ class SectionEngine:
         candidates = sorted(itertools.product(*[range(b + 1) for b in box]))
         classes: dict[tuple, list[Mono]] = {}
         for a in candidates:
-            coords = [0] * self.datum.rank
-            for exp, letter in zip(a, self._letters):
-                if exp:
-                    root = self.datum.simple_root(letter)
-                    for i, c in enumerate(root.coords):
-                        coords[i] += exp * c
-            classes.setdefault(tuple(coords), []).append(a)
+            classes.setdefault(_torus_weight(a, self._roots), []).append(a)
         charts = sorted((flips for flips in
                          itertools.product((0, 1), repeat=self.n)
                          if any(flips)),
                         key=lambda f: (sum(f), f))
-        bundle_weight = None
-        if can is not None:
-            bundle_weight = self.datum.zero_weight()
-            for k, letter in enumerate(self._letters):
-                bundle_weight = bundle_weight + \
-                    self.datum.fundamental_weight(letter).scaled(can[k])
         tables: dict[tuple[int, ...], _ChartPowers] = {}
         result: list[SectionPoly] = []
         for key in sorted(classes):
@@ -746,14 +704,11 @@ class SectionEngine:
                 vectors = self._chart_filter(chart, cands, vectors)
                 if not vectors:
                     break
-            weight = None
-            if bundle_weight is not None:
-                weight = bundle_weight - Weight(key)
-            degree = tuple(can) if can is not None else None
+            weight = self._section_weight(can, cands[0])
             for vec in vectors:
                 poly = Polynomial(self.n, {cands[i]: c
                                            for i, c in vec.items()})
-                result.append(SectionPoly(poly.normalized(), degree, weight))
+                result.append(SectionPoly(poly.normalized(), can, weight))
         return result
 
     def _chart_powers(self, flips, can, eff) -> _ChartPowers:
@@ -782,7 +737,6 @@ class SectionEngine:
         return _ChartPowers(frame, num, den)
 
     def _chart_filter(self, chart: _ChartPowers, cands, vectors):
-        frame = chart.frame
         n = self.n
         amax = tuple(max(a[j] for a in cands) for j in range(n))
         npow, dpow = chart.npow, chart.dpow
@@ -814,19 +768,13 @@ class SectionEngine:
             if size > _WITNESS_GUARD:
                 raise Unstable(
                     "witness support exceeds the supported size")
-            target = tuple(
-                x - y for x, y in zip(
-                    _poly_weight(next(iter(lifted.values())),
-                                 frame.x_weights),
-                    _poly_weight(den, frame.x_weights)))
-            for b in itertools.product(*[range(v + 1) for v in bounds]):
-                coords = [0] * self.datum.rank
-                for exp, w in zip(b, frame.x_weights):
-                    if exp:
-                        for i, c in enumerate(w.coords):
-                            coords[i] += exp * c
-                if tuple(coords) == target:
-                    support.append(b)
+            weights = chart.frame.x_weights
+            target = tuple(x - y for x, y in zip(
+                _torus_weight(next(iter(lifted[cands[0]].terms)), weights),
+                _torus_weight(next(iter(den.terms)), weights)))
+            support = [b for b in itertools.product(
+                           *[range(v + 1) for v in bounds])
+                       if _torus_weight(b, weights) == target]
         nv = len(vectors)
         rows: dict[Mono, dict[int, Fraction]] = {}
         for i, g in enumerate(combined):
@@ -1016,9 +964,9 @@ class SectionEngine:
                             c = Fraction(rng.randint(-2, 2))
                             if c:
                                 elem = self._product(
-                                    elem, self._raising_element(a, c))
+                                    elem, self._unipotent(a, c, raising=True))
                         translators.append(elem)
-                    points = [self._lowering_element(self._letters[k], taus[k])
+                    points = [self._unipotent(self._letters[k], taus[k])
                               for k in range(self.n)]
                     translated = []
                     previous_inverse = None
@@ -1076,15 +1024,15 @@ class SectionEngine:
             num *= rng.choice((-1, 1))
         return Fraction(num, rng.randint(1, 3))
 
-    def _lowering_element(self, letter: int, value: Fraction):
-        return {i: _exp_nilpotent(self.model.rep(i).lowering_matrix(letter),
-                                  value, self.model.rep(i).dim, Fraction)
-                for i in self._rep_indices}
-
-    def _raising_element(self, letter: int, value: Fraction):
-        return {i: _exp_nilpotent(self.model.rep(i).raising_matrix(letter),
-                                  value, self.model.rep(i).dim, Fraction)
-                for i in self._rep_indices}
+    def _unipotent(self, letter: int, value: Fraction, raising: bool = False):
+        """exp(value * e_letter) if raising, else exp(value * f_letter)."""
+        out = {}
+        for i in self._rep_indices:
+            rep = self.model.rep(i)
+            action = (rep.raising_matrix(letter) if raising
+                      else rep.lowering_matrix(letter))
+            out[i] = _exp_nilpotent(action, value, rep.dim, Fraction)
+        return out
 
     def _torus_element(self, z: Sequence[Fraction]):
         out = {}

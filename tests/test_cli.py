@@ -158,6 +158,21 @@ def test_instability_exits_3(capsys, monkeypatch):
     assert code == 3
 
 
+def test_glue_box_cap_exits_3_with_one_line(capsys, monkeypatch):
+    """The degree-box cap is reachable: a glue dimension that keeps growing
+    ends on exit code 3 with one stderr line and no traceback."""
+    monkeypatch.setattr("bottsam.sections._BOX_CAP", 4)
+    monkeypatch.setattr("bottsam.sections.SectionEngine._initial_box",
+                        lambda self, can, eff: (1,) * self.n)
+    code = main(["body", "--type", "A2", "--word", "1,2",
+                 "--bundle", "eff:1,2", "--max-level", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "unstable: glue dimensions kept growing past the degree-box cap (4)"]
+
+
 def test_engine_failures_exit_4(capsys, monkeypatch):
     from bottsam import VerificationFailure
 

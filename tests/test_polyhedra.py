@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bottsam import (
     NotPointed,
@@ -127,6 +131,46 @@ def test_lattice_points_of_triangle_dilates():
 def test_lattice_points_at_half_integer_grid():
     tri = RationalPolytope.from_points(UNIT_TRIANGLE)
     assert len(tri.lattice_points(denominator=2)) == 6
+
+
+@st.composite
+def point_sets(draw, dim):
+    """Small integer point sets whose affine span has any dimension up to
+    dim, so collinear and coplanar sets (hulls with equations) come up as
+    well as full-dimensional ones."""
+    span = draw(st.one_of(st.just(dim), st.integers(0, dim - 1)))
+    unit = st.integers(-1, 1)
+    base = draw(st.tuples(*[unit] * dim))
+    directions = [draw(st.tuples(*[unit] * dim).filter(any))
+                  for _ in range(span)]
+    points = []
+    for _ in range(draw(st.integers(span + 1, 8))):
+        steps = [draw(unit) for _ in range(span)]
+        points.append(tuple(
+            b + sum(s * d[i] for s, d in zip(steps, directions))
+            for i, b in enumerate(base)))
+    return points
+
+
+def brute_force_lattice_points(polytope, k):
+    """Every point of (1/k) Z^n in the bounding box, filtered by contains."""
+    ranges = []
+    for i in range(polytope.ambient):
+        values = [v[i] * k for v in polytope.vertices]
+        ranges.append(range(math.floor(min(values)),
+                            math.ceil(max(values)) + 1))
+    grid = (tuple(Fraction(c, k) for c in combo)
+            for combo in itertools.product(*ranges))
+    return sorted(p for p in grid if polytope.contains(p))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(data=st.data(), k=st.integers(1, 4))
+def test_lattice_points_match_brute_force(dim, data, k):
+    polytope = RationalPolytope.from_points(data.draw(point_sets(dim)))
+    assert polytope.lattice_points(k) == \
+        brute_force_lattice_points(polytope, k)
 
 
 def test_minkowski_sum_of_segments_is_square():

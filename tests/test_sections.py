@@ -158,6 +158,31 @@ def test_probe_run_polynomial_products_stay_bounded(a2, monkeypatch):
     assert calls <= 400_000
 
 
+@pytest.mark.parametrize("engine, can", [
+    ("eng12", (2, 1)),
+    ("eng121", (1, 1, 1)),
+])
+def test_glue_solves_each_box_once(request, monkeypatch, engine, can):
+    """From a box of ones the dimension grows twice before it settles; the
+    doubling loop reuses each doubled space as its next base."""
+    engine = request.getfixturevalue(engine)
+    expected = engine.section_basis_glue(can=can)
+    boxes = []
+    solve = engine._glue_space
+
+    def spy(can, eff, box):
+        boxes.append(box)
+        return solve(can, eff, box)
+
+    monkeypatch.setattr(engine, "_initial_box",
+                        lambda can, eff: (1,) * engine.n)
+    monkeypatch.setattr(engine, "_glue_space", spy)
+    got = engine.section_basis_glue(can=can)
+    assert boxes == [(b,) * engine.n for b in (1, 2, 4, 8)]
+    assert [(poly_terms(sp), sp.multidegree, sp.weight) for sp in got] \
+        == [(poly_terms(sp), sp.multidegree, sp.weight) for sp in expected]
+
+
 def test_monomial_basis_matches_glue_for_multiplicity_free(eng12):
     assert eng12.is_multiplicity_free()
     for can in [(-2, 2), (-1, 1), (0, 1), (1, 1)]:
