@@ -10,6 +10,7 @@ internal plumbing shared by the section and chart machinery.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -122,6 +123,48 @@ class Polynomial:
         return Polynomial(self.nvars,
                           {tuple(a + b for a, b in zip(m, mono)): c
                            for m, c in self.terms.items()})
+
+    def remainder(self, divisor: "Polynomial") -> "Polynomial":
+        """Remainder of division by divisor in lex order (x_1 heaviest).
+
+        A single polynomial is a Groebner basis of the ideal it generates,
+        so the remainder is unique: no term of it is divisible by the
+        divisor's leading monomial, it is 0 exactly when divisor divides
+        self, and it is linear in self.  The terms still to reduce sit in a
+        heap, largest tuple first; each reduction step only adds smaller
+        terms, so every monomial is settled once.
+        """
+        if not divisor.terms:
+            raise ZeroDivisionError("division by the zero polynomial")
+        lead = max(divisor.terms)
+        lc = divisor.terms[lead]
+        tail = [(m, c) for m, c in divisor.terms.items() if m != lead]
+        work = dict(self.terms)
+        heap = [tuple([-e for e in m]) for m in work]
+        heapify(heap)
+        out: dict[Mono, Fraction | int] = {}
+        while heap:
+            mono = tuple([-e for e in heappop(heap)])
+            c = work.pop(mono, 0)
+            if not c:
+                continue
+            shift = tuple([a - b for a, b in zip(mono, lead)])
+            if min(shift) < 0:
+                out[mono] = c
+                continue
+            if c.__class__ is int and lc.__class__ is int and not c % lc:
+                q = c // lc
+            else:
+                q = Fraction(c) / lc
+            for m, d in tail:
+                t = tuple([a + b for a, b in zip(m, shift)])
+                s = work.get(t)
+                if s is None:
+                    work[t] = -q * d
+                    heappush(heap, tuple([-e for e in t]))
+                else:
+                    work[t] = s - q * d
+        return Polynomial(self.nvars, out)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         total = Fraction(0)

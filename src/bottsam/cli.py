@@ -164,8 +164,12 @@ def _emit(payload: dict, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _volume_report(report: dict) -> dict:

@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from ._kernel import determinant, invert_dense
+from ._kernel import IncrementalSpan, determinant, invert_dense
 from .errors import (
     Ambiguous,
     NoMatch,
@@ -135,12 +135,27 @@ def compute_basis_change(engine: SectionEngine,
                          probe_bound: int | None = None) -> BasisChange:
     """Solve and verify the effective-to-canonical basis change.
 
-    The candidate matrix comes from boundary vanishing orders.  Verification
-    never trusts it: for probe vectors m in effective coordinates, the
-    chart-gluing dimension of m (computed without the matrix) must match
-    the character dimension of M m when M m is nef, must match the glue
-    dimension of M m in canonical form otherwise, and must vanish when m
-    leaves the effective orthant.
+    The candidate matrix M comes from boundary vanishing orders.  It must be
+    integral, unimodular and have a unit diagonal.  The checks after that
+    take their section spaces from chart slot factors and the character,
+    never from the order matrices:
+
+    - for each j, the boundary section t_j (the canonical section of the
+      j-th effective basis class) lies in the span of the sections of the
+      canonical class M e_j: the spanning route's when it is nef, the
+      canonical glue route's otherwise;
+    - for probe vectors m in effective coordinates, the canonical glue
+      space of M m is 0 when m leaves the effective orthant, and the glue
+      dimension has the character dimension of M m when M m is nef.
+
+    On a word without repeated letters the effective glue route does not
+    use M either, so each probe also computes it: it must vanish outside
+    the orthant, give the character dimension when M m is nef, and give
+    the canonical glue dimension of M m otherwise.  On a word with a
+    repeated letter the effective glue route of m is the canonical glue
+    route of M m by construction, so only the canonical space is computed;
+    the probes then check M through the zero checks and the columns.
+    Each canonical glue space is computed once per run.
     """
     raw = engine.effective_to_canonical_matrix()
     n = engine.n
@@ -159,14 +174,37 @@ def compute_basis_change(engine: SectionEngine,
             f"basis change has determinant {det}; expected a unimodular "
             "matrix")
     change = BasisChange(matrix)
+    spaces: dict[tuple[int, ...], list] = {}
+
+    def canonical_space(mc: tuple[int, ...]) -> list:
+        if mc not in spaces:
+            spaces[mc] = engine.section_basis_glue(can=mc)
+        return spaces[mc]
+
+    for j in range(n):
+        column = tuple(row[j] for row in matrix)
+        sections = (engine.section_basis_nef(column) if min(column) >= 0
+                    else canonical_space(column))
+        span = IncrementalSpan()
+        for sp in sections:
+            span.add(sp.poly.terms)
+        if span.add(engine.boundary_section(j + 1).poly.terms) is not None:
+            raise VerificationFailure(
+                f"boundary section t_{j + 1} is not a section of the "
+                f"canonical class {column} that column {j + 1} gives it")
+    # Only without a repeated letter does the effective route avoid M.
+    separate = engine.is_multiplicity_free()
     if probe_bound is None:
         probe_bound = 3 if n <= 2 else 1
     for m in itertools.product(range(-probe_bound, probe_bound + 1),
                                repeat=n):
         mc = change._apply(matrix, m)
         if min(m) < 0:
-            for route, got in (("effective", engine.glue_dimension(eff=m)),
-                               ("canonical", engine.glue_dimension(can=mc))):
+            routes = []
+            if separate:
+                routes.append(("effective", engine.glue_dimension(eff=m)))
+            routes.append(("canonical", len(canonical_space(mc))))
+            for route, got in routes:
                 if got != 0:
                     raise VerificationFailure(
                         f"probe {m} lies outside the effective orthant but "
@@ -174,14 +212,15 @@ def compute_basis_change(engine: SectionEngine,
         elif min(mc) >= 0:
             expected = bs_character(engine.datum, engine.word,
                                     mc).dimension()
-            got = engine.glue_dimension(eff=m)
+            got = (engine.glue_dimension(eff=m) if separate
+                   else len(canonical_space(mc)))
             if got != expected:
                 raise VerificationFailure(
                     f"probe {m}: glue dimension {got} != character "
                     f"dimension {expected} at canonical image {mc}")
-        else:
+        elif separate:
             got_eff = engine.glue_dimension(eff=m)
-            got_can = engine.glue_dimension(can=mc)
+            got_can = len(canonical_space(mc))
             if got_eff != got_can:
                 raise VerificationFailure(
                     f"probe {m}: effective route gives {got_eff} but the "
@@ -197,15 +236,15 @@ class PicardLattice:
     operation that converts between bases:
 
     - ``canonical``, ``is_nef`` and ``volume`` on an effective class;
-    - ``effective`` on a canonical class;
-    - ``is_effective`` on a canonical class with a negative coordinate.
+    - ``effective`` on a canonical class.
 
-    Everything else never triggers the probe run: ``is_effective`` on an
-    effective class or on any class with nonnegative coordinates (both
-    orthants lie in the effective cone), ``canonical``, ``is_nef`` and
-    ``volume`` on canonical classes, ``section_basis`` and
-    ``section_dimension`` in either basis, and
-    ``pullback_from_flag_variety``.
+    Everything else never triggers the probe run: ``is_effective`` in
+    either basis (a class with nonnegative coordinates is effective, an
+    effective class with a negative coordinate is not, and a canonical
+    class with a negative coordinate asks the canonical glue route for a
+    nonzero section), ``canonical``, ``is_nef`` and ``volume`` on canonical
+    classes, ``section_basis`` and ``section_dimension`` in either basis,
+    and ``pullback_from_flag_variety``.
     """
 
     def __init__(self, datum: CartanDatum, word,
@@ -249,10 +288,15 @@ class PicardLattice:
     def is_effective(self, divisor: DivisorClass) -> bool:
         divisor = self._check(divisor)
         # The effective orthant is the effective cone, and the canonical
-        # orthant is the nef cone, which lies inside it.
+        # orthant (the nef cone) lies inside it.
         if min(divisor.coords, default=0) >= 0:
             return True
-        return min(self.effective(divisor).coords) >= 0
+        if divisor.basis is Basis.EFFECTIVE:
+            return False
+        # The effective basis is a Z-basis of the lattice and its orthant
+        # is the effective cone, so an integral class is effective exactly
+        # when it has a nonzero section.
+        return bool(self.engine.section_basis_glue(can=divisor.coords))
 
     def is_nef(self, divisor: DivisorClass) -> bool:
         return min(self.canonical(divisor).coords, default=0) >= 0

@@ -14,7 +14,13 @@ Section spaces are built two independent ways and cross-checked by the tests:
   - section_basis_glue solves exact regularity (divisibility) conditions on
     every chart inside a degree box; one loop doubles the box until the
     space there has the dimension of the space in the doubled box, which
-    certifies stability, and solves each box once.
+    certifies stability, and solves each box once.  On a chart a
+    combination of candidates is regular when the chart denominator
+    divides its lifted numerator.  That is exact division: one polynomial
+    is a Groebner basis of its ideal, so the lex division remainder
+    (Polynomial.remainder) is unique, linear, and 0 exactly on multiples.
+    Each lift is reduced once, and the regular combinations are the
+    nullspace of the remainder coefficients.
 
 On words without repeated letters monomial_section_basis reads a basis off
 the boundary vanishing orders.  SectionEngine.section_basis is the one rule
@@ -52,7 +58,6 @@ from .rootsys import (
 
 _BOX_CAP = 64
 _CANDIDATE_GUARD = 400_000
-_WITNESS_GUARD = 200_000
 
 
 class FundamentalRep:
@@ -260,19 +265,15 @@ class SectionPoly:
 
 
 class _ChartFrame:
-    """Symbolic data of one affine chart: t_j as ratios, slot factors, and
-    the torus weight (a coordinate tuple) carried by each chart coordinate."""
+    """Symbolic data of one affine chart: t_j as ratios and slot factors."""
 
-    __slots__ = ("flips", "numerators", "denominators", "slot_factors",
-                 "x_weights")
+    __slots__ = ("flips", "numerators", "denominators", "slot_factors")
 
-    def __init__(self, flips, numerators, denominators, slot_factors,
-                 x_weights):
+    def __init__(self, flips, numerators, denominators, slot_factors):
         self.flips = flips
         self.numerators = numerators
         self.denominators = denominators
         self.slot_factors = slot_factors
-        self.x_weights = x_weights
 
 
 class _ChartPowers:
@@ -281,10 +282,14 @@ class _ChartPowers:
     npow[j] and dpow[j] hold the successive powers of the j-th coordinate
     numerator and denominator, grown on demand and shared by every weight
     class; num and den are the class-independent factors of the lifted
-    numerators and of the common denominator.
+    numerators and of the common denominator.  num_heads and den_heads
+    hold num and den times their first-coordinate powers, keyed by the two
+    exponents; candidates and classes with the same first exponents share
+    them.
     """
 
-    __slots__ = ("frame", "npow", "dpow", "num", "den")
+    __slots__ = ("frame", "npow", "dpow", "num", "den", "num_heads",
+                 "den_heads")
 
     def __init__(self, frame: _ChartFrame, num: Polynomial, den: Polynomial):
         one = Polynomial.one(len(frame.flips))
@@ -293,6 +298,8 @@ class _ChartPowers:
         self.dpow = [[one] for _ in frame.flips]
         self.num = num
         self.den = den
+        self.num_heads: dict[tuple[int, int], Polynomial] = {}
+        self.den_heads: dict[tuple[int, int], Polynomial] = {}
 
     def grow(self, j: int, power: int) -> None:
         """Extend the j-th power tables up to the given exponent."""
@@ -300,6 +307,36 @@ class _ChartPowers:
         while len(npow) <= power:
             npow.append(npow[-1] * self.frame.numerators[j])
             dpow.append(dpow[-1] * self.frame.denominators[j])
+
+    def lift(self, a: Mono, amax: Mono) -> Polynomial:
+        """num * prod_j npow[j][a_j] * dpow[j][amax_j - a_j]: the numerator
+        of t^a over the denominator of a class whose exponents reach amax."""
+        return self._chain(self.num_heads, self.num, a,
+                           tuple([m - x for m, x in zip(amax, a)]))
+
+    def denominator(self, amax: Mono) -> Polynomial:
+        """den * prod_j dpow[j][amax_j]."""
+        return self._chain(self.den_heads, self.den, (0,) * len(amax), amax)
+
+    def _chain(self, heads, base: Polynomial, ups: Mono,
+               downs: Mono) -> Polynomial:
+        """base * prod_j npow[j][ups_j] * dpow[j][downs_j]; the product up
+        to the first coordinate is kept in heads."""
+        key = (ups[0], downs[0])
+        g = heads.get(key)
+        if g is None:
+            g = heads[key] = self._times(base, 0, *key)
+        for j in range(1, len(ups)):
+            g = self._times(g, j, ups[j], downs[j])
+        return g
+
+    def _times(self, g: Polynomial, j: int, up: int, down: int) -> Polynomial:
+        """g * npow[j][up] * dpow[j][down], skipping unit factors."""
+        if up:
+            g = g * self.npow[j][up]
+        if down:
+            g = g * self.dpow[j][down]
+        return g
 
 
 def _matmul(a, b):
@@ -432,7 +469,7 @@ class SectionEngine:
                         "representation data or chart conventions are "
                         "inconsistent")
         frame = _ChartFrame(flips, tuple(numerators), tuple(denominators),
-                            tuple(slot_factors), x_weights)
+                            tuple(slot_factors))
         if not any(flips):
             one = Polynomial.one(n)
             for j in range(n):
@@ -737,64 +774,38 @@ class SectionEngine:
         return _ChartPowers(frame, num, den)
 
     def _chart_filter(self, chart: _ChartPowers, cands, vectors):
-        n = self.n
-        amax = tuple(max(a[j] for a in cands) for j in range(n))
-        npow, dpow = chart.npow, chart.dpow
-        den = chart.den
-        for j in range(n):
-            chart.grow(j, amax[j])
-            den = den * dpow[j][amax[j]]
-        lifted = {}
-        for a in cands:
-            g = chart.num
-            for j in range(n):
-                g = g * npow[j][a[j]] * dpow[j][amax[j] - a[j]]
-            lifted[a] = g
-        combined = []
-        for vec in vectors:
-            g = Polynomial.zero(n)
-            for i, c in vec.items():
-                g = g + lifted[cands[i]] * c
-            combined.append(g)
-        bounds = []
-        for l in range(n):
-            worst = max(g.max_degree_in(l) for g in lifted.values())
-            bounds.append(worst - den.max_degree_in(l))
-        support: list[Mono] = []
-        if all(b >= 0 for b in bounds):
-            size = 1
-            for b in bounds:
-                size *= b + 1
-            if size > _WITNESS_GUARD:
-                raise Unstable(
-                    "witness support exceeds the supported size")
-            weights = chart.frame.x_weights
-            target = tuple(x - y for x, y in zip(
-                _torus_weight(next(iter(lifted[cands[0]].terms)), weights),
-                _torus_weight(next(iter(den.terms)), weights)))
-            support = [b for b in itertools.product(
-                           *[range(v + 1) for v in bounds])
-                       if _torus_weight(b, weights) == target]
+        """Keep the combinations of candidates that are regular on a chart.
+
+        Candidate t^a lifts to the chart as lift_a / den, with den the
+        class's common denominator.  A single polynomial is a Groebner basis
+        of its ideal, so den divides a polynomial exactly when its division
+        remainder modulo den is 0, and that remainder is linear.  So each
+        lift is reduced once, and the regular combinations are the
+        nullspace of the remainder rows over the incoming vectors.
+        """
+        amax = tuple(map(max, zip(*cands)))
+        for j, power in enumerate(amax):
+            chart.grow(j, power)
+        den = chart.denominator(amax)
+        used = {i for vec in vectors for i in vec}
+        rests = {i: chart.lift(cands[i], amax).remainder(den).terms
+                 for i in used}
         nv = len(vectors)
-        rows: dict[Mono, dict[int, Fraction]] = {}
-        for i, g in enumerate(combined):
-            for mono, c in g.terms.items():
-                rows.setdefault(mono, {})[i] = c
-        for bi, b in enumerate(support):
-            for qm, qc in den.terms.items():
-                mono = tuple(x + y for x, y in zip(b, qm))
-                row = rows.setdefault(mono, {})
-                row[nv + bi] = row.get(nv + bi, 0) - qc
-        int_rows = [clear_denominators(row) for row in rows.values()]
-        solutions = nullspace(int_rows, nv + len(support))
+        rows: dict[Mono, dict[int, Fraction | int]] = {}
+        for col, vec in enumerate(vectors):
+            for i, c in vec.items():
+                for mono, r in rests[i].items():
+                    row = rows.setdefault(mono, {})
+                    row[col] = row.get(col, 0) + c * r
+        int_rows = [clear_denominators({col: v for col, v in row.items()
+                                        if v})
+                    for row in rows.values()]
+        solutions = nullspace(int_rows, nv)
         span = IncrementalSpan()
         filtered = []
         for sol in solutions:
             vec: dict[int, Fraction] = {}
-            for i in range(nv):
-                s = sol.get(i)
-                if not s:
-                    continue
+            for i, s in sol.items():
                 for cidx, cf in vectors[i].items():
                     acc = vec.get(cidx, 0) + s * cf
                     if acc:

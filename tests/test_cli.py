@@ -173,6 +173,30 @@ def test_glue_box_cap_exits_3_with_one_line(capsys, monkeypatch):
         "unstable: glue dimensions kept growing past the degree-box cap (4)"]
 
 
+def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code = main(["body", "--type", "A1", "--word", "1", "--bundle", "can:1",
+                 "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: cannot write {target}: No such file or directory"]
+    assert not target.exists()
+
+
+def test_candidate_guard_exits_3_with_one_line(capsys, monkeypatch):
+    """The glue candidate guard is reachable from the command line."""
+    monkeypatch.setattr("bottsam.sections._CANDIDATE_GUARD", 10)
+    code = main(["body", "--type", "A2", "--word", "1,2,1",
+                 "--bundle", "eff:0,1,0", "--max-level", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "unstable: glue candidate box exceeds the supported size"]
+
+
 def test_engine_failures_exit_4(capsys, monkeypatch):
     from bottsam import VerificationFailure
 

@@ -17,6 +17,7 @@ from bottsam import (
     OkounkovEngine,
     PicardLattice,
     ValidationError,
+    VerificationFailure,
     Weight,
     WeylWord,
     cli,
@@ -70,6 +71,30 @@ def test_basis_change_matrices(lattice_a1, lattice_a2_12, lattice_a2_121,
     assert lattice_a2_12.change.matrix == ((1, -1), (0, 1))
     assert lattice_b2_12.change.matrix == ((1, -1), (0, 1))
     assert lattice_a2_121.change.matrix == ((1, -1, 1), (0, 1, -1), (0, 0, 1))
+
+
+@pytest.mark.parametrize("fixture", ["lattice_a2_12", "lattice_b2_12",
+                                     "lattice_a2_121"])
+def test_perturbed_basis_changes_are_rejected(request, monkeypatch, fixture):
+    """Mutation check: every +-1 change of one off-diagonal entry of the raw
+    matrix fails verification, on words with and without a repeated letter.
+    On A2 (1,2,1) four of them pass the probes alone; the boundary-section
+    column check rejects them."""
+    engine = request.getfixturevalue(fixture).engine
+    raw = engine.effective_to_canonical_matrix()
+    accepted = []
+    for row, col in itertools.permutations(range(engine.n), 2):
+        for delta in (1, -1):
+            matrix = [list(line) for line in raw]
+            matrix[row][col] += delta
+            monkeypatch.setattr(engine, "effective_to_canonical_matrix",
+                                lambda m=tuple(map(tuple, matrix)): m)
+            try:
+                picard.compute_basis_change(engine)
+            except VerificationFailure:
+                continue
+            accepted.append((row, col, delta))
+    assert accepted == []
 
 
 def test_truncated_word_shares_the_leading_block(lattice_a2_12,
@@ -171,12 +196,29 @@ def test_nef_work_never_builds_the_basis_change(no_probe_run, a2, capsys):
 
 def test_conversions_still_build_the_basis_change(no_probe_run, a2):
     runs = (lambda lattice: OkounkovEngine(lattice).body(eff(1, 2), 2),
-            lambda lattice: lattice.is_effective(can(1, -1)),
+            lambda lattice: lattice.effective(can(1, -1)),
             lambda lattice: OkounkovEngine(lattice).global_cone(1, 1))
     for run in runs:
         with pytest.raises(ProbeRun):
             run(PicardLattice(a2, WeylWord([1, 2])))
     assert no_probe_run == [(1, 2)] * 3
+
+
+def test_is_effective_never_builds_the_basis_change(no_probe_run, a2,
+                                                    capsys):
+    """A canonical class with a negative coordinate is effective exactly
+    when it has a nonzero section; one glue call answers that."""
+    lattice = PicardLattice(a2, WeylWord([1, 2]))
+    assert lattice.is_effective(can(-1, 1))
+    assert not lattice.is_effective(can(1, -1))
+    assert not lattice.is_effective(eff(1, -1))
+    lattice = PicardLattice(a2, WeylWord([1, 2, 1]))
+    assert lattice.is_effective(can(-1, 1, 0))
+    assert not lattice.is_effective(can(0, 0, -1))
+    assert cli.main(["body", "--type", "A2", "--word", "1,2",
+                     "--bundle", "can:-1,1"]) == 0
+    capsys.readouterr()
+    assert no_probe_run == []
 
 
 def test_section_dimensions(lattice_a2_12, lattice_a2_121, lattice_b2_12):

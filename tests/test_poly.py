@@ -87,3 +87,42 @@ def test_constructors_store_integral_values_as_int():
     assert half.terms == {(1, 0): Fraction(1, 2)}
     assert type(half.terms[(1, 0)]) is Fraction
     assert not Polynomial.constant(2, Fraction(0))
+
+
+divisors = term_maps.filter(lambda terms: any(terms.values()))
+
+
+def reference_division(f, d):
+    """Quotient and remainder by plain long division: repeatedly cancel the
+    largest term that the leading monomial of d divides."""
+    lead = max(d.terms)
+    rest = {m: Fraction(c) for m, c in f.terms.items()}
+    quotient: dict = {}
+    while True:
+        divisible = [m for m, c in rest.items()
+                     if c and all(a >= b for a, b in zip(m, lead))]
+        if not divisible:
+            break
+        top = max(divisible)
+        shift = tuple(a - b for a, b in zip(top, lead))
+        coeff = rest[top] / d.terms[lead]
+        quotient[shift] = quotient.get(shift, 0) + coeff
+        for m, c in d.terms.items():
+            mono = tuple(a + b for a, b in zip(m, shift))
+            rest[mono] = rest.get(mono, 0) - coeff * c
+    return Polynomial(NVARS, quotient), Polynomial(NVARS, rest)
+
+
+@PROPERTY
+@given(term_maps, term_maps, divisors, coefficients)
+def test_remainder_is_the_unique_linear_division_remainder(a, b, dv, c):
+    f, g, d = Polynomial(NVARS, a), Polynomial(NVARS, b), Polynomial(NVARS, dv)
+    r = f.remainder(d)
+    lead = max(d.terms)
+    assert not any(all(x >= y for x, y in zip(m, lead)) for m in r.terms)
+    assert_int_exactly_when_integral(r)
+    quotient, expected = reference_division(f, d)
+    assert r == expected
+    assert quotient * d + r == f
+    assert (f * d).remainder(d) == Polynomial.zero(NVARS)
+    assert (f + g * c).remainder(d) == r + g.remainder(d) * c
