@@ -21,6 +21,11 @@ from .polyhedra import RationalCone, RationalPolytope
 from .rootsys import bs_character
 from .valuation import adapted_basis, valuation
 
+# Bound on dimension x point-set sums for one level-set enumeration, each
+# sum costing under a microsecond.  The test suite and the benchmark jobs stay
+# below 500,000 even when every level set is summed from the zero class.
+_LEVEL_SET_GUARD = 20_000_000
+
 
 class GradedValuationPoint(NamedTuple):
     """A valuation vector realized by a section at a given level."""
@@ -69,7 +74,17 @@ class OkounkovEngine:
     def __init__(self, lattice: PicardLattice):
         self.lattice = lattice
         self.n = lattice.n
-        self._points: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        zero = (0,) * self.n
+        # Per canonical class: its sorted level set, its hull vertices, its
+        # Demazure dimension, and the cached class a certified Minkowski sum
+        # started from.  The zero class seeds every sum.
+        self._points: dict[tuple[int, ...], list[tuple[int, ...]]] = {
+            zero: [zero]}
+        self._vertices: dict[tuple[int, ...], list[tuple[int, ...]]] = {
+            zero: [zero]}
+        self._dims: dict[tuple[int, ...], int] = {}
+        self._sources: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._slots: list[tuple[list, list]] | None = None
         self._truncated: "OkounkovEngine | None" = None
 
     # ----- semigroup points -------------------------------------------------
@@ -97,27 +112,91 @@ class OkounkovEngine:
         return sorted(valuation(s) for s in adapted_basis(basis))
 
     def _minkowski_points(self, mc) -> list[tuple[int, ...]] | None:
-        """Per-slot valuation sums, kept only when the count certifies them.
+        """Level set of a nef class grown from a cached class below it.
 
-        Every sum is realized by a product of slot sections, so the set is
-        always contained in the semigroup; when its size matches the
-        character dimension it enumerates the whole level.
+        Valuations add under products, so for a cached nef class prev <= mc
+        the sums S(prev) + (mc - prev)_1 N_1 + ... + (mc - prev)_n N_n, with
+        N_k the valuations of the k-th slot's sections, lie in the level set
+        S(mc) and contain the plain per-slot sum mc_1 N_1 + ... + mc_n N_n.
+        They are kept only when their count matches the character
+        dimension, which makes them the whole level.  The sums start from
+        the cached class that leaves the fewest of them; the zero class is
+        always cached, and from it this is the plain per-slot sum.  An
+        enumeration whose bound, dimension x point-set sums, exceeds
+        _LEVEL_SET_GUARD raises Unstable instead of running.
         """
-        engine = self.lattice.engine
-        target = bs_character(self.lattice.datum, self.lattice.word,
-                              mc).dimension()
-        points = {(0,) * self.n}
-        for k in range(1, self.n + 1):
-            count = mc[k - 1]
-            if count == 0:
-                continue
-            nus = sorted({valuation(p) for p in engine.slot_polynomials(k)})
-            for _ in range(count):
-                points = {tuple(a + b for a, b in zip(point, nu))
+        target = self._dimension(mc)
+        slots = [nus for nus, _ in self._slot_sets()]
+
+        def sums_left(prev):
+            return sum((b - a) * len(nus)
+                       for a, b, nus in zip(prev, mc, slots))
+
+        prev = min((p for p in self._points
+                    if all(0 <= a <= b for a, b in zip(p, mc))),
+                   key=sums_left)
+        if target * sums_left(prev) > _LEVEL_SET_GUARD:
+            raise Unstable("level set enumeration exceeds the supported size")
+        points = set(self._points[prev])
+        for a, b, nus in zip(prev, mc, slots):
+            for _ in range(b - a):
+                points = {tuple(x + y for x, y in zip(point, nu))
                           for point in points for nu in nus}
-        if len(points) == target:
-            return sorted(points)
-        return None
+        if len(points) != target:
+            return None
+        self._sources[mc] = prev
+        return sorted(points)
+
+    def _dimension(self, mc: tuple[int, ...]) -> int:
+        """Demazure character dimension of a nef canonical class, memoized."""
+        dimension = self._dims.get(mc)
+        if dimension is None:
+            dimension = bs_character(self.lattice.datum, self.lattice.word,
+                                     mc).dimension()
+            self._dims[mc] = dimension
+        return dimension
+
+    def _slot_sets(self) -> list[tuple[list, list]]:
+        """Per slot, its valuation set N_k and the hull vertices of N_k."""
+        if self._slots is None:
+            engine = self.lattice.engine
+            self._slots = []
+            for k in range(1, self.n + 1):
+                nus = sorted({valuation(p)
+                              for p in engine.slot_polynomials(k)})
+                self._slots.append((nus, self._hull(nus)))
+        return self._slots
+
+    def _hull(self, points) -> list[tuple[int, ...]]:
+        """Integer vertices of the hull of a nonempty set of integer points."""
+        if len(points) == 1:
+            return list(points)
+        hull = RationalPolytope.from_points(list(points), ambient=self.n)
+        return [tuple(int(v) for v in vert) for vert in hull.vertices]
+
+    def _hull_vertices(self, mc: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Hull vertices of a cached nonempty level set, memoized per class.
+
+        For a class certified as S(prev) + sum_k c_k N_k whose source prev
+        has memoized vertices, the hull is taken of verts(prev) +
+        sum_k c_k verts(conv N_k): the vertices of a Minkowski sum are sums
+        of vertices, and those of c P are c times those of P.
+        """
+        verts = self._vertices.get(mc)
+        if verts is None:
+            prev = self._sources.get(mc)
+            if prev in self._vertices:
+                points = set(self._vertices[prev])
+                for a, b, (_, corners) in zip(prev, mc, self._slot_sets()):
+                    if b > a:
+                        points = {tuple(x + (b - a) * y
+                                        for x, y in zip(point, corner))
+                                  for point in points for corner in corners}
+            else:
+                points = self._points[mc]
+            verts = self._hull(points)
+            self._vertices[mc] = verts
+        return verts
 
     def _require_effective(self, divisor: DivisorClass) -> None:
         if not self.lattice.is_effective(divisor):
@@ -160,6 +239,9 @@ class OkounkovEngine:
         (levels + 1, box + 1); only hull vertices of each per-class
         valuation set are kept as generators, which drops no extreme rays
         because points sharing a class part are convex combinations there.
+        Level sets and hull vertices are memoized per class on the engine,
+        so the saturation run and later calls build only the hulls of
+        classes not seen before.
         """
         if levels < 1 or box < 0:
             raise ValidationError("levels must be >= 1 and box >= 0")
@@ -180,16 +262,10 @@ class OkounkovEngine:
         } - {(0,) * self.n})
         gens = set()
         for q in totals:
-            nus = self.valuation_points(DivisorClass(q, Basis.EFFECTIVE))
-            if not nus:
-                continue
-            if len(nus) == 1:
-                verts = list(nus)
-            else:
-                hull = RationalPolytope.from_points(nus, ambient=self.n)
-                verts = [tuple(int(v) for v in vert)
-                         for vert in hull.vertices]
-            gens.update(vert + q for vert in verts)
+            divisor = DivisorClass(q, Basis.EFFECTIVE)
+            if self.valuation_points(divisor):
+                mc = self.lattice.canonical(divisor).coords
+                gens.update(vert + q for vert in self._hull_vertices(mc))
         return sorted(gens)
 
     # ----- surface recipe -----------------------------------------------------
@@ -287,9 +363,8 @@ class OkounkovEngine:
         rows = []
         for k in range(1, levels + 1):
             points = self.valuation_points(divisor, k)
-            dimension = bs_character(
-                self.lattice.datum, self.lattice.word,
-                tuple(k * c for c in canonical.coords)).dimension()
+            dimension = self._dimension(
+                tuple(k * c for c in canonical.coords))
             dilated = len(body.polytope.lattice_points(k))
             rows.append({
                 "level": k,

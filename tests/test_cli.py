@@ -197,6 +197,30 @@ def test_candidate_guard_exits_3_with_one_line(capsys, monkeypatch):
         "unstable: glue candidate box exceeds the supported size"]
 
 
+def test_lattice_point_guard_exits_2_with_one_line(capsys, monkeypatch):
+    """The lattice point guard of the volume check is reachable from the
+    command line."""
+    monkeypatch.setattr("bottsam.polyhedra._LATTICE_POINT_GUARD", 2)
+    code = main(["body", "--type", "A2", "--word", "1,2",
+                 "--bundle", "can:1,1", "--max-level", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: lattice point enumeration exceeds the supported size"]
+
+
+def test_huge_level_set_exits_3_with_one_line(capsys):
+    """A level set too large to enumerate is refused before enumeration."""
+    code = main(["body", "--type", "A1", "--word", "1",
+                 "--bundle", "can:99999", "--max-level", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "unstable: level set enumeration exceeds the supported size"]
+
+
 def test_engine_failures_exit_4(capsys, monkeypatch):
     from bottsam import VerificationFailure
 

@@ -5,15 +5,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bottsam import (
     Basis,
     DivisorClass,
     NotNef,
+    OkounkovEngine,
+    RationalPolytope,
     ValidationError,
     bs_character,
 )
 from bottsam.okounkov import GradedValuationPoint
+from bottsam.valuation import adapted_basis, valuation
 
 from oracles import hirzebruch_count
 
@@ -165,3 +170,71 @@ def test_repeated_letter_body_has_full_dimension(okounkov_a2_121):
     assert polytope.ambient == 3
     assert not polytope.equations
     assert polytope.volume() == 1
+
+
+@pytest.mark.parametrize("lattice, top", [
+    ("lattice_a2_12", 3),
+    ("lattice_b2_12", 3),
+    ("lattice_a2_121", 2),
+])
+def test_grown_level_sets_and_hulls_match_the_spanning_route(request,
+                                                             lattice, top):
+    """Level sets grown from cached classes, and hulls grown from cached
+    vertices, agree with the spanning route and with a plain hull.
+
+    Each example queries distinct small nef classes in a random order on a
+    fresh engine, so the cached class each level set grows from changes
+    from example to example.
+    """
+    lattice = request.getfixturevalue(lattice)
+    zero = (0,) * lattice.n
+    grown = 0
+    classes = st.lists(st.tuples(*[st.integers(0, top)] * lattice.n),
+                       min_size=1, max_size=6, unique=True)
+
+    @settings(derandomize=True, database=None, max_examples=30,
+              deadline=None)
+    @given(classes)
+    def check(order):
+        nonlocal grown
+        engine = OkounkovEngine(lattice)
+        for mc in order:
+            points = engine.valuation_points(can(*mc))
+            basis = lattice.engine.section_basis_nef(mc)
+            assert points == sorted(valuation(s) for s in adapted_basis(basis))
+            assert engine._hull_vertices(mc) == list(
+                RationalPolytope.from_points(points,
+                                             ambient=lattice.n).vertices)
+            grown += engine._sources.get(mc, zero) != zero
+
+    check()
+    assert grown
+
+
+def test_sweep_builds_each_class_hull_once(lattice_a2_12, monkeypatch):
+    """Work regression for the A2 (1,2) sweep (4,2), (6,3), (8,4).
+
+    Without the vertex memo, every sweep step and its saturation run
+    rebuilt each class hull from the whole level set: 715 hulls from 59,454
+    points.  With memoized vertices and hulls of summed vertices it builds
+    341 from 10,399; 8,498 of those points belong to the 113 classes off
+    the nef cone, whose level sets come from the monomial route and are
+    hulled whole.  Counts are deterministic where a time bound would be
+    flaky.
+    """
+    assert lattice_a2_12.change
+    engine = OkounkovEngine(lattice_a2_12)
+    calls = points_in = 0
+    build = RationalPolytope.from_points.__func__
+
+    def counted(cls, points, ambient=None):
+        nonlocal calls, points_in
+        calls += 1
+        points_in += len(points)
+        return build(cls, points, ambient)
+
+    monkeypatch.setattr(RationalPolytope, "from_points", classmethod(counted))
+    for levels, box in ((4, 2), (6, 3), (8, 4)):
+        assert engine.global_cone(levels, box).rays == GOLDEN_RAYS_12
+    assert calls <= 350
+    assert points_in <= 11_000
