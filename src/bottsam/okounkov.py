@@ -168,10 +168,28 @@ class OkounkovEngine:
         return self._slots
 
     def _hull(self, points) -> list[tuple[int, ...]]:
-        """Integer vertices of the hull of a nonempty set of integer points."""
+        """Integer vertices of the hull of a nonempty set of integer points.
+
+        A point strictly between two others on a line parallel to a
+        coordinate axis is never a vertex, so for each axis in turn only
+        the two ends of every such line are kept before the hull is built.
+        """
         if len(points) == 1:
             return list(points)
-        hull = RationalPolytope.from_points(list(points), ambient=self.n)
+        for j in range(self.n):
+            ends: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+            for point in points:
+                line = point[:j] + point[j + 1:]
+                pair = ends.get(line)
+                if pair is None:
+                    ends[line] = [point, point]
+                elif point[j] < pair[0][j]:
+                    pair[0] = point
+                elif point[j] > pair[1][j]:
+                    pair[1] = point
+            points = list(dict.fromkeys(p for pair in ends.values()
+                                        for p in pair))
+        hull = RationalPolytope.from_points(points, ambient=self.n)
         return [tuple(int(v) for v in vert) for vert in hull.vertices]
 
     def _hull_vertices(self, mc: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -25,6 +25,7 @@ from ._kernel import clear_denominators, kernel_lattice_basis, solve_dense
 from .errors import (
     EngineError,
     NotPointed,
+    Unstable,
     ValidationError,
     VerificationFailure,
 )
@@ -395,7 +396,7 @@ class RationalPolytope:
             span = hi_int - lo_int + 1
             total *= max(span, 0)
             if total > _LATTICE_POINT_GUARD:
-                raise ValidationError(
+                raise Unstable(
                     "lattice point enumeration exceeds the supported size")
             ranges.append(range(lo_int, hi_int + 1))
         # c / k lies in the polytope exactly when c lies in its k-th

@@ -20,7 +20,8 @@ Section spaces are built two independent ways and cross-checked by the tests:
     is a Groebner basis of its ideal, so the lex division remainder
     (Polynomial.remainder) is unique, linear, and 0 exactly on multiples.
     Each lift is reduced once, and the regular combinations are the
-    nullspace of the remainder coefficients.
+    nullspace of the remainder coefficients.  On a chart whose tables are
+    single terms, the lifts and remainders are read off exponent vectors.
 
 On words without repeated letters monomial_section_basis reads a basis off
 the boundary vanishing orders.  SectionEngine.section_basis is the one rule
@@ -35,7 +36,7 @@ import random
 from fractions import Fraction
 from importlib import resources
 from math import factorial
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from ._kernel import (
@@ -286,10 +287,16 @@ class _ChartPowers:
     hold num and den times their first-coordinate powers, keyed by the two
     exponents; candidates and classes with the same first exponents share
     them.
+
+    On a monomial chart, where num, den and every coordinate numerator
+    and denominator are single terms, terms holds their (exponent,
+    coefficient) pairs as two lists, num then the numerators and den then
+    the denominators, and steps holds the exponents of num / den and of
+    each coordinate t_j = N_j / D_j.  On other charts both are None.
     """
 
     __slots__ = ("frame", "npow", "dpow", "num", "den", "num_heads",
-                 "den_heads")
+                 "den_heads", "terms", "steps")
 
     def __init__(self, frame: _ChartFrame, num: Polynomial, den: Polynomial):
         one = Polynomial.one(len(frame.flips))
@@ -300,6 +307,51 @@ class _ChartPowers:
         self.den = den
         self.num_heads: dict[tuple[int, int], Polynomial] = {}
         self.den_heads: dict[tuple[int, int], Polynomial] = {}
+        self.terms = self.steps = None
+        tops = (num, *frame.numerators)
+        bottoms = (den, *frame.denominators)
+        if all(len(p.terms) == 1 for p in tops + bottoms):
+            self.terms = tuple([next(iter(p.terms.items())) for p in half]
+                               for half in (tops, bottoms))
+            self.steps = [[x - y for x, y in zip(top, bottom)]
+                          for (top, _), (bottom, _) in zip(*self.terms)]
+
+    def monomial_rests(self, cands, amax: Mono, used) -> dict:
+        """lift(cands[i], amax).remainder(denominator(amax)).terms for each
+        i in used, from exponent vectors alone, on a monomial chart.
+
+        The lift of t^a is one term c x^e with e = e_num + sum_j a_j e_N[j]
+        + (amax_j - a_j) e_D[j], and the class denominator one term x^lead
+        with lead = e_den + sum_j amax_j e_D[j].  Division by one term
+        leaves 0 when e >= lead componentwise and the lift itself
+        otherwise.  The shift e - lead = e_num - e_den + sum_j a_j (e_N[j] -
+        e_D[j]) does not depend on amax.
+        """
+        (_, c_num), *ups = self.terms[0]
+        (e_den, _), *downs = self.terms[1]
+        gap, *steps = self.steps
+        lead = None
+        rests = {}
+        for i in used:
+            a = cands[i]
+            shift = gap
+            for aj, step in zip(a, steps):
+                if aj:
+                    shift = [x + aj * y for x, y in zip(shift, step)]
+            if min(shift) >= 0:
+                rests[i] = {}
+                continue
+            if lead is None:
+                lead = e_den
+                for m, (e_d, _) in zip(amax, downs):
+                    lead = [x + m * y for x, y in zip(lead, e_d)]
+            c = c_num
+            for aj, m, (_, c_n), (_, c_d) in zip(a, amax, ups, downs):
+                c = c * c_n ** aj * c_d ** (m - aj)
+            if c.__class__ is not int and c.denominator == 1:
+                c = c.numerator
+            rests[i] = {tuple(map(add, lead, shift)): c}
+        return rests
 
     def grow(self, j: int, power: int) -> None:
         """Extend the j-th power tables up to the given exponent."""
@@ -782,14 +834,23 @@ class SectionEngine:
         remainder modulo den is 0, and that remainder is linear.  So each
         lift is reduced once, and the regular combinations are the
         nullspace of the remainder rows over the incoming vectors.
+
+        On a monomial chart, one whose num, den and coordinate numerators
+        and denominators are all single terms, every lift and the class
+        denominator are single terms too, so the remainders come from
+        exponent vectors (_ChartPowers.monomial_rests) without building a
+        polynomial.  Other charts lift and divide polynomials.
         """
         amax = tuple(map(max, zip(*cands)))
-        for j, power in enumerate(amax):
-            chart.grow(j, power)
-        den = chart.denominator(amax)
         used = {i for vec in vectors for i in vec}
-        rests = {i: chart.lift(cands[i], amax).remainder(den).terms
-                 for i in used}
+        if chart.terms is not None:
+            rests = chart.monomial_rests(cands, amax, used)
+        else:
+            for j, power in enumerate(amax):
+                chart.grow(j, power)
+            den = chart.denominator(amax)
+            rests = {i: chart.lift(cands[i], amax).remainder(den).terms
+                     for i in used}
         nv = len(vectors)
         rows: dict[Mono, dict[int, Fraction | int]] = {}
         for col, vec in enumerate(vectors):

@@ -197,17 +197,18 @@ def test_candidate_guard_exits_3_with_one_line(capsys, monkeypatch):
         "unstable: glue candidate box exceeds the supported size"]
 
 
-def test_lattice_point_guard_exits_2_with_one_line(capsys, monkeypatch):
+def test_lattice_point_guard_exits_3_with_one_line(capsys, monkeypatch):
     """The lattice point guard of the volume check is reachable from the
-    command line."""
+    command line, and a valid input too large to enumerate is unstable,
+    as at the glue-candidate and level-set guards."""
     monkeypatch.setattr("bottsam.polyhedra._LATTICE_POINT_GUARD", 2)
     code = main(["body", "--type", "A2", "--word", "1,2",
                  "--bundle", "can:1,1", "--max-level", "2"])
     captured = capsys.readouterr()
-    assert code == 2
+    assert code == 3
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: lattice point enumeration exceeds the supported size"]
+        "unstable: lattice point enumeration exceeds the supported size"]
 
 
 def test_huge_level_set_exits_3_with_one_line(capsys):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bottsam import (
     Basis,
@@ -15,8 +19,15 @@ from bottsam import (
     WeylWord,
     bs_character,
 )
+from bottsam import sections
 from bottsam._poly import Polynomial
-from bottsam.sections import GroupModel, SectionEngine
+from bottsam.sections import (
+    GroupModel,
+    SectionEngine,
+    _ChartFrame,
+    _ChartPowers,
+    _torus_weight,
+)
 from bottsam.valuation import valuation
 
 from oracles import dense_rank, hirzebruch_count
@@ -164,6 +175,125 @@ def test_probe_run_polynomial_products_stay_bounded(a2, monkeypatch, word,
     monkeypatch.setattr(Polynomial, "__rmul__", counted)
     assert lattice.change.matrix == matrix
     assert calls <= 100_000
+
+
+def test_probe_run_work_on_monomial_charts(a2, monkeypatch):
+    """Work pins for the A2 (1,2) probe run.
+
+    Every chart of that run is monomial, so no filter lifts or divides a
+    polynomial: the products fell from 70,398 to 1,398, the ones that
+    build the charts and their slot-factor powers.  The run still makes 88
+    glue calls and one nullspace call per chart filter, 30,158 in all, as
+    perfbench/selfcheck.py pins.
+    """
+    lattice = PicardLattice(a2, WeylWord((1, 2)))
+    engine = lattice.engine
+    counts = {"mul": 0, "glue": 0, "nullspace": 0}
+    multiply = Polynomial.__mul__
+    glue = engine.section_basis_glue
+    solve = sections.nullspace
+
+    def counted(name, call):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return call(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted("mul", multiply))
+    monkeypatch.setattr(Polynomial, "__rmul__", counted("mul", multiply))
+    monkeypatch.setattr(engine, "section_basis_glue", counted("glue", glue))
+    monkeypatch.setattr(sections, "nullspace", counted("nullspace", solve))
+    assert lattice.change.matrix == ((1, -1), (0, 1))
+    assert counts["glue"] == 88
+    assert counts["nullspace"] == 30_158
+    assert counts["mul"] <= 1_500
+
+
+def _glue_classes(engine, box):
+    """Candidates of a glue box grouped by torus weight, as _glue_space
+    groups them."""
+    classes = {}
+    for a in sorted(itertools.product(*[range(b + 1) for b in box])):
+        classes.setdefault(_torus_weight(a, engine._roots), []).append(a)
+    return [classes[key] for key in sorted(classes)]
+
+
+def _check_monomial_rests(chart, cands, used) -> dict:
+    """Exponent-path remainders equal the polynomial ones: same keys in
+    the same order, same terms, same coefficient types."""
+    amax = tuple(map(max, zip(*cands)))
+    got = chart.monomial_rests(cands, amax, used)
+    for j, power in enumerate(amax):
+        chart.grow(j, power)
+    den = chart.denominator(amax)
+    want = {i: chart.lift(cands[i], amax).remainder(den).terms for i in used}
+
+    def typed(rests):
+        return [(i, [(m, c, type(c)) for m, c in terms.items()])
+                for i, terms in rests.items()]
+
+    assert typed(got) == typed(want)
+    return got
+
+
+@pytest.mark.parametrize("engine", ["eng12", "engb2", "eng121"])
+def test_monomial_rests_match_polynomial_remainders(request, engine):
+    """On a monomial chart the remainders read off exponent vectors equal
+    the polynomial lifts reduced by the class denominator."""
+    engine = request.getfixturevalue(engine)
+    n = engine.n
+    kinds = ["can", "eff"] if engine.is_multiplicity_free() else ["can"]
+    charts = [f for f in itertools.product((0, 1), repeat=n) if any(f)]
+    outcomes = set()
+
+    @settings(derandomize=True, database=None, max_examples=40,
+              deadline=None)
+    @given(st.data())
+    def check(data):
+        kind = data.draw(st.sampled_from(kinds))
+        low = -2 if kind == "can" else 0
+        degree = data.draw(st.tuples(*[st.integers(low, 2)] * n))
+        can, eff = (degree, None) if kind == "can" else (None, degree)
+        box = data.draw(st.tuples(*[st.integers(1, 4)] * n))
+        cands = data.draw(st.sampled_from(_glue_classes(engine, box)))
+        used = data.draw(st.sets(st.integers(0, len(cands) - 1), min_size=1))
+        monomial = {f: chart for f in charts if (
+            chart := engine._chart_powers(f, can, eff)).terms is not None}
+        chart = monomial[data.draw(st.sampled_from(sorted(monomial)))]
+        rests = _check_monomial_rests(chart, cands, used)
+        outcomes.update(bool(terms) for terms in rests.values())
+
+    check()
+    assert outcomes == {False, True}
+
+
+def test_monomial_rests_keep_coefficients():
+    """The charts of the built-in models have unit coefficients, so random
+    single-term tables with other coefficients check that the exponent
+    path carries the lift's coefficient and its int or Fraction type."""
+    coeffs = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-4, 3)])
+
+    def term(n):
+        return st.builds(lambda e, c: Polynomial(n, {e: c}),
+                         st.tuples(*[st.integers(0, 2)] * n), coeffs)
+
+    @settings(derandomize=True, database=None, max_examples=60,
+              deadline=None)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 3))
+        tops, bottoms = (data.draw(st.lists(term(n), min_size=n + 1,
+                                            max_size=n + 1))
+                         for _ in range(2))
+        frame = _ChartFrame((1,) * n, tuple(tops[1:]), tuple(bottoms[1:]),
+                            ())
+        cands = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * n),
+                                   min_size=1, max_size=6, unique=True))
+        used = data.draw(st.sets(st.integers(0, len(cands) - 1), min_size=1))
+        _check_monomial_rests(_ChartPowers(frame, tops[0], bottoms[0]),
+                              cands, used)
+
+    check()
 
 
 @pytest.mark.parametrize("engine, can", [
