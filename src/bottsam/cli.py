@@ -39,7 +39,7 @@ from .polyhedra import (
     polytope_from_payload,
     polytope_payload,
 )
-from .rootsys import CartanDatum, WeylWord, bs_character
+from .rootsys import CartanDatum, WeylWord
 from .valuation import adapted_basis, valuation
 from .weights import multiplicity_asymptotics
 
@@ -112,6 +112,19 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _optional_int(merged: dict, key: str, default: int | None = None):
+    """An integer setting, or the default when it is unset; a config value
+    that is not an integer is bad input."""
+    value = merged[key]
+    if value is None:
+        return default
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"{key} must be an integer, got {value!r}") from None
+
+
 def _build_config(args: argparse.Namespace, need_word: bool) -> JobConfig:
     merged = _merge_config(args)
     datum = None
@@ -142,13 +155,12 @@ def _build_config(args: argparse.Namespace, need_word: bool) -> JobConfig:
         word=word,
         bundle=str(merged["bundle"]) if merged["bundle"] is not None
         else None,
-        max_level=int(merged["max_level"])
-        if merged["max_level"] is not None else None,
-        box=int(merged["box"]) if merged["box"] is not None else None,
+        max_level=_optional_int(merged, "max_level"),
+        box=_optional_int(merged, "box"),
         mu=mu,
         torus_projection=torus_projection,
         out=str(merged["out"]) if merged["out"] is not None else None,
-        seed=int(merged["seed"]) if merged["seed"] is not None else 1,
+        seed=_optional_int(merged, "seed", 1),
         quick=quick,
     )
 
@@ -278,8 +290,8 @@ def _check_counting(lattice: PicardLattice, engine: OkounkovEngine,
         divisor = DivisorClass(coords, Basis.CANONICAL)
         for k in range(1, level_max + 1):
             points = engine.valuation_points(divisor, k)
-            dim = bs_character(lattice.datum, lattice.word,
-                               tuple(k * c for c in coords)).dimension()
+            dim = lattice.section_dimension(
+                DivisorClass(tuple(k * c for c in coords), Basis.CANONICAL))
             if len(points) != dim:
                 raise VerifyFailed(
                     f"class can:{coords} level {k}: {len(points)} valuation "
@@ -483,8 +495,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         "explicit flags win")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one-line ValidationErrors, so a
+    malformed command line exits 2 like any other bad input."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bottsam",
         description="Exact Okounkov-body computations for Bott-Samelson "
         "varieties.")
@@ -501,8 +521,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         need_word = args.command != "verify"
         config = _build_config(args, need_word)
         if args.command == "body":

@@ -18,13 +18,25 @@ from typing import NamedTuple
 from .errors import ChamberResolutionFailure, NotNef, Unstable, ValidationError
 from .picard import Basis, DivisorClass, PicardLattice
 from .polyhedra import RationalCone, RationalPolytope
-from .rootsys import bs_character
+from .rootsys import bs_character, demazure_dimension
 from .valuation import adapted_basis, valuation
 
 # Bound on dimension x point-set sums for one level-set enumeration, each
 # sum costing under a microsecond.  The test suite and the benchmark jobs stay
 # below 500,000 even when every level set is summed from the zero class.
+# Every level 1..L of an effective class holds at least one point, because
+# multiplying by a section of (k - 1)D is injective, so the same bound caps
+# a level count L and a global cone's levels x (box + 1)^n classes.
 _LEVEL_SET_GUARD = 20_000_000
+
+
+def _check_levels(levels: int) -> None:
+    """Refuse a level count below 1 (ValidationError) or above the guard
+    (Unstable), before any level is computed."""
+    if levels < 1:
+        raise ValidationError("levels must be a positive integer")
+    if levels > _LEVEL_SET_GUARD:
+        raise Unstable("level count exceeds the supported size")
 
 
 class GradedValuationPoint(NamedTuple):
@@ -102,11 +114,22 @@ class OkounkovEngine:
         return points
 
     def _compute_points(self, mc: tuple[int, ...]) -> list[tuple[int, ...]]:
-        if min(mc) >= 0:
+        """The level set of a canonical class, by the engine's route rule.
+
+        A nef class is grown by Minkowski sums where they certify; a class
+        on the monomial route reads its valuations off the exponents of its
+        monomial basis; any other class takes the valuations of an adapted
+        basis of its section space.
+        """
+        engine = self.lattice.engine
+        route = engine.section_route(can=mc)
+        if route == "spanning":
             sums = self._minkowski_points(mc)
             if sums is not None:
                 return sums
-        basis = self.lattice.engine.section_basis(can=mc)
+        elif route == "monomial":
+            return engine.monomial_exponents(can=mc)
+        basis = engine.section_basis(can=mc)
         if not basis:
             return []
         return sorted(valuation(s) for s in adapted_basis(basis))
@@ -124,6 +147,12 @@ class OkounkovEngine:
         always cached, and from it this is the plain per-slot sum.  An
         enumeration whose bound, dimension x point-set sums, exceeds
         _LEVEL_SET_GUARD raises Unstable instead of running.
+
+        Valuations are nonnegative, so each point is packed into one int,
+        its coordinates read as base-major digits in a base above any
+        coordinate the sums reach: a sum of codes is then the code of the
+        sum, and code order is lex order.  Points are decoded once, after
+        the count certifies them.
         """
         target = self._dimension(mc)
         slots = [nus for nus, _ in self._slot_sets()]
@@ -137,22 +166,44 @@ class OkounkovEngine:
                    key=sums_left)
         if target * sums_left(prev) > _LEVEL_SET_GUARD:
             raise Unstable("level set enumeration exceeds the supported size")
-        points = set(self._points[prev])
+        start = self._points[prev]
+        base = 1 + max(v for point in start for v in point) + sum(
+            (b - a) * max(v for nu in nus for v in nu)
+            for a, b, nus in zip(prev, mc, slots))
+
+        def encode(point):
+            code = 0
+            for v in point:
+                code = code * base + v
+            return code
+
+        codes = set(map(encode, start))
         for a, b, nus in zip(prev, mc, slots):
+            steps = [encode(nu) for nu in nus]
             for _ in range(b - a):
-                points = {tuple(x + y for x, y in zip(point, nu))
-                          for point in points for nu in nus}
-        if len(points) != target:
+                codes = {x + y for x in codes for y in steps}
+        if len(codes) != target:
             return None
         self._sources[mc] = prev
-        return sorted(points)
+        points = []
+        for code in sorted(codes):
+            digits = [0] * self.n
+            for j in range(self.n - 1, -1, -1):
+                code, digits[j] = divmod(code, base)
+            points.append(tuple(digits))
+        return points
 
     def _dimension(self, mc: tuple[int, ...]) -> int:
-        """Demazure character dimension of a nef canonical class, memoized."""
+        """Demazure character dimension of a nef canonical class, memoized.
+
+        Only the tail word's character is built; the first letter's
+        operator contributes its rank-one count (demazure_dimension).
+        """
         dimension = self._dims.get(mc)
         if dimension is None:
-            dimension = bs_character(self.lattice.datum, self.lattice.word,
-                                     mc).dimension()
+            datum, word = self.lattice.datum, self.lattice.word.indices
+            dimension = demazure_dimension(
+                datum, word[0], bs_character(datum, word[1:], mc[1:]), mc[0])
             self._dims[mc] = dimension
         return dimension
 
@@ -225,8 +276,7 @@ class OkounkovEngine:
     def semigroup(self, divisor: DivisorClass,
                   levels: int) -> list[GradedValuationPoint]:
         """All (valuation, level) points for levels 1..levels."""
-        if levels < 1:
-            raise ValidationError("levels must be a positive integer")
+        _check_levels(levels)
         self._require_effective(divisor)
         out = []
         for k in range(1, levels + 1):
@@ -238,8 +288,7 @@ class OkounkovEngine:
 
     def body(self, divisor: DivisorClass, levels: int) -> OkounkovBody:
         """Hull of valuation points scaled by their level, up to a cap."""
-        if levels < 1:
-            raise ValidationError("levels must be a positive integer")
+        _check_levels(levels)
         self._require_effective(divisor)
         points = []
         for k in range(1, levels + 1):
@@ -273,6 +322,8 @@ class OkounkovEngine:
         return GlobalConeApprox(gens, cone, saturated, levels, box)
 
     def _cone_generators(self, levels: int, box: int) -> list[tuple[int, ...]]:
+        if levels * (box + 1) ** self.n > _LEVEL_SET_GUARD:
+            raise Unstable("global cone class box exceeds the supported size")
         totals = sorted({
             tuple(k * c for c in cls)
             for cls in itertools.product(range(box + 1), repeat=self.n)
@@ -375,8 +426,7 @@ class OkounkovEngine:
         if min(canonical.coords, default=0) < 0:
             raise NotNef(f"volume identities need a nef class, got "
                          f"canonical coordinates {canonical.coords}")
-        if levels < 1:
-            raise ValidationError("levels must be a positive integer")
+        _check_levels(levels)
         body = self.body(divisor, levels)
         rows = []
         for k in range(1, levels + 1):
@@ -423,8 +473,7 @@ class OkounkovEngine:
         if self.n < 2:
             raise ValidationError("restriction needs a word of length "
                                   "at least 2")
-        if levels < 1:
-            raise ValidationError("levels must be a positive integer")
+        _check_levels(levels)
         image_points = []
         for k in range(1, levels + 1):
             for nu in self.valuation_points(divisor, k):

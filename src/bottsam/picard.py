@@ -28,6 +28,7 @@ from .rootsys import (
     Character,
     Weight,
     bs_character,
+    demazure_dimension,
     demazure_operator,
 )
 from .sections import GroupModel, SectionEngine
@@ -131,6 +132,15 @@ class BasisChange:
                             Basis.EFFECTIVE)
 
 
+def _character_dimension(datum: CartanDatum, word,
+                         multidegree: Sequence[int]) -> int:
+    """bs_character(datum, word, multidegree).dimension(), from the tail
+    word's character and the first letter's rank-one count."""
+    return demazure_dimension(datum, word[0],
+                              bs_character(datum, word[1:], multidegree[1:]),
+                              multidegree[0])
+
+
 def compute_basis_change(engine: SectionEngine,
                          probe_bound: int | None = None) -> BasisChange:
     """Solve and verify the effective-to-canonical basis change.
@@ -210,8 +220,8 @@ def compute_basis_change(engine: SectionEngine,
                         f"probe {m} lies outside the effective orthant but "
                         f"the {route} glue dimension is {got}")
         elif min(mc) >= 0:
-            expected = bs_character(engine.datum, engine.word,
-                                    mc).dimension()
+            expected = _character_dimension(engine.datum,
+                                            engine.word.indices, mc)
             got = (engine.glue_dimension(eff=m) if separate
                    else len(canonical_space(mc)))
             if got != expected:
@@ -312,8 +322,8 @@ class PicardLattice:
         divisor = self._check(divisor)
         if divisor.basis is Basis.CANONICAL \
                 and min(divisor.coords, default=0) >= 0:
-            return bs_character(self.datum, self.word,
-                                divisor.coords).dimension()
+            return _character_dimension(self.datum, self.word.indices,
+                                        divisor.coords)
         return len(self.section_basis(divisor))
 
     def volume(self, divisor: DivisorClass) -> Fraction:
@@ -328,8 +338,8 @@ class PicardLattice:
             raise NotNef(f"class with canonical coordinates {coords} "
                          "is not nef")
         values = [
-            bs_character(self.datum, self.word,
-                         tuple(k * c for c in coords)).dimension()
+            _character_dimension(self.datum, self.word.indices,
+                                 tuple(k * c for c in coords))
             for k in range(self.n + 2)
         ]
         for _ in range(self.n):
@@ -368,8 +378,8 @@ class PicardLattice:
             value = 0
             while True:
                 padded = prefix + (value,) + (0,) * (self.n - len(prefix) - 1)
-                if bs_character(self.datum, self.word,
-                                padded).dimension() > goal:
+                if _character_dimension(self.datum, self.word.indices,
+                                        padded) > goal:
                     return
                 search(prefix + (value,))
                 value += 1

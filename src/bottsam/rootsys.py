@@ -422,6 +422,18 @@ def demazure_operator(datum: CartanDatum, i: int, char: Character) -> Character:
     return Character(out)
 
 
+def demazure_dimension(datum: CartanDatum, i: int, char: Character,
+                       twist: int = 0) -> int:
+    """Dimension of D_i(e^{twist * omega_i} char), without building it.
+
+    D_i(e^lam) has dimension <lam, alpha_i^vee> + 1 in every case: a string
+    of h + 1 weights when h >= 0, zero when h = -1, and minus a string of
+    -h - 1 weights when h <= -2.  So the count is linear in the character.
+    """
+    datum._check_index(i)
+    return sum(m * (w[i - 1] + twist + 1) for w, m in char.terms.items())
+
+
 def bs_character(datum: CartanDatum, word: WeylWord | Sequence[int],
                  multidegree: Sequence[int]) -> Character:
     """Character of the section space attached to a word and a multidegree.

@@ -24,8 +24,10 @@ Section spaces are built two independent ways and cross-checked by the tests:
     single terms, the lifts and remainders are read off exponent vectors.
 
 On words without repeated letters monomial_section_basis reads a basis off
-the boundary vanishing orders.  SectionEngine.section_basis is the one rule
-that picks among the three routes.
+the boundary vanishing orders; its exponent vectors (monomial_exponents) are
+already the valuations of an adapted basis.  SectionEngine.section_route is
+the one rule that picks among the three routes; section_basis and the level
+sets of the okounkov layer both ask it.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .rootsys import (
     Weight,
     WeylWord,
     bs_character,
+    demazure_dimension,
     is_reduced,
     simple_reflection,
 )
@@ -600,7 +603,9 @@ class SectionEngine:
         if any(v < 0 for v in m):
             raise ValidationError(
                 "the spanning route needs a nonnegative canonical multidegree")
-        expected = bs_character(self.datum, self.word, m).dimension()
+        expected = demazure_dimension(
+            self.datum, self._letters[0],
+            bs_character(self.datum, self._letters[1:], m[1:]), m[0])
         per_slot = []
         for k in range(1, self.n + 1):
             if m[k - 1] == 0:
@@ -667,22 +672,38 @@ class SectionEngine:
 
     def section_basis(self, can: Sequence[int] | None = None,
                       eff: Sequence[int] | None = None) -> list[SectionPoly]:
-        """A section basis by the one route rule of the package.
+        """A section basis by the route that section_route picks.
 
-        A nef class takes the spanning route, falling back to the glue route
-        when the slot products fall short; a negative canonical class on a
-        word without repeated letters takes the monomial route; everything
-        else, effective coordinates included, takes the glue route.
+        The spanning route falls back to the glue route when the slot
+        products fall short.
         """
-        can, eff = self._route(can, eff)
-        if can is not None and min(can) >= 0:
+        route = self.section_route(can=can, eff=eff)
+        if route == "spanning":
             try:
                 return self.section_basis_nef(can)
             except SpanDeficiency:
                 return self.section_basis_glue(can=can)
-        if can is not None and self.is_multiplicity_free():
+        if route == "monomial":
             return self.monomial_section_basis(can=can)
         return self.section_basis_glue(can=can, eff=eff)
+
+    def section_route(self, can: Sequence[int] | None = None,
+                      eff: Sequence[int] | None = None) -> str:
+        """The one route rule of the package: "spanning", "monomial" or
+        "glue".
+
+        A nef class takes the spanning route; a negative canonical class on
+        a word without repeated letters takes the monomial route; everything
+        else, effective coordinates included, takes the glue route.
+        """
+        can, eff = self._route(can, eff)
+        if can is None:
+            return "glue"
+        if min(can) >= 0:
+            return "spanning"
+        if self.is_multiplicity_free():
+            return "monomial"
+        return "glue"
 
     def is_multiplicity_free(self) -> bool:
         """True when no letter repeats, so every torus weight in a section
@@ -692,13 +713,25 @@ class SectionEngine:
     def monomial_section_basis(self, can: Sequence[int] | None = None,
                                eff: Sequence[int] | None = None
                                ) -> list[SectionPoly]:
-        """Monomial basis cut out by the boundary order conditions alone.
+        """Monomial basis cut out by the boundary order conditions alone:
+        t^a for each exponent vector a of monomial_exponents."""
+        can, eff = self._route(can, eff)
+        return [SectionPoly(Polynomial.monomial(self.n, mono), can,
+                            self._section_weight(can, mono))
+                for mono in self.monomial_exponents(can=can, eff=eff)]
+
+    def monomial_exponents(self, can: Sequence[int] | None = None,
+                           eff: Sequence[int] | None = None
+                           ) -> list[tuple[int, ...]]:
+        """Sorted exponent vectors of the monomial basis of a class.
 
         Valid only for words without repeated letters: there each weight
         space is at most one dimensional, so a section space has a basis of
         monomials t^a with a nonnegative and the boundary vanishing orders
-        bounded by those of the bundle.  The candidates are the lattice
-        points of an explicit polytope.
+        bounded by those of the bundle.  The exponents are the lattice
+        points of that explicit polytope.  Such a basis is already adapted,
+        and the valuation of t^a is a, so these are also the sorted
+        valuations of the class.
         """
         if not self.is_multiplicity_free():
             raise ValidationError(
@@ -717,12 +750,8 @@ class SectionEngine:
         rows.extend((rhs[l],) + tuple(-b_rows[l][j] for j in range(n))
                     for l in range(n))
         polytope = RationalPolytope.from_inequalities(rows, ambient=n)
-        basis = []
-        for point in polytope.lattice_points(1):
-            mono = tuple(int(v) for v in point)
-            basis.append(SectionPoly(Polynomial.monomial(n, mono), can,
-                                     self._section_weight(can, mono)))
-        return basis
+        return [tuple(int(v) for v in point)
+                for point in polytope.lattice_points(1)]
 
     def _section_weight(self, can, mono) -> Weight | None:
         """Torus weight of t^mono as a section of the canonical class can:

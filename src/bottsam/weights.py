@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
     VerificationFailure,
 )
-from .okounkov import OkounkovEngine
+from .okounkov import OkounkovEngine, _check_levels
 from .picard import DivisorClass, PicardLattice
 from .polyhedra import RationalPolytope
 from .rootsys import Weight, bs_character
@@ -68,8 +68,7 @@ def weighted_semigroup(lattice: PicardLattice, divisor: DivisorClass,
     two different weights; that well-definedness is the content of the
     weight map existing at all.
     """
-    if levels < 1:
-        raise ValidationError("levels must be a positive integer")
+    _check_levels(levels)
     projection = _coerce_projection(torus_projection, lattice.datum.rank)
     seen: dict[tuple, tuple] = {}
     triples = []
@@ -185,8 +184,7 @@ def multiplicity_asymptotics(lattice: PicardLattice, divisor: DivisorClass,
     the weight-polytope dimension.  With require_interior=False, boundary
     weights are reported instead of rejected.
     """
-    if levels < 1:
-        raise ValidationError("levels must be a positive integer")
+    _check_levels(levels)
     coords = mu.coords if isinstance(mu, Weight) else tuple(mu)
     mu_coords = tuple(Fraction(v) for v in coords)
     projection_rows = _coerce_projection(torus_projection,
@@ -203,8 +201,8 @@ def multiplicity_asymptotics(lattice: PicardLattice, divisor: DivisorClass,
     interior = _in_relative_interior(weight_polytope, mu_coords)
     if require_interior and not interior:
         raise NotInterior(
-            f"weight {mu_coords} is not in the relative interior of the "
-            "weight polytope")
+            f"weight {','.join(map(str, mu_coords))} is not in the relative "
+            "interior of the weight polytope")
     projection = weight_projection(semigroup)
     engine = okounkov if okounkov is not None else OkounkovEngine(lattice)
     body = engine.body(divisor, levels)

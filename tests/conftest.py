@@ -1,10 +1,20 @@
-"""Shared fixtures: one root datum, lattice, and engine per test word."""
+"""Shared fixtures: one root datum, lattice, and engine per test word.
+
+Property tests run under one deterministic hypothesis profile: derandomized,
+with no example database and no deadline, so the suite gives the same
+result on every run; each test sets only its own max_examples.
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from bottsam import CartanDatum, OkounkovEngine, PicardLattice, WeylWord
+
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

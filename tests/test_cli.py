@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bottsam import Unstable
+from bottsam import Unstable, picard
 from bottsam.cli import main
 
 
@@ -96,6 +99,28 @@ def test_flags_override_the_config_file(tmp_path, capsys):
     data = json.loads(out)
     assert data["divisor"] == "can:3"
     assert sorted(data["body"]["vertices"])[-1] == [["3", "1"]]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_level", "x"), ("box", [1]), ("seed", {"a": 1})])
+def test_non_integer_config_values_exit_2_with_one_line(tmp_path, capsys,
+                                                        key, value):
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps(
+        {"type": "A1", "word": "1", "bundle": "can:2", key: value}))
+    code = main(["body", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [
+        f"error: {key} must be an integer, got {value!r}"]
+
+
+def test_malformed_command_lines_exit_2_with_one_line(capsys):
+    code = main(["body", "--type", "A1", "--word", "1", "--bundle", "can:1",
+                 "--max-level", "x"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: argument --max-level: invalid int value: 'x'"]
 
 
 def test_unknown_config_keys_are_rejected(tmp_path, capsys):
@@ -222,6 +247,34 @@ def test_huge_level_set_exits_3_with_one_line(capsys):
         "unstable: level set enumeration exceeds the supported size"]
 
 
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["body", "--type", "A2", "--word", "1,2", "--bundle", "can:1,1",
+      "--max-level", HUGE], "level count exceeds the supported size"),
+    (["weights", "--type", "A2", "--word", "1,2,1", "--bundle", "can:0,1,1",
+      "--mu", "0,0", "--max-level", HUGE],
+     "level count exceeds the supported size"),
+    (["global", "--type", "A2", "--word", "1,2", "--max-level", HUGE,
+      "--box", "1"], "global cone class box exceeds the supported size"),
+    (["global", "--type", "A2", "--word", "1,2", "--max-level", "2",
+      "--box", HUGE], "global cone class box exceeds the supported size"),
+], ids=["body", "weights", "global-levels", "global-box"])
+def test_unbounded_level_counts_exit_3_at_once(capsys, argv, message):
+    """Every level of an effective class holds a point, so a level count
+    (or a global class box) beyond the level-set guard is refused before
+    any level is computed."""
+    start = time.process_time()
+    code = main(argv)
+    elapsed = time.process_time() - start
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"unstable: {message}"]
+    assert elapsed < 1.0
+
+
 def test_engine_failures_exit_4(capsys, monkeypatch):
     from bottsam import VerificationFailure
 
@@ -233,3 +286,67 @@ def test_engine_failures_exit_4(capsys, monkeypatch):
     code = main(["global", "--type", "A1", "--word", "1"])
     capsys.readouterr()
     assert code == 4
+
+
+WORDS = [("A1", "1", ["can:1", "can:2", "eff:1", "can:-1"]),
+         ("A2", "1,2", ["can:1,1", "can:0,1", "can:-1,1", "can:1,-1",
+                        "eff:1,0", "eff:0,1", "eff:-1,1"])]
+MALFORMED = ["", "x", "0", "-1", "1.5", "3", "1,1", "Z9", "foo:1", "can:x",
+             "can", "1/0", "--unknown", HUGE]
+
+
+@st.composite
+def command_lines(draw):
+    """A well-formed command line on A1 (1) or A2 (1,2), levels <= 2 and
+    box <= 1, then maybe one token replaced by a malformed one and maybe
+    one flag dropped with its value."""
+    command = draw(st.sampled_from(["body", "global", "weights"]))
+    cartan, word, bundles = draw(st.sampled_from(WORDS))
+    argv = [command, "--type", cartan, "--word", word]
+    if command != "global":
+        argv += ["--bundle", draw(st.sampled_from(bundles))]
+    if command == "weights":
+        argv += ["--mu", draw(st.sampled_from(
+            ["0", "1", "0,0", "1,1", "1/2,0", "-1,2"]))]
+    argv += ["--max-level", draw(st.sampled_from(["1", "2", HUGE]))]
+    if command == "global":
+        argv += ["--box", draw(st.sampled_from(["0", "1"]))]
+    if draw(st.booleans()):
+        spot = draw(st.integers(0, len(argv) - 1))
+        argv[spot] = draw(st.sampled_from(MALFORMED))
+    if draw(st.booleans()):
+        flag = draw(st.sampled_from(range(1, len(argv), 2)))
+        del argv[flag:flag + 2]
+    return argv
+
+
+def test_argv_fuzz_exits_on_the_contract(capsys, monkeypatch):
+    """Any command line drawn from small alphabets of valid and malformed
+    tokens ends on a documented exit code with at most one stderr line.
+
+    The basis change of a word is verified once and reused across examples,
+    so each example costs only its own command.
+    """
+    changes = {}
+    verify = picard.compute_basis_change
+
+    def verified_once(engine, probe_bound=None):
+        key = (engine.datum, engine.word, probe_bound)
+        if key not in changes:
+            changes[key] = verify(engine, probe_bound)
+        return changes[key]
+
+    monkeypatch.setattr(picard, "compute_basis_change", verified_once)
+    seen = set()
+
+    @settings(max_examples=150)
+    @given(command_lines())
+    def check(argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), argv
+        assert err.count("\n") <= 1 and err.endswith("\n") == bool(err), argv
+        seen.add(code)
+
+    check()
+    assert {0, 2, 3} <= seen

@@ -21,8 +21,7 @@ from bottsam._kernel import (
 
 from oracles import apply_sparse, dense_determinant, dense_rank
 
-PROPERTY = settings(derandomize=True, database=None, max_examples=80,
-                    deadline=None)
+PROPERTY = settings(max_examples=80)
 
 
 @st.composite

@@ -14,9 +14,12 @@ from bottsam import (
     NotNef,
     OkounkovEngine,
     RationalPolytope,
+    SectionEngine,
+    Unstable,
     ValidationError,
     bs_character,
 )
+from bottsam import okounkov, rootsys
 from bottsam.okounkov import GradedValuationPoint
 from bottsam.valuation import adapted_basis, valuation
 
@@ -88,6 +91,20 @@ def test_body_of_a_non_nef_class_can_degenerate(okounkov_a2_12):
 def test_body_requires_an_effective_class(okounkov_a2_12):
     with pytest.raises(ValidationError):
         okounkov_a2_12.body(can(1, -1), 3)
+
+
+def test_level_counts_above_the_guard_are_refused_at_once(okounkov_a2_12):
+    """Every level of an effective class holds a point, so a level count
+    above the level-set guard is refused before any level is computed."""
+    huge = 10 ** 20
+    with pytest.raises(Unstable):
+        okounkov_a2_12.body(can(1, 1), huge)
+    with pytest.raises(Unstable):
+        okounkov_a2_12.semigroup(can(1, 1), huge)
+    with pytest.raises(Unstable):
+        okounkov_a2_12.global_cone(huge, 1)
+    with pytest.raises(Unstable):
+        okounkov_a2_12.global_cone(2, huge)
 
 
 def test_volume_check_report(okounkov_a2_12):
@@ -172,43 +189,49 @@ def test_repeated_letter_body_has_full_dimension(okounkov_a2_121):
     assert polytope.volume() == 1
 
 
-@pytest.mark.parametrize("lattice, top", [
-    ("lattice_a2_12", 3),
-    ("lattice_b2_12", 3),
-    ("lattice_a2_121", 2),
+@pytest.mark.parametrize("lattice, low, top", [
+    ("lattice_a2_12", -2, 3),
+    ("lattice_b2_12", -2, 3),
+    ("lattice_a2_121", 0, 2),
 ])
 def test_grown_level_sets_and_hulls_match_the_spanning_route(request,
-                                                             lattice, top):
-    """Level sets grown from cached classes, and hulls grown from cached
-    vertices, agree with the spanning route and with a plain hull.
+                                                             lattice, low,
+                                                             top):
+    """Level sets grown from cached classes, level sets read off monomial
+    exponents, and hulls grown from cached vertices agree with the valuations
+    of an adapted basis of the routed section space and with a plain hull.
 
-    Each example queries distinct small nef classes in a random order on a
+    Each example queries distinct small classes in a random order on a
     fresh engine, so the cached class each level set grows from changes
-    from example to example.
+    from example to example.  On the words without a repeated letter the
+    classes include negative canonical ones, which take the monomial route.
     """
     lattice = request.getfixturevalue(lattice)
     zero = (0,) * lattice.n
-    grown = 0
-    classes = st.lists(st.tuples(*[st.integers(0, top)] * lattice.n),
+    grown = off_nef = 0
+    classes = st.lists(st.tuples(*[st.integers(low, top)] * lattice.n),
                        min_size=1, max_size=6, unique=True)
 
-    @settings(derandomize=True, database=None, max_examples=30,
-              deadline=None)
+    @settings(max_examples=30)
     @given(classes)
     def check(order):
-        nonlocal grown
+        nonlocal grown, off_nef
         engine = OkounkovEngine(lattice)
         for mc in order:
             points = engine.valuation_points(can(*mc))
-            basis = lattice.engine.section_basis_nef(mc)
+            basis = lattice.engine.section_basis(can=mc)
             assert points == sorted(valuation(s) for s in adapted_basis(basis))
+            if not points:
+                continue
             assert engine._hull_vertices(mc) == list(
                 RationalPolytope.from_points(points,
                                              ambient=lattice.n).vertices)
             grown += engine._sources.get(mc, zero) != zero
+            off_nef += min(mc) < 0
 
     check()
     assert grown
+    assert off_nef or low == 0
 
 
 @pytest.mark.parametrize("engine", ["okounkov_a2_12", "okounkov_a2_121"])
@@ -219,8 +242,7 @@ def test_hull_prefilter_keeps_the_vertices(request, engine):
     engine = request.getfixturevalue(engine)
     point = st.tuples(*[st.integers(-3, 3)] * engine.n)
 
-    @settings(derandomize=True, database=None, max_examples=60,
-              deadline=None)
+    @settings(max_examples=60)
     @given(st.lists(point, min_size=1, max_size=25, unique=True))
     def check(points):
         assert engine._hull(points) == list(
@@ -238,8 +260,13 @@ def test_sweep_builds_each_class_hull_once(lattice_a2_12, monkeypatch):
     341 from 10,399; 8,498 of those points belong to the 113 classes off
     the nef cone, whose level sets come from the monomial route and are
     hulled whole.  Keeping only the ends of each axis-parallel line of a
-    set leaves 1,964 points for those 341 hulls.  Counts are deterministic
-    where a time bound would be flaky.
+    set leaves 1,964 points for those 341 hulls.
+
+    The 113 classes off the nef cone read their level sets off monomial
+    exponents, with no monomial section basis and no adapted basis (113
+    of each before).  The 140 nef classes each build only their tail
+    word's character, one Demazure operator (280 operators before).
+    Counts are deterministic where a time bound would be flaky.
     """
     assert lattice_a2_12.change
     engine = OkounkovEngine(lattice_a2_12)
@@ -252,8 +279,23 @@ def test_sweep_builds_each_class_hull_once(lattice_a2_12, monkeypatch):
         points_in += len(points)
         return build(cls, points, ambient)
 
+    work = {"demazure_operator": 0, "adapted_basis": 0,
+            "monomial_section_basis": 0}
+
+    def tallied(name, fn):
+        def wrapper(*args, **kwargs):
+            work[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
     monkeypatch.setattr(RationalPolytope, "from_points", classmethod(counted))
+    for module, name in ((rootsys, "demazure_operator"),
+                         (okounkov, "adapted_basis"),
+                         (SectionEngine, "monomial_section_basis")):
+        monkeypatch.setattr(module, name, tallied(name, getattr(module, name)))
     for levels, box in ((4, 2), (6, 3), (8, 4)):
         assert engine.global_cone(levels, box).rays == GOLDEN_RAYS_12
     assert calls <= 350
     assert points_in <= 2_100
+    assert work == {"demazure_operator": 140, "adapted_basis": 0,
+                    "monomial_section_basis": 0}

@@ -148,7 +148,7 @@ def test_nef_implies_effective(lattice_a2_12, lattice_b2_12, lattice_a2_121):
                 assert min(lattice.change.to_effective(divisor).coords) >= 0
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.data())
 def test_is_effective_agrees_with_the_basis_change(
         lattice_a2_12, lattice_b2_12, lattice_a2_121, data):

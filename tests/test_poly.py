@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from bottsam._poly import Polynomial
 
-PROPERTY = settings(derandomize=True, database=None, max_examples=80,
-                    deadline=None)
+PROPERTY = settings(max_examples=80)
 
 NVARS = 2
 

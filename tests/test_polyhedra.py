@@ -165,7 +165,7 @@ def brute_force_lattice_points(polytope, k):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(data=st.data(), k=st.integers(1, 4))
 def test_lattice_points_match_brute_force(dim, data, k):
     polytope = RationalPolytope.from_points(data.draw(point_sets(dim)))

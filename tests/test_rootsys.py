@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bottsam import (
     CartanDatum,
@@ -15,6 +17,7 @@ from bottsam import (
     Weight,
     WeylWord,
     bs_character,
+    demazure_dimension,
     demazure_operator,
     is_reduced,
     weyl_dimension,
@@ -106,6 +109,36 @@ def test_demazure_matches_closed_form_on_random_characters():
                 got = demazure_operator(datum, index, ch)
                 expected = demazure_closed_form(datum.matrix, index, terms)
                 assert {w.coords: m for w, m in got.terms.items()} == expected
+
+
+@pytest.mark.parametrize("name, word", [
+    ("A2", (1, 2)), ("B2", (1, 2)), ("A2", (1, 2, 1)), ("A3", (1, 2, 3)),
+    ("B2", (1, 2, 1)),
+])
+def test_rank_one_dimension_matches_the_character(name, word):
+    """The first letter's operator contributes its rank-one count: the
+    dimension of the tail character, each weight lam counted
+    <lam, alpha^vee> + m_1 + 1 times, is the whole character's dimension.
+    On the length-1 word of each letter it is also the closed-form count.
+    """
+    datum = CartanDatum.from_type(name)
+
+    @settings(max_examples=40)
+    @given(st.tuples(*[st.integers(-4, 3)] * len(word)))
+    def check(m):
+        tail = bs_character(datum, word[1:], m[1:])
+        assert demazure_dimension(datum, word[0], tail, m[0]) \
+            == bs_character(datum, word, m).dimension()
+        unit = bs_character(datum, (), ())
+        for letter in set(word):
+            closed = demazure_closed_form(
+                datum.matrix, letter,
+                {datum.fundamental_weight(letter).scaled(m[0]).coords: 1})
+            assert demazure_dimension(datum, letter, unit, m[0]) \
+                == sum(closed.values()) \
+                == bs_character(datum, (letter,), m[:1]).dimension()
+
+    check()
 
 
 def test_demazure_is_idempotent(a2, b2):

@@ -28,7 +28,7 @@ from bottsam.sections import (
     _ChartPowers,
     _torus_weight,
 )
-from bottsam.valuation import valuation
+from bottsam.valuation import adapted_basis, valuation
 
 from oracles import dense_rank, hirzebruch_count
 
@@ -246,8 +246,7 @@ def test_monomial_rests_match_polynomial_remainders(request, engine):
     charts = [f for f in itertools.product((0, 1), repeat=n) if any(f)]
     outcomes = set()
 
-    @settings(derandomize=True, database=None, max_examples=40,
-              deadline=None)
+    @settings(max_examples=40)
     @given(st.data())
     def check(data):
         kind = data.draw(st.sampled_from(kinds))
@@ -277,8 +276,7 @@ def test_monomial_rests_keep_coefficients():
         return st.builds(lambda e, c: Polynomial(n, {e: c}),
                          st.tuples(*[st.integers(0, 2)] * n), coeffs)
 
-    @settings(derandomize=True, database=None, max_examples=60,
-              deadline=None)
+    @settings(max_examples=60)
     @given(st.data())
     def check(data):
         n = data.draw(st.integers(2, 3))
@@ -350,15 +348,36 @@ def test_section_basis_route_rule(request, monkeypatch, engine, can, route):
                             calls.append(_name) or _method(*args, **kwargs))
     got = engine.section_basis(can=can)
     assert calls == [route]
+    assert engine.section_route(can=can) == {
+        "section_basis_nef": "spanning",
+        "monomial_section_basis": "monomial",
+        "section_basis_glue": "glue"}[route]
     assert got
     assert [(poly_terms(sp), sp.multidegree, sp.weight) for sp in got] \
         == [(poly_terms(sp), sp.multidegree, sp.weight) for sp in expected]
+
+
+def test_effective_coordinates_take_the_glue_route(eng12, eng121):
+    for engine in (eng12, eng121):
+        assert engine.section_route(eff=(1,) * engine.n) == "glue"
+
+
+def test_monomial_exponents_are_the_adapted_valuations(eng12):
+    """On a word without a repeated letter the monomial basis is already
+    adapted and t^a has valuation a, so the exponents are the level set."""
+    for can in [(-2, 2), (-1, 1), (-1, 3), (1, -1)]:
+        basis = eng12.monomial_section_basis(can=can)
+        assert eng12.monomial_exponents(can=can) \
+            == [valuation(sp) for sp in basis] \
+            == sorted(valuation(sp) for sp in adapted_basis(basis))
 
 
 def test_monomial_basis_refuses_repeated_letters(eng121):
     assert not eng121.is_multiplicity_free()
     with pytest.raises(ValidationError):
         eng121.monomial_section_basis(can=(0, 1, 1))
+    with pytest.raises(ValidationError):
+        eng121.monomial_exponents(can=(1, -1, 1))
 
 
 def test_order_matrices(eng12, eng121):

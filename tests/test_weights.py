@@ -97,14 +97,27 @@ def test_interior_weight_asymptotics(lattice_a2_121):
 
 
 def test_vertex_weight_needs_the_interior_flag(lattice_a2_121):
-    with pytest.raises(NotInterior):
+    with pytest.raises(NotInterior) as error:
         multiplicity_asymptotics(lattice_a2_121, can((0, 1, 1)), (1, 1), 3)
+    assert str(error.value) == ("weight 1,1 is not in the relative interior "
+                                "of the weight polytope")
     report = multiplicity_asymptotics(
         lattice_a2_121, can((0, 1, 1)), (1, 1), 3, require_interior=False)
     assert [row["dimension"] for row in report["levels"]] == [1, 1, 1]
     assert report["slice_vertices"] == ((0, 0, 0),)
     assert report["slice_volume"] == 1
     assert not report["interior"]
+
+
+def test_not_interior_names_the_weight_as_typed(lattice_a2_12):
+    """The weight in the message is the comma list of the --mu flag."""
+    divisor = DivisorClass((1, 2), Basis.EFFECTIVE)
+    for mu, text in (((0, 0), "0,0"), ((Fraction(1, 2), -1), "1/2,-1")):
+        with pytest.raises(NotInterior) as error:
+            multiplicity_asymptotics(lattice_a2_12, divisor, mu, 2)
+        assert str(error.value) == (
+            f"weight {text} is not in the relative interior of the weight "
+            "polytope")
 
 
 def test_rational_weights_use_integral_levels(lattice_a2_121):
