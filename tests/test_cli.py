@@ -292,14 +292,15 @@ WORDS = [("A1", "1", ["can:1", "can:2", "eff:1", "can:-1"]),
          ("A2", "1,2", ["can:1,1", "can:0,1", "can:-1,1", "can:1,-1",
                         "eff:1,0", "eff:0,1", "eff:-1,1"])]
 MALFORMED = ["", "x", "0", "-1", "1.5", "3", "1,1", "Z9", "foo:1", "can:x",
-             "can", "1/0", "--unknown", HUGE]
+             "can", "1/0", "--unknown"]
 
 
 @st.composite
 def command_lines(draw):
-    """A well-formed command line on A1 (1) or A2 (1,2), levels <= 2 and
-    box <= 1, then maybe one token replaced by a malformed one and maybe
-    one flag dropped with its value."""
+    """A well-formed command line on A1 (1) or A2 (1,2), levels <= 2 (or
+    a huge level count) and box <= 1, then maybe one flag before the level
+    dropped with its value and maybe one token replaced by a malformed
+    one."""
     command = draw(st.sampled_from(["body", "global", "weights"]))
     cartan, word, bundles = draw(st.sampled_from(WORDS))
     argv = [command, "--type", cartan, "--word", word]
@@ -312,11 +313,11 @@ def command_lines(draw):
     if command == "global":
         argv += ["--box", draw(st.sampled_from(["0", "1"]))]
     if draw(st.booleans()):
+        flag = draw(st.sampled_from(range(1, argv.index("--max-level"), 2)))
+        del argv[flag:flag + 2]
+    if draw(st.booleans()):
         spot = draw(st.integers(0, len(argv) - 1))
         argv[spot] = draw(st.sampled_from(MALFORMED))
-    if draw(st.booleans()):
-        flag = draw(st.sampled_from(range(1, len(argv), 2)))
-        del argv[flag:flag + 2]
     return argv
 
 
