@@ -1,11 +1,13 @@
 """Exact linear algebra: the package's one elimination module.
 
-Sparse rows are dicts mapping column index to a nonzero integer. Their
-reductions (echelon, rank, nullspace) are fraction-free: cross-multiplication
-followed by gcd normalization, so the arithmetic stays in the integers and is
-exact at any size. IncrementalSpan keeps a rational row space that grows one
-row at a time. The dense helpers work over the rationals on the small systems
-of the cold paths (basis-change columns, affine fits, lattice coordinates).
+Sparse rows are dicts mapping a key to a nonzero integer. Every sparse
+elimination is integer-only: echelon, rank, nullspace (back-substitution
+included) and IncrementalSpan reduce by cross-multiplication followed by gcd
+normalization, so they build no Fraction and stay exact at any size.
+IncrementalSpan keeps a row space that grows one row at a time; it also takes
+rows with Fraction entries and clears their denominators first. The dense
+helpers work over the rationals on the small systems of the cold paths
+(basis-change columns, affine fits, lattice coordinates).
 """
 
 from __future__ import annotations
@@ -58,29 +60,33 @@ def echelon(rows: list[dict[int, int]]) -> tuple[list[int], list[dict[int, int]]
 
     Returns (pivot columns ascending, reduced rows in the same order). Every
     returned row has its pivot as its smallest column, a positive pivot
-    coefficient, and zeros in every other row's pivot column.
+    coefficient, and zeros in every other row's pivot column. Each step
+    takes the smallest leading column left, so the pivots come out
+    ascending.
     """
-    work = [normalize_row(dict(r)) for r in rows if r]
+    work = [normalize_row(r) for r in rows if r]
     pivots: list[int] = []
     reduced: list[dict[int, int]] = []
     while work:
-        col = min(min(r) for r in work)
-        best = -1
-        best_len = -1
-        for idx, r in enumerate(work):
-            if min(r) == col and (best < 0 or len(r) < best_len):
-                best, best_len = idx, len(r)
-        pivot_row = work.pop(best)
+        if len(work) == 1:
+            pivot_row = work.pop()
+            col = min(pivot_row)
+        else:
+            # The smallest leading column, on its shortest row, the first.
+            col, _, best = min([(min(r), len(r), idx)
+                                for idx, r in enumerate(work)])
+            pivot_row = work.pop(best)
         lead = pivot_row[col]
-        work = [_combine(r, pivot_row, col, lead) if col in r else r
-                for r in work]
-        work = [r for r in work if r]
-        reduced = [_combine(r, pivot_row, col, lead) if col in r else r
-                   for r in reduced]
+        if work:
+            work = [_combine(r, pivot_row, col, lead) if col in r else r
+                    for r in work]
+            work = [r for r in work if r]
+        if reduced:
+            reduced = [_combine(r, pivot_row, col, lead) if col in r else r
+                       for r in reduced]
         pivots.append(col)
         reduced.append(pivot_row)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [pivots[i] for i in order], [reduced[i] for i in order]
+    return pivots, reduced
 
 
 def rank(rows: list[dict[int, int]]) -> int:
@@ -91,7 +97,11 @@ def nullspace(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
     """Primitive integer basis of the right kernel, one vector per free column.
 
     The basis is in bijection with the non-pivot columns (ascending); the
-    vector for free column f has a positive entry at f.
+    vector for free column f is zero at every other free column, and its
+    first nonzero entry is positive. It is the back-substitution x_f = 1,
+    x_p = -row_p[f] / row_p[p], scaled by the lcm L of the pivot
+    coefficients of the rows that touch f, so every entry is an integer:
+    x_f = L and x_p = -row_p[f] * (L // row_p[p]).
     """
     pivots, reduced = echelon(rows)
     pivot_set = set(pivots)
@@ -99,12 +109,18 @@ def nullspace(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
     for free in range(ncols):
         if free in pivot_set:
             continue
-        entries: dict[int, Fraction] = {free: Fraction(1)}
+        touching = []
+        scale = 1
         for p, row in zip(pivots, reduced):
             v = row.get(free)
             if v:
-                entries[p] = Fraction(-v, row[p])
-        basis.append(normalize_row(clear_denominators(entries)))
+                d = row[p]
+                touching.append((p, v, d))
+                scale = scale * d // gcd(scale, d)
+        entries = {free: scale}
+        for p, v, d in touching:
+            entries[p] = -v * (scale // d)
+        basis.append(normalize_row(entries))
     return basis
 
 
@@ -123,7 +139,12 @@ def clear_denominators(row: Mapping) -> dict:
 
 
 class IncrementalSpan:
-    """Rational row space with incremental insertion; pivots are minimal keys."""
+    """Row space with incremental insertion; pivots are minimal keys.
+
+    Each stored row is primitive: integer entries without a common factor
+    and a positive pivot coefficient. Rows with Fraction entries are
+    scaled to integers first; the span is the same rational row space.
+    """
 
     __slots__ = ("pivots",)
 
@@ -133,24 +154,17 @@ class IncrementalSpan:
     def add(self, row: dict) -> dict | None:
         """Reduce a row against the span; store and return it if independent.
 
-        A stored row is scaled so its pivot coefficient is 1.
+        A reduction step is pivot_lead*row - row[lead]*pivot, then
+        normalized, so the returned row is primitive with a positive pivot.
         """
-        row = dict(row)
+        row = normalize_row(clear_denominators(row))
         while row:
             lead = min(row)
             pivot = self.pivots.get(lead)
             if pivot is None:
-                scale = Fraction(row[lead])
-                row = {k: v / scale for k, v in row.items()}
                 self.pivots[lead] = row
                 return row
-            factor = row[lead]
-            for k, v in pivot.items():
-                s = row.get(k, 0) - factor * v
-                if s:
-                    row[k] = s
-                else:
-                    row.pop(k, None)
+            row = _combine(row, pivot, lead, pivot[lead])
         return None
 
     def __len__(self) -> int:

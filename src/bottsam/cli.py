@@ -43,8 +43,9 @@ from .rootsys import CartanDatum, WeylWord
 from .valuation import adapted_basis, valuation
 from .weights import multiplicity_asymptotics
 
-_CONFIG_KEYS = ("type", "matrix_file", "word", "bundle", "max_level", "box",
-                "mu", "torus_proj_file", "out", "seed", "quick")
+_STRING_KEYS = ("type", "matrix_file", "word", "bundle", "mu",
+                "torus_proj_file", "out")
+_CONFIG_KEYS = _STRING_KEYS + ("max_level", "box", "seed", "quick")
 
 
 class JobConfig:
@@ -113,55 +114,63 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _optional_int(merged: dict, key: str, default: int | None = None):
-    """An integer setting, or the default when it is unset; a config value
-    that is not an integer is bad input."""
+    """An integer setting, or the default when it is unset; any other JSON
+    value, a bool or a float included, is bad input."""
     value = merged[key]
     if value is None:
         return default
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"{key} must be an integer, got {value!r}") from None
+    if value.__class__ is not int:
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _optional_str(merged: dict, key: str) -> str | None:
+    """A string setting, or None when it is unset."""
+    value = merged[key]
+    if value is not None and not isinstance(value, str):
+        raise ValidationError(f"{key} must be a string, got {value!r}")
+    return value
 
 
 def _build_config(args: argparse.Namespace, need_word: bool) -> JobConfig:
     merged = _merge_config(args)
+    text = {key: _optional_str(merged, key) for key in _STRING_KEYS}
+    quick = merged["quick"]
+    if quick is not None and quick.__class__ is not bool:
+        raise ValidationError(f"quick must be true or false, got {quick!r}")
     datum = None
-    if merged["type"] is not None and merged["matrix_file"] is not None:
+    if text["type"] is not None and text["matrix_file"] is not None:
         raise ValidationError("give either a type or a matrix file, not both")
-    if merged["type"] is not None:
-        datum = CartanDatum.from_type(str(merged["type"]))
-    elif merged["matrix_file"] is not None:
-        datum = CartanDatum.from_matrix_file(str(merged["matrix_file"]))
+    if text["type"] is not None:
+        datum = CartanDatum.from_type(text["type"])
+    elif text["matrix_file"] is not None:
+        datum = CartanDatum.from_matrix_file(text["matrix_file"])
     elif need_word:
         raise ValidationError("a Cartan type or matrix file is required")
     word = None
-    if merged["word"] is not None:
-        word = _parse_word(str(merged["word"]))
+    if text["word"] is not None:
+        word = _parse_word(text["word"])
     elif need_word:
         raise ValidationError("a reduced word is required")
-    mu = _parse_mu(str(merged["mu"])) if merged["mu"] is not None else None
+    mu = _parse_mu(text["mu"]) if text["mu"] is not None else None
     torus_projection = None
-    if merged["torus_proj_file"] is not None:
-        rows = _load_json(str(merged["torus_proj_file"]))
+    if text["torus_proj_file"] is not None:
+        rows = _load_json(text["torus_proj_file"])
         if not isinstance(rows, list):
             raise ValidationError(
                 "torus projection file must hold a JSON array of rows")
         torus_projection = rows
-    quick = bool(merged["quick"]) if merged["quick"] is not None else False
     return JobConfig(
         datum=datum,
         word=word,
-        bundle=str(merged["bundle"]) if merged["bundle"] is not None
-        else None,
+        bundle=text["bundle"],
         max_level=_optional_int(merged, "max_level"),
         box=_optional_int(merged, "box"),
         mu=mu,
         torus_projection=torus_projection,
-        out=str(merged["out"]) if merged["out"] is not None else None,
+        out=text["out"],
         seed=_optional_int(merged, "seed", 1),
-        quick=quick,
+        quick=bool(quick),
     )
 
 

@@ -292,14 +292,15 @@ class _ChartPowers:
     them.
 
     On a monomial chart, where num, den and every coordinate numerator
-    and denominator are single terms, terms holds their (exponent,
-    coefficient) pairs as two lists, num then the numerators and den then
-    the denominators, and steps holds the exponents of num / den and of
-    each coordinate t_j = N_j / D_j.  On other charts both are None.
+    and denominator are single terms, coeffs holds the coefficients of
+    num, of the numerators N_j and of the denominators D_j.  steps holds
+    one integer column per chart variable: the exponent of num / den in it
+    and those of each coordinate t_j = N_j / D_j; den_steps holds the same
+    columns for den and each D_j.  On other charts all three are None.
     """
 
     __slots__ = ("frame", "npow", "dpow", "num", "den", "num_heads",
-                 "den_heads", "terms", "steps")
+                 "den_heads", "coeffs", "steps", "den_steps")
 
     def __init__(self, frame: _ChartFrame, num: Polynomial, den: Polynomial):
         one = Polynomial.one(len(frame.flips))
@@ -310,46 +311,47 @@ class _ChartPowers:
         self.den = den
         self.num_heads: dict[tuple[int, int], Polynomial] = {}
         self.den_heads: dict[tuple[int, int], Polynomial] = {}
-        self.terms = self.steps = None
+        self.coeffs = self.steps = self.den_steps = None
         tops = (num, *frame.numerators)
         bottoms = (den, *frame.denominators)
         if all(len(p.terms) == 1 for p in tops + bottoms):
-            self.terms = tuple([next(iter(p.terms.items())) for p in half]
-                               for half in (tops, bottoms))
-            self.steps = [[x - y for x, y in zip(top, bottom)]
-                          for (top, _), (bottom, _) in zip(*self.terms)]
+            ups, c_ups = zip(*[next(iter(p.terms.items())) for p in tops])
+            downs, c_downs = zip(*[next(iter(p.terms.items()))
+                                   for p in bottoms])
+            self.coeffs = c_ups[0], c_ups[1:], c_downs[1:]
+            gaps = [[x - y for x, y in zip(top, bottom)]
+                    for top, bottom in zip(ups, downs)]
+            self.steps = [(g, col) for g, *col in zip(*gaps)]
+            self.den_steps = [(d, col) for d, *col in zip(*downs)]
 
-    def monomial_rests(self, cands, amax: Mono, used) -> dict:
+    def monomial_rests(self, cands, used) -> dict:
         """lift(cands[i], amax).remainder(denominator(amax)).terms for each
-        i in used, from exponent vectors alone, on a monomial chart.
+        i in used, with amax the componentwise maximum of cands, from
+        exponent vectors alone, on a monomial chart.
 
         The lift of t^a is one term c x^e with e = e_num + sum_j a_j e_N[j]
         + (amax_j - a_j) e_D[j], and the class denominator one term x^lead
         with lead = e_den + sum_j amax_j e_D[j].  Division by one term
         leaves 0 when e >= lead componentwise and the lift itself
         otherwise.  The shift e - lead = e_num - e_den + sum_j a_j (e_N[j] -
-        e_D[j]) does not depend on amax.
+        e_D[j]) does not depend on amax, so amax, lead and c are computed
+        only for a nonzero remainder.
         """
-        (_, c_num), *ups = self.terms[0]
-        (e_den, _), *downs = self.terms[1]
-        gap, *steps = self.steps
-        lead = None
+        c_num, c_ups, c_downs = self.coeffs
         rests = {}
+        lead = None
         for i in used:
             a = cands[i]
-            shift = gap
-            for aj, step in zip(a, steps):
-                if aj:
-                    shift = [x + aj * y for x, y in zip(shift, step)]
+            shift = [g + sum(map(mul, a, col)) for g, col in self.steps]
             if min(shift) >= 0:
                 rests[i] = {}
                 continue
             if lead is None:
-                lead = e_den
-                for m, (e_d, _) in zip(amax, downs):
-                    lead = [x + m * y for x, y in zip(lead, e_d)]
+                amax = tuple(map(max, zip(*cands)))
+                lead = [d + sum(map(mul, amax, col))
+                        for d, col in self.den_steps]
             c = c_num
-            for aj, m, (_, c_n), (_, c_d) in zip(a, amax, ups, downs):
+            for aj, m, c_n, c_d in zip(a, amax, c_ups, c_downs):
                 c = c * c_n ** aj * c_d ** (m - aj)
             if c.__class__ is not int and c.denominator == 1:
                 c = c.numerator
@@ -802,9 +804,9 @@ class SectionEngine:
             size *= b + 1
             if size > _CANDIDATE_GUARD:
                 raise Unstable("glue candidate box exceeds the supported size")
-        candidates = sorted(itertools.product(*[range(b + 1) for b in box]))
+        # The product of ascending ranges comes out sorted.
         classes: dict[tuple, list[Mono]] = {}
-        for a in candidates:
+        for a in itertools.product(*[range(b + 1) for b in box]):
             classes.setdefault(_torus_weight(a, self._roots), []).append(a)
         charts = sorted((flips for flips in
                          itertools.product((0, 1), repeat=self.n)
@@ -822,6 +824,8 @@ class SectionEngine:
                 vectors = self._chart_filter(chart, cands, vectors)
                 if not vectors:
                     break
+            if not vectors:
+                continue
             weight = self._section_weight(can, cands[0])
             for vec in vectors:
                 poly = Polynomial(self.n, {cands[i]: c
@@ -870,11 +874,11 @@ class SectionEngine:
         exponent vectors (_ChartPowers.monomial_rests) without building a
         polynomial.  Other charts lift and divide polynomials.
         """
-        amax = tuple(map(max, zip(*cands)))
         used = {i for vec in vectors for i in vec}
-        if chart.terms is not None:
-            rests = chart.monomial_rests(cands, amax, used)
+        if chart.steps is not None:
+            rests = chart.monomial_rests(cands, used)
         else:
+            amax = tuple(map(max, zip(*cands)))
             for j, power in enumerate(amax):
                 chart.grow(j, power)
             den = chart.denominator(amax)
@@ -886,15 +890,17 @@ class SectionEngine:
             for i, c in vec.items():
                 for mono, r in rests[i].items():
                     row = rows.setdefault(mono, {})
-                    row[col] = row.get(col, 0) + c * r
-        int_rows = [clear_denominators({col: v for col, v in row.items()
-                                        if v})
-                    for row in rows.values()]
+                    v = row.get(col, 0) + c * r
+                    if v:
+                        row[col] = v
+                    else:
+                        del row[col]
+        int_rows = [clear_denominators(row) for row in rows.values()]
         solutions = nullspace(int_rows, nv)
         span = IncrementalSpan()
         filtered = []
         for sol in solutions:
-            vec: dict[int, Fraction] = {}
+            vec: dict[int, int] = {}
             for i, s in sol.items():
                 for cidx, cf in vectors[i].items():
                     acc = vec.get(cidx, 0) + s * cf

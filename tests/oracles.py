@@ -162,3 +162,106 @@ def apply_sparse(rows, vector):
         entry = lambda j: Fraction(vector[j])
     return [sum(Fraction(val) * entry(j) for j, val in row.items())
             for row in rows]
+
+
+def primitive_row(row):
+    """A sparse rational row scaled to coprime integers whose entry at the
+    smallest key is positive; None for the zero row."""
+    from math import gcd
+
+    entries = {k: Fraction(v) for k, v in row.items() if v}
+    if not entries:
+        return None
+    denom = 1
+    for v in entries.values():
+        denom = denom * v.denominator // gcd(denom, v.denominator)
+    ints = {k: int(v * denom) for k, v in entries.items()}
+    g = 0
+    for v in ints.values():
+        g = gcd(g, v)
+    if ints[min(ints)] < 0:
+        g = -g
+    return {k: v // g for k, v in ints.items()}
+
+
+def _reference_combine(row, pivot_row, col, pivot_lead):
+    factor = row[col]
+    out = {c: v * pivot_lead for c, v in row.items()}
+    for c, v in pivot_row.items():
+        s = out.get(c, 0) - factor * v
+        if s:
+            out[c] = s
+        else:
+            out.pop(c, None)
+    return primitive_row(out) or {}
+
+
+def _reference_echelon(rows):
+    """The fraction-free echelon form as first written: pivot on the
+    shortest row of the smallest leading column, then sort by pivot."""
+    work = [primitive_row(r) for r in rows if r]
+    pivots, reduced = [], []
+    while work:
+        col = min(min(r) for r in work)
+        best, best_len = -1, -1
+        for idx, r in enumerate(work):
+            if min(r) == col and (best < 0 or len(r) < best_len):
+                best, best_len = idx, len(r)
+        pivot_row = work.pop(best)
+        lead = pivot_row[col]
+        work = [_reference_combine(r, pivot_row, col, lead) if col in r
+                else r for r in work]
+        work = [r for r in work if r]
+        reduced = [_reference_combine(r, pivot_row, col, lead) if col in r
+                   else r for r in reduced]
+        pivots.append(col)
+        reduced.append(pivot_row)
+    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
+    return [pivots[i] for i in order], [reduced[i] for i in order]
+
+
+def fraction_nullspace(rows, ncols):
+    """Right kernel basis by Fraction back-substitution: for each free
+    column f, x_f = 1 and x_p = -row_p[f] / row_p[p] on the echelon rows,
+    then made a primitive integer row."""
+    pivots, reduced = _reference_echelon(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        entries = {free: Fraction(1)}
+        for p, row in zip(pivots, reduced):
+            v = row.get(free)
+            if v:
+                entries[p] = Fraction(-v, row[p])
+        basis.append(primitive_row(entries))
+    return basis
+
+
+class FractionSpan:
+    """A rational row space grown one row at a time whose stored rows are
+    scaled to pivot coefficient 1; the pivot of a row is its smallest
+    key."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def add(self, row):
+        """The reduced row if it is independent of the span, else None."""
+        row = {k: Fraction(v) for k, v in row.items()}
+        while row:
+            lead = min(row)
+            pivot = self.pivots.get(lead)
+            if pivot is None:
+                scale = row[lead]
+                row = {k: v / scale for k, v in row.items()}
+                self.pivots[lead] = row
+                return row
+            factor = row[lead]
+            for k, v in pivot.items():
+                s = row.get(k, 0) - factor * v
+                if s:
+                    row[k] = s
+                else:
+                    row.pop(k, None)
+        return None

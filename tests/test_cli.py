@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bottsam import Unstable, picard
+from bottsam import Unstable, cli, picard
 from bottsam.cli import main
 
 
@@ -113,6 +113,40 @@ def test_non_integer_config_values_exit_2_with_one_line(tmp_path, capsys,
     assert code == 2
     assert err.splitlines() == [
         f"error: {key} must be an integer, got {value!r}"]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("quick", "false", "quick must be true or false, got 'false'"),
+    ("quick", 0, "quick must be true or false, got 0"),
+    ("max_level", 2.7, "max_level must be an integer, got 2.7"),
+    ("max_level", True, "max_level must be an integer, got True"),
+    ("box", False, "box must be an integer, got False"),
+    ("seed", 1.0, "seed must be an integer, got 1.0"),
+    ("type", 5, "type must be a string, got 5"),
+    ("word", [1], "word must be a string, got [1]"),
+    ("bundle", {"can": 2}, "bundle must be a string, got {'can': 2}"),
+    ("out", False, "out must be a string, got False"),
+])
+def test_mistyped_config_values_exit_2_with_one_line(tmp_path, capsys, key,
+                                                      value, message):
+    """A config value of the wrong JSON type is bad input: a string is not
+    a bool, and neither a bool nor a float is an integer."""
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps(
+        {"type": "A1", "word": "1", "bundle": "can:2", key: value}))
+    code = main(["body", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("value", [True, False, None])
+def test_config_quick_takes_json_bools(tmp_path, value):
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"quick": value}))
+    args = cli._build_parser().parse_args(["verify", "--config", str(config)])
+    assert cli._build_config(args, need_word=False).quick is bool(value)
 
 
 def test_malformed_command_lines_exit_2_with_one_line(capsys):
@@ -351,3 +385,73 @@ def test_argv_fuzz_exits_on_the_contract(capsys, monkeypatch):
 
     check()
     assert {0, 2, 3} <= seen
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 1)
+    | st.floats(-3, 3, allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=3)
+
+
+@st.composite
+def config_objects(draw, out):
+    """A valid config object on A1 (1) or A2 (1,2) with levels <= 2 and box
+    <= 1, then up to two keys, known or unknown, set to JSON values of any
+    type.  A string out becomes the given path and a null level or box is
+    dropped to a small int, so no example writes elsewhere or runs past
+    level 2 or box 1."""
+    cartan, word, bundles = draw(st.sampled_from(WORDS))
+    config = {"type": cartan, "word": word,
+              "bundle": draw(st.sampled_from(bundles)),
+              "mu": draw(st.sampled_from(["0", "0,0", "1,1", "1/2,0"])),
+              "max_level": draw(st.integers(1, 2)),
+              "box": draw(st.integers(0, 1))}
+    if draw(st.booleans()):
+        config["out"] = out
+    keys = st.sampled_from(cli._CONFIG_KEYS) | st.text(min_size=1,
+                                                       max_size=3)
+    for key in draw(st.lists(keys, max_size=2, unique=True)):
+        value = draw(JSON_VALUES)
+        if key == "out" and isinstance(value, str):
+            value = out
+        if key in ("max_level", "box") and value is None:
+            value = 0
+        config[key] = value
+    return config
+
+
+def test_config_fuzz_exits_on_the_contract(tmp_path, capsys, monkeypatch):
+    """Any config object drawn from known and unknown keys with values of
+    every JSON type ends on a documented exit code with at most one stderr
+    line; the basis change of a word is verified once and reused."""
+    changes = {}
+    verify = picard.compute_basis_change
+
+    def verified_once(engine, probe_bound=None):
+        key = (engine.datum, engine.word, probe_bound)
+        if key not in changes:
+            changes[key] = verify(engine, probe_bound)
+        return changes[key]
+
+    monkeypatch.setattr(picard, "compute_basis_change", verified_once)
+    path = tmp_path / "job.json"
+    seen = set()
+
+    @settings(max_examples=100)
+    @given(st.sampled_from(["body", "global", "weights"]),
+           config_objects(str(tmp_path / "out.json")))
+    def check(command, config):
+        path.write_text(json.dumps(config))
+        code = main([command, "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), config
+        assert err.count("\n") <= 1 and err.endswith("\n") == bool(err), \
+            config
+        seen.add(code)
+
+    check()
+    assert {0, 2} <= seen
+    path.write_text(json.dumps({"quick": "false"}))
+    assert main(["verify", "--config", str(path)]) == 2

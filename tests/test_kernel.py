@@ -19,7 +19,14 @@ from bottsam._kernel import (
     solve_dense,
 )
 
-from oracles import apply_sparse, dense_determinant, dense_rank
+from oracles import (
+    FractionSpan,
+    apply_sparse,
+    dense_determinant,
+    dense_rank,
+    fraction_nullspace,
+    primitive_row,
+)
 
 PROPERTY = settings(max_examples=80)
 
@@ -31,6 +38,16 @@ def dense_systems(draw, max_rows=6, max_cols=6):
     nrows = draw(st.integers(1, max_rows))
     entries = st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols)
     return [draw(entries) for _ in range(nrows)], ncols
+
+
+@st.composite
+def sparse_systems(draw, values=st.integers(-6, 6), max_rows=5, max_cols=6):
+    """Sparse rows over a few columns: no rows, zero rows, one row or
+    several, with nonzero values drawn from values."""
+    ncols = draw(st.integers(1, max_cols))
+    row = st.dictionaries(st.integers(0, ncols - 1), values.filter(bool),
+                          max_size=ncols)
+    return draw(st.lists(row, max_size=max_rows)), ncols
 
 
 def sparse(dense_rows):
@@ -169,3 +186,36 @@ def test_solve_dense_solves_or_reports_inconsistency(system, data):
         assert len(solution) == ncols
         for row, b in zip(dense_rows, rhs):
             assert sum(a * x for a, x in zip(row, solution)) == b
+
+
+@settings(max_examples=300)
+@given(sparse_systems())
+def test_nullspace_matches_the_fraction_back_substitution(system):
+    """The integer back-substitution returns the very vectors of the
+    Fraction one, entry order included, and in the same order."""
+    rows, ncols = system
+    got = nullspace(rows, ncols)
+    want = fraction_nullspace(rows, ncols)
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
+    assert all(v.__class__ is int for vec in got for v in vec.values())
+
+
+@settings(max_examples=150)
+@given(sparse_systems(st.integers(-6, 6)
+                     | st.fractions(-6, 6, max_denominator=4)))
+def test_integer_span_tracks_the_pivot_one_span(system):
+    """The integer span keeps and drops the same rows as the pivot-1 span,
+    on int or Fraction input; each kept row is primitive with a positive
+    pivot and spans the line of the pivot-1 row."""
+    rows, _ = system
+    span, reference = IncrementalSpan(), FractionSpan()
+    for row in rows:
+        before = dict(row)
+        got = span.add(row)
+        want = reference.add(row)
+        assert row == before
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert all(v.__class__ is int for v in got.values())
+            assert got == primitive_row(got) == primitive_row(want)
+    assert len(span) == len(reference.pivots)
