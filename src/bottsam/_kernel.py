@@ -1,13 +1,13 @@
 """Exact linear algebra: the package's one elimination module.
 
-Sparse rows are dicts mapping a key to a nonzero integer. Every sparse
-elimination is integer-only: echelon, rank, nullspace (back-substitution
-included) and IncrementalSpan reduce by cross-multiplication followed by gcd
-normalization, so they build no Fraction and stay exact at any size.
-IncrementalSpan keeps a row space that grows one row at a time; it also takes
-rows with Fraction entries and clears their denominators first. The dense
-helpers work over the rationals on the small systems of the cold paths
-(basis-change columns, affine fits, lattice coordinates).
+Sparse rows are dicts mapping a key to a nonzero integer. echelon is the
+package's only rational elimination: it reduces by cross-multiplication and
+gcd normalization, so it builds no Fraction and stays exact at any size.
+rank, nullspace and the dense solves (solve_dense, invert_dense) run on it,
+and IncrementalSpan grows a row space by the same reduction step, clearing
+the denominators of Fraction rows first. The one exception,
+kernel_lattice_basis, does another job: a Hermite normal form for a
+saturated lattice basis.
 """
 
 from __future__ import annotations
@@ -174,78 +174,48 @@ class IncrementalSpan:
 # ----- dense rational helpers -------------------------------------------------
 
 
-def solve_dense(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """Solve rows * x = rhs exactly; free unknowns get 0.
+def solve_dense(rows: Sequence[Sequence],
+                columns: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Solve rows * x = b exactly for each right-hand side b in columns.
 
-    Returns None when the system is inconsistent. Callers that need the
-    unique solution of a square system use invert_dense instead.
+    One echelon of the augmented matrix [rows | columns] serves every
+    right-hand side; free unknowns get 0. Returns the solutions of the
+    leading consistent columns, in order, and stops before the first
+    inconsistent one: that is the first right-hand side that becomes a
+    pivot. So the result is shorter than columns exactly when some column
+    has no solution.
     """
-    m = [[Fraction(v) for v in row] + [Fraction(b)]
-         for row, b in zip(rows, rhs)]
-    ncols = len(m[0]) - 1 if m else 0
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        lead = m[r][c]
-        m[r] = [v / lead for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, len(m)):
-        if m[i][ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for row, col in pivots:
-        x[col] = m[row][ncols]
-    return x
+    width = len(rows[0]) if rows else 0
+    augmented = []
+    for i, row in enumerate(rows):
+        entries = [*row, *(b[i] for b in columns)]
+        augmented.append(clear_denominators(
+            {c: v for c, v in enumerate(entries) if v}))
+    pivots, reduced = echelon(augmented)
+    solved = len(columns)
+    pivot_rows = []
+    for p, row in zip(pivots, reduced):
+        if p >= width:
+            solved = p - width
+            break
+        pivot_rows.append((p, row))
+    solutions = []
+    for j in range(width, width + solved):
+        x = [Fraction(0)] * width
+        for p, row in pivot_rows:
+            x[p] = Fraction(row.get(j, 0), row[p])
+        solutions.append(x)
+    return solutions
 
 
 def invert_dense(rows: Sequence[Sequence]) -> list[list[Fraction]] | None:
     """Exact inverse of a square matrix, or None if singular."""
     n = len(rows)
-    m = [[Fraction(v) for v in row] + [Fraction(1 if i == j else 0)
-                                       for j in range(n)]
-         for i, row in enumerate(rows)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return None
-        m[c], m[pivot] = m[pivot], m[c]
-        lead = m[c][c]
-        m[c] = [v / lead for v in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return [row[n:] for row in m]
-
-
-def determinant(rows: Sequence[Sequence]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(rows)
-    m = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        lead = m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / lead
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
+    solutions = solve_dense(rows, [[int(i == j) for i in range(n)]
+                                   for j in range(n)])
+    if len(solutions) < n:
+        return None
+    return [list(row) for row in zip(*solutions)]
 
 
 def kernel_lattice_basis(int_rows: Sequence[dict[int, int] | Sequence[int]],
@@ -291,16 +261,9 @@ def kernel_lattice_basis(int_rows: Sequence[dict[int, int] | Sequence[int]],
             row += 1
         if row == ncols:
             break
-    basis = [u[i] for i in range(ncols) if not any(a[i])]
-    normalized = []
-    for vec in basis:
-        g = 0
-        for v in vec:
-            g = gcd(g, v)
-        if g > 1:
-            vec = [v // g for v in vec]
-        lead = next((v for v in vec if v), 0)
-        if lead < 0:
-            vec = [-v for v in vec]
-        normalized.append(vec)
-    return sorted(normalized)
+    basis = []
+    for vec, image in zip(u, a):
+        if not any(image):
+            row = normalize_row({c: v for c, v in enumerate(vec) if v})
+            basis.append([row.get(c, 0) for c in range(ncols)])
+    return sorted(basis)

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from ._kernel import clear_denominators
+from ._kernel import clear_denominators, normalize_row
 
 Mono = tuple[int, ...]
 
@@ -200,12 +199,8 @@ class Polynomial:
         lexicographically smallest monomial has a positive coefficient."""
         if not self.terms:
             return self
-        ints = clear_denominators(self.terms)
-        scale = gcd(*ints.values())
-        if self.terms[self.lex_min_monomial()] < 0:
-            scale = -scale
         return Polynomial(self.nvars,
-                          {m: c // scale for m, c in ints.items()})
+                          normalize_row(clear_denominators(self.terms)))
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from ._kernel import IncrementalSpan, determinant, invert_dense
+from ._kernel import IncrementalSpan, invert_dense
 from .errors import (
     Ambiguous,
     NoMatch,
@@ -141,8 +141,7 @@ def _character_dimension(datum: CartanDatum, word,
                               multidegree[0])
 
 
-def compute_basis_change(engine: SectionEngine,
-                         probe_bound: int | None = None) -> BasisChange:
+def compute_basis_change(engine: SectionEngine) -> BasisChange:
     """Solve and verify the effective-to-canonical basis change.
 
     The candidate matrix M comes from boundary vanishing orders.  It must be
@@ -178,12 +177,12 @@ def compute_basis_change(engine: SectionEngine,
             raise VerificationFailure(
                 f"basis change has diagonal entry {matrix[j][j]} != 1 "
                 f"at column {j + 1}")
-    det = determinant(matrix)
-    if det not in (1, -1):
+    # An integer matrix is unimodular exactly when its inverse is integral.
+    try:
+        change = BasisChange(matrix)
+    except ValidationError as exc:
         raise VerificationFailure(
-            f"basis change has determinant {det}; expected a unimodular "
-            "matrix")
-    change = BasisChange(matrix)
+            f"{exc}; expected a unimodular matrix") from None
     spaces: dict[tuple[int, ...], list] = {}
 
     def canonical_space(mc: tuple[int, ...]) -> list:
@@ -204,8 +203,7 @@ def compute_basis_change(engine: SectionEngine,
                 f"canonical class {column} that column {j + 1} gives it")
     # Only without a repeated letter does the effective route avoid M.
     separate = engine.is_multiplicity_free()
-    if probe_bound is None:
-        probe_bound = 3 if n <= 2 else 1
+    probe_bound = 3 if n <= 2 else 1
     for m in itertools.product(range(-probe_bound, probe_bound + 1),
                                repeat=n):
         mc = change._apply(matrix, m)
@@ -259,21 +257,18 @@ class PicardLattice:
 
     def __init__(self, datum: CartanDatum, word,
                  model: GroupModel | None = None,
-                 engine: SectionEngine | None = None,
-                 probe_bound: int | None = None):
+                 engine: SectionEngine | None = None):
         self.engine = engine if engine is not None \
             else SectionEngine(datum, word, model)
         self.datum = self.engine.datum
         self.word = self.engine.word
         self.n = self.engine.n
-        self._probe_bound = probe_bound
         self._change: BasisChange | None = None
 
     @property
     def change(self) -> BasisChange:
         if self._change is None:
-            self._change = compute_basis_change(self.engine,
-                                                self._probe_bound)
+            self._change = compute_basis_change(self.engine)
         return self._change
 
     def _check(self, divisor: DivisorClass) -> DivisorClass:

@@ -364,17 +364,10 @@ class RationalPolytope:
             return [()] * len(self.vertices), 0
         orthogonal = kernel_lattice_basis(directions, self.ambient)
         basis = kernel_lattice_basis(orthogonal, self.ambient)
-        d = len(basis)
-        coords = []
-        for v in self.vertices:
-            rhs = [a - b for a, b in zip(v, origin)]
-            rows = [[Fraction(basis[j][i]) for j in range(d)]
-                    for i in range(self.ambient)]
-            sol = solve_dense(rows, [Fraction(x) for x in rhs])
-            if sol is None:
-                raise EngineError("vertex fell outside its own affine span")
-            coords.append(tuple(sol))
-        return coords, d
+        coords = _coordinates(self.vertices, origin, basis)
+        if coords is None:
+            raise EngineError("vertex fell outside its own affine span")
+        return coords, len(basis)
 
     def lattice_points(self, denominator: int = 1) -> list[Vector]:
         """All points of (1/denominator) Z^n inside the polytope, sorted."""
@@ -424,6 +417,18 @@ class RationalPolytope:
                 f"vertices={len(self.vertices)})")
 
 
+def _coordinates(points: Sequence[Vector], origin: Vector,
+                 basis: Sequence[Sequence[int]]) -> list[Vector] | None:
+    """Coordinates of each point minus origin in the given basis vectors,
+    from one elimination; None when a point leaves their span."""
+    rows = list(zip(*basis))
+    solutions = solve_dense(rows, [[a - b for a, b in zip(p, origin)]
+                                   for p in points])
+    if len(solutions) < len(points):
+        return None
+    return [tuple(x) for x in solutions]
+
+
 def _pyramid_volume(vertices: list[Vector], d: int) -> Fraction:
     """Lattice-normalized volume of a full-dimensional polytope in Q^d."""
     if d == 0:
@@ -443,16 +448,9 @@ def _pyramid_volume(vertices: list[Vector], d: int) -> Fraction:
             continue
         facet = [v for v in vertices if row[0] + _idot(row[1:], v) == 0]
         basis = kernel_lattice_basis([row[1:]], d)
-        origin = facet[0]
-        coords = []
-        for v in facet:
-            rows = [[Fraction(basis[j][i]) for j in range(d - 1)]
-                    for i in range(d)]
-            rhs = [Fraction(a - b) for a, b in zip(v, origin)]
-            sol = solve_dense(rows, rhs)
-            if sol is None:
-                raise EngineError("facet vertex left the facet hyperplane")
-            coords.append(tuple(sol))
+        coords = _coordinates(facet, facet[0], basis)
+        if coords is None:
+            raise EngineError("facet vertex left the facet hyperplane")
         total += height * _pyramid_volume(coords, d - 1)
     return Fraction(total, d)
 

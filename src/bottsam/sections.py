@@ -712,20 +712,17 @@ class SectionEngine:
         space is carried by a single monomial."""
         return len(set(self._letters)) == self.n
 
-    def monomial_section_basis(self, can: Sequence[int] | None = None,
-                               eff: Sequence[int] | None = None
+    def monomial_section_basis(self, can: Sequence[int]
                                ) -> list[SectionPoly]:
         """Monomial basis cut out by the boundary order conditions alone:
         t^a for each exponent vector a of monomial_exponents."""
-        can, eff = self._route(can, eff)
+        can = self._canonical_degree(can)
         return [SectionPoly(Polynomial.monomial(self.n, mono), can,
                             self._section_weight(can, mono))
-                for mono in self.monomial_exponents(can=can, eff=eff)]
+                for mono in self.monomial_exponents(can)]
 
-    def monomial_exponents(self, can: Sequence[int] | None = None,
-                           eff: Sequence[int] | None = None
-                           ) -> list[tuple[int, ...]]:
-        """Sorted exponent vectors of the monomial basis of a class.
+    def monomial_exponents(self, can: Sequence[int]) -> list[tuple[int, ...]]:
+        """Sorted exponent vectors of the monomial basis of a canonical class.
 
         Valid only for words without repeated letters: there each weight
         space is at most one dimensional, so a section space has a basis of
@@ -738,15 +735,11 @@ class SectionEngine:
         if not self.is_multiplicity_free():
             raise ValidationError(
                 "monomial bases need a word without repeated letters")
-        can, eff = self._route(can, eff)
+        can = self._canonical_degree(can)
         a_rows, b_rows = self._orders()
         n = self.n
-        if can is not None:
-            rhs = [sum(a_rows[l][k] * can[k] for k in range(n))
-                   for l in range(n)]
-        else:
-            rhs = [sum(b_rows[l][j] * eff[j] for j in range(n))
-                   for l in range(n)]
+        rhs = [sum(a_rows[l][k] * can[k] for k in range(n))
+               for l in range(n)]
         rows = [(0,) + tuple(1 if pos == j else 0 for pos in range(n))
                 for j in range(n)]
         rows.extend((rhs[l],) + tuple(-b_rows[l][j] for j in range(n))

@@ -119,20 +119,16 @@ def weight_projection(semigroup: WeightedSemigroup) -> WeightProjection:
     if not semigroup.triples:
         raise ValidationError("weighted semigroup is empty")
     n = len(semigroup.triples[0][0])
-    rows = [[Fraction(v) for v in nu] + [Fraction(k)]
-            for nu, k, _ in semigroup.triples]
-    matrix = []
-    level_part = []
-    for i in range(semigroup.weight_dim):
-        rhs = [Fraction(mu[i]) for _, _, mu in semigroup.triples]
-        fit = solve_dense(rows, rhs)
-        if fit is None:
-            raise NotAffine(
-                f"weight coordinate {i + 1} admits no exact affine fit "
-                "in (valuation, level)")
-        matrix.append(fit[:n])
-        level_part.append(fit[n])
-    return WeightProjection(matrix, level_part)
+    rows = [(*nu, k) for nu, k, _ in semigroup.triples]
+    columns = [[mu[i] for _, _, mu in semigroup.triples]
+               for i in range(semigroup.weight_dim)]
+    fits = solve_dense(rows, columns)
+    if len(fits) < len(columns):
+        raise NotAffine(
+            f"weight coordinate {len(fits) + 1} admits no exact affine fit "
+            "in (valuation, level)")
+    return WeightProjection([fit[:n] for fit in fits],
+                            [fit[n] for fit in fits])
 
 
 def _weight_polytope(semigroup: WeightedSemigroup) -> RationalPolytope:

@@ -115,6 +115,28 @@ def shoelace_area(ordered_vertices):
     return abs(total) / 2
 
 
+def convex_hull_2d(points):
+    """Vertices of the convex hull of planar integer points in
+    counterclockwise boundary order, by Andrew's monotone chain; collinear
+    boundary points are dropped."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return pts
+
+    def chain(sequence):
+        out = []
+        for p in sequence:
+            while len(out) >= 2:
+                (x1, y1), (x2, y2) = out[-2], out[-1]
+                if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) > 0:
+                    break
+                out.pop()
+            out.append(p)
+        return out
+
+    return chain(pts)[:-1] + chain(reversed(pts))[:-1]
+
+
 def dense_rank(rows, ncols):
     """Rank of sparse integer rows by plain Gaussian elimination."""
     matrix = [[Fraction(row.get(j, 0)) for j in range(ncols)]
@@ -152,6 +174,53 @@ def dense_determinant(rows):
         sign = -1 if j % 2 else 1
         total += sign * Fraction(rows[0][j]) * dense_determinant(minor)
     return total
+
+
+def fraction_solve(rows, rhs):
+    """Solve rows * x = rhs by Fraction Gauss-Jordan elimination; free
+    unknowns get 0. None when the system is inconsistent."""
+    m = [[Fraction(v) for v in row] + [Fraction(b)]
+         for row, b in zip(rows, rhs)]
+    ncols = len(m[0]) - 1 if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        lead = m[r][c]
+        m[r] = [v / lead for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append((r, c))
+        r += 1
+    for i in range(r, len(m)):
+        if m[i][ncols]:
+            return None
+    x = [Fraction(0)] * ncols
+    for row, col in pivots:
+        x[col] = m[row][ncols]
+    return x
+
+
+def cofactor_inverse(rows):
+    """Inverse as the adjugate over the determinant; None if singular."""
+    n = len(rows)
+    det = dense_determinant(rows)
+    if det == 0:
+        return None
+    if n == 1:
+        return [[1 / det]]
+
+    def cofactor(i, j):
+        minor = [[rows[r][c] for c in range(n) if c != j]
+                 for r in range(n) if r != i]
+        return (-1) ** (i + j) * dense_determinant(minor)
+
+    return [[cofactor(j, i) / det for j in range(n)] for i in range(n)]
 
 
 def apply_sparse(rows, vector):

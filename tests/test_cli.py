@@ -365,10 +365,10 @@ def test_argv_fuzz_exits_on_the_contract(capsys, monkeypatch):
     changes = {}
     verify = picard.compute_basis_change
 
-    def verified_once(engine, probe_bound=None):
-        key = (engine.datum, engine.word, probe_bound)
+    def verified_once(engine):
+        key = (engine.datum, engine.word)
         if key not in changes:
-            changes[key] = verify(engine, probe_bound)
+            changes[key] = verify(engine)
         return changes[key]
 
     monkeypatch.setattr(picard, "compute_basis_change", verified_once)
@@ -429,10 +429,10 @@ def test_config_fuzz_exits_on_the_contract(tmp_path, capsys, monkeypatch):
     changes = {}
     verify = picard.compute_basis_change
 
-    def verified_once(engine, probe_bound=None):
-        key = (engine.datum, engine.word, probe_bound)
+    def verified_once(engine):
+        key = (engine.datum, engine.word)
         if key not in changes:
-            changes[key] = verify(engine, probe_bound)
+            changes[key] = verify(engine)
         return changes[key]
 
     monkeypatch.setattr(picard, "compute_basis_change", verified_once)

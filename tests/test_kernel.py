@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from bottsam._kernel import (
     IMPLEMENTATION,
     IncrementalSpan,
-    determinant,
     invert_dense,
     kernel_lattice_basis,
     nullspace,
@@ -22,9 +21,11 @@ from bottsam._kernel import (
 from oracles import (
     FractionSpan,
     apply_sparse,
+    cofactor_inverse,
     dense_determinant,
     dense_rank,
     fraction_nullspace,
+    fraction_solve,
     primitive_row,
 )
 
@@ -48,6 +49,48 @@ def sparse_systems(draw, values=st.integers(-6, 6), max_rows=5, max_cols=6):
     row = st.dictionaries(st.integers(0, ncols - 1), values.filter(bool),
                           max_size=ncols)
     return draw(st.lists(row, max_size=max_rows)), ncols
+
+
+@st.composite
+def deficient_rows(draw, nrows, ncols,
+                   values=st.integers(-6, 6)
+                   | st.fractions(-3, 3, max_denominator=4)):
+    """Dense rational rows, each drawn freely, zero, or an integer
+    combination of two earlier rows, so the rank often falls short."""
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(("free",) * 5 + ("zero", "combination")))
+        if kind == "free":
+            rows.append(draw(st.lists(values, min_size=ncols,
+                                      max_size=ncols)))
+        elif kind == "zero" or not rows:
+            rows.append([0] * ncols)
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    return rows
+
+
+@st.composite
+def solve_systems(draw, max_rows=6, max_cols=5, max_rhs=4):
+    """Rows with several right-hand sides: each is the image of a drawn
+    rational vector, so consistent, or drawn freely, so often inconsistent
+    when the rank falls short."""
+    ncols = draw(st.integers(1, max_cols))
+    nrows = draw(st.integers(1, max_rows))
+    rows = draw(deficient_rows(nrows, ncols))
+    columns = []
+    for _ in range(draw(st.integers(1, max_rhs))):
+        if draw(st.booleans()):
+            x = draw(st.lists(st.fractions(-3, 3, max_denominator=3),
+                              min_size=ncols, max_size=ncols))
+            columns.append([sum(a * v for a, v in zip(row, x))
+                            for row in rows])
+        else:
+            columns.append(draw(st.lists(st.integers(-6, 6),
+                                         min_size=nrows, max_size=nrows)))
+    return rows, columns
 
 
 def sparse(dense_rows):
@@ -108,14 +151,6 @@ def test_kernel_lattice_basis_is_integral():
     assert vector[0] == vector[1] and vector[2] == 0 and vector[0] != 0
 
 
-def test_determinant_against_cofactor_expansion():
-    rng = random.Random(99)
-    for _ in range(25):
-        n = rng.randint(1, 4)
-        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        assert determinant(rows) == dense_determinant(rows)
-
-
 def test_solve_and_invert_roundtrip():
     rng = random.Random(13)
     solved = 0
@@ -133,7 +168,7 @@ def test_solve_and_invert_roundtrip():
                 entry = sum(rows[i][k] * inverse[k][j] for k in range(n))
                 assert entry == (1 if i == j else 0)
         rhs = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
-        solution = solve_dense(rows, rhs)
+        solution, = solve_dense(rows, [rhs])
         for i in range(n):
             assert sum(rows[i][k] * solution[k] for k in range(n)) == rhs[i]
     assert solved > 10
@@ -141,7 +176,8 @@ def test_solve_and_invert_roundtrip():
 
 def test_solve_dense_reports_inconsistency():
     rows = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-    assert solve_dense(rows, [Fraction(1), Fraction(3)]) is None
+    assert solve_dense(rows, [[1, 3]]) == []
+    assert solve_dense(rows, [[1, 2], [1, 3], [0, 0]]) == [[1, 0]]
 
 
 @PROPERTY
@@ -171,21 +207,38 @@ def test_incremental_span_tracks_the_rank(system):
     assert len(span) == rank(rows)
 
 
-@PROPERTY
-@given(dense_systems(), st.data())
-def test_solve_dense_solves_or_reports_inconsistency(system, data):
-    dense_rows, ncols = system
-    rhs = data.draw(st.lists(st.integers(-6, 6), min_size=len(dense_rows),
-                             max_size=len(dense_rows)))
-    augmented = [row + [b] for row, b in zip(dense_rows, rhs)]
-    consistent = dense_rank(sparse(dense_rows), ncols) \
-        == dense_rank(sparse(augmented), ncols + 1)
-    solution = solve_dense(dense_rows, rhs)
-    assert (solution is not None) == consistent
-    if solution is not None:
+@settings(max_examples=200)
+@given(solve_systems())
+def test_solve_dense_solves_or_reports_inconsistency(system):
+    """Each returned solution is the Fraction elimination's for its
+    column, and the list stops exactly at the first column that the rank
+    test and the Fraction elimination call inconsistent."""
+    rows, columns = system
+    ncols = len(rows[0])
+    want = [fraction_solve(rows, b) for b in columns]
+    stop = next((j for j, x in enumerate(want) if x is None), len(columns))
+    for b, x in zip(columns, want):
+        augmented = [row + [v] for row, v in zip(rows, b)]
+        consistent = dense_rank(sparse(rows), ncols) \
+            == dense_rank(sparse(augmented), ncols + 1)
+        assert (x is not None) == consistent
+    got = solve_dense(rows, columns)
+    assert got == want[:stop]
+    for solution, b in zip(got, columns):
         assert len(solution) == ncols
-        for row, b in zip(dense_rows, rhs):
-            assert sum(a * x for a, x in zip(row, solution)) == b
+        assert all(v.__class__ is Fraction for v in solution)
+        for row, v in zip(rows, b):
+            assert sum(a * x for a, x in zip(row, solution)) == v
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 4).flatmap(lambda n: deficient_rows(n, n)))
+def test_invert_dense_matches_the_cofactor_inverse(rows):
+    """The inverse is the adjugate over the determinant, and None comes
+    back exactly when the determinant is 0."""
+    inverse = invert_dense(rows)
+    assert (inverse is None) == (dense_determinant(rows) == 0)
+    assert inverse == cofactor_inverse(rows)
 
 
 @settings(max_examples=300)

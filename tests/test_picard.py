@@ -16,6 +16,7 @@ from bottsam import (
     NotNef,
     OkounkovEngine,
     PicardLattice,
+    SectionEngine,
     ValidationError,
     VerificationFailure,
     Weight,
@@ -97,6 +98,25 @@ def test_perturbed_basis_changes_are_rejected(request, monkeypatch, fixture):
     assert accepted == []
 
 
+@pytest.mark.parametrize("matrix", [((1, 2), (2, 1)), ((1, 1), (1, 1))])
+def test_non_unimodular_basis_changes_are_rejected(lattice_a2_12, monkeypatch,
+                                                   capsys, matrix):
+    """A unit-diagonal candidate of determinant -3, or a singular one, fails
+    the integral-inverse check before any probe; the CLI exits 4 on one
+    line."""
+    engine = lattice_a2_12.engine
+    monkeypatch.setattr(engine, "effective_to_canonical_matrix",
+                        lambda: matrix)
+    with pytest.raises(VerificationFailure, match="unimodular"):
+        picard.compute_basis_change(engine)
+    monkeypatch.setattr(SectionEngine, "effective_to_canonical_matrix",
+                        lambda self: matrix)
+    assert cli.main(["body", "--type", "A2", "--word", "1,2",
+                     "--bundle", "eff:1,1"]) == 4
+    err = capsys.readouterr().err
+    assert "unimodular" in err and err.count("\n") == 1
+
+
 def test_truncated_word_shares_the_leading_block(lattice_a2_12,
                                                  lattice_a2_121):
     big = lattice_a2_121.change.matrix
@@ -170,7 +190,7 @@ def no_probe_run(monkeypatch):
     """Make every basis-change build raise; the list records each attempt."""
     attempts = []
 
-    def refuse(engine, probe_bound=None):
+    def refuse(engine):
         attempts.append(engine.word.indices)
         raise ProbeRun(f"basis change built for {engine.word.indices}")
 

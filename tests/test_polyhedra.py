@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bottsam import (
@@ -29,7 +29,7 @@ from bottsam.polyhedra import (
     primitive_vector,
 )
 
-from oracles import extreme_rays_2d, shoelace_area
+from oracles import convex_hull_2d, extreme_rays_2d, shoelace_area
 
 UNIT_TRIANGLE = ((0, 0), (1, 0), (0, 1))
 
@@ -83,6 +83,25 @@ def test_volume_is_unimodular_invariant():
         sheared = RationalPolytope.from_points([(x + y, y) for x, y in pts])
         assert sheared.volume() == poly.volume()
         assert len(sheared.lattice_points()) == len(poly.lattice_points())
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                min_size=3, max_size=8),
+       st.integers(-3, 3), st.integers(-3, 3))
+def test_embedded_polygon_volumes_match_shoelace(points, a, b):
+    """The planar hull's volume and the lattice volume of its copy on the
+    plane z = a x + b y in Q^3 both equal the shoelace area: the map
+    (x, y) -> (x, y, a x + b y) carries Z^2 onto that plane's saturated
+    lattice."""
+    hull = convex_hull_2d(points)
+    assume(len(hull) >= 3)
+    area = shoelace_area(hull)
+    assert RationalPolytope.from_points(points).volume() == area
+    embedded = RationalPolytope.from_points(
+        [(x, y, a * x + b * y) for x, y in points])
+    assert embedded.dim() == 2
+    assert embedded.lattice_volume() == area
 
 
 def test_extreme_rays_matches_pairwise_oracle():

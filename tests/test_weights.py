@@ -71,9 +71,15 @@ def test_slice_counts_partition_the_level(lattice_a2_12, okounkov_a2_12):
 
 
 def test_inconsistent_weights_are_not_affine():
+    """NotAffine names the first weight coordinate without an exact fit."""
     triples = frozenset({((0,), 1, (0,)), ((1,), 1, (5,)), ((2,), 1, (1,))})
     semigroup = WeightedSemigroup(can((1,)), 1, triples, 1)
-    with pytest.raises(NotAffine):
+    with pytest.raises(NotAffine, match="coordinate 1 "):
+        weight_projection(semigroup)
+    triples = frozenset({((0,), 1, (0, 0, 0)), ((1,), 1, (1, 5, 0)),
+                         ((2,), 1, (2, 1, 1))})
+    semigroup = WeightedSemigroup(can((1,)), 1, triples, 3)
+    with pytest.raises(NotAffine, match="coordinate 2 "):
         weight_projection(semigroup)
 
 
