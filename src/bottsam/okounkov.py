@@ -26,7 +26,10 @@ from .valuation import adapted_basis, valuation
 # below 500,000 even when every level set is summed from the zero class.
 # Every level 1..L of an effective class holds at least one point, because
 # multiplying by a section of (k - 1)D is injective, so the same bound caps
-# a level count L and a global cone's levels x (box + 1)^n classes.
+# a level count L and a global cone's levels x (box + 1)^n classes.  It also
+# caps the points of a whole run over levels 1..L of a nef class
+# (_check_run), the sum of its level-set sizes, which are the Demazure
+# dimensions of kD.
 _LEVEL_SET_GUARD = 20_000_000
 
 
@@ -37,6 +40,22 @@ def _check_levels(levels: int) -> None:
         raise ValidationError("levels must be a positive integer")
     if levels > _LEVEL_SET_GUARD:
         raise Unstable("level count exceeds the supported size")
+
+
+def _check_run(engine: "OkounkovEngine", divisor: "DivisorClass",
+               levels: int) -> None:
+    """Refuse (Unstable) a run over levels 1..levels of a nef class whose
+    level sets together hold more than _LEVEL_SET_GUARD points, before
+    level 1 is computed.  The sizes are the engine's memoized dimensions
+    of k * divisor, summed only until the total passes the guard."""
+    coords = engine.lattice.canonical(divisor).coords
+    if min(coords, default=0) < 0:
+        return
+    total = 0
+    for k in range(1, levels + 1):
+        total += engine._dimension(tuple(k * c for c in coords))
+        if total > _LEVEL_SET_GUARD:
+            raise Unstable("level sets of the run exceed the supported size")
 
 
 class GradedValuationPoint(NamedTuple):
@@ -278,6 +297,7 @@ class OkounkovEngine:
         """All (valuation, level) points for levels 1..levels."""
         _check_levels(levels)
         self._require_effective(divisor)
+        _check_run(self, divisor, levels)
         out = []
         for k in range(1, levels + 1):
             out.extend(GradedValuationPoint(nu, k)
@@ -290,6 +310,7 @@ class OkounkovEngine:
         """Hull of valuation points scaled by their level, up to a cap."""
         _check_levels(levels)
         self._require_effective(divisor)
+        _check_run(self, divisor, levels)
         points = []
         for k in range(1, levels + 1):
             for nu in self.valuation_points(divisor, k):

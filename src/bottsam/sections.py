@@ -25,7 +25,9 @@ Section spaces are built two independent ways and cross-checked by the tests:
 
 On words without repeated letters monomial_section_basis reads a basis off
 the boundary vanishing orders; its exponent vectors (monomial_exponents) are
-already the valuations of an adapted basis.  SectionEngine.section_route is
+already the valuations of an adapted basis.  They are the lattice points of
+an order polytope whose order matrix is unit triangular, so they come by
+back-substitution on plain integers.  SectionEngine.section_route is
 the one rule that picks among the three routes; section_basis and the level
 sets of the okounkov layer both ask it.
 """
@@ -37,10 +39,11 @@ import json
 import random
 from fractions import Fraction
 from importlib import resources
-from math import factorial
+from math import factorial, prod
 from operator import add, mul
 from typing import Iterable, Sequence
 
+from . import polyhedra
 from ._kernel import (
     IncrementalSpan,
     clear_denominators,
@@ -49,7 +52,6 @@ from ._kernel import (
 )
 from ._poly import Mono, Polynomial
 from .errors import EngineError, SpanDeficiency, Unstable, ValidationError
-from .polyhedra import RationalPolytope
 from .rootsys import (
     CartanDatum,
     Weight,
@@ -727,10 +729,19 @@ class SectionEngine:
         Valid only for words without repeated letters: there each weight
         space is at most one dimensional, so a section space has a basis of
         monomials t^a with a nonnegative and the boundary vanishing orders
-        bounded by those of the bundle.  The exponents are the lattice
-        points of that explicit polytope.  Such a basis is already adapted,
-        and the valuation of t^a is a, so these are also the sorted
-        valuations of the class.
+        bounded by those of the bundle, B a <= A can.  Such a basis is
+        already adapted, and the valuation of t^a is a, so these are also
+        the sorted valuations of the class.
+
+        On these words A is the identity and B is unit upper triangular
+        with entries <= 0 off the diagonal (EngineError otherwise), so the
+        polytope is 0 <= a_l <= can_l - sum_{j>l} B_lj a_j and its points
+        come by back-substitution, last coordinate first.  The same
+        recursion gives the bounding box: its upper corner sets each a_l to
+        its top, and the least a_m keeps every earlier top, affine and
+        nondecreasing in a_m, >= 0.  A box of more than
+        polyhedra._LATTICE_POINT_GUARD points raises Unstable before
+        enumeration.
         """
         if not self.is_multiplicity_free():
             raise ValidationError(
@@ -738,15 +749,41 @@ class SectionEngine:
         can = self._canonical_degree(can)
         a_rows, b_rows = self._orders()
         n = self.n
-        rhs = [sum(a_rows[l][k] * can[k] for k in range(n))
-               for l in range(n)]
-        rows = [(0,) + tuple(1 if pos == j else 0 for pos in range(n))
-                for j in range(n)]
-        rows.extend((rhs[l],) + tuple(-b_rows[l][j] for j in range(n))
-                    for l in range(n))
-        polytope = RationalPolytope.from_inequalities(rows, ambient=n)
-        return [tuple(int(v) for v in point)
-                for point in polytope.lattice_points(1)]
+        if not all(a_rows[l][j] == (l == j)
+                   and (b_rows[l][j] <= 0 if l < j
+                        else b_rows[l][j] == (l == j))
+                   for l in range(n) for j in range(n)):
+            raise EngineError(
+                "order matrices of a word without repeated letters are not "
+                "unit triangular")
+
+        def tops(pin=None, value=0):
+            top = [0] * n
+            for l in range(n - 1, -1, -1):
+                top[l] = value if l == pin else can[l] - sum(
+                    map(mul, b_rows[l][l + 1:], top[l + 1:]))
+            return top
+
+        hi = tops()
+        if min(hi) < 0:
+            return []
+        lo = [0] * n
+        for m in range(1, n):
+            at0, at1 = tops(m, 0), tops(m, 1)
+            for i in range(m):
+                slope = at1[i] - at0[i]
+                if slope > 0:
+                    lo[m] = max(lo[m], -(at0[i] // slope))
+        if prod(high - low + 1 for low, high in zip(lo, hi)) \
+                > polyhedra._LATTICE_POINT_GUARD:
+            raise Unstable(
+                "lattice point enumeration exceeds the supported size")
+        points = [()]
+        for l in range(n - 1, -1, -1):
+            row = b_rows[l][l + 1:]
+            points = [(x,) + tail for tail in points for x in range(
+                lo[l], can[l] - sum(map(mul, row, tail)) + 1)]
+        return sorted(points)
 
     def _section_weight(self, can, mono) -> Weight | None:
         """Torus weight of t^mono as a section of the canonical class can:

@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
     VerificationFailure,
 )
-from .okounkov import OkounkovEngine, _check_levels
+from .okounkov import OkounkovEngine, _check_levels, _check_run
 from .picard import DivisorClass, PicardLattice
 from .polyhedra import RationalPolytope
 from .rootsys import Weight, bs_character
@@ -191,6 +191,8 @@ def multiplicity_asymptotics(lattice: PicardLattice, divisor: DivisorClass,
         raise ValidationError(
             f"weight has {len(mu_coords)} coordinates, expected "
             f"{expected_dim}")
+    engine = okounkov if okounkov is not None else OkounkovEngine(lattice)
+    _check_run(engine, divisor, levels)
     semigroup = weighted_semigroup(lattice, divisor, levels,
                                    torus_projection)
     weight_polytope = _weight_polytope(semigroup)
@@ -200,7 +202,6 @@ def multiplicity_asymptotics(lattice: PicardLattice, divisor: DivisorClass,
             f"weight {','.join(map(str, mu_coords))} is not in the relative "
             "interior of the weight polytope")
     projection = weight_projection(semigroup)
-    engine = okounkov if okounkov is not None else OkounkovEngine(lattice)
     body = engine.body(divisor, levels)
     d = body.polytope.dim()
     r = weight_polytope.dim()

@@ -1,12 +1,15 @@
 """Independent closed-form oracles that tests freeze expected values against.
 
 Everything here is computed from scratch: textbook formulas and brute-force
-Fraction linear algebra, sharing no code with the package under test.
+Fraction linear algebra, sharing no code with the package under test.  The
+one exception is order_polytope_points, which keeps the package's double
+description: it is the monomial route as it was before back-substitution.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -334,3 +337,35 @@ class FractionSpan:
                 else:
                     row.pop(k, None)
         return None
+
+
+def order_polytope_points(a_rows, b_rows, can):
+    """Lattice points of the order polytope {a >= 0, B a <= A can}, sorted,
+    and the number of points in the bounding box of its vertices.
+
+    The polytope comes by double description (from_inequalities goes H to
+    V, then from V back to H), and every point of the vertex bounding box
+    is tested against every facet.  An empty polytope has a box of 0.
+    """
+    from bottsam.polyhedra import RationalPolytope
+
+    n = len(can)
+    rhs = [sum(a_rows[l][k] * can[k] for k in range(n)) for l in range(n)]
+    rows = [(0,) + tuple(int(pos == j) for pos in range(n))
+            for j in range(n)]
+    rows.extend((rhs[l],) + tuple(-b_rows[l][j] for j in range(n))
+                for l in range(n))
+    polytope = RationalPolytope.from_inequalities(rows, ambient=n)
+    if polytope.is_empty:
+        return [], 0
+    ranges = []
+    for i in range(n):
+        values = [v[i] for v in polytope.vertices]
+        ranges.append(range(math.ceil(min(values)),
+                            math.floor(max(values)) + 1))
+    points = [c for c in itertools.product(*ranges)
+              if all(a[0] + sum(x * y for x, y in zip(a[1:], c)) >= 0
+                     for a in polytope.inequalities)
+              and all(e[0] + sum(x * y for x, y in zip(e[1:], c)) == 0
+                      for e in polytope.equations)]
+    return points, math.prod(len(r) for r in ranges)

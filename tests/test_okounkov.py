@@ -19,7 +19,7 @@ from bottsam import (
     ValidationError,
     bs_character,
 )
-from bottsam import okounkov, rootsys
+from bottsam import okounkov, polyhedra, rootsys
 from bottsam.okounkov import GradedValuationPoint
 from bottsam.valuation import adapted_basis, valuation
 
@@ -251,6 +251,28 @@ def test_hull_prefilter_keeps_the_vertices(request, engine):
     check()
 
 
+def test_monomial_level_sets_run_no_double_description(lattice_a2_12,
+                                                       monkeypatch):
+    """Off the nef cone of a word without a repeated letter, a level set is
+    read off the order matrices by back-substitution: no double
+    description runs."""
+    engine = OkounkovEngine(lattice_a2_12)
+    sweeps = 0
+    sweep = polyhedra._dual_description
+
+    def counted(rows, dim):
+        nonlocal sweeps
+        sweeps += 1
+        return sweep(rows, dim)
+
+    monkeypatch.setattr(polyhedra, "_dual_description", counted)
+    for coords in [(-1, 1), (-2, 3), (-1, 4), (-3, 5)]:
+        assert lattice_a2_12.engine.section_route(can=coords) == "monomial"
+        for level in (1, 2, 3):
+            assert engine.valuation_points(can(*coords), level)
+    assert sweeps == 0
+
+
 def test_sweep_builds_each_class_hull_once(lattice_a2_12, monkeypatch):
     """Work regression for the A2 (1,2) sweep (4,2), (6,3), (8,4).
 
@@ -260,7 +282,10 @@ def test_sweep_builds_each_class_hull_once(lattice_a2_12, monkeypatch):
     341 from 10,399; 8,498 of those points belong to the 113 classes off
     the nef cone, whose level sets come from the monomial route and are
     hulled whole.  Keeping only the ends of each axis-parallel line of a
-    set leaves 1,964 points for those 341 hulls.
+    set leaves 1,964 points for those 341 hulls.  Reading the monomial
+    route's exponents off the triangular order matrix, with no order
+    polytope built by double description, leaves 228 hulls from 1,679
+    points.
 
     The 113 classes off the nef cone read their level sets off monomial
     exponents, with no monomial section basis and no adapted basis (113
@@ -295,7 +320,7 @@ def test_sweep_builds_each_class_hull_once(lattice_a2_12, monkeypatch):
         monkeypatch.setattr(module, name, tallied(name, getattr(module, name)))
     for levels, box in ((4, 2), (6, 3), (8, 4)):
         assert engine.global_cone(levels, box).rays == GOLDEN_RAYS_12
-    assert calls <= 350
-    assert points_in <= 2_100
+    assert calls == 228
+    assert points_in == 1_679
     assert work == {"demazure_operator": 140, "adapted_basis": 0,
                     "monomial_section_basis": 0}

@@ -247,6 +247,38 @@ def test_malformed_polytope_payload_is_rejected():
         polytope_from_payload(bad)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_random_polytope_payloads_roundtrip(dim, data):
+    """A hull of random points in [0,5]^d survives its payload, with the
+    same vertices, inequalities and equations."""
+    points = data.draw(st.lists(st.tuples(*[st.integers(0, 5)] * dim),
+                                min_size=1, max_size=8))
+    polytope = RationalPolytope.from_points(points)
+    back = polytope_from_payload(json.loads(json.dumps(
+        polytope_payload(polytope))))
+    assert back == polytope
+    assert back.inequalities == polytope.inequalities
+    assert back.equations == polytope.equations
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_random_cone_payloads_roundtrip(dim, data):
+    """A cone of random generators in [-3,3]^d, lines included, survives
+    its payload with the same rays and lineality."""
+    gens = data.draw(st.lists(
+        st.tuples(*[st.integers(-3, 3)] * dim).filter(any),
+        min_size=1, max_size=6))
+    cone = RationalCone.from_generators(gens, ambient=dim)
+    back = cone_from_payload(json.loads(json.dumps(cone_payload(cone))))
+    assert back == cone
+    assert back.rays == cone.rays
+    assert back.lineality == cone.lineality
+
+
 def test_cone_payload_roundtrip():
     rays = extreme_rays([(0, 1), (1, 1), (3, 2)])
     cone = RationalCone(2, rays, (), (), ())

@@ -13,13 +13,16 @@ from hypothesis import strategies as st
 
 from bottsam import (
     Basis,
+    CartanDatum,
     DivisorClass,
+    EngineError,
     PicardLattice,
+    Unstable,
     ValidationError,
     WeylWord,
     bs_character,
 )
-from bottsam import sections
+from bottsam import polyhedra, sections
 from bottsam._poly import Polynomial
 from bottsam.sections import (
     GroupModel,
@@ -30,7 +33,7 @@ from bottsam.sections import (
 )
 from bottsam.valuation import adapted_basis, valuation
 
-from oracles import dense_rank, hirzebruch_count
+from oracles import dense_rank, hirzebruch_count, order_polytope_points
 
 
 def poly_terms(section):
@@ -383,6 +386,78 @@ def test_monomial_basis_refuses_repeated_letters(eng121):
         eng121.monomial_section_basis(can=(0, 1, 1))
     with pytest.raises(ValidationError):
         eng121.monomial_exponents(can=(1, -1, 1))
+
+
+MONOMIAL_WORDS = [("A2", (1, 2)), ("A2", (2, 1)), ("B2", (1, 2)),
+                  ("B2", (2, 1)), ("A3", (1, 2, 3)), ("A3", (2, 1, 3)),
+                  ("A3", (3, 2, 1))]
+
+
+def test_monomial_exponents_match_the_double_description(monkeypatch):
+    """Back-substitution on the order matrices gives the lattice points of
+    the order polytope that double description and a box scan give, and
+    with the lattice point guard at 50 it refuses exactly the classes
+    whose vertex bounding box holds more than 50 points."""
+    engines = {(kind, word): SectionEngine(CartanDatum.from_type(kind),
+                                           WeylWord(list(word)))
+               for kind, word in MONOMIAL_WORDS}
+
+    @settings(max_examples=150)
+    @given(st.sampled_from(MONOMIAL_WORDS), st.data())
+    def check(key, data):
+        engine = engines[key]
+        can = data.draw(st.tuples(*[st.integers(-4, 4)] * engine.n))
+        a_rows, b_rows = engine._orders()
+        points, box = order_polytope_points(a_rows, b_rows, can)
+        assert engine.monomial_exponents(can=can) == points
+        with monkeypatch.context() as patch:
+            patch.setattr(polyhedra, "_LATTICE_POINT_GUARD", 50)
+            if box > 50:
+                with pytest.raises(Unstable):
+                    engine.monomial_exponents(can=can)
+            else:
+                assert engine.monomial_exponents(can=can) == points
+
+    check()
+
+
+def test_order_matrices_of_words_without_repeated_letters():
+    """On every word without a repeated letter of A1-A3 and B2 the slot
+    order matrix is the identity and the coordinate order matrix is unit
+    upper triangular with entries <= 0 off the diagonal: the shape that
+    monomial_exponents back-substitutes on."""
+    for kind in ("A1", "A2", "A3", "B2"):
+        datum = CartanDatum.from_type(kind)
+        letters = range(1, datum.rank + 1)
+        for size in letters:
+            for word in itertools.permutations(letters, size):
+                a_rows, b_rows = SectionEngine(datum, WeylWord(list(word))
+                                               )._orders()
+                n = len(word)
+                for l in range(n):
+                    for j in range(n):
+                        assert a_rows[l][j] == (l == j)
+                        if l < j:
+                            assert b_rows[l][j] <= 0
+                        else:
+                            assert b_rows[l][j] == (l == j)
+
+
+@pytest.mark.parametrize("a_rows, b_rows", [
+    (((1, 0), (0, 1)), ((1, 1), (0, 1))),
+    (((1, 0), (0, 1)), ((1, -1), (1, 1))),
+    (((1, 0), (0, 1)), ((2, -1), (0, 1))),
+    (((1, 1), (0, 1)), ((1, -1), (0, 1))),
+], ids=["positive-above", "below-diagonal", "diagonal", "slot-matrix"])
+def test_monomial_route_refuses_untriangular_order_matrices(
+        a2, monkeypatch, a_rows, b_rows):
+    """Order matrices that break the triangular shape are a failed
+    cross-check (exit 4), not an answer."""
+    engine = SectionEngine(a2, WeylWord([1, 2]))
+    monkeypatch.setattr(engine, "_order_matrices", (a_rows, b_rows))
+    with pytest.raises(EngineError) as info:
+        engine.monomial_exponents(can=(-1, 1))
+    assert type(info.value) is EngineError
 
 
 def test_order_matrices(eng12, eng121):
