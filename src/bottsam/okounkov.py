@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import NamedTuple
 
 from .errors import ChamberResolutionFailure, NotNef, Unstable, ValidationError
@@ -27,9 +27,9 @@ from .valuation import adapted_basis, valuation
 # Every level 1..L of an effective class holds at least one point, because
 # multiplying by a section of (k - 1)D is injective, so the same bound caps
 # a level count L and a global cone's levels x (box + 1)^n classes.  It also
-# caps the points of a whole run over levels 1..L of a nef class
-# (_check_run), the sum of its level-set sizes, which are the Demazure
-# dimensions of kD.
+# caps a whole run over levels 1..L (_check_run): the Demazure dimensions of
+# kD for a nef class, and the order-polytope boxes that hold the level sets
+# of a class on the monomial route, summed over the levels.
 _LEVEL_SET_GUARD = 20_000_000
 
 
@@ -44,16 +44,31 @@ def _check_levels(levels: int) -> None:
 
 def _check_run(engine: "OkounkovEngine", divisor: "DivisorClass",
                levels: int) -> None:
-    """Refuse (Unstable) a run over levels 1..levels of a nef class whose
-    level sets together hold more than _LEVEL_SET_GUARD points, before
-    level 1 is computed.  The sizes are the engine's memoized dimensions
-    of k * divisor, summed only until the total passes the guard."""
+    """Refuse (Unstable) a run over levels 1..levels whose level sets
+    together exceed _LEVEL_SET_GUARD points, before level 1 is computed.
+
+    A nef class counts the engine's memoized dimensions of k * divisor; a
+    class on the monomial route counts the points of each level's
+    order-polytope box, which holds the level set and bounds its
+    enumeration.  The sizes are summed only until the total passes the
+    guard.  A class on the glue route is left to the degree-box cap of
+    section_basis_glue, which its levels reach within a few dozen.
+    """
     coords = engine.lattice.canonical(divisor).coords
-    if min(coords, default=0) < 0:
+    sections = engine.lattice.engine
+    route = sections.section_route(can=coords)
+    if route == "spanning":
+        size = engine._dimension
+    elif route == "monomial":
+        def size(mc):
+            box = sections.monomial_box(mc)
+            return 0 if box is None else prod(
+                high - low + 1 for low, high in zip(*box))
+    else:
         return
     total = 0
     for k in range(1, levels + 1):
-        total += engine._dimension(tuple(k * c for c in coords))
+        total += size(tuple(k * c for c in coords))
         if total > _LEVEL_SET_GUARD:
             raise Unstable("level sets of the run exceed the supported size")
 

@@ -733,15 +733,40 @@ class SectionEngine:
         already adapted, and the valuation of t^a is a, so these are also
         the sorted valuations of the class.
 
-        On these words A is the identity and B is unit upper triangular
-        with entries <= 0 off the diagonal (EngineError otherwise), so the
-        polytope is 0 <= a_l <= can_l - sum_{j>l} B_lj a_j and its points
-        come by back-substitution, last coordinate first.  The same
-        recursion gives the bounding box: its upper corner sets each a_l to
-        its top, and the least a_m keeps every earlier top, affine and
-        nondecreasing in a_m, >= 0.  A box of more than
+        The points come by back-substitution, last coordinate first, within
+        the box of monomial_box.  A box of more than
         polyhedra._LATTICE_POINT_GUARD points raises Unstable before
         enumeration.
+        """
+        box = self.monomial_box(can)
+        if box is None:
+            return []
+        lo, hi = box
+        if prod(high - low + 1 for low, high in zip(lo, hi)) \
+                > polyhedra._LATTICE_POINT_GUARD:
+            raise Unstable(
+                "lattice point enumeration exceeds the supported size")
+        can = self._canonical_degree(can)
+        b_rows = self._orders()[1]
+        points = [()]
+        for l in range(self.n - 1, -1, -1):
+            row = b_rows[l][l + 1:]
+            points = [(x,) + tail for tail in points for x in range(
+                lo[l], can[l] - sum(map(mul, row, tail)) + 1)]
+        return sorted(points)
+
+    def monomial_box(self, can: Sequence[int]
+                     ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """Corners (lo, hi) of the bounding box of the exponent vectors of
+        monomial_exponents, or None when the class has no sections.
+
+        On words without repeated letters A is the identity and B is unit
+        upper triangular with entries <= 0 off the diagonal (EngineError
+        otherwise), so the exponents are the points of
+        0 <= a_l <= can_l - sum_{j>l} B_lj a_j.  The upper corner sets each
+        a_l to its top, last coordinate first, and the class is empty when
+        a top is negative; the least a_m keeps every earlier top, affine
+        and nondecreasing in a_m, >= 0.
         """
         if not self.is_multiplicity_free():
             raise ValidationError(
@@ -766,7 +791,7 @@ class SectionEngine:
 
         hi = tops()
         if min(hi) < 0:
-            return []
+            return None
         lo = [0] * n
         for m in range(1, n):
             at0, at1 = tops(m, 0), tops(m, 1)
@@ -774,16 +799,7 @@ class SectionEngine:
                 slope = at1[i] - at0[i]
                 if slope > 0:
                     lo[m] = max(lo[m], -(at0[i] // slope))
-        if prod(high - low + 1 for low, high in zip(lo, hi)) \
-                > polyhedra._LATTICE_POINT_GUARD:
-            raise Unstable(
-                "lattice point enumeration exceeds the supported size")
-        points = [()]
-        for l in range(n - 1, -1, -1):
-            row = b_rows[l][l + 1:]
-            points = [(x,) + tail for tail in points for x in range(
-                lo[l], can[l] - sum(map(mul, row, tail)) + 1)]
-        return sorted(points)
+        return tuple(lo), tuple(hi)
 
     def _section_weight(self, can, mono) -> Weight | None:
         """Torus weight of t^mono as a section of the canonical class can:

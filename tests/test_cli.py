@@ -309,16 +309,18 @@ def test_unbounded_level_counts_exit_3_at_once(capsys, argv, message):
     assert elapsed < 1.0
 
 
-@pytest.mark.parametrize("command, extra", [
-    ("body", []), ("weights", ["--mu", "0,0"])])
+@pytest.mark.parametrize("command, bundle, extra", [
+    ("body", "can:1,1", []), ("weights", "can:1,1", ["--mu", "0,0"]),
+    ("body", "can:-1,3", [])], ids=["body", "weights", "body-monomial"])
 def test_run_past_the_level_set_guard_exits_3_at_once(capsys, command,
-                                                       extra):
-    """1000 levels of can:1,1 each fit the level-set guard, but together
-    they hold far more points: the run is refused before level 1, from
-    the summed Demazure dimensions, instead of running for hours."""
+                                                       bundle, extra):
+    """1000 levels of a class each fit the level-set guard, but together
+    they hold far more points: the run is refused before level 1, from the
+    summed Demazure dimensions (nef can:1,1) or order-polytope boxes
+    (can:-1,3, on the monomial route), instead of running for hours."""
     start = time.process_time()
     code = main([command, "--type", "A2", "--word", "1,2",
-                 "--bundle", "can:1,1", "--max-level", "1000", *extra])
+                 "--bundle", bundle, "--max-level", "1000", *extra])
     elapsed = time.process_time() - start
     captured = capsys.readouterr()
     assert code == 3

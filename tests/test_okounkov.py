@@ -107,6 +107,21 @@ def test_level_counts_above_the_guard_are_refused_at_once(okounkov_a2_12):
         okounkov_a2_12.global_cone(2, huge)
 
 
+@pytest.mark.parametrize("engine, coords, last", [
+    ("okounkov_a2_12", (1, 1), 340),
+    ("okounkov_a2_12", (-1, 3), 245),
+    ("okounkov_b2_12", (-1, 3), 245),
+], ids=["nef", "monomial-a2", "monomial-b2"])
+def test_run_guard_sums_the_levels(request, engine, coords, last):
+    """The run guard sums the level-set sizes of levels 1..L, Demazure
+    dimensions on the nef cone and order-polytope boxes on the monomial
+    route, and refuses the first L whose sum passes the guard."""
+    engine = request.getfixturevalue(engine)
+    okounkov._check_run(engine, can(*coords), last)
+    with pytest.raises(Unstable):
+        okounkov._check_run(engine, can(*coords), last + 1)
+
+
 def test_volume_check_report(okounkov_a2_12):
     report = okounkov_a2_12.volume_check(can(1, 1), 8)
     assert report["hull_volume"] == Fraction(3, 2)

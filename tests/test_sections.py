@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from importlib import resources
 
@@ -397,7 +398,8 @@ def test_monomial_exponents_match_the_double_description(monkeypatch):
     """Back-substitution on the order matrices gives the lattice points of
     the order polytope that double description and a box scan give, and
     with the lattice point guard at 50 it refuses exactly the classes
-    whose vertex bounding box holds more than 50 points."""
+    whose vertex bounding box holds more than 50 points.  monomial_box
+    spans the same box, so the run guard sums what the oracle would."""
     engines = {(kind, word): SectionEngine(CartanDatum.from_type(kind),
                                            WeylWord(list(word)))
                for kind, word in MONOMIAL_WORDS}
@@ -410,6 +412,9 @@ def test_monomial_exponents_match_the_double_description(monkeypatch):
         a_rows, b_rows = engine._orders()
         points, box = order_polytope_points(a_rows, b_rows, can)
         assert engine.monomial_exponents(can=can) == points
+        bounds = engine.monomial_box(can)
+        assert box == (0 if bounds is None else math.prod(
+            high - low + 1 for low, high in zip(*bounds)))
         with monkeypatch.context() as patch:
             patch.setattr(polyhedra, "_LATTICE_POINT_GUARD", 50)
             if box > 50:
