@@ -468,17 +468,6 @@ def extreme_rays(vectors: Sequence[Sequence],
     return list(cone.rays)
 
 
-def minkowski_sum(first: RationalPolytope,
-                  second: RationalPolytope) -> RationalPolytope:
-    if first.ambient != second.ambient:
-        raise ValidationError("Minkowski sum needs matching ambient dimensions")
-    if first.is_empty or second.is_empty:
-        return RationalPolytope.empty(first.ambient)
-    sums = [tuple(a + b for a, b in zip(u, v))
-            for u in first.vertices for v in second.vertices]
-    return RationalPolytope.from_points(sums, first.ambient)
-
-
 # ----- JSON payloads ---------------------------------------------------------
 #
 # All integers travel as decimal strings so arbitrary precision survives any

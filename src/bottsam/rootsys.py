@@ -68,15 +68,15 @@ class Weight:
         return f"Weight({list(self.coords)})"
 
 
-def _cartan_entry(value) -> int:
-    """An integer Cartan entry; a fractional or non-numeric one is refused
-    rather than truncated."""
+def _integer_entry(value, what: str) -> int:
+    """An integer matrix entry; a fractional or non-numeric one is refused,
+    naming what it is an entry of, rather than truncated."""
     try:
         if int(value) == value:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ValidationError(f"Cartan matrix entry {value!r} is not an integer")
+    raise ValidationError(f"{what} entry {value!r} is not an integer")
 
 
 class CartanDatum:
@@ -85,7 +85,8 @@ class CartanDatum:
     __slots__ = ("rank", "matrix")
 
     def __init__(self, matrix: Sequence[Sequence[int]]):
-        rows = tuple(tuple(_cartan_entry(v) for v in row) for row in matrix)
+        rows = tuple(tuple(_integer_entry(v, "Cartan matrix") for v in row)
+                     for row in matrix)
         rank = len(rows)
         if rank == 0 or any(len(row) != rank for row in rows):
             raise ValidationError("Cartan matrix must be square and nonempty")

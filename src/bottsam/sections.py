@@ -105,18 +105,23 @@ class FundamentalRep:
             self._check_commutator(j)
 
     def _check_commutator(self, j: int) -> None:
-        e = self.raising_matrix(j)
-        f = self.lowering_matrix(j)
-        d = self.dim
-        for r in range(d):
-            for c in range(d):
-                ef = sum(e[r][k] * f[k][c] for k in range(d))
-                fe = sum(f[r][k] * e[k][c] for k in range(d))
-                expect = self.weights[r][j - 1] if r == c else 0
-                if ef - fe != expect:
-                    raise ValidationError(
-                        f"[e_{j}, f_{j}] is not the coweight action; "
-                        "representation data is inconsistent")
+        """[e_j, f_j] = h_j on the stored entries: (AB)[r][c] sums
+        A[r][k] B[k][c] over nonzero entries only, with no dense matrix."""
+        bracket = {(r, r): -self.weights[r][j - 1] for r in range(self.dim)}
+        for left, right, sign in ((self.raising[j], self.lowering[j], 1),
+                                  (self.lowering[j], self.raising[j], -1)):
+            # A repeated position keeps its last triple, as in _dense.
+            column: dict[int, dict[int, int]] = {}
+            for to, frm, coeff in left:
+                column.setdefault(frm, {})[to] = coeff
+            for (k, c), b in {(to, frm): coeff
+                              for to, frm, coeff in right}.items():
+                for r, a in column.get(k, {}).items():
+                    bracket[r, c] = bracket.get((r, c), 0) + sign * a * b
+        if any(bracket.values()):
+            raise ValidationError(
+                f"[e_{j}, f_{j}] is not the coweight action; "
+                "representation data is inconsistent")
 
     def _dense(self, triples) -> list[list[int]]:
         mat = [[0] * self.dim for _ in range(self.dim)]
@@ -720,7 +725,7 @@ class SectionEngine:
         t^a for each exponent vector a of monomial_exponents."""
         can = self._canonical_degree(can)
         return [SectionPoly(Polynomial.monomial(self.n, mono), can,
-                            self._section_weight(can, mono))
+                            self.section_weight(can, mono))
                 for mono in self.monomial_exponents(can)]
 
     def monomial_exponents(self, can: Sequence[int]) -> list[tuple[int, ...]]:
@@ -801,10 +806,13 @@ class SectionEngine:
                     lo[m] = max(lo[m], -(at0[i] // slope))
         return tuple(lo), tuple(hi)
 
-    def _section_weight(self, can, mono) -> Weight | None:
+    def section_weight(self, can, mono) -> Weight | None:
         """Torus weight of t^mono as a section of the canonical class can:
-        the bundle weight minus the simple roots the exponents drop.  None
-        for effective coordinates, whose sections stay unlabeled."""
+        the bundle weight minus the simple roots the exponents drop.  The
+        one weight rule: it labels the glue and monomial routes' sections
+        and, as a homogeneous section has the weight of its valuation
+        monomial, the points of weighted_semigroup.  None for effective
+        coordinates, whose sections stay unlabeled."""
         if can is None:
             return None
         coords = [0] * self.datum.rank
@@ -872,7 +880,7 @@ class SectionEngine:
                     break
             if not vectors:
                 continue
-            weight = self._section_weight(can, cands[0])
+            weight = self.section_weight(can, cands[0])
             for vec in vectors:
                 poly = Polynomial(self.n, {cands[i]: c
                                            for i, c in vec.items()})

@@ -1,11 +1,13 @@
 """Torus weights over the valuation semigroup and their asymptotics.
 
-Every section in an adapted basis carries a torus weight; recording it next
-to the valuation gives a weighted semigroup on which the weight map must be
-well defined and, in all computed cases, affine in (valuation, level).
-Slicing the Okounkov body along a fiber of that map gives the polytope
-whose lattice-normalized volume governs the growth of weight-space
-dimensions.
+Every section in an adapted basis is torus homogeneous, and its valuation
+is one of its monomials, in which t_j has weight -alpha_{i_j}.  So the
+weight of a level-k point nu is the bundle weight of k D minus
+sum_j nu_j alpha_{i_j}: recording it next to the valuation gives a weighted
+semigroup on which the weight map is affine by construction in
+(valuation, level).  Slicing the Okounkov body along a fiber of that map
+gives the polytope whose lattice-normalized volume governs the growth of
+weight-space dimensions.
 """
 
 from __future__ import annotations
@@ -15,18 +17,11 @@ from math import lcm
 from typing import Sequence
 
 from ._kernel import solve_dense
-from .errors import (
-    NonIntegralAll,
-    NotAffine,
-    NotInterior,
-    ValidationError,
-    VerificationFailure,
-)
+from .errors import NonIntegralAll, NotAffine, NotInterior, ValidationError
 from .okounkov import OkounkovEngine, _check_levels, _check_run
 from .picard import DivisorClass, PicardLattice
 from .polyhedra import RationalPolytope
-from .rootsys import Weight, bs_character
-from .valuation import adapted_basis, valuation
+from .rootsys import Weight, _integer_entry, bs_character
 
 
 class WeightedSemigroup:
@@ -45,7 +40,11 @@ class WeightedSemigroup:
 def _coerce_projection(torus_projection, rank: int):
     if torus_projection is None:
         return None
-    rows = tuple(tuple(int(v) for v in row) for row in torus_projection)
+    if not all(isinstance(row, (list, tuple)) for row in torus_projection):
+        raise ValidationError(
+            "torus projection rows must be lists of integers")
+    rows = tuple(tuple(_integer_entry(v, "torus projection") for v in row)
+                 for row in torus_projection)
     if not rows or any(len(row) != rank for row in rows):
         raise ValidationError(
             f"torus projection rows must have length {rank}")
@@ -59,37 +58,27 @@ def _project(weight: Weight, projection) -> tuple:
                  for row in projection)
 
 
-def weighted_semigroup(lattice: PicardLattice, divisor: DivisorClass,
+def weighted_semigroup(engine: OkounkovEngine, divisor: DivisorClass,
                        levels: int,
                        torus_projection=None) -> WeightedSemigroup:
     """Collect (valuation, level, weight) triples for levels 1..levels.
 
-    Raises VerificationFailure if one (valuation, level) pair ever carries
-    two different weights; that well-definedness is the content of the
-    weight map existing at all.
+    The points are the engine's level sets, each labeled by
+    SectionEngine.section_weight in the canonical class of its level, the
+    weight rule of every section the package builds.  A run whose level
+    sets exceed the guard raises Unstable before level 1.
     """
     _check_levels(levels)
+    lattice = engine.lattice
     projection = _coerce_projection(torus_projection, lattice.datum.rank)
-    seen: dict[tuple, tuple] = {}
+    _check_run(engine, divisor, levels)
+    label = lattice.engine.section_weight
     triples = []
     for k in range(1, levels + 1):
         mc = lattice.canonical(divisor.scaled(k)).coords
-        for section in adapted_basis(lattice.engine.section_basis(can=mc)):
-            if section.weight is None:
-                raise ValidationError(
-                    "sections must carry torus weights; use the canonical "
-                    "route")
-            nu = valuation(section)
-            mu = _project(section.weight, projection)
-            prior = seen.get((nu, k))
-            if prior is not None and prior != mu:
-                raise VerificationFailure(
-                    f"valuation {nu} at level {k} carries two weights "
-                    f"{prior} and {mu}; the weight map is ill defined")
-            seen[(nu, k)] = mu
-            triples.append((nu, k, mu))
-    width = len(triples[0][2]) if triples else \
-        (len(projection) if projection else lattice.datum.rank)
+        triples.extend((nu, k, _project(label(mc, nu), projection))
+                       for nu in engine.valuation_points(divisor, k))
+    width = len(projection) if projection else lattice.datum.rank
     return WeightedSemigroup(divisor, levels, triples, width)
 
 
@@ -170,8 +159,7 @@ def _fiber_equalities(projection: WeightProjection,
 def multiplicity_asymptotics(lattice: PicardLattice, divisor: DivisorClass,
                              mu, levels: int,
                              torus_projection=None,
-                             require_interior: bool = True,
-                             okounkov: OkounkovEngine | None = None) -> dict:
+                             require_interior: bool = True) -> dict:
     """Weight-space dimensions against the sliced Okounkov body.
 
     Reports dim W_{k mu} for each level with k mu integral, the slice
@@ -191,10 +179,8 @@ def multiplicity_asymptotics(lattice: PicardLattice, divisor: DivisorClass,
         raise ValidationError(
             f"weight has {len(mu_coords)} coordinates, expected "
             f"{expected_dim}")
-    engine = okounkov if okounkov is not None else OkounkovEngine(lattice)
-    _check_run(engine, divisor, levels)
-    semigroup = weighted_semigroup(lattice, divisor, levels,
-                                   torus_projection)
+    engine = OkounkovEngine(lattice)
+    semigroup = weighted_semigroup(engine, divisor, levels, projection_rows)
     weight_polytope = _weight_polytope(semigroup)
     interior = _in_relative_interior(weight_polytope, mu_coords)
     if require_interior and not interior:

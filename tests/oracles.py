@@ -2,8 +2,11 @@
 
 Everything here is computed from scratch: textbook formulas and brute-force
 Fraction linear algebra, sharing no code with the package under test.  The
-one exception is order_polytope_points, which keeps the package's double
-description: it is the monomial route as it was before back-substitution.
+exceptions keep an older route of the package: order_polytope_points keeps
+its double description, the monomial route as it was before
+back-substitution, and section_weight_triples keeps the section spaces and
+adapted bases that weighted semigroups were read off before they labeled
+the level sets.
 """
 
 from __future__ import annotations
@@ -369,3 +372,41 @@ def order_polytope_points(a_rows, b_rows, can):
               and all(e[0] + sum(x * y for x, y in zip(e[1:], c)) == 0
                       for e in polytope.equations)]
     return points, math.prod(len(r) for r in ranges)
+
+
+def section_weight_triples(lattice, divisor, levels):
+    """(valuation, level, weight coordinates) triples read off built
+    sections, sorted.
+
+    Each level's section space comes from the package's route rule and is
+    triangularized to an adapted basis; every section carries the weight
+    its route gave it, on the spanning route the sum of the representation
+    model's weight vectors over its slot factors.
+    """
+    from bottsam.valuation import adapted_basis, valuation
+
+    triples = []
+    for k in range(1, levels + 1):
+        mc = lattice.canonical(divisor.scaled(k)).coords
+        for section in adapted_basis(lattice.engine.section_basis(can=mc)):
+            triples.append((valuation(section), k, section.weight.coords))
+    return sorted(triples)
+
+
+def commutator_holds(weights, raising, lowering, j):
+    """[e_j, f_j] = diag(weights[r][j - 1]) with dense matrices built from
+    (to, from, coeff) triples, a repeated position keeping its last triple,
+    multiplied entry by entry."""
+    d = len(weights)
+    e = [[0] * d for _ in range(d)]
+    f = [[0] * d for _ in range(d)]
+    for mat, triples in ((e, raising), (f, lowering)):
+        for to, frm, coeff in triples:
+            mat[to][frm] = coeff
+    for r in range(d):
+        for c in range(d):
+            ef = sum(e[r][k] * f[k][c] for k in range(d))
+            fe = sum(f[r][k] * e[k][c] for k in range(d))
+            if ef - fe != (weights[r][j - 1] if r == c else 0):
+                return False
+    return True

@@ -330,6 +330,40 @@ def test_run_past_the_level_set_guard_exits_3_at_once(capsys, command,
     assert elapsed < 2.0
 
 
+def test_high_rank_type_a_models_build_quickly(capsys):
+    """The commutator check of the A10 model runs on the stored action
+    entries; on dense 462 x 462 matrices it did not finish in 300 s."""
+    start = time.process_time()
+    code = main(["body", "--type", "A10", "--word", "1",
+                 "--bundle", "can:1", "--max-level", "1"])
+    elapsed = time.process_time() - start
+    capsys.readouterr()
+    assert code == 0
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("content, message", [
+    ('[["x", 0]]', "torus projection entry 'x' is not an integer"),
+    ("[1, 2]", "torus projection rows must be lists of integers"),
+    ("[[1.5, 0]]", "torus projection entry 1.5 is not an integer"),
+], ids=["string", "flat", "fraction"])
+def test_bad_projection_files_exit_2_with_one_line(tmp_path, capsys,
+                                                   content, message):
+    path = tmp_path / "proj.json"
+    argv = ["weights", "--type", "A2", "--word", "1,2", "--bundle",
+            "can:2,1", "--mu", "1", "--torus-proj-file", str(path),
+            "--max-level", "2"]
+    path.write_text(content)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+    path.write_text("[[1, 0]]")
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["weight_dimension"] == 1
+
+
 def test_engine_failures_exit_4(capsys, monkeypatch):
     from bottsam import VerificationFailure
 

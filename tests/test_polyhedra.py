@@ -23,7 +23,6 @@ from bottsam.polyhedra import (
     cone_from_payload,
     cone_payload,
     extreme_rays,
-    minkowski_sum,
     polytope_from_payload,
     polytope_payload,
     primitive_vector,
@@ -190,13 +189,6 @@ def test_lattice_points_match_brute_force(dim, data, k):
     polytope = RationalPolytope.from_points(data.draw(point_sets(dim)))
     assert polytope.lattice_points(k) == \
         brute_force_lattice_points(polytope, k)
-
-
-def test_minkowski_sum_of_segments_is_square():
-    square = minkowski_sum(RationalPolytope.from_points([(0, 0), (1, 0)]),
-                           RationalPolytope.from_points([(0, 0), (0, 1)]))
-    assert sorted(square.vertices) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert square.volume() == 1
 
 
 def test_polytope_payload_roundtrip():

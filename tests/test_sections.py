@@ -26,6 +26,7 @@ from bottsam import (
 from bottsam import polyhedra, sections
 from bottsam._poly import Polynomial
 from bottsam.sections import (
+    FundamentalRep,
     GroupModel,
     SectionEngine,
     _ChartFrame,
@@ -34,7 +35,12 @@ from bottsam.sections import (
 )
 from bottsam.valuation import adapted_basis, valuation
 
-from oracles import dense_rank, hirzebruch_count, order_polytope_points
+from oracles import (
+    commutator_holds,
+    dense_rank,
+    hirzebruch_count,
+    order_polytope_points,
+)
 
 
 def poly_terms(section):
@@ -571,6 +577,45 @@ def test_group_model_refuses_fractional_cartan_entries(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValidationError, match="-1.5"):
         GroupModel.from_file(str(path))
+
+
+REPS = [(model.datum, i, rep)
+        for model in (GroupModel.type_a(2), GroupModel.type_a(3),
+                      GroupModel.bundled("B2"))
+        for i, rep in sorted(model.reps.items())]
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_commutator_check_refuses_what_the_dense_check_refuses(data):
+    """One coefficient of the A2 or A3 exterior powers or of B2.json set to
+    a nonzero value (so the weight shifts still hold) is refused exactly
+    when [e_j, f_j] = h_j fails for some j on dense matrices."""
+    datum, fundamental, rep = data.draw(st.sampled_from(REPS))
+    actions = {"lowering": {j: list(t) for j, t in rep.lowering.items()},
+               "raising": {j: list(t) for j, t in rep.raising.items()}}
+    kind = data.draw(st.sampled_from(sorted(actions)))
+    j, pos = data.draw(st.sampled_from(
+        [(j, pos) for j, trips in sorted(actions[kind].items())
+         for pos in range(len(trips))]))
+    to, frm, _ = actions[kind][j][pos]
+    actions[kind][j][pos] = (to, frm, data.draw(
+        st.integers(-3, 3).filter(bool)))
+    weights = [w.coords for w in rep.weights]
+    holds = all(commutator_holds(weights, sorted(actions["raising"][k]),
+                                 sorted(actions["lowering"][k]), k)
+                for k in range(1, datum.rank + 1))
+
+    def build():
+        return FundamentalRep(datum, fundamental, weights, rep.highest,
+                              actions["lowering"], actions["raising"])
+
+    if holds:
+        build()
+    else:
+        with pytest.raises(ValidationError,
+                           match="is not the coweight action"):
+            build()
 
 
 def test_unknown_bundled_model():

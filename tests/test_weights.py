@@ -2,32 +2,47 @@
 
 from __future__ import annotations
 
+import itertools
+import sys
+import time
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bottsam import (
     Basis,
+    CartanDatum,
     DivisorClass,
     NonIntegralAll,
     NotAffine,
     NotInterior,
     OkounkovEngine,
+    PicardLattice,
+    Unstable,
     WeightedSemigroup,
+    WeylWord,
     bs_character,
     multiplicity_asymptotics,
     slice_lattice_count,
     weight_projection,
     weighted_semigroup,
 )
+from bottsam import cli
+from bottsam.sections import SectionEngine, SectionPoly
+from bottsam.valuation import adapted_basis
+
+from oracles import section_weight_triples
 
 
 def can(coords):
     return DivisorClass(coords, Basis.CANONICAL)
 
 
-def test_base_weighted_semigroup(lattice_a1):
-    semigroup = weighted_semigroup(lattice_a1, can((3,)), 2)
+def test_base_weighted_semigroup(okounkov_a1):
+    semigroup = weighted_semigroup(okounkov_a1, can((3,)), 2)
     assert semigroup.weight_dim == 1
     assert semigroup.levels == 2
     for nu, level, mu in semigroup.triples:
@@ -37,8 +52,8 @@ def test_base_weighted_semigroup(lattice_a1):
     assert level_one == [(-3,), (-1,), (1,), (3,)]
 
 
-def test_base_weight_projection(lattice_a1):
-    semigroup = weighted_semigroup(lattice_a1, can((3,)), 2)
+def test_base_weight_projection(okounkov_a1):
+    semigroup = weighted_semigroup(okounkov_a1, can((3,)), 2)
     projection = weight_projection(semigroup)
     assert projection.matrix == ((Fraction(-2),),)
     assert projection.level_part == (Fraction(3),)
@@ -46,8 +61,8 @@ def test_base_weight_projection(lattice_a1):
     assert projection.apply((0,), 2) == (Fraction(6),)
 
 
-def test_weights_match_the_character(lattice_a2_12, a2):
-    semigroup = weighted_semigroup(lattice_a2_12, can((1, 1)), 2)
+def test_weights_match_the_character(okounkov_a2_12, a2):
+    semigroup = weighted_semigroup(okounkov_a2_12, can((1, 1)), 2)
     for level in (1, 2):
         counted: dict[tuple, int] = {}
         for nu, k, mu in semigroup.triples:
@@ -57,9 +72,9 @@ def test_weights_match_the_character(lattice_a2_12, a2):
         assert counted == {w.coords: m for w, m in character.terms.items()}
 
 
-def test_slice_counts_partition_the_level(lattice_a2_12, okounkov_a2_12):
+def test_slice_counts_partition_the_level(okounkov_a2_12):
     divisor = can((1, 1))
-    semigroup = weighted_semigroup(lattice_a2_12, divisor, 2)
+    semigroup = weighted_semigroup(okounkov_a2_12, divisor, 2)
     projection = weight_projection(semigroup)
     body = okounkov_a2_12.body(divisor, 4)
     level_one = [(nu, mu) for nu, level, mu in semigroup.triples
@@ -153,9 +168,118 @@ def test_subtorus_projection(lattice_a2_12, a2):
         assert row["dimension"] == expected
 
 
-def test_weighted_semigroup_reuses_an_engine(lattice_a2_12, okounkov_a2_12):
+def test_weighted_semigroup_reuses_an_engine(lattice_a2_12, monkeypatch):
+    """multiplicity_asymptotics builds one engine for the semigroup and the
+    body, so each level set is computed once."""
+    calls = []
+    compute = OkounkovEngine._compute_points
+
+    def counted(self, mc):
+        calls.append(mc)
+        return compute(self, mc)
+
+    monkeypatch.setattr(OkounkovEngine, "_compute_points", counted)
     report = multiplicity_asymptotics(
-        lattice_a2_12, can((1, 1)), (0, 0), 3, okounkov=okounkov_a2_12,
-        require_interior=False)
+        lattice_a2_12, can((1, 1)), (0, 0), 3, require_interior=False)
     assert [row["dimension"] for row in report["levels"]] == [1, 1, 1]
     assert not report["interior"]
+    assert calls == [(1, 1), (2, 2), (3, 3)]
+
+
+# (type, word, coordinate range, levels): every canonical class of the box
+# is a case, effective or not.
+GRIDS = (
+    ("A1", (1,), range(-1, 4), 4),
+    ("A2", (1, 2), range(-1, 3), 4), ("A2", (2, 1), range(-1, 3), 4),
+    ("B2", (1, 2), range(-1, 3), 4), ("B2", (2, 1), range(-1, 3), 4),
+    ("A2", (1, 2, 1), range(-1, 2), 3),
+    ("A3", (1, 2, 3), range(-1, 2), 2), ("A3", (2, 1, 3), range(-1, 2), 2),
+    ("B2", (1, 2, 1), range(-1, 2), 2),
+)
+CASES = [(cartan, word, coords, levels)
+         for cartan, word, box, levels in GRIDS
+         for coords in itertools.product(box, repeat=len(word))]
+
+
+@pytest.fixture(scope="module")
+def section_route():
+    """Per case, an engine of its word and the oracle's triples."""
+    engines = {}
+    cases = {}
+    for case in CASES:
+        cartan, word, coords, levels = case
+        if (cartan, word) not in engines:
+            engines[cartan, word] = OkounkovEngine(PicardLattice(
+                CartanDatum.from_type(cartan), WeylWord(word)))
+        engine = engines[cartan, word]
+        cases[case] = (engine, section_weight_triples(
+            engine.lattice, can(coords), levels))
+    return cases
+
+
+@settings(max_examples=5)
+@given(data=st.data())
+def test_weighted_semigroup_matches_the_section_route(section_route, data):
+    """On every canonical class of the grids, labeling the engine's level
+    sets with section_weight gives the triples that adapted bases of the
+    built section spaces carry, the representation model's weights on the
+    spanning route included; with a drawn projection row per class, it
+    gives their projections."""
+    assert sum(bool(expected) for _, expected in section_route.values()) \
+        == 96
+    for case, (engine, expected) in section_route.items():
+        coords, levels = case[2:]
+        semigroup = weighted_semigroup(engine, can(coords), levels)
+        assert sorted(semigroup.triples) == expected, case
+        row = data.draw(st.tuples(
+            *[st.integers(-2, 2)] * engine.lattice.datum.rank))
+        semigroup = weighted_semigroup(engine, can(coords), levels, [row])
+        assert sorted(semigroup.triples) == sorted(
+            (nu, k, (sum(map(mul, row, mu)),)) for nu, k, mu in expected), \
+            (case, row)
+        assert semigroup.weight_dim == 1
+
+
+def test_weighted_semigroup_refuses_a_long_run_at_once(lattice_a2_12):
+    """The run guard of the body guards the semigroup too: 1000 levels of
+    can:1,1 on A2 (1,2) are refused before level 1."""
+    engine = OkounkovEngine(lattice_a2_12)
+    start = time.process_time()
+    with pytest.raises(Unstable,
+                       match="level sets of the run exceed the supported"):
+        weighted_semigroup(engine, can((1, 1)), 1000)
+    assert time.process_time() - start < 1.0
+    assert len(engine._points) == 1
+
+
+def test_weights_job_builds_no_sections(capsys, monkeypatch):
+    """Work pins for `weights --type A2 --word 1,2,1 --bundle can:0,1,1
+    --mu 0,0 --max-level 5`: the semigroup labels the engine's level sets,
+    so the job builds no section space (from 5 section_basis_nef calls,
+    6,972 products and 5 adapted bases when each level's sections were
+    rebuilt), and it computes each of the 5 level sets once, for the
+    semigroup and the body together."""
+    counts = dict.fromkeys(("nef", "multiplied", "adapted", "points"), 0)
+
+    def counted(name, call):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return call(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(SectionEngine, "section_basis_nef", counted(
+        "nef", SectionEngine.section_basis_nef))
+    monkeypatch.setattr(SectionPoly, "multiplied", counted(
+        "multiplied", SectionPoly.multiplied))
+    monkeypatch.setattr(OkounkovEngine, "_compute_points", counted(
+        "points", OkounkovEngine._compute_points))
+    adapted = counted("adapted", adapted_basis)
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("bottsam") \
+                and getattr(module, "adapted_basis", None) is adapted_basis:
+            monkeypatch.setattr(module, "adapted_basis", adapted)
+    assert cli.main(["weights", "--type", "A2", "--word", "1,2,1",
+                     "--bundle", "can:0,1,1", "--mu", "0,0",
+                     "--max-level", "5"]) == 0
+    capsys.readouterr()
+    assert counts == {"nef": 0, "multiplied": 0, "adapted": 0, "points": 5}
