@@ -322,14 +322,17 @@ class OkounkovEngine:
     # ----- bodies -----------------------------------------------------------
 
     def body(self, divisor: DivisorClass, levels: int) -> OkounkovBody:
-        """Hull of valuation points scaled by their level, up to a cap."""
+        """Hull of valuation points scaled by their level, up to a cap.
+
+        It is taken of the memoized hull vertices of each level set, scaled
+        by 1/k: the hull of a union of hulls is the hull of their vertices.
+        """
         _check_levels(levels)
         self._require_effective(divisor)
         _check_run(self, divisor, levels)
-        points = []
-        for k in range(1, levels + 1):
-            for nu in self.valuation_points(divisor, k):
-                points.append(tuple(Fraction(v, k) for v in nu))
+        points = [tuple(Fraction(v, k) for v in vert)
+                  for k in range(1, levels + 1)
+                  for vert in self._level_vertices(divisor, k)]
         polytope = RationalPolytope.from_points(points, ambient=self.n)
         return OkounkovBody(polytope, divisor, levels)
 
@@ -367,11 +370,18 @@ class OkounkovEngine:
         } - {(0,) * self.n})
         gens = set()
         for q in totals:
-            divisor = DivisorClass(q, Basis.EFFECTIVE)
-            if self.valuation_points(divisor):
-                mc = self.lattice.canonical(divisor).coords
-                gens.update(vert + q for vert in self._hull_vertices(mc))
+            gens.update(vert + q for vert in self._level_vertices(
+                DivisorClass(q, Basis.EFFECTIVE)))
         return sorted(gens)
+
+    def _level_vertices(self, divisor: DivisorClass,
+                        level: int = 1) -> list[tuple[int, ...]]:
+        """Memoized hull vertices of the level set of level * divisor; none
+        when the level set is empty."""
+        if not self.valuation_points(divisor, level):
+            return []
+        return self._hull_vertices(
+            self.lattice.canonical(divisor.scaled(level)).coords)
 
     # ----- surface recipe -----------------------------------------------------
 
@@ -510,12 +520,12 @@ class OkounkovEngine:
             raise ValidationError("restriction needs a word of length "
                                   "at least 2")
         _check_levels(levels)
-        image_points = []
-        for k in range(1, levels + 1):
-            for nu in self.valuation_points(divisor, k):
-                if nu[0] == 0:
-                    image_points.append(
-                        tuple(Fraction(v, k) for v in nu[1:]))
+        # Valuations are >= 0, so {nu_1 = 0} is a face of each level's hull,
+        # spanned by the hull vertices on it.
+        image_points = [tuple(Fraction(v, k) for v in vert[1:])
+                        for k in range(1, levels + 1)
+                        for vert in self._level_vertices(divisor, k)
+                        if vert[0] == 0]
         image = RationalPolytope.from_points(image_points,
                                              ambient=self.n - 1)
         inner = self._truncated_engine()

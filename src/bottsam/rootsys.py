@@ -69,10 +69,10 @@ class Weight:
 
 
 def _integer_entry(value, what: str) -> int:
-    """An integer matrix entry; a fractional or non-numeric one is refused,
-    naming what it is an entry of, rather than truncated."""
+    """An integer matrix entry; a fractional, boolean or non-numeric one is
+    refused, naming what it is an entry of, rather than truncated."""
     try:
-        if int(value) == value:
+        if not isinstance(value, bool) and int(value) == value:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass

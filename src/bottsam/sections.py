@@ -1,11 +1,16 @@
 """Section spaces of line bundles on Bott-Samelson varieties.
 
 The variety for a reduced word is covered by 2^n affine charts, one for each
-subset of slots where the defining P^1-bundle coordinate is inverted.  Every
-chart is computed symbolically from exact matrices of the fundamental
-representations: chart coordinates x give the open-cell coordinates t as
-ratios of matrix pairings, and each slot contributes a polynomial factor that
-trivializes the corresponding line bundle on that chart.
+subset of slots where the defining P^1-bundle coordinate is inverted.  A
+point is a chain g_1, ..., g_n of group elements, and every chart
+coordinate, slot factor and slot section is an entry of an orbit vector
+g_1 ... g_j v_hw, v_hw a highest-weight vector of a fundamental
+representation.  Group elements are short lists of factors (exponentials
+of e_i and f_i, torus elements) that act on sparse vectors through the
+representations' (to, from, coeff) triples, the only form of the action.
+Chart coordinates x give the open-cell coordinates t as ratios of pairings
+of consecutive orbit vectors, and each slot contributes a polynomial
+factor that trivializes the corresponding line bundle on that chart.
 
 Section spaces are built two independent ways and cross-checked by the tests:
 
@@ -39,7 +44,7 @@ import json
 import random
 from fractions import Fraction
 from importlib import resources
-from math import factorial, prod
+from math import prod
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -70,8 +75,11 @@ class FundamentalRep:
     """One fundamental representation in an exact integral weight basis.
 
     The lowering and raising actions are stored as (to, from, coeff) triples
-    per simple index.  Construction validates the weight shifts and the
-    commutator [e_j, f_j] = h_j, so malformed data files fail loudly.
+    per simple index, the only form of the action in the package: group
+    elements act on sparse vectors through them (_act).  Construction
+    validates the weight shifts, keeps the last triple at a repeated
+    position, and checks the commutator [e_j, f_j] = h_j, so malformed data
+    files fail loudly.
     """
 
     __slots__ = ("dim", "weights", "highest", "lowering", "raising")
@@ -102,6 +110,11 @@ class FundamentalRep:
                 if not coeff or self.weights[to] != self.weights[frm] + alpha:
                     raise ValidationError(
                         f"raising action for index {j} breaks weights")
+            # A repeated position keeps its last triple.
+            for action in (self.lowering, self.raising):
+                action[j] = tuple((to, frm, coeff) for (to, frm), coeff in
+                                  {(to, frm): coeff
+                                   for to, frm, coeff in action[j]}.items())
             self._check_commutator(j)
 
     def _check_commutator(self, j: int) -> None:
@@ -110,30 +123,16 @@ class FundamentalRep:
         bracket = {(r, r): -self.weights[r][j - 1] for r in range(self.dim)}
         for left, right, sign in ((self.raising[j], self.lowering[j], 1),
                                   (self.lowering[j], self.raising[j], -1)):
-            # A repeated position keeps its last triple, as in _dense.
             column: dict[int, dict[int, int]] = {}
             for to, frm, coeff in left:
                 column.setdefault(frm, {})[to] = coeff
-            for (k, c), b in {(to, frm): coeff
-                              for to, frm, coeff in right}.items():
+            for k, c, b in right:
                 for r, a in column.get(k, {}).items():
                     bracket[r, c] = bracket.get((r, c), 0) + sign * a * b
         if any(bracket.values()):
             raise ValidationError(
                 f"[e_{j}, f_{j}] is not the coweight action; "
                 "representation data is inconsistent")
-
-    def _dense(self, triples) -> list[list[int]]:
-        mat = [[0] * self.dim for _ in range(self.dim)]
-        for to, frm, coeff in triples:
-            mat[to][frm] = coeff
-        return mat
-
-    def lowering_matrix(self, j: int) -> list[list[int]]:
-        return self._dense(self.lowering[j])
-
-    def raising_matrix(self, j: int) -> list[list[int]]:
-        return self._dense(self.raising[j])
 
     def __repr__(self) -> str:
         return f"FundamentalRep(dim={self.dim})"
@@ -403,39 +402,62 @@ class _ChartPowers:
         return g
 
 
-def _matmul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(rows):
-        line = []
-        for j in range(cols):
-            acc = None
-            for k in range(inner):
-                term = a[i][k] * b[k][j]
-                acc = term if acc is None else acc + term
-            line.append(acc)
-        out.append(line)
-    return out
+def _exp_action(triples, t, vec: dict, bound: int) -> dict:
+    """exp(t X) vec for the nilpotent operator X given by (to, from, coeff)
+    triples and a sparse vector {index: entry}, exactly.
 
-
-def _exp_nilpotent(action: list[list[int]], t, size: int, const):
-    """exp(t * action) for a nilpotent integer matrix, exactly.
-
-    t may be a Fraction or a Polynomial; const builds ring constants.
+    t and the entries may be Fractions or Polynomials.  The series
+    sum_k t^k X^k vec / k! stops at its first vanishing term, which comes
+    within bound steps when X is nilpotent on a space of dimension bound.
     """
-    result = [[const(1 if i == j else 0) for j in range(size)]
-              for i in range(size)]
-    power = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    for k in range(1, size + 1):
-        power = _matmul(power, action)
-        if not any(any(row) for row in power):
-            return result
-        scalar = (t ** k) * Fraction(1, factorial(k))
-        for i in range(size):
-            for j in range(size):
-                if power[i][j]:
-                    result[i][j] = result[i][j] + scalar * power[i][j]
+    out = dict(vec)
+    term = vec
+    for k in range(1, bound + 1):
+        step: dict = {}
+        for to, frm, coeff in triples:
+            entry = term.get(frm)
+            if entry is not None:
+                if coeff != 1:
+                    entry = entry * coeff
+                step[to] = step[to] + entry if to in step else entry
+        if not any(step.values()):
+            return out
+        scale = t * Fraction(1, k)
+        term = {to: entry * scale for to, entry in step.items() if entry}
+        for to, entry in term.items():
+            total = out[to] + entry if to in out else entry
+            if total:
+                out[to] = total
+            else:
+                del out[to]
     raise EngineError("lowering or raising operator is not nilpotent")
+
+
+def _act(rep: FundamentalRep, factor: tuple, vec: dict) -> dict:
+    """One group factor applied to a sparse vector of rep.
+
+    A factor does not depend on the representation: ("f", i, t) is
+    exp(t f_i), ("e", i, t) is exp(t e_i), and ("h", None, z) is the torus
+    element that scales a vector of weight w by prod_i z_i^(w_i).
+    """
+    kind, letter, value = factor
+    if kind == "h":
+        return {r: entry * _character(value, rep.weights[r].coords)
+                for r, entry in vec.items()}
+    triples = rep.lowering[letter] if kind == "f" else rep.raising[letter]
+    return _exp_action(triples, value, vec, rep.dim)
+
+
+def _character(z: Sequence[Fraction], weight: Sequence[int]) -> Fraction:
+    """The value prod_i z_i^(w_i) of the torus element z at a weight."""
+    return prod([zi ** w for zi, w in zip(z, weight)])
+
+
+def _inverted(factors: list) -> list:
+    """The factor list of the inverse element: reversed, each inverted."""
+    return [(kind, letter,
+             [1 / zi for zi in value] if kind == "h" else -value)
+            for kind, letter, value in reversed(factors)]
 
 
 def _torus_weight(mono: Sequence[int], weights: Sequence[tuple]) -> tuple:
@@ -475,7 +497,6 @@ class SectionEngine:
                     "to a single basis vector with coefficient 1")
             self._fidx[i] = hits[0][0]
         self._charts: dict[tuple[int, ...], _ChartFrame] = {}
-        self._bigcell_prefixes: dict[int, list] = {}
         self._slot_polys: dict[int, list[SectionPoly]] = {}
         self._order_matrices: tuple | None = None
         self._chart((0,) * self.n)
@@ -487,35 +508,11 @@ class SectionEngine:
         if frame is not None:
             return frame
         n = self.n
-        const = lambda c: Polynomial.constant(n, c)
-        prefixes: dict[int, list] = {}
-        for i in self._rep_indices:
-            rep = self.model.rep(i)
-            chain = [[[const(1 if r == c else 0) for c in range(rep.dim)]
-                      for r in range(rep.dim)]]
-            current = chain[0]
-            for j, letter in enumerate(self._letters):
-                x = Polynomial.variable(n, j)
-                if flips[j]:
-                    slot = _matmul(
-                        _exp_nilpotent(rep.raising_matrix(letter), x,
-                                       rep.dim, const),
-                        self._flip_matrix(rep, letter))
-                else:
-                    slot = _exp_nilpotent(rep.lowering_matrix(letter), x,
-                                          rep.dim, const)
-                current = _matmul(current, slot)
-                chain.append(current)
-            prefixes[i] = chain
         x_weights = self._chart_weights(flips)
         numerators, denominators, slot_factors = [], [], []
-        for j, letter in enumerate(self._letters):
-            rep = self.model.rep(letter)
-            hw, fidx = rep.highest, self._fidx[letter]
-            now = prefixes[letter][j + 1]
-            before = prefixes[letter][j]
-            d_now, a_now = now[hw][hw], now[fidx][hw]
-            d_prev, a_prev = before[hw][hw], before[fidx][hw]
+        pairings = self._pairings(self._chart_chain(flips),
+                                  lambda c: Polynomial.constant(n, c))
+        for j, (d_prev, a_prev, d_now, a_now) in enumerate(pairings):
             num = a_now * d_prev - a_prev * d_now
             den = d_now * d_prev
             if not den:
@@ -541,18 +538,47 @@ class SectionEngine:
                         or denominators[j] != one or slot_factors[j] != one):
                     raise EngineError(
                         "open-cell chart failed its coordinate self-check")
-            self._bigcell_prefixes = prefixes
         self._charts[flips] = frame
         return frame
 
-    def _flip_matrix(self, rep: FundamentalRep, letter: int):
-        """Weyl representative exp(f) exp(-e) exp(f) as exact Fractions."""
-        f = rep.lowering_matrix(letter)
-        e = rep.raising_matrix(letter)
-        one = Fraction(1)
-        ef = _exp_nilpotent(f, one, rep.dim, Fraction)
-        ee = _exp_nilpotent(e, -one, rep.dim, Fraction)
-        return _matmul(_matmul(ef, ee), ef)
+    def _chart_chain(self, flips: tuple[int, ...]) -> list[list]:
+        """The chart's point as factor lists, one per slot, with x_j the
+        j-th chart variable."""
+        chain = []
+        for j, letter in enumerate(self._letters):
+            x = Polynomial.variable(self.n, j)
+            # A flipped slot is exp(x_j e) times the Weyl representative
+            # exp(f) exp(-e) exp(f).
+            chain.append([("e", letter, x), ("f", letter, 1),
+                          ("e", letter, -1), ("f", letter, 1)]
+                         if flips[j] else [("f", letter, x)])
+        return chain
+
+    def _orbit(self, chain: Sequence[list], letter: int, one) -> dict:
+        """g_1 ... g_m v_hw for the factor lists g_1 .. g_m of chain, in the
+        representation of the letter, as a sparse vector whose highest
+        weight vector v_hw has the entry one."""
+        rep = self.model.rep(letter)
+        vec = {rep.highest: one}
+        for factors in reversed(chain):
+            for factor in reversed(factors):
+                vec = _act(rep, factor, vec)
+        return vec
+
+    def _pairings(self, chain: Sequence[list], const) -> list[tuple]:
+        """Per slot j, (d_prev, a_prev, d_now, a_now): the highest-weight
+        entry d and the entry a at the image of v_hw under f of the orbit
+        vectors of chain[:j] and chain[:j + 1] in the slot's representation.
+        const builds the ring constants, Polynomial or Fraction."""
+        out = []
+        zero = const(0)
+        for j, letter in enumerate(self._letters):
+            hw, fidx = self.model.rep(letter).highest, self._fidx[letter]
+            prev, now = (self._orbit(chain[:m], letter, const(1))
+                         for m in (j, j + 1))
+            out.append((prev.get(hw, zero), prev.get(fidx, zero),
+                        now.get(hw, zero), now.get(fidx, zero)))
+        return out
 
     def _chart_weights(self, flips: tuple[int, ...]) -> tuple[tuple, ...]:
         weights = []
@@ -571,9 +597,10 @@ class SectionEngine:
     def slot_polynomials(self, k: int) -> list[SectionPoly]:
         """Sections of the k-th unit canonical bundle from the k-prefix.
 
-        These are the pairings of the open-cell prefix product against every
-        dual basis vector of the slot's fundamental representation; zero
-        pairings are dropped.
+        These are the entries of the orbit vector g_1 ... g_k v_hw of the
+        open-cell point in the slot's fundamental representation, the
+        pairings against every dual basis vector; zero pairings are
+        dropped.
         """
         if not 1 <= k <= self.n:
             raise ValidationError(f"slot index {k} out of range 1..{self.n}")
@@ -582,13 +609,11 @@ class SectionEngine:
             return cached
         letter = self._letters[k - 1]
         rep = self.model.rep(letter)
-        matrix = self._bigcell_prefixes[letter][k]
+        column = self._orbit(self._chart_chain((0,) * self.n)[:k], letter,
+                             Polynomial.one(self.n))
         unit = tuple(1 if pos == k - 1 else 0 for pos in range(self.n))
-        polys = []
-        for r in range(rep.dim):
-            entry = matrix[r][rep.highest]
-            if entry:
-                polys.append(SectionPoly(entry, unit, rep.weights[r]))
+        polys = [SectionPoly(column[r], unit, rep.weights[r])
+                 for r in sorted(column)]
         self._slot_polys[k] = polys
         return polys
 
@@ -1099,10 +1124,16 @@ class SectionEngine:
                               trials: int = 20, seed: int = 1) -> int:
         """Check the torus transformation law at random rational points.
 
-        Each section is evaluated at a random point of the open cell and at
-        a random right translate of it; the values must differ by the
-        product of the slot characters of the translating element.  Returns
-        the number of failed comparisons.
+        Each section is evaluated at a random point g = (g_1, ..., g_n) of
+        the open cell and at its translate (tau g_1 h_1, h_1^-1 g_2 h_2,
+        ..., h_{n-1}^-1 g_n h_n), with random Borel elements h_k, each a
+        torus element z_k times raising unipotents, and tau the torus
+        element of z_1.  The right translation scales the slot factors by
+        the characters z_k^(omega_{i_k}); the left one scales each t_j by
+        tau^(-alpha_{i_j}) and each slot factor by tau^(omega_{i_j}).  So a
+        section of weight mu must satisfy s(t') prod_k r'_k^(m_k) =
+        tau^mu s(t) prod_k z_k^(m_k omega_{i_k}).  Returns the number of
+        failed comparisons; a section without a weight label is refused.
         """
         m = self._canonical_degree(multidegree)
         rng = random.Random(seed)
@@ -1111,6 +1142,9 @@ class SectionEngine:
         for sp in sections:
             if not sp.poly:
                 continue
+            if sp.weight is None:
+                raise ValidationError(
+                    "the equivariance check needs sections with a weight label")
             for _ in range(trials):
                 for _attempt in range(80):
                     taus = [self._random_fraction(rng, nonzero=True)
@@ -1119,32 +1153,21 @@ class SectionEngine:
                            for _ in range(rank)] for _ in range(self.n)]
                     translators = []
                     for k in range(self.n):
-                        elem = self._torus_element(zs[k])
+                        elem = [("h", None, zs[k])]
                         for _unip in range(2):
                             a = rng.randint(1, rank)
                             c = Fraction(rng.randint(-2, 2))
                             if c:
-                                elem = self._product(
-                                    elem, self._unipotent(a, c, raising=True))
+                                elem.append(("e", a, c))
                         translators.append(elem)
-                    points = [self._unipotent(self._letters[k], taus[k])
+                    points = [[("f", self._letters[k], taus[k])]
                               for k in range(self.n)]
+                    # g'_1 = tau g_1 h_1 and g'_k = h_{k-1}^-1 g_k h_k.
                     translated = []
-                    previous_inverse = None
-                    ok = True
+                    left = [("h", None, zs[0])]
                     for k in range(self.n):
-                        term = points[k]
-                        if previous_inverse is not None:
-                            term = self._product(previous_inverse, term)
-                        term = self._product(term, translators[k])
-                        inv = self._inverse(translators[k])
-                        if inv is None:
-                            ok = False
-                            break
-                        previous_inverse = inv
-                        translated.append(term)
-                    if not ok:
-                        continue
+                        translated.append(left + points[k] + translators[k])
+                        left = _inverted(translators[k])
                     base_vals = self._chain_values(points)
                     moved_vals = self._chain_values(translated)
                     if base_vals is None or moved_vals is None:
@@ -1165,7 +1188,7 @@ class SectionEngine:
                                 lhs = Fraction(0)
                                 break
                             lhs *= r ** mk
-                    factor = Fraction(1)
+                    factor = _character(zs[0], sp.weight.coords)
                     for k, letter in enumerate(self._letters):
                         factor *= zs[k][letter - 1] ** m[k]
                     if lhs != sp.poly.evaluate(taus) * factor:
@@ -1185,63 +1208,14 @@ class SectionEngine:
             num *= rng.choice((-1, 1))
         return Fraction(num, rng.randint(1, 3))
 
-    def _unipotent(self, letter: int, value: Fraction, raising: bool = False):
-        """exp(value * e_letter) if raising, else exp(value * f_letter)."""
-        out = {}
-        for i in self._rep_indices:
-            rep = self.model.rep(i)
-            action = (rep.raising_matrix(letter) if raising
-                      else rep.lowering_matrix(letter))
-            out[i] = _exp_nilpotent(action, value, rep.dim, Fraction)
-        return out
-
-    def _torus_element(self, z: Sequence[Fraction]):
-        out = {}
-        for i in self._rep_indices:
-            rep = self.model.rep(i)
-            mat = [[Fraction(0)] * rep.dim for _ in range(rep.dim)]
-            for r in range(rep.dim):
-                value = Fraction(1)
-                for coord, zi in zip(rep.weights[r].coords, z):
-                    value *= Fraction(zi) ** coord
-                mat[r][r] = value
-            out[i] = mat
-        return out
-
-    def _product(self, left, right):
-        return {i: _matmul(left[i], right[i]) for i in self._rep_indices}
-
-    def _inverse(self, elem):
-        out = {}
-        for i in self._rep_indices:
-            inv = invert_dense(elem[i])
-            if inv is None:
-                return None
-            out[i] = inv
-        return out
-
     def _chain_values(self, chain):
-        """Open-cell coordinates and slot factors of a group-element chain.
+        """Open-cell coordinates and slot factors of a chain of factor lists.
 
         Returns (t values, slot factor values) or None when a pairing
         denominator vanishes.
         """
-        prefixes = {}
-        for i in self._rep_indices:
-            dim = self.model.rep(i).dim
-            mats = [[[Fraction(1 if r == c else 0) for c in range(dim)]
-                     for r in range(dim)]]
-            for elem in chain:
-                mats.append(_matmul(mats[-1], elem[i]))
-            prefixes[i] = mats
         t_values, factors = [], []
-        for j, letter in enumerate(self._letters):
-            rep = self.model.rep(letter)
-            hw, fidx = rep.highest, self._fidx[letter]
-            now = prefixes[letter][j + 1]
-            before = prefixes[letter][j]
-            d_now, a_now = now[hw][hw], now[fidx][hw]
-            d_prev, a_prev = before[hw][hw], before[fidx][hw]
+        for d_prev, a_prev, d_now, a_now in self._pairings(chain, Fraction):
             if d_now == 0 or d_prev == 0:
                 return None
             t_values.append((a_now * d_prev - a_prev * d_now)

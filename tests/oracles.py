@@ -4,9 +4,12 @@ Everything here is computed from scratch: textbook formulas and brute-force
 Fraction linear algebra, sharing no code with the package under test.  The
 exceptions keep an older route of the package: order_polytope_points keeps
 its double description, the monomial route as it was before
-back-substitution, and section_weight_triples keeps the section spaces and
+back-substitution; section_weight_triples keeps the section spaces and
 adapted bases that weighted semigroups were read off before they labeled
-the level sets.
+the level sets; dense_chart and dense_slot_sections keep the dense matrix
+products that charts and slot sections came from before they were read off
+sparse orbit vectors; raw_point_body and raw_point_image hull every
+valuation point, as bodies did before they hulled memoized class hulls.
 """
 
 from __future__ import annotations
@@ -410,3 +413,120 @@ def commutator_holds(weights, raising, lowering, j):
             if ef - fe != (weights[r][j - 1] if r == c else 0):
                 return False
     return True
+
+
+def _dense_product(a, b):
+    out = []
+    for row in a:
+        line = []
+        for j in range(len(b[0])):
+            acc = None
+            for k, entry in enumerate(row):
+                term = entry * b[k][j]
+                acc = term if acc is None else acc + term
+            line.append(acc)
+        out.append(line)
+    return out
+
+
+def _dense_exp(triples, t, size, const):
+    """exp(t X) for the nilpotent X with (to, from, coeff) triples, a
+    repeated position keeping its last triple, by its power series."""
+    action = [[0] * size for _ in range(size)]
+    for to, frm, coeff in triples:
+        action[to][frm] = coeff
+    result = [[const(int(i == j)) for j in range(size)] for i in range(size)]
+    power = [[int(i == j) for j in range(size)] for i in range(size)]
+    for k in range(1, size + 1):
+        power = _dense_product(power, action)
+        if not any(any(row) for row in power):
+            return result
+        scalar = t ** k * Fraction(1, math.factorial(k))
+        result = [[entry + scalar * p if p else entry
+                   for entry, p in zip(line, prow)]
+                  for line, prow in zip(result, power)]
+    raise AssertionError("operator is not nilpotent")
+
+
+def dense_prefixes(engine, flips):
+    """Per letter of the word, the prefix products S_1 ... S_j (j = 0..n)
+    of the chart's slot matrices in that letter's representation, with
+    S_j = exp(x_j f) on an open slot and exp(x_j e) exp(f) exp(-e) exp(f)
+    on a flipped one, all as dense matrices of polynomials."""
+    from bottsam._poly import Polynomial
+
+    n = len(flips)
+    const = lambda c: Polynomial.constant(n, c)
+    prefixes = {}
+    for i in sorted(set(engine.word.indices)):
+        rep = engine.model.rep(i)
+        d = rep.dim
+        chain = [[[const(int(r == c)) for c in range(d)] for r in range(d)]]
+        for j, letter in enumerate(engine.word.indices):
+            x = Polynomial.variable(n, j)
+            if flips[j]:
+                f = _dense_exp(rep.lowering[letter], Fraction(1), d, Fraction)
+                e = _dense_exp(rep.raising[letter], Fraction(-1), d, Fraction)
+                slot = _dense_product(
+                    _dense_exp(rep.raising[letter], x, d, const),
+                    _dense_product(_dense_product(f, e), f))
+            else:
+                slot = _dense_exp(rep.lowering[letter], x, d, const)
+            chain.append(_dense_product(chain[-1], slot))
+        prefixes[i] = chain
+    return prefixes
+
+
+def _f_index(rep, letter):
+    return next(to for to, frm, _ in rep.lowering[letter]
+                if frm == rep.highest)
+
+
+def dense_chart(engine, flips):
+    """(numerators, denominators, slot factors) of a chart read off two
+    entries of the highest-weight column of consecutive dense prefix
+    products: t_j = a_j / d_j - a_{j-1} / d_{j-1}, slot factor d_j."""
+    prefixes = dense_prefixes(engine, flips)
+    numerators, denominators, factors = [], [], []
+    for j, letter in enumerate(engine.word.indices):
+        rep = engine.model.rep(letter)
+        hw, fidx = rep.highest, _f_index(rep, letter)
+        before, now = prefixes[letter][j], prefixes[letter][j + 1]
+        d_prev, a_prev = before[hw][hw], before[fidx][hw]
+        d_now, a_now = now[hw][hw], now[fidx][hw]
+        numerators.append(a_now * d_prev - a_prev * d_now)
+        denominators.append(d_now * d_prev)
+        factors.append(d_now)
+    return tuple(numerators), tuple(denominators), tuple(factors)
+
+
+def dense_slot_sections(engine, k):
+    """(polynomial, weight coordinates) of each nonzero entry of the
+    highest-weight column of the k-th open-cell prefix product."""
+    letter = engine.word.indices[k - 1]
+    rep = engine.model.rep(letter)
+    column = dense_prefixes(engine, (0,) * len(engine.word))[letter][k]
+    return [(column[r][rep.highest], rep.weights[r].coords)
+            for r in range(rep.dim) if column[r][rep.highest]]
+
+
+def raw_point_body(engine, divisor, levels):
+    """The hull of every valuation point of levels 1..levels, each scaled
+    by its level."""
+    from bottsam.polyhedra import RationalPolytope
+
+    points = [tuple(Fraction(v, k) for v in nu)
+              for k in range(1, levels + 1)
+              for nu in engine.valuation_points(divisor, k)]
+    return RationalPolytope.from_points(points, ambient=engine.n)
+
+
+def raw_point_image(engine, divisor, levels):
+    """The hull of the valuation points of levels 1..levels with first
+    entry 0, that entry dropped and each point scaled by its level."""
+    from bottsam.polyhedra import RationalPolytope
+
+    points = [tuple(Fraction(v, k) for v in nu[1:])
+              for k in range(1, levels + 1)
+              for nu in engine.valuation_points(divisor, k) if nu[0] == 0]
+    return RationalPolytope.from_points(points, ambient=engine.n - 1)

@@ -59,6 +59,15 @@ def test_weights_command(capsys):
     assert data["slice_volume"] == ["1", "1"]
 
 
+def test_verify_full_battery(capsys):
+    code, out = run(capsys, ["verify"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["passed"] is True
+    assert data["quick"] is False
+    assert all(row["status"] == "pass" for row in data["report"])
+
+
 def test_verify_quick(capsys):
     code, out = run(capsys, ["verify", "--quick"])
     assert code == 0
@@ -330,6 +339,19 @@ def test_run_past_the_level_set_guard_exits_3_at_once(capsys, command,
     assert elapsed < 2.0
 
 
+def test_high_rank_type_a_words_run_quickly(capsys):
+    """Charts act on sparse orbit vectors: with dense products of the
+    slot matrices, up to 252 x 252 in the exterior powers of C^10, this
+    job took 296 s of CPU."""
+    start = time.process_time()
+    code = main(["body", "--type", "A9", "--word", "1,2,3,4,5",
+                 "--bundle", "can:1,1,1,1,1", "--max-level", "1"])
+    elapsed = time.process_time() - start
+    capsys.readouterr()
+    assert code == 0
+    assert elapsed < 5.0
+
+
 def test_high_rank_type_a_models_build_quickly(capsys):
     """The commutator check of the A10 model runs on the stored action
     entries; on dense 462 x 462 matrices it did not finish in 300 s."""
@@ -346,7 +368,8 @@ def test_high_rank_type_a_models_build_quickly(capsys):
     ('[["x", 0]]', "torus projection entry 'x' is not an integer"),
     ("[1, 2]", "torus projection rows must be lists of integers"),
     ("[[1.5, 0]]", "torus projection entry 1.5 is not an integer"),
-], ids=["string", "flat", "fraction"])
+    ("[[true, 0]]", "torus projection entry True is not an integer"),
+], ids=["string", "flat", "fraction", "boolean"])
 def test_bad_projection_files_exit_2_with_one_line(tmp_path, capsys,
                                                    content, message):
     path = tmp_path / "proj.json"

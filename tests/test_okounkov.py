@@ -21,9 +21,10 @@ from bottsam import (
 )
 from bottsam import okounkov, polyhedra, rootsys
 from bottsam.okounkov import GradedValuationPoint
+from bottsam.polyhedra import polytope_payload
 from bottsam.valuation import adapted_basis, valuation
 
-from oracles import hirzebruch_count
+from oracles import hirzebruch_count, raw_point_body, raw_point_image
 
 GOLDEN_RAYS_12 = ((0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 1, 0))
 
@@ -86,6 +87,66 @@ def test_body_of_the_fiber_class(okounkov_a2_12):
 def test_body_of_a_non_nef_class_can_degenerate(okounkov_a2_12):
     body = okounkov_a2_12.body(can(-1, 1), 4)
     assert body.polytope.vertices == ((0, 1),)
+
+
+@pytest.mark.parametrize("lattice, low, top", [
+    ("lattice_a2_12", -2, 3),
+    ("lattice_b2_12", -2, 3),
+    ("lattice_a2_121", 0, 2),
+])
+def test_bodies_of_class_hulls_match_the_raw_points(request, lattice, low,
+                                                    top):
+    """A body hulled from the memoized hull vertices of its level sets, and
+    a restriction image hulled from the vertices with first entry 0, equal
+    the hulls of every valuation point: the same vertices, inequalities
+    and equations.  The classes include ones off the nef cone and ones
+    whose body is lower dimensional."""
+    lattice = request.getfixturevalue(lattice)
+    seen = {"off_nef": 0, "flat": 0, "image": 0}
+
+    @settings(max_examples=25)
+    @given(st.tuples(*[st.integers(low, top)] * lattice.n),
+           st.integers(1, 4))
+    def check(mc, levels):
+        divisor = can(*mc)
+        if not lattice.is_effective(divisor):
+            return
+        engine = OkounkovEngine(lattice)
+        body = engine.body(divisor, levels).polytope
+        assert polytope_payload(body) \
+            == polytope_payload(raw_point_body(engine, divisor, levels))
+        seen["off_nef"] += min(mc) < 0
+        seen["flat"] += bool(body.equations)
+        if min(mc) >= 0:
+            report = engine.restriction_check(divisor, levels)
+            image = raw_point_image(engine, divisor, levels)
+            assert report["image_vertices"] == image.vertices
+            assert report["equal"] == (image == engine._truncated_engine(
+                ).body(can(*mc[1:]), levels).polytope)
+            seen["image"] += 1
+
+    check()
+    assert seen["flat"] and seen["image"]
+    assert seen["off_nef"] or low == 0
+
+
+def test_body_hulls_the_class_vertices(lattice_a2_12, monkeypatch):
+    """Work pin: the level-8 body of can:(1,1) on A2 (1,2) hulls the 32
+    scaled hull vertices of its level sets, not all 404 valuation points.
+    The ten hulls before it are those of the two slots' valuation sets and
+    of the eight level sets, each from summed vertices."""
+    engine = OkounkovEngine(lattice_a2_12)
+    sizes = []
+    build = RationalPolytope.from_points.__func__
+
+    def counted(cls, points, ambient=None):
+        sizes.append(len(points))
+        return build(cls, points, ambient)
+
+    monkeypatch.setattr(RationalPolytope, "from_points", classmethod(counted))
+    body = engine.body(can(1, 1), 8)
+    assert sizes == [2, 3, 4, 5, 6, 6, 6, 6, 6, 6, 32]
+    assert body.polytope == raw_point_body(engine, can(1, 1), 8)
 
 
 def test_body_requires_an_effective_class(okounkov_a2_12):

@@ -65,6 +65,8 @@ def test_fractional_cartan_entries_are_refused():
         CartanDatum([[2, -1.5], [-1, 2]])
     with pytest.raises(ValidationError):
         CartanDatum([[2, "x"], [-1, 2]])
+    with pytest.raises(ValidationError, match="False"):
+        CartanDatum([[2, False], [False, 2]])
     assert CartanDatum([[2, -1.0], [Fraction(-1), 2]]).matrix \
         == CartanDatum.from_type("A2").matrix
 

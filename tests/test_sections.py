@@ -25,10 +25,12 @@ from bottsam import (
 )
 from bottsam import polyhedra, sections
 from bottsam._poly import Polynomial
+from bottsam.rootsys import Weight
 from bottsam.sections import (
     FundamentalRep,
     GroupModel,
     SectionEngine,
+    SectionPoly,
     _ChartFrame,
     _ChartPowers,
     _torus_weight,
@@ -37,7 +39,9 @@ from bottsam.valuation import adapted_basis, valuation
 
 from oracles import (
     commutator_holds,
+    dense_chart,
     dense_rank,
+    dense_slot_sections,
     hirzebruch_count,
     order_polytope_points,
 )
@@ -192,11 +196,13 @@ def test_probe_run_work_on_monomial_charts(a2, monkeypatch):
 
     Every chart of that run is monomial, so no filter lifts or divides a
     polynomial: the products fell from 70,398 to 1,398, the ones that
-    build the charts and their slot-factor powers.  The run still makes 88
-    glue calls and one nullspace call per chart filter, 30,158 in all, as
-    perfbench/selfcheck.py pins.  The filters stay in the integers: the
-    whole run builds at most 2,000 Fractions, from 16,953 when nullspace
-    back-substituted through Fractions and the span kept pivot-1 rows.
+    build the charts and their slot-factor powers, and to 858 once charts
+    are read off sparse orbit vectors instead of dense matrix products.
+    The run still makes 88 glue calls and one nullspace call per chart
+    filter, 30,158 in all, as perfbench/selfcheck.py pins.  The filters
+    stay in the integers: the whole run builds 226 Fractions, from 16,953
+    when nullspace back-substituted through Fractions and the span kept
+    pivot-1 rows, and from 1,202 when charts multiplied dense matrices.
     """
     lattice = PicardLattice(a2, WeylWord((1, 2)))
     engine = lattice.engine
@@ -220,8 +226,8 @@ def test_probe_run_work_on_monomial_charts(a2, monkeypatch):
     assert lattice.change.matrix == ((1, -1), (0, 1))
     assert counts["glue"] == 88
     assert counts["nullspace"] == 30_158
-    assert counts["mul"] <= 1_500
-    assert counts["fraction"] <= 2_000
+    assert counts["mul"] == 858
+    assert counts["fraction"] == 226
 
 
 def _glue_classes(engine, box):
@@ -520,10 +526,49 @@ def test_peel_of_empty_class_is_rejected(eng12):
 
 
 def test_equivariance_spot_checks(eng12, eng121):
+    """The check passes true sections and fails what is not one.
+
+    Every right translator lies in the Borel subgroup and fixes the
+    highest-weight line, so with right translation alone t' = t and any
+    function of t passed; the left torus translation moves t.
+    """
     nef = eng12.section_basis_nef((1, 1))
     assert eng12.equivariance_failures(nef, (1, 1)) == 0
     basis = eng121.section_basis_nef((0, 1, 1))
     assert eng121.equivariance_failures(basis, (0, 1, 1)) == 0
+    assert eng12.equivariance_failures(nef, (2, 1)) > 0
+    fake = SectionPoly(Polynomial(2, {(3, 1): 1, (0, 0): 7}), (1, 1),
+                       Weight((1, 1)))
+    assert eng12.equivariance_failures([fake], (1, 1)) > 0
+
+
+def test_equivariance_needs_weight_labels(eng12):
+    unlabeled = SectionPoly(Polynomial.one(2), (1, 1))
+    with pytest.raises(ValidationError, match="weight label"):
+        eng12.equivariance_failures([unlabeled], (1, 1))
+
+
+CHART_WORDS = [("A2", (1, 2)), ("A2", (2, 1)), ("B2", (1, 2)), ("B2", (2, 1)),
+               ("A2", (1, 2, 1)), ("B2", (1, 2, 1)), ("A3", (1, 2, 3)),
+               ("A3", (2, 1, 3))]
+
+
+@pytest.mark.parametrize("name, word", CHART_WORDS,
+                         ids=[f"{n}-{''.join(map(str, w))}"
+                              for n, w in CHART_WORDS])
+def test_charts_and_slot_sections_match_dense_products(name, word):
+    """Every chart's coordinate numerators and denominators and slot
+    factors, and every slot section, read off sparse orbit vectors, equal
+    those read off dense prefix products of the slot matrices."""
+    engine = SectionEngine(CartanDatum.from_type(name), WeylWord(word))
+    for flips in itertools.product((0, 1), repeat=engine.n):
+        frame = engine._chart(flips)
+        assert (frame.numerators, frame.denominators, frame.slot_factors) \
+            == dense_chart(engine, flips), flips
+    for k in range(1, engine.n + 1):
+        assert [(sp.poly, sp.weight.coords)
+                for sp in engine.slot_polynomials(k)] \
+            == dense_slot_sections(engine, k)
 
 
 def test_torus_grading_matches_character(eng12, a2):
