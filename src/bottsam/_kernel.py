@@ -128,8 +128,14 @@ def clear_denominators(row: Mapping) -> dict:
     """Scale a rational row by the lcm of its denominators.
 
     Values are ints or Fractions under any keys; the integer row spans the
-    same rational line as the input.
+    same rational line as the input.  A row of ints comes back as a copy,
+    since normalize_row may store the row it is given.
     """
+    for v in row.values():
+        if type(v) is not int:
+            break
+    else:
+        return dict(row)
     denom = 1
     for v in row.values():
         d = v.denominator

@@ -195,17 +195,7 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def _volume_report(report: dict) -> dict:
     return {
-        "levels": [
-            {
-                "level": row["level"],
-                "points": row["points"],
-                "dimension": row["dimension"],
-                "count_match": row["count_match"],
-                "dilation_points": row["dilation_points"],
-                "dilation_match": row["dilation_match"],
-            }
-            for row in report["levels"]
-        ],
+        "levels": report["levels"],
         "hull_volume": _pair(report["hull_volume"]),
         "target_volume": _pair(report["target_volume"]),
         "gap": _pair(report["gap"]),
@@ -478,7 +468,8 @@ def cmd_verify(config: JobConfig) -> dict:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--type", help="Cartan type A1, A2, A3, ... or B2")
+    parser.add_argument("--type", help="Cartan type such as A3, B2, C3, D4 "
+                        "or G2")
     parser.add_argument("--matrix-file", dest="matrix_file",
                         help="path to a Cartan matrix file")
     parser.add_argument("--word", help="reduced word as a comma list, "

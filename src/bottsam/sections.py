@@ -5,9 +5,11 @@ subset of slots where the defining P^1-bundle coordinate is inverted.  A
 point is a chain g_1, ..., g_n of group elements, and every chart
 coordinate, slot factor and slot section is an entry of an orbit vector
 g_1 ... g_j v_hw, v_hw a highest-weight vector of a fundamental
-representation.  Group elements are short lists of factors (exponentials
-of e_i and f_i, torus elements) that act on sparse vectors through the
-representations' (to, from, coeff) triples, the only form of the action.
+representation; fundamental_rep derives it from the Cartan matrix for each
+letter of the word.  Group elements are short lists of factors
+(exponentials of e_i and f_i, torus elements) that act on sparse vectors
+through the representations' (to, from, coeff) triples, the only form of
+the action.
 Chart coordinates x give the open-cell coordinates t as ratios of pairings
 of consecutive orbit vectors, and each slot contributes a polynomial
 factor that trivializes the corresponding line bundle on that chart.
@@ -40,12 +42,10 @@ sets of the okounkov layer both ask it.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from fractions import Fraction
-from importlib import resources
 from math import prod
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from . import polyhedra
@@ -54,6 +54,7 @@ from ._kernel import (
     clear_denominators,
     invert_dense,
     nullspace,
+    solve_dense,
 )
 from ._poly import Mono, Polynomial
 from .errors import EngineError, SpanDeficiency, Unstable, ValidationError
@@ -65,6 +66,7 @@ from .rootsys import (
     demazure_dimension,
     is_reduced,
     simple_reflection,
+    weyl_dimension,
 )
 
 _BOX_CAP = 64
@@ -72,14 +74,16 @@ _CANDIDATE_GUARD = 400_000
 
 
 class FundamentalRep:
-    """One fundamental representation in an exact integral weight basis.
+    """One fundamental representation in an exact weight basis.
 
     The lowering and raising actions are stored as (to, from, coeff) triples
     per simple index, the only form of the action in the package: group
-    elements act on sparse vectors through them (_act).  Construction
-    validates the weight shifts, keeps the last triple at a repeated
-    position, and checks the commutator [e_j, f_j] = h_j, so malformed data
-    files fail loudly.
+    elements act on sparse vectors through them (_act).  The package builds
+    them from the Cartan matrix (fundamental_rep); coefficients are ints
+    where integral and Fractions otherwise.  Construction validates the
+    weight shifts, keeps the last triple at a repeated position, and checks
+    the commutator [e_j, f_j] = h_j, so inconsistent actions, derived or
+    given by hand, fail loudly.
     """
 
     __slots__ = ("dim", "weights", "highest", "lowering", "raising")
@@ -138,105 +142,96 @@ class FundamentalRep:
         return f"FundamentalRep(dim={self.dim})"
 
 
+def fundamental_rep(datum: CartanDatum, i: int) -> FundamentalRep:
+    """V(omega_i) from the Cartan matrix alone, one weight space at a time.
+
+    The basis grows level by level down from v_hw (index 0).  Below the
+    highest weight a vector is 0 exactly when every e_k kills it, because
+    V is irreducible, so a vector is known by its e-profile
+    (e_1 u, ..., e_r u) in the basis one level up.  A candidate f_j b, b a
+    basis vector one level up, has the profile
+    e_k f_j b = f_j e_k b + [j = k] <wt b, alpha_j^vee> b.  A candidate
+    independent of the vectors already kept in its weight space becomes a
+    basis vector, with coefficient 1 (so f_i v_hw is a basis vector, the
+    rule _fidx reads); any other is solved in the kept vectors.  The
+    dimension is checked against Weyl's formula, which also refuses a
+    matrix that is not of finite type.
+    """
+    expected = weyl_dimension(datum, datum.fundamental_weight(i))
+    rank = datum.rank
+    roots = [datum.simple_root(j).coords for j in range(1, rank + 1)]
+    weights = [datum.fundamental_weight(i).coords]
+    lowering: dict[int, list] = {j: [] for j in range(1, rank + 1)}
+    raising: dict[int, list] = {j: [] for j in range(1, rank + 1)}
+    # e_k u per basis vector u as {(k, index): coeff}, and f_j b per
+    # (b, j) as {index: coeff}.
+    profiles: list[dict] = [{}]
+    images: dict[tuple[int, int], dict] = {}
+    level = [0]
+    while level:
+        kept: dict[tuple, list[int]] = {}
+        below = []
+        for b in level:
+            for j in range(1, rank + 1):
+                profile: dict = {}
+                for (k, m), c in profiles[b].items():
+                    for to, a in images[m, j].items():
+                        profile[k, to] = profile.get((k, to), 0) + c * a
+                if weights[b][j - 1]:
+                    profile[j, b] = profile.get((j, b), 0) + weights[b][j - 1]
+                profile = {key: int(v) if v.denominator == 1 else v
+                           for key, v in profile.items() if v}
+                image = images[b, j] = {}
+                if not profile:
+                    continue
+                weight = tuple(map(sub, weights[b], roots[j - 1]))
+                space = kept.setdefault(weight, [])
+                keys = {key for u in space for key in profiles[u]} \
+                    | set(profile)
+                solved = solve_dense(
+                    [[profiles[u].get(key, 0) for u in space]
+                     for key in keys],
+                    [[profile.get(key, 0) for key in keys]]) if space else []
+                if solved:
+                    for u, x in zip(space, solved[0]):
+                        if x:
+                            image[u] = int(x) if x.denominator == 1 else x
+                else:
+                    u = len(weights)
+                    weights.append(weight)
+                    profiles.append(profile)
+                    space.append(u)
+                    below.append(u)
+                    image[u] = 1
+                    for (k, m), c in profile.items():
+                        raising[k].append((m, u, c))
+                for to, x in image.items():
+                    lowering[j].append((to, b, x))
+        level = below
+    if len(weights) != expected:
+        raise EngineError(
+            f"built {len(weights)} basis vectors for fundamental weight {i}, "
+            f"Weyl's formula gives {expected}")
+    return FundamentalRep(datum, i, weights, 0, lowering, raising)
+
+
 class GroupModel:
-    """Cartan datum plus the fundamental representations the engine needs."""
+    """Cartan datum plus its fundamental representations, each built from
+    the Cartan matrix (fundamental_rep) on first use; reps seeds that
+    cache."""
 
     __slots__ = ("datum", "reps")
 
-    def __init__(self, datum: CartanDatum, reps: dict[int, FundamentalRep]):
+    def __init__(self, datum: CartanDatum,
+                 reps: dict[int, FundamentalRep] | None = None):
         self.datum = datum
-        self.reps = dict(reps)
+        self.reps = dict(reps or {})
 
     def rep(self, i: int) -> FundamentalRep:
-        try:
-            return self.reps[i]
-        except KeyError:
-            raise ValidationError(
-                f"group model has no representation for fundamental weight {i}"
-            ) from None
-
-    @classmethod
-    def type_a(cls, rank: int) -> "GroupModel":
-        """Exterior powers of the defining representation of SL(rank+1)."""
-        datum = CartanDatum.from_type(f"A{rank}")
-        reps: dict[int, FundamentalRep] = {}
-        for k in range(1, rank + 1):
-            subsets = sorted(itertools.combinations(range(1, rank + 2), k))
-            index = {s: i for i, s in enumerate(subsets)}
-            weights = [
-                tuple((1 if i in s else 0) - (1 if i + 1 in s else 0)
-                      for i in range(1, rank + 1))
-                for s in subsets
-            ]
-            lowering: dict[int, list] = {j: [] for j in range(1, rank + 1)}
-            raising: dict[int, list] = {j: [] for j in range(1, rank + 1)}
-            for s in subsets:
-                for j in range(1, rank + 1):
-                    if j in s and j + 1 not in s:
-                        t = tuple(sorted(set(s) - {j} | {j + 1}))
-                        lowering[j].append((index[t], index[s], 1))
-                    if j + 1 in s and j not in s:
-                        t = tuple(sorted(set(s) - {j + 1} | {j}))
-                        raising[j].append((index[t], index[s], 1))
-            reps[k] = FundamentalRep(
-                datum, k, weights, index[tuple(range(1, k + 1))],
-                {j: tuple(v) for j, v in lowering.items()},
-                {j: tuple(v) for j, v in raising.items()})
-        return cls(datum, reps)
-
-    @classmethod
-    def from_payload(cls, data: dict) -> "GroupModel":
-        try:
-            datum = CartanDatum(data["cartan_matrix"])
-
-            def actions(block, key):
-                return {int(j): tuple((int(t), int(f), int(c))
-                                      for t, f, c in trips)
-                        for j, trips in block[key].items()}
-
-            reps = {}
-            for block in data["representations"]:
-                fundamental = int(block["fundamental"])
-                reps[fundamental] = FundamentalRep(
-                    datum, fundamental, block["weights"], block["highest"],
-                    actions(block, "lowering"), actions(block, "raising"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"malformed representation data: {exc}") from exc
-        return cls(datum, reps)
-
-    @classmethod
-    def from_file(cls, path: str) -> "GroupModel":
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(
-                f"cannot read representation data from {path}: {exc}"
-            ) from exc
-        return cls.from_payload(data)
-
-    @classmethod
-    def bundled(cls, name: str) -> "GroupModel":
-        try:
-            text = resources.files("bottsam.repdata").joinpath(
-                f"{name}.json").read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ValidationError(
-                f"no bundled representation data named {name}") from exc
-        return cls.from_payload(json.loads(text))
-
-    @classmethod
-    def resolve(cls, datum: CartanDatum) -> "GroupModel":
-        """Pick a built-in model matching the Cartan matrix."""
-        if datum.matrix == CartanDatum.from_type(f"A{datum.rank}").matrix:
-            return cls.type_a(datum.rank)
-        if (datum.rank == 2
-                and datum.matrix == CartanDatum.from_type("B2").matrix):
-            return cls.bundled("B2")
-        raise ValidationError(
-            "no built-in weight-basis model for this Cartan matrix; "
-            "the supported types are A_n and B2")
+        rep = self.reps.get(i)
+        if rep is None:
+            rep = self.reps[i] = fundamental_rep(self.datum, i)
+        return rep
 
 
 class SectionPoly:
@@ -478,7 +473,7 @@ class SectionEngine:
         if not is_reduced(datum, self.word):
             raise ValidationError("word is not reduced")
         self.n = len(self.word)
-        self.model = model if model is not None else GroupModel.resolve(datum)
+        self.model = model or GroupModel(datum)
         if self.model.datum.matrix != datum.matrix:
             raise ValidationError("group model was built for a different "
                                   "Cartan matrix")

@@ -9,14 +9,19 @@ adapted bases that weighted semigroups were read off before they labeled
 the level sets; dense_chart and dense_slot_sections keep the dense matrix
 products that charts and slot sections came from before they were read off
 sparse orbit vectors; raw_point_body and raw_point_image hull every
-valuation point, as bodies did before they hulled memoized class hulls.
+valuation point, as bodies did before they hulled memoized class hulls;
+exterior_power_action and b2_action keep the hand-made fundamental
+representations (exterior powers of C^(n+1) and data/B2.json) that the
+group action came from before it was derived from the Cartan matrix.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 
 def demazure_closed_form(matrix, index, terms):
@@ -413,6 +418,55 @@ def commutator_holds(weights, raising, lowering, j):
             if ef - fe != (weights[r][j - 1] if r == c else 0):
                 return False
     return True
+
+
+def exterior_power_action(rank, k):
+    """The k-th exterior power of the defining representation of
+    SL(rank + 1) as (weights, highest index, lowering, raising): the basis
+    is the sorted k-subsets of 1..rank+1, and f_j (e_j) moves j to j + 1
+    (j + 1 to j) in a subset, every coefficient 1."""
+    subsets = sorted(itertools.combinations(range(1, rank + 2), k))
+    index = {s: i for i, s in enumerate(subsets)}
+    weights = [tuple((1 if i in s else 0) - (1 if i + 1 in s else 0)
+                     for i in range(1, rank + 1)) for s in subsets]
+    lowering = {j: [] for j in range(1, rank + 1)}
+    raising = {j: [] for j in range(1, rank + 1)}
+    for s in subsets:
+        for j in range(1, rank + 1):
+            if j in s and j + 1 not in s:
+                t = tuple(sorted(set(s) - {j} | {j + 1}))
+                lowering[j].append((index[t], index[s], 1))
+            if j + 1 in s and j not in s:
+                t = tuple(sorted(set(s) - {j + 1} | {j}))
+                raising[j].append((index[t], index[s], 1))
+    return weights, index[tuple(range(1, k + 1))], lowering, raising
+
+
+def b2_action(fundamental):
+    """The hand-made B2 representation of data/B2.json as (weights,
+    highest index, lowering, raising); alpha_1 is the long root."""
+    data = json.loads((Path(__file__).parent / "data" / "B2.json")
+                      .read_text(encoding="utf-8"))
+    block = next(b for b in data["representations"]
+                 if b["fundamental"] == fundamental)
+
+    def actions(key):
+        return {int(j): [tuple(t) for t in trips]
+                for j, trips in block[key].items()}
+
+    return ([tuple(w) for w in block["weights"]], block["highest"],
+            actions("lowering"), actions("raising"))
+
+
+def oracle_actions(name):
+    """Every fundamental representation of type A_n or B2, from the
+    hand-made builders above, keyed by fundamental weight."""
+    rank = int(name[1:])
+    if name[0] == "A":
+        return {k: exterior_power_action(rank, k) for k in range(1, rank + 1)}
+    if name == "B2":
+        return {k: b2_action(k) for k in (1, 2)}
+    raise ValueError(f"no hand-made representations of {name}")
 
 
 def _dense_product(a, b):

@@ -259,7 +259,8 @@ def test_nullspace_matches_the_fraction_back_substitution(system):
 def test_integer_span_tracks_the_pivot_one_span(system):
     """The integer span keeps and drops the same rows as the pivot-1 span,
     on int or Fraction input; each kept row is primitive with a positive
-    pivot and spans the line of the pivot-1 row."""
+    pivot and spans the line of the pivot-1 row, and is never the caller's
+    own dict, though all-int rows skip the denominator pass."""
     rows, _ = system
     span, reference = IncrementalSpan(), FractionSpan()
     for row in rows:
@@ -269,6 +270,7 @@ def test_integer_span_tracks_the_pivot_one_span(system):
         assert row == before
         assert (got is None) == (want is None)
         if got is not None:
+            assert got is not row
             assert all(v.__class__ is int for v in got.values())
             assert got == primitive_row(got) == primitive_row(want)
     assert len(span) == len(reference.pivots)

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from fractions import Fraction
-from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +23,7 @@ from bottsam import (
 )
 from bottsam import polyhedra, sections
 from bottsam._poly import Polynomial
-from bottsam.rootsys import Weight
+from bottsam.rootsys import Character, Weight, demazure_operator, is_reduced
 from bottsam.sections import (
     FundamentalRep,
     GroupModel,
@@ -43,6 +41,7 @@ from oracles import (
     dense_rank,
     dense_slot_sections,
     hirzebruch_count,
+    oracle_actions,
     order_polytope_points,
 )
 
@@ -597,36 +596,124 @@ def test_products_land_in_the_sum_class(eng12):
             assert dense_rank(rows, len(monos)) == target_rank
 
 
-def test_group_model_resolution(a2, b2):
-    model_a = GroupModel.resolve(a2)
-    assert sorted(model_a.reps) == [1, 2]
-    model_b = GroupModel.resolve(b2)
-    assert sorted(model_b.reps) == [1, 2]
-    assert GroupModel.bundled("B2").datum.matrix == b2.matrix
+def oracle_model(name):
+    """The hand-made A_n or B2 representations as a GroupModel."""
+    datum = CartanDatum.from_type(name)
+    return GroupModel(datum, {
+        i: FundamentalRep(datum, i, *action)
+        for i, action in oracle_actions(name).items()})
 
 
-def test_group_model_file_validation(tmp_path):
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps({"matrix": [[2]]}))
-    with pytest.raises(ValidationError):
-        GroupModel.from_file(str(path))
+def longest_word(datum):
+    """A reduced word of the longest Weyl group element, built greedily."""
+    word = []
+    while True:
+        letter = next((j for j in range(1, datum.rank + 1)
+                       if is_reduced(datum, word + [j])), None)
+        if letter is None:
+            return word
+        word.append(letter)
 
 
-def test_group_model_refuses_fractional_cartan_entries(tmp_path):
-    payload = json.loads(resources.files("bottsam.repdata").joinpath(
-        "B2.json").read_text(encoding="utf-8"))
-    payload["cartan_matrix"] = [[2, -1.5], [-2, 2]]
-    with pytest.raises(ValidationError, match="-1.5"):
-        GroupModel.from_payload(payload)
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValidationError, match="-1.5"):
-        GroupModel.from_file(str(path))
+def weight_multiset(rep):
+    return sorted(w.coords for w in rep.weights)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "B2", "C2", "G2", "B3", "D4"])
+def test_derived_weights_match_the_full_demazure_character(name):
+    """V(omega_i) built from the Cartan matrix has the weights of the
+    Demazure character of omega_i along a longest word, the full Weyl
+    character, and of the hand-made representation where there is one."""
+    datum = CartanDatum.from_type(name)
+    model = GroupModel(datum)
+    oracle = oracle_model(name) if name in ("A2", "A3", "B2") else None
+    word = longest_word(datum)
+    for i in range(1, datum.rank + 1):
+        char = Character.monomial(datum.fundamental_weight(i))
+        for letter in reversed(word):
+            char = demazure_operator(datum, letter, char)
+        expected = sorted(w.coords for w, m in char.terms.items()
+                          for _ in range(m))
+        assert weight_multiset(model.rep(i)) == expected
+        if oracle is not None:
+            assert weight_multiset(oracle.rep(i)) == expected
+
+
+def test_derived_a2_representations_are_the_exterior_powers():
+    """On A2 the derivation reproduces the exterior powers: the same basis
+    order and every coefficient 1."""
+    derived, oracle = GroupModel(CartanDatum.from_type("A2")), \
+        oracle_model("A2")
+    for i in (1, 2):
+        a, b = derived.rep(i), oracle.rep(i)
+        assert (a.weights, a.highest, a.lowering, a.raising) \
+            == (b.weights, b.highest, b.lowering, b.raising)
+
+
+ORACLE_WORDS = [("A2", (1, 2)), ("A2", (1, 2, 1)), ("A3", (1, 2, 3)),
+                ("B2", (1, 2)), ("B2", (1, 2, 1))]
+
+
+@pytest.mark.parametrize("name, word", ORACLE_WORDS,
+                         ids=[f"{n}-{''.join(map(str, w))}"
+                              for n, w in ORACLE_WORDS])
+def test_derived_charts_match_the_hand_made_representations(name, word):
+    """Every chart frame is the same under the derived model and under
+    the hand-made one, although the A3 bases differ in order and B2's
+    omega_1 in the scale of one basis vector: charts read only the entries
+    at v_hw and f_i v_hw."""
+    datum = CartanDatum.from_type(name)
+    derived = SectionEngine(datum, WeylWord(word))
+    oracle = SectionEngine(datum, WeylWord(word), oracle_model(name))
+    for flips in itertools.product((0, 1), repeat=derived.n):
+        a, b = derived._chart(flips), oracle._chart(flips)
+        assert (a.numerators, a.denominators, a.slot_factors) \
+            == (b.numerators, b.denominators, b.slot_factors), flips
+
+
+def test_group_model_builds_only_the_letters_it_is_asked_for():
+    datum = CartanDatum.from_type("A20")
+    engine = SectionEngine(datum, WeylWord([2]))
+    assert sorted(engine.model.reps) == [2]
+    assert engine.model.rep(2).dim == math.comb(21, 2)
+    seeded = oracle_model("B2")
+    assert SectionEngine(seeded.datum, WeylWord([1, 2]), seeded).model \
+        is seeded
+
+
+def test_group_model_refuses_a_matrix_of_infinite_type():
+    model = GroupModel(CartanDatum([[2, -2], [-2, 2]]))
+    with pytest.raises(ValidationError, match="root system is not finite"):
+        model.rep(1)
+
+
+NEW_TYPE_WORDS = [("C2", (1, 2)), ("G2", (1, 2)), ("G2", (2, 1)),
+                  ("B3", (1, 2, 3))]
+
+
+@pytest.mark.parametrize("name, word", NEW_TYPE_WORDS,
+                         ids=[f"{n}-{''.join(map(str, w))}"
+                              for n, w in NEW_TYPE_WORDS])
+def test_routes_and_equivariance_on_derived_types(name, word):
+    """On types with no hand-made representations the nef and glue routes
+    agree in dimension and span, the dimensions are the Demazure ones, and
+    the nef sections pass the equivariance law, which fails them under
+    another class."""
+    datum = CartanDatum.from_type(name)
+    engine = SectionEngine(datum, WeylWord(word))
+    for multidegree in _small_grid(len(word), 2):
+        nef = engine.section_basis_nef(multidegree)
+        glue = engine.section_basis_glue(can=multidegree)
+        assert len(nef) == len(glue) \
+            == bs_character(datum, word, multidegree).dimension()
+        assert span_rank(nef, glue) == span_rank(nef) == len(nef)
+        assert engine.equivariance_failures(nef, multidegree) == 0
+    wrong = tuple(c + 1 for c in multidegree)
+    assert engine.equivariance_failures(nef, wrong) > 0
 
 
 REPS = [(model.datum, i, rep)
-        for model in (GroupModel.type_a(2), GroupModel.type_a(3),
-                      GroupModel.bundled("B2"))
+        for model in map(oracle_model, ("A2", "A3", "B2"))
         for i, rep in sorted(model.reps.items())]
 
 
@@ -661,8 +748,3 @@ def test_commutator_check_refuses_what_the_dense_check_refuses(data):
         with pytest.raises(ValidationError,
                            match="is not the coweight action"):
             build()
-
-
-def test_unknown_bundled_model():
-    with pytest.raises(ValidationError):
-        GroupModel.bundled("E8")
