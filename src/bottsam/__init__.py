@@ -1,7 +1,6 @@
 """Exact Okounkov-body computations for Bott-Samelson varieties."""
 
 from .errors import (
-    Ambiguous,
     ChamberResolutionFailure,
     EngineError,
     NoMatch,
@@ -51,7 +50,6 @@ from .weights import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ambiguous",
     "Basis",
     "BasisChange",
     "CartanDatum",

@@ -69,13 +69,15 @@ class JobConfig:
 
 
 def _parse_word(text: str) -> WeylWord:
+    if not text.strip():
+        raise ValidationError("word must be a nonempty comma list")
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise ValidationError(f"bad word {text!r}: empty entry")
     try:
-        indices = [int(part) for part in text.split(",") if part.strip()]
+        return WeylWord(int(part) for part in parts)
     except ValueError as exc:
         raise ValidationError(f"bad word {text!r}: {exc}") from exc
-    if not indices:
-        raise ValidationError("word must be a nonempty comma list")
-    return WeylWord(indices)
 
 
 def _parse_mu(text: str) -> tuple[Fraction, ...]:

@@ -34,10 +34,6 @@ class NoMatch(VerificationFailure):
     """No divisor class reproduces the requested character."""
 
 
-class Ambiguous(VerificationFailure):
-    """Several divisor classes reproduce the requested character."""
-
-
 class SpanDeficiency(EngineError):
     """Products of slot sections failed to span the section space."""
 

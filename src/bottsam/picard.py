@@ -15,22 +15,9 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from ._kernel import IncrementalSpan, invert_dense
-from .errors import (
-    Ambiguous,
-    NoMatch,
-    NotNef,
-    ValidationError,
-    VerificationFailure,
-)
-from .rootsys import (
-    CartanDatum,
-    Character,
-    Weight,
-    bs_character,
-    demazure_dimension,
-    demazure_operator,
-)
+from ._kernel import IncrementalSpan, invert_dense, solve_dense
+from .errors import NoMatch, NotNef, ValidationError, VerificationFailure
+from .rootsys import CartanDatum, Weight, bs_character, demazure_dimension
 from .sections import GroupModel, SectionEngine
 
 
@@ -322,34 +309,53 @@ class PicardLattice:
         return len(self.section_basis(divisor))
 
     def volume(self, divisor: DivisorClass) -> Fraction:
-        """Exact degree of a nef class.
+        """Exact degree D^n of a nef class, by torus localization.
 
-        Interpolates k -> dim H^0(kD) at k = 0..n and returns n! times the
-        leading coefficient, with one oversample at k = n+1 guarding the
-        polynomiality assumption.
+        The torus-fixed points of the variety are the 2^n words
+        eps in {0,1}^n; at eps the class has weight
+        mu = sum_k m_k w_k omega_{i_k} and the tangent weights are
+        w_k alpha_{i_k}, k = 1..n, where w_k = s_{i_1}^{eps_1} ...
+        s_{i_k}^{eps_k} (m the canonical coordinates).  Atiyah-Bott
+        localization gives D^n = sum_eps xi(mu)^n / prod_k xi(w_k alpha_{i_k})
+        for any xi that pairs nonzero with every root; here
+        xi(alpha_i) = 1 on every simple root, so xi of a root is its height.
+        Nothing here counts sections, so the degree is independent of the
+        characters that certify the level sets.
         """
         coords = self.canonical(divisor).coords
         if min(coords, default=0) < 0:
             raise NotNef(f"class with canonical coordinates {coords} "
                          "is not nef")
-        values = [
-            _character_dimension(self.datum, self.word.indices,
-                                 tuple(k * c for c in coords))
-            for k in range(self.n + 2)
-        ]
-        for _ in range(self.n):
-            values = [b - a for a, b in zip(values, values[1:])]
-        if values[0] != values[1]:
-            raise VerificationFailure(
-                "section dimensions of a nef class failed the degree-n "
-                "polynomial oversample")
-        return Fraction(values[0])
+        datum = self.datum
+        letters = self.word.indices
+        roots = {i: datum.simple_root(i).coords for i in set(letters)}
+        # xi(omega_j): the solution of A^T x = (1, ..., 1).
+        xi = solve_dense(tuple(zip(*datum.matrix)), [[1] * datum.rank])[0]
+        total = Fraction(0)
+        for eps in itertools.product((False, True), repeat=self.n):
+            # phi = xi o w_k, as its values on the fundamental weights.
+            phi = list(xi)
+            degree, tangent = 0, 1
+            for i, m, flip in zip(letters, coords, eps):
+                on_root = sum(p * r for p, r in zip(phi, roots[i]))
+                if flip:
+                    # xi o w_{k-1} o s_i: omega_i goes to omega_i - alpha_i.
+                    phi[i - 1] -= on_root
+                    on_root = -on_root
+                degree += m * phi[i - 1]
+                tangent *= on_root
+            total += Fraction(degree) ** self.n / tangent
+        return total
 
     def pullback_from_flag_variety(self, highest: Weight) -> DivisorClass:
-        """The canonical class whose sections match a Demazure module.
+        """The canonical class pulled back from the flag-variety bundle L(lam).
 
-        Searches nonnegative canonical classes whose character equals the
-        Demazure character of the given dominant weight along the word.
+        In the canonical basis it is m_k = lam_j at the last position k of
+        each letter j and 0 elsewhere: the letters after that position are
+        not j, so their parabolics fix the line of the highest-weight vector
+        of V(omega_j).  Its sections are the Demazure module of lam along
+        the word.  A letter j with lam_j != 0 that the word lacks gives
+        NoMatch: no canonical class has that character.
         """
         if len(highest.coords) != self.datum.rank:
             raise ValidationError(
@@ -359,33 +365,14 @@ class PicardLattice:
             raise ValidationError(
                 f"weight {highest} is not dominant; pullbacks need a "
                 "dominant weight")
-        target = Character.monomial(highest)
-        for i in reversed(self.word.indices):
-            target = demazure_operator(self.datum, i, target)
-        goal = target.dimension()
-        matches: list[tuple[int, ...]] = []
-
-        def search(prefix: tuple[int, ...]) -> None:
-            if len(prefix) == self.n:
-                if bs_character(self.datum, self.word, prefix) == target:
-                    matches.append(prefix)
-                return
-            value = 0
-            while True:
-                padded = prefix + (value,) + (0,) * (self.n - len(prefix) - 1)
-                if _character_dimension(self.datum, self.word.indices,
-                                        padded) > goal:
-                    return
-                search(prefix + (value,))
-                value += 1
-
-        search(())
-        if not matches:
+        if not highest.is_integral():
+            raise ValidationError(f"weight {highest} is not integral")
+        letters = self.word.indices
+        last = {letter: k for k, letter in enumerate(letters)}
+        if any(c and j not in last for j, c in enumerate(highest, 1)):
             raise NoMatch(
                 f"no nonnegative canonical class matches the Demazure "
                 f"character of {highest}")
-        if len(matches) > 1:
-            raise Ambiguous(
-                f"classes {matches} all match the Demazure character "
-                f"of {highest}")
-        return DivisorClass(matches[0], Basis.CANONICAL)
+        return DivisorClass(tuple(highest[i - 1] if last[i] == k else 0
+                                  for k, i in enumerate(letters)),
+                            Basis.CANONICAL)

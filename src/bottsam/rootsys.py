@@ -80,7 +80,13 @@ def _integer_entry(value, what: str) -> int:
 
 
 class CartanDatum:
-    """A rank and a valid generalized Cartan matrix of finite type."""
+    """A rank and a valid generalized Cartan matrix.
+
+    The constructor checks the integer entries, the diagonal and the sign
+    and zero pattern only.  Finite type is checked at the first enumeration
+    of the roots (positive_roots, through weyl_dimension when a fundamental
+    representation is built), which refuses any other matrix.
+    """
 
     __slots__ = ("rank", "matrix")
 
@@ -307,69 +313,63 @@ def simple_reflection(datum: CartanDatum, i: int, weight: Weight) -> Weight:
     return weight - datum.simple_root(i).scaled(pairing)
 
 
-@lru_cache(maxsize=None)
-def _positive_roots(datum: CartanDatum) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """All positive roots as (root coords, coroot coords) pairs.
+def is_reduced(datum: CartanDatum, word: WeylWord | Sequence[int]) -> bool:
+    """True when the word is a reduced expression. The empty word is reduced.
 
-    Coordinates are over the simple roots and simple coroots respectively.
-    Raises ValidationError if the closure does not stay finite (the matrix is
-    then not of finite type).
+    Appending the letter i_j to w_{j-1} = s_{i_1} ... s_{i_{j-1}} adds one
+    to the length exactly when w_{j-1}(alpha_{i_j}) is a positive root, so
+    the word is reduced when each of its n such roots is positive.  That
+    takes n(n - 1)/2 reflections of one root and no root enumeration.
     """
-    rank = datum.rank
-    a = datum.matrix
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    frontier = [(tuple(1 if k == i else 0 for k in range(rank)),
-                 tuple(1 if k == i else 0 for k in range(rank)))
-                for i in range(rank)]
-    seen.update(frontier)
-    while frontier:
-        new = []
-        for b, c in frontier:
-            for i in range(rank):
-                pb = sum(a[i][j] * b[j] for j in range(rank))
-                pc = sum(a[j][i] * c[j] for j in range(rank))
-                b2 = tuple(v - (pb if k == i else 0) for k, v in enumerate(b))
-                c2 = tuple(v - (pc if k == i else 0) for k, v in enumerate(c))
-                pair = (b2, c2)
-                if pair not in seen:
-                    seen.add(pair)
-                    new.append(pair)
-                    if len(seen) > _ROOT_ENUM_CAP:
-                        raise ValidationError(
-                            "root system is not finite; "
-                            "the Cartan matrix is not of finite type")
-        frontier = new
-    return tuple(sorted(p for p in seen if all(v >= 0 for v in p[0])))
-
-
-def _root_reflection(datum: CartanDatum, i: int,
-                     root: tuple[int, ...]) -> tuple[int, ...]:
-    a = datum.matrix
-    pairing = sum(a[i - 1][j] * root[j] for j in range(datum.rank))
-    return tuple(v - (pairing if k == i - 1 else 0) for k, v in enumerate(root))
-
-
-def word_length(datum: CartanDatum, word: WeylWord | Sequence[int]) -> int:
-    """Length of the Weyl group element the word multiplies out to."""
     indices = tuple(word)
     for i in indices:
         datum._check_index(i)
-    count = 0
-    for root, _ in _positive_roots(datum):
-        image = root
-        for i in reversed(indices):
-            image = _root_reflection(datum, i, image)
-        if all(v <= 0 for v in image) and any(image):
-            count += 1
-    return count
+    for j, i in enumerate(indices):
+        # w_{j-1}(alpha_{i_j}) in simple-root coordinates.
+        root = [int(k == i - 1) for k in range(datum.rank)]
+        for letter in reversed(indices[:j]):
+            row = datum.matrix[letter - 1]
+            root[letter - 1] -= sum(a * c for a, c in zip(row, root))
+        if min(root) < 0:
+            return False
+    return True
 
 
-def is_reduced(datum: CartanDatum, word: WeylWord | Sequence[int]) -> bool:
-    """True when the word is a reduced expression. The empty word is reduced."""
-    indices = tuple(word)
-    if not indices:
-        return True
-    return word_length(datum, indices) == len(indices)
+@lru_cache(maxsize=None)
+def positive_roots(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
+    """All positive roots in simple-root coordinates, sorted.
+
+    The roots are found by height.  The alpha_i-string through a root beta
+    runs from beta - p alpha_i to beta + q alpha_i with
+    p - q = <beta, alpha_i^vee>, and p is read off the roots of lower
+    height, so beta + alpha_i is a root exactly when q > 0.  This is where
+    a matrix that is not of finite type is refused: its roots never run
+    out, and the count passes _ROOT_ENUM_CAP (negative roots included).
+    """
+    rank = datum.rank
+    a = datum.matrix
+    level = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
+    found = set(level)
+    while level:
+        above = []
+        for beta in level:
+            for i in range(rank):
+                p = 0
+                lower = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+                while lower in found:
+                    p += 1
+                    lower = lower[:i] + (lower[i] - 1,) + lower[i + 1:]
+                if p > sum(a[i][j] * beta[j] for j in range(rank)):
+                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    if up not in found:
+                        found.add(up)
+                        above.append(up)
+                        if 2 * len(found) > _ROOT_ENUM_CAP:
+                            raise ValidationError(
+                                "root system is not finite; "
+                                "the Cartan matrix is not of finite type")
+        level = above
+    return tuple(sorted(found))
 
 
 def demazure_operator(datum: CartanDatum, i: int, char: Character) -> Character:
@@ -390,22 +390,22 @@ def demazure_operator(datum: CartanDatum, i: int, char: Character) -> Character:
             else:
                 numerator.pop(weight, None)
     # Group the numerator into alpha_i-strings: lam and lam - k*alpha share
-    # the s_i-invariant key 2*lam - <lam, alpha_i^vee>*alpha_i.
+    # the s_i-invariant 2*lam - <lam, alpha_i^vee>*alpha_i and the parity of
+    # the pairing.  The parity tells lam from lam + alpha_i/2, which shares
+    # the first part and is a weight when alpha_i is divisible by 2 (the
+    # alpha_1 of B2, say).
     strings: dict[tuple, list[tuple[int, Weight, int]]] = {}
     for w, m in numerator.items():
         h = w[i - 1]
-        key = (w.scaled(2) - alpha.scaled(h)).sort_key()
+        key = ((w.scaled(2) - alpha.scaled(h)).sort_key(), h % 2)
         strings.setdefault(key, []).append((h, w, m))
     out: dict[Weight, int] = {}
     for members in strings.values():
-        members.sort(key=lambda t: -Fraction(t[0]))
+        members.sort(key=lambda t: -t[0])
         h_top = members[0][0]
         coeff: dict[int, int] = {}
         for h, w, m in members:
-            step = Fraction(h_top - h, 2)
-            if step.denominator != 1:
-                raise EngineError("Demazure string with fractional step")
-            coeff[int(step)] = m
+            coeff[(h_top - h) // 2] = m
         top_weight = members[0][1]
         running = 0
         last = max(coeff)
@@ -457,14 +457,19 @@ def bs_character(datum: CartanDatum, word: WeylWord | Sequence[int],
 
 
 def weyl_dimension(datum: CartanDatum, highest: Weight) -> int:
-    """Dimension of the irreducible module with the given dominant weight."""
+    """Dimension of the irreducible module with the given dominant weight.
+
+    Weyl's product of <lam + rho, beta^vee> / <rho, beta^vee> over the
+    positive coroots beta^vee, which are the positive roots of the
+    transposed Cartan matrix in simple-coroot coordinates (see
+    positive_roots), so <omega_j, beta^vee> is the j-th coordinate.
+    """
     if not highest.is_dominant():
         raise ValidationError("weyl_dimension needs a dominant weight")
     value = Fraction(1)
-    for _, coroot in _positive_roots(datum):
+    for coroot in positive_roots(CartanDatum(tuple(zip(*datum.matrix)))):
         num = sum((Fraction(h) + 1) * c for h, c in zip(highest, coroot))
-        den = sum(coroot)
-        value *= Fraction(num, den)
+        value *= num / sum(coroot)
     if value.denominator != 1:
         raise EngineError("Weyl dimension did not come out integral")
     return int(value)

@@ -12,7 +12,13 @@ sparse orbit vectors; raw_point_body and raw_point_image hull every
 valuation point, as bodies did before they hulled memoized class hulls;
 exterior_power_action and b2_action keep the hand-made fundamental
 representations (exterior powers of C^(n+1) and data/B2.json) that the
-group action came from before it was derived from the Cartan matrix.
+group action came from before it was derived from the Cartan matrix;
+reflection_closure, closure_weyl_dimension and closure_length keep the
+root enumeration by reflection closure that Weyl dimensions and reduced
+words were read off before root strings and inversion roots;
+interpolated_degree and searched_pullbacks keep the degree interpolated
+from character dimensions and the pullback searched among characters,
+before torus localization and the closed-form pullback.
 """
 
 from __future__ import annotations
@@ -584,3 +590,100 @@ def raw_point_image(engine, divisor, levels):
               for k in range(1, levels + 1)
               for nu in engine.valuation_points(divisor, k) if nu[0] == 0]
     return RationalPolytope.from_points(points, ambient=engine.n - 1)
+
+
+def reflection_closure(matrix):
+    """Every positive root with its coroot, as sorted (root, coroot) pairs
+    over the simple roots and simple coroots: the simple roots closed under
+    every simple reflection, the route root enumeration took before it went
+    by height.  Terminates only on a matrix of finite type."""
+    rank = len(matrix)
+    units = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
+    seen = {(u, u) for u in units}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for b, c in frontier:
+            for i in range(rank):
+                pb = sum(matrix[i][j] * b[j] for j in range(rank))
+                pc = sum(matrix[j][i] * c[j] for j in range(rank))
+                pair = (tuple(v - (pb if k == i else 0) for k, v in enumerate(b)),
+                        tuple(v - (pc if k == i else 0) for k, v in enumerate(c)))
+                if pair not in seen:
+                    seen.add(pair)
+                    new.append(pair)
+        frontier = new
+    return sorted(p for p in seen if min(p[0]) >= 0)
+
+
+def closure_weyl_dimension(matrix, highest):
+    """Weyl's dimension formula over the coroots of reflection_closure."""
+    value = Fraction(1)
+    for _, coroot in reflection_closure(matrix):
+        value *= Fraction(sum((h + 1) * c for h, c in zip(highest, coroot)),
+                          sum(coroot))
+    return value
+
+
+def closure_length(matrix, word):
+    """Length of the Weyl group element a word multiplies out to: the
+    number of positive roots of reflection_closure it sends negative."""
+    rank = len(matrix)
+    count = 0
+    for root, _ in reflection_closure(matrix):
+        for i in reversed(word):
+            pairing = sum(matrix[i - 1][j] * root[j] for j in range(rank))
+            root = tuple(v - (pairing if k == i - 1 else 0)
+                         for k, v in enumerate(root))
+        if max(root) <= 0:
+            count += 1
+    return count
+
+
+def interpolated_degree(datum, word, canonical):
+    """Degree of a nef class as the volume route had it before torus
+    localization: interpolate k -> dim H^0(kD) from Demazure character
+    dimensions at k = 0..n and take n! times the leading coefficient, with
+    one oversample at k = n + 1 asserting the polynomial degree."""
+    from bottsam.rootsys import bs_character
+
+    n = len(word)
+    values = [bs_character(datum, word, [k * c for c in canonical])
+              .dimension() for k in range(n + 2)]
+    for _ in range(n):
+        values = [b - a for a, b in zip(values, values[1:])]
+    assert values[0] == values[1], "oversample breaks degree n"
+    return values[0]
+
+
+def searched_pullbacks(datum, word, highest):
+    """Every nonnegative canonical class whose character is the Demazure
+    character of the dominant weight along the word, by the search the
+    pullback took before its closed form: extend a prefix while the padded
+    class has at most the target's dimension, compare full characters."""
+    from bottsam.rootsys import Character, Weight, bs_character, \
+        demazure_dimension, demazure_operator
+
+    n = len(word)
+    target = Character.monomial(Weight(highest))
+    for i in reversed(word):
+        target = demazure_operator(datum, i, target)
+    goal = target.dimension()
+    matches = []
+
+    def search(prefix):
+        if len(prefix) == n:
+            if bs_character(datum, word, prefix) == target:
+                matches.append(prefix)
+            return
+        value = 0
+        while True:
+            padded = prefix + (value,) + (0,) * (n - len(prefix) - 1)
+            tail = bs_character(datum, word[1:], padded[1:])
+            if demazure_dimension(datum, word[0], tail, padded[0]) > goal:
+                return
+            search(prefix + (value,))
+            value += 1
+
+    search(())
+    return matches

@@ -179,6 +179,8 @@ def test_validation_errors_exit_2(capsys):
         ["body", "--type", "A1", "--word", "1", "--bundle", "foo:3"],
         ["body", "--type", "Z9", "--word", "1", "--bundle", "can:3"],
         ["body", "--type", "A2", "--word", "1,1", "--bundle", "can:1,1"],
+        ["body", "--type", "A2", "--word", "1,,2", "--bundle", "can:1,1"],
+        ["body", "--type", "A2", "--word", "1,2,", "--bundle", "can:1,1"],
         ["weights", "--type", "A1", "--word", "1", "--bundle", "can:3"],
         ["body", "--type", "A1", "--matrix-file", "x.json",
          "--word", "1", "--bundle", "can:1"],
@@ -187,6 +189,15 @@ def test_validation_errors_exit_2(capsys):
         code = main(argv)
         capsys.readouterr()
         assert code == 2, argv
+
+
+@pytest.mark.parametrize("word", ["1,,2", "1,2,"])
+def test_empty_word_entries_exit_2_with_one_line(capsys, word):
+    code = main(["body", "--type", "A2", "--word", word,
+                 "--bundle", "can:1,1"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: bad word {word!r}: empty entry"]
 
 
 @pytest.mark.parametrize("content, message", [

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,9 @@ from hypothesis import strategies as st
 from bottsam import (
     Basis,
     BasisChange,
+    CartanDatum,
     DivisorClass,
+    NoMatch,
     NotNef,
     OkounkovEngine,
     PicardLattice,
@@ -27,7 +31,7 @@ from bottsam import (
     picard,
 )
 
-from oracles import weyl_dim_a2
+from oracles import interpolated_degree, searched_pullbacks, weyl_dim_a2
 
 
 def can(*coords):
@@ -305,6 +309,59 @@ def test_pullback_rejects_nondominant_weights(lattice_a2_12):
         lattice_a2_12.pullback_from_flag_variety(Weight((-1, 0)))
     with pytest.raises(ValidationError):
         lattice_a2_12.pullback_from_flag_variety(Weight((0, -2)))
+
+
+LOCALIZATION_WORDS = [("A1", (1,)), ("A2", (1, 2)), ("A2", (1, 2, 1)),
+                      ("B2", (1, 2)), ("B2", (1, 2, 1)), ("B2", (1, 2, 1, 2)),
+                      ("C2", (2, 1, 2)), ("G2", (1, 2, 1)), ("A3", (1, 2, 3)),
+                      ("A3", (2, 1, 3, 2)), ("C3", (1, 2, 3))]
+
+
+@functools.lru_cache(maxsize=None)
+def lattice_of(name, word):
+    return PicardLattice(CartanDatum.from_type(name), word)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(LOCALIZATION_WORDS), st.data())
+def test_localization_equals_interpolation(case, data):
+    """Torus localization gives the degree that character interpolation
+    gives, on A-, B-, C- and G2-type words, zero degrees included."""
+    name, word = case
+    coords = data.draw(st.tuples(*[st.integers(0, 2)] * len(word)))
+    lattice = lattice_of(name, word)
+    assert lattice.volume(can(*coords)) == interpolated_degree(
+        lattice.datum, word, coords)
+
+
+PULLBACK_WORDS = [("A2", (1, 2)), ("A2", (2, 1, 2)), ("A3", (1, 2)),
+                  ("A3", (2, 1, 3, 2)), ("A3", (3, 1, 2)), ("B2", (1, 2, 1)),
+                  ("B2", (2,)), ("G2", (2, 1)), ("C3", (3, 2))]
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(PULLBACK_WORDS), st.data())
+def test_pullback_equals_the_character_search(case, data):
+    """The closed-form pullback is the one class the character search
+    finds, and NoMatch exactly when the search finds none."""
+    name, word = case
+    datum = CartanDatum.from_type(name)
+    # The search takes seconds on rank-3 weights past 1.
+    top = 2 if datum.rank == 2 else 1
+    highest = data.draw(st.tuples(*[st.integers(0, top)] * datum.rank))
+    found = searched_pullbacks(datum, word, highest)
+    lattice = lattice_of(name, word)
+    if found:
+        assert [lattice.pullback_from_flag_variety(Weight(highest))] \
+            == [can(*m) for m in found]
+    else:
+        with pytest.raises(NoMatch):
+            lattice.pullback_from_flag_variety(Weight(highest))
+
+
+def test_pullback_refuses_non_integral_weights(lattice_a2_12):
+    with pytest.raises(ValidationError, match="not integral"):
+        lattice_a2_12.pullback_from_flag_variety(Weight((Fraction(1, 2), 0)))
 
 
 def test_wrong_length_inputs_are_rejected(lattice_a2_12):

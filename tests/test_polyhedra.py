@@ -103,14 +103,11 @@ def test_embedded_polygon_volumes_match_shoelace(points, a, b):
     assert embedded.lattice_volume() == area
 
 
-def test_extreme_rays_matches_pairwise_oracle():
-    rng = random.Random(4)
-    for _ in range(30):
-        vectors = [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(6)]
-        vectors = [v for v in vectors if v != (0, 0)]
-        if not vectors:
-            continue
-        assert sorted(extreme_rays(vectors)) == sorted(extreme_rays_2d(vectors))
+@settings(max_examples=60)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5))
+                .filter(any), min_size=1, max_size=6))
+def test_extreme_rays_matches_pairwise_oracle(vectors):
+    assert sorted(extreme_rays(vectors)) == sorted(extreme_rays_2d(vectors))
 
 
 def test_extreme_rays_collapses_parallel_generators():

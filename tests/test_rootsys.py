@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -22,8 +23,17 @@ from bottsam import (
     is_reduced,
     weyl_dimension,
 )
+from bottsam.rootsys import positive_roots
 
-from oracles import demazure_closed_form, weyl_dim_a1, weyl_dim_a2, weyl_dim_b2
+from oracles import (
+    closure_length,
+    closure_weyl_dimension,
+    demazure_closed_form,
+    reflection_closure,
+    weyl_dim_a1,
+    weyl_dim_a2,
+    weyl_dim_b2,
+)
 
 
 def test_builtin_cartan_matrices():
@@ -96,21 +106,18 @@ def test_character_operations(a2):
     assert zero.dimension() == 0 and not zero.terms
 
 
-def test_demazure_matches_closed_form_on_random_characters():
-    rng = random.Random(20260819)
-    data = [CartanDatum.from_type(name) for name in ("A2", "B2", "G2")]
-    for datum in data:
-        for _ in range(25):
-            terms = {}
-            for _ in range(rng.randint(1, 5)):
-                coords = tuple(rng.randint(-4, 4)
-                               for _ in range(datum.rank))
-                terms[coords] = rng.randint(-3, 3) or 1
-            ch = Character({Weight(c): m for c, m in terms.items()})
-            for index in range(1, datum.rank + 1):
-                got = demazure_operator(datum, index, ch)
-                expected = demazure_closed_form(datum.matrix, index, terms)
-                assert {w.coords: m for w, m in got.terms.items()} == expected
+@settings(max_examples=75)
+@given(st.sampled_from(["A2", "B2", "G2"]), st.data())
+def test_demazure_matches_closed_form_on_random_characters(name, data):
+    datum = CartanDatum.from_type(name)
+    terms = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(-4, 4)] * datum.rank),
+        st.integers(-3, 3).filter(bool), min_size=1, max_size=5))
+    ch = Character({Weight(c): m for c, m in terms.items()})
+    for index in range(1, datum.rank + 1):
+        got = demazure_operator(datum, index, ch)
+        expected = demazure_closed_form(datum.matrix, index, terms)
+        assert {w.coords: m for w, m in got.terms.items()} == expected
 
 
 @pytest.mark.parametrize("name, word", [
@@ -208,6 +215,62 @@ def test_is_reduced(a2, b2):
     assert not is_reduced(a2, WeylWord([1, 2, 1, 2]))
     assert is_reduced(b2, WeylWord([1, 2, 1, 2]))
     assert not is_reduced(b2, WeylWord([1, 2, 1, 2, 1]))
+
+
+FINITE_TYPES = ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "D4", "A4",
+                "B4", "C4", "D5"]
+
+
+@pytest.mark.parametrize("name", FINITE_TYPES)
+def test_root_strings_equal_the_reflection_closure(name):
+    """Roots by height are the reflection closure's positive roots, and the
+    positive roots of the transposed matrix are its coroots."""
+    datum = CartanDatum.from_type(name)
+    closure = reflection_closure(datum.matrix)
+    assert positive_roots(datum) == tuple(root for root, _ in closure)
+    dual = CartanDatum(tuple(zip(*datum.matrix)))
+    assert sorted(positive_roots(dual)) == sorted(c for _, c in closure)
+
+
+@settings(max_examples=80)
+@given(st.sampled_from(FINITE_TYPES), st.data())
+def test_weyl_dimension_equals_the_closure_product(name, data):
+    datum = CartanDatum.from_type(name)
+    highest = data.draw(st.tuples(*[st.integers(0, 2)] * datum.rank))
+    assert weyl_dimension(datum, Weight(highest)) \
+        == closure_weyl_dimension(datum.matrix, highest)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A4",
+                        "B4", "D4"]), st.data())
+def test_inversion_test_equals_the_closure_length(name, data):
+    """A word is reduced exactly when its length is the number of positive
+    roots its element sends negative."""
+    datum = CartanDatum.from_type(name)
+    word = data.draw(st.lists(st.integers(1, datum.rank), max_size=9))
+    assert is_reduced(datum, word) \
+        == (closure_length(datum.matrix, word) == len(word))
+
+
+def test_root_enumeration_refuses_a_matrix_of_infinite_type():
+    affine = CartanDatum([[2, -2], [-2, 2]])
+    for call in (lambda: positive_roots(affine),
+                 lambda: weyl_dimension(affine, Weight((1, 0)))):
+        with pytest.raises(ValidationError, match=(
+                "^root system is not finite; "
+                "the Cartan matrix is not of finite type$")):
+            call()
+    assert is_reduced(affine, [1, 2, 1, 2, 1])
+    assert not is_reduced(affine, [1, 2, 2])
+
+
+def test_type_a30_roots_and_dimensions():
+    a30 = CartanDatum.from_type("A30")
+    assert len(positive_roots(a30)) == 465
+    assert is_reduced(a30, [1]) and is_reduced(a30, range(30, 0, -1))
+    assert weyl_dimension(a30, a30.fundamental_weight(15)) \
+        == math.comb(31, 15)
 
 
 def test_weyl_word_validation():
