@@ -13,11 +13,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EngineError, ValidationError
-
-_ROOT_ENUM_CAP = 10_000
 
 
 class Weight:
@@ -83,9 +82,10 @@ class CartanDatum:
     """A rank and a valid generalized Cartan matrix.
 
     The constructor checks the integer entries, the diagonal and the sign
-    and zero pattern only.  Finite type is checked at the first enumeration
-    of the roots (positive_roots, through weyl_dimension when a fundamental
-    representation is built), which refuses any other matrix.
+    and zero pattern only.  Finite type is checked (is_finite_type) at the
+    first enumeration of the roots (positive_roots, through weyl_dimension
+    when a fundamental representation is built), which refuses any other
+    matrix.
     """
 
     __slots__ = ("rank", "matrix")
@@ -335,19 +335,82 @@ def is_reduced(datum: CartanDatum, word: WeylWord | Sequence[int]) -> bool:
     return True
 
 
+def is_finite_type(matrix: Sequence[Sequence[int]]) -> bool:
+    """Whether a generalized Cartan matrix is of finite type.
+
+    A matrix is of finite type exactly when it is symmetrizable and its
+    symmetrization DA is positive definite (Kac, Infinite-dimensional Lie
+    algebras, ch. 4).  Each connected component gets positive integers d
+    with d_i a_ij = d_j a_ji, read off along its edges; a conflict means
+    there is no symmetrizer.  Then every pivot of the exact elimination of
+    DA must be positive.  The elimination scales rows by positive integers
+    only, so its pivots have the signs of Gaussian elimination's.
+    """
+    rank = len(matrix)
+    d = [0] * rank
+    for start in range(rank):
+        if d[start]:
+            continue
+        d[start] = 1
+        component = [start]
+        for i in component:
+            for j in range(rank):
+                if j == i or not matrix[i][j]:
+                    continue
+                num, den = d[i] * matrix[i][j], matrix[j][i]
+                if d[j]:
+                    if d[j] * den != num:
+                        return False
+                    continue
+                if num % den:
+                    scale = abs(den) // gcd(num, den)
+                    for k in component:
+                        d[k] *= scale
+                    num *= scale
+                d[j] = num // den
+                component.append(j)
+    rows = [{j: d[i] * v for j, v in enumerate(row) if v}
+            for i, row in enumerate(matrix)]
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row.get(k, 0)
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, rank):
+            factor = rows[i].get(k)
+            if not factor:
+                continue
+            row = {c: pivot * v for c, v in rows[i].items()}
+            for c, v in pivot_row.items():
+                value = row.get(c, 0) - factor * v
+                if value:
+                    row[c] = value
+                else:
+                    del row[c]
+            content = gcd(*row.values())
+            rows[i] = {c: v // content for c, v in row.items()}
+    return True
+
+
 @lru_cache(maxsize=None)
 def positive_roots(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
     """All positive roots in simple-root coordinates, sorted.
 
-    The roots are found by height.  The alpha_i-string through a root beta
-    runs from beta - p alpha_i to beta + q alpha_i with
-    p - q = <beta, alpha_i^vee>, and p is read off the roots of lower
-    height, so beta + alpha_i is a root exactly when q > 0.  This is where
-    a matrix that is not of finite type is refused: its roots never run
-    out, and the count passes _ROOT_ENUM_CAP (negative roots included).
+    A matrix that is not of finite type has infinitely many roots, so it
+    is refused first, by is_finite_type.  A finite root system of rank r
+    has r h / 2 positive roots per component, with Coxeter number h at
+    most 2r on types A-D and at most 30 on the exceptional ones, so more
+    than r max(r, 15) roots is an internal error.  The roots are found by
+    height.  The alpha_i-string through a root beta runs from
+    beta - p alpha_i to beta + q alpha_i with p - q = <beta, alpha_i^vee>,
+    and p is read off the roots of lower height, so beta + alpha_i is a
+    root exactly when q > 0.
     """
     rank = datum.rank
     a = datum.matrix
+    if not is_finite_type(a):
+        raise ValidationError("root system is not finite; "
+                              "the Cartan matrix is not of finite type")
+    neighbors = [[(j, v) for j, v in enumerate(row) if v] for row in a]
     level = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
     found = set(level)
     while level:
@@ -359,15 +422,13 @@ def positive_roots(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
                 while lower in found:
                     p += 1
                     lower = lower[:i] + (lower[i] - 1,) + lower[i + 1:]
-                if p > sum(a[i][j] * beta[j] for j in range(rank)):
+                if p > sum(v * beta[j] for j, v in neighbors[i]):
                     up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
                     if up not in found:
                         found.add(up)
                         above.append(up)
-                        if 2 * len(found) > _ROOT_ENUM_CAP:
-                            raise ValidationError(
-                                "root system is not finite; "
-                                "the Cartan matrix is not of finite type")
+        if len(found) > rank * max(rank, 15):
+            raise EngineError("more positive roots than finite type allows")
         level = above
     return tuple(sorted(found))
 

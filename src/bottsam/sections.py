@@ -45,7 +45,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import prod
-from operator import add, mul, sub
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from . import polyhedra
@@ -293,15 +293,15 @@ class _ChartPowers:
     them.
 
     On a monomial chart, where num, den and every coordinate numerator
-    and denominator are single terms, coeffs holds the coefficients of
-    num, of the numerators N_j and of the denominators D_j.  steps holds
-    one integer column per chart variable: the exponent of num / den in it
-    and those of each coordinate t_j = N_j / D_j; den_steps holds the same
-    columns for den and each D_j.  On other charts all three are None.
+    and denominator are single terms, steps holds one integer column per
+    chart variable: the exponent of num / den in it and those of each
+    coordinate t_j = N_j / D_j.  Regularity of t^a there is the sign test
+    of SectionEngine._chart_filter, and the power tables stay empty.  On
+    other charts steps is None.
     """
 
     __slots__ = ("frame", "npow", "dpow", "num", "den", "num_heads",
-                 "den_heads", "coeffs", "steps", "den_steps")
+                 "den_heads", "steps")
 
     def __init__(self, frame: _ChartFrame, num: Polynomial, den: Polynomial):
         one = Polynomial.one(len(frame.flips))
@@ -312,52 +312,14 @@ class _ChartPowers:
         self.den = den
         self.num_heads: dict[tuple[int, int], Polynomial] = {}
         self.den_heads: dict[tuple[int, int], Polynomial] = {}
-        self.coeffs = self.steps = self.den_steps = None
+        self.steps = None
         tops = (num, *frame.numerators)
         bottoms = (den, *frame.denominators)
         if all(len(p.terms) == 1 for p in tops + bottoms):
-            ups, c_ups = zip(*[next(iter(p.terms.items())) for p in tops])
-            downs, c_downs = zip(*[next(iter(p.terms.items()))
-                                   for p in bottoms])
-            self.coeffs = c_ups[0], c_ups[1:], c_downs[1:]
-            gaps = [[x - y for x, y in zip(top, bottom)]
-                    for top, bottom in zip(ups, downs)]
+            gaps = [list(map(sub, next(iter(top.terms)),
+                             next(iter(bottom.terms))))
+                    for top, bottom in zip(tops, bottoms)]
             self.steps = [(g, col) for g, *col in zip(*gaps)]
-            self.den_steps = [(d, col) for d, *col in zip(*downs)]
-
-    def monomial_rests(self, cands, used) -> dict:
-        """lift(cands[i], amax).remainder(denominator(amax)).terms for each
-        i in used, with amax the componentwise maximum of cands, from
-        exponent vectors alone, on a monomial chart.
-
-        The lift of t^a is one term c x^e with e = e_num + sum_j a_j e_N[j]
-        + (amax_j - a_j) e_D[j], and the class denominator one term x^lead
-        with lead = e_den + sum_j amax_j e_D[j].  Division by one term
-        leaves 0 when e >= lead componentwise and the lift itself
-        otherwise.  The shift e - lead = e_num - e_den + sum_j a_j (e_N[j] -
-        e_D[j]) does not depend on amax, so amax, lead and c are computed
-        only for a nonzero remainder.
-        """
-        c_num, c_ups, c_downs = self.coeffs
-        rests = {}
-        lead = None
-        for i in used:
-            a = cands[i]
-            shift = [g + sum(map(mul, a, col)) for g, col in self.steps]
-            if min(shift) >= 0:
-                rests[i] = {}
-                continue
-            if lead is None:
-                amax = tuple(map(max, zip(*cands)))
-                lead = [d + sum(map(mul, amax, col))
-                        for d, col in self.den_steps]
-            c = c_num
-            for aj, m, c_n, c_d in zip(a, amax, c_ups, c_downs):
-                c = c * c_n ** aj * c_d ** (m - aj)
-            if c.__class__ is not int and c.denominator == 1:
-                c = c.numerator
-            rests[i] = {tuple(map(add, lead, shift)): c}
-        return rests
 
     def grow(self, j: int, power: int) -> None:
         """Extend the j-th power tables up to the given exponent."""
@@ -943,14 +905,33 @@ class SectionEngine:
         nullspace of the remainder rows over the incoming vectors.
 
         On a monomial chart, one whose num, den and coordinate numerators
-        and denominators are all single terms, every lift and the class
-        denominator are single terms too, so the remainders come from
-        exponent vectors (_ChartPowers.monomial_rests) without building a
-        polynomial.  Other charts lift and divide polynomials.
+        and denominators are all single terms, every lift is one term
+        c x^(lead + g + S a), with x^lead the one-term denominator and
+        (g, S) the chart's steps, so t^a is regular exactly when every
+        entry of g + S a is >= 0.  An irregular lift is its own remainder.
+        S is the exponent matrix of a birational monomial change of
+        coordinates, so it is invertible and distinct candidates leave
+        distinct monomials: each irregular candidate i is one row of the
+        system, c times {col: vec[i]}.  The row {col: vec[i]} spans the
+        same line, so the nullspace, canonical on a row space, is the same
+        one, and no lift, remainder or coefficient is computed.  Other
+        charts lift and divide polynomials.
         """
         used = {i for vec in vectors for i in vec}
         if chart.steps is not None:
-            rests = chart.monomial_rests(cands, used)
+            irregular: dict[int, dict[int, int]] = {}
+            for i in used:
+                a = cands[i]
+                for g, col in chart.steps:
+                    if g + sum(map(mul, a, col)) < 0:
+                        irregular[i] = {}
+                        break
+            for col, vec in enumerate(vectors):
+                for i, c in vec.items():
+                    row = irregular.get(i)
+                    if row is not None:
+                        row[col] = c
+            int_rows = list(irregular.values())
         else:
             amax = tuple(map(max, zip(*cands)))
             for j, power in enumerate(amax):
@@ -958,19 +939,18 @@ class SectionEngine:
             den = chart.denominator(amax)
             rests = {i: chart.lift(cands[i], amax).remainder(den).terms
                      for i in used}
-        nv = len(vectors)
-        rows: dict[Mono, dict[int, Fraction | int]] = {}
-        for col, vec in enumerate(vectors):
-            for i, c in vec.items():
-                for mono, r in rests[i].items():
-                    row = rows.setdefault(mono, {})
-                    v = row.get(col, 0) + c * r
-                    if v:
-                        row[col] = v
-                    else:
-                        del row[col]
-        int_rows = [clear_denominators(row) for row in rows.values()]
-        solutions = nullspace(int_rows, nv)
+            rows: dict[Mono, dict[int, Fraction | int]] = {}
+            for col, vec in enumerate(vectors):
+                for i, c in vec.items():
+                    for mono, r in rests[i].items():
+                        row = rows.setdefault(mono, {})
+                        v = row.get(col, 0) + c * r
+                        if v:
+                            row[col] = v
+                        else:
+                            del row[col]
+            int_rows = [clear_denominators(row) for row in rows.values()]
+        solutions = nullspace(int_rows, len(vectors))
         span = IncrementalSpan()
         filtered = []
         for sol in solutions:

@@ -616,6 +616,29 @@ def reflection_closure(matrix):
     return sorted(p for p in seen if min(p[0]) >= 0)
 
 
+def closure_stays_finite(matrix, cap=200):
+    """Whether the real roots of reflection_closure stay within cap: the
+    closure of a matrix that is not of finite type never ends, and a
+    finite root system of rank 3 has at most 18 roots."""
+    rank = len(matrix)
+    seen = {tuple(int(k == i) for k in range(rank)) for i in range(rank)}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for b in frontier:
+            for i in range(rank):
+                pb = sum(matrix[i][j] * b[j] for j in range(rank))
+                image = tuple(v - (pb if k == i else 0)
+                              for k, v in enumerate(b))
+                if image not in seen:
+                    seen.add(image)
+                    new.append(image)
+        if len(seen) > cap:
+            return False
+        frontier = new
+    return True
+
+
 def closure_weyl_dimension(matrix, highest):
     """Weyl's dimension formula over the coroots of reflection_closure."""
     value = Fraction(1)

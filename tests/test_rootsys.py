@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -23,10 +24,11 @@ from bottsam import (
     is_reduced,
     weyl_dimension,
 )
-from bottsam.rootsys import positive_roots
+from bottsam.rootsys import is_finite_type, positive_roots
 
 from oracles import (
     closure_length,
+    closure_stays_finite,
     closure_weyl_dimension,
     demazure_closed_form,
     reflection_closure,
@@ -263,6 +265,56 @@ def test_root_enumeration_refuses_a_matrix_of_infinite_type():
             call()
     assert is_reduced(affine, [1, 2, 1, 2, 1])
     assert not is_reduced(affine, [1, 2, 2])
+
+
+E8 = [[2, 0, -1, 0, 0, 0, 0, 0],
+      [0, 2, 0, -1, 0, 0, 0, 0],
+      [-1, 0, 2, -1, 0, 0, 0, 0],
+      [0, -1, -1, 2, -1, 0, 0, 0],
+      [0, 0, 0, -1, 2, -1, 0, 0],
+      [0, 0, 0, 0, -1, 2, -1, 0],
+      [0, 0, 0, 0, 0, -1, 2, -1],
+      [0, 0, 0, 0, 0, 0, -1, 2]]
+
+
+def test_finite_type_is_decided_from_the_matrix():
+    """Finite type is read off the matrix, with no root enumerated: A100
+    (10,100 roots) and E8 pass, the affine matrices and a hyperbolic one
+    fail, and so does a matrix without a symmetrizer."""
+    for name in ("A100", "B7", "C5", "D6", "G2"):
+        assert is_finite_type(CartanDatum.from_type(name).matrix)
+    assert is_finite_type(E8)
+    for matrix in ([[2, -2], [-2, 2]],
+                   [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+                   [[2, -3], [-3, 2]],
+                   [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]):
+        assert not is_finite_type(matrix)
+
+
+def test_exceptional_root_counts_pass_the_internal_bound():
+    """E8 has 120 positive roots, 15 per node: the most a finite type has
+    for its rank, which the enumeration's internal check allows."""
+    assert len(positive_roots(CartanDatum(E8))) == 120
+    assert len(positive_roots(CartanDatum.from_type("G2"))) == 6
+
+
+def test_finite_type_matches_the_closure_on_every_small_matrix():
+    """On every generalized Cartan matrix of rank 2 or 3 with off-diagonal
+    entries in -3..0, the decision agrees with whether the reflection
+    closure of the simple roots stays finite."""
+    for rank in (2, 3):
+        pairs = [(i, j) for i in range(rank) for j in range(i + 1, rank)]
+        choices = [(0, 0)] + [(x, y) for x in range(-3, 0)
+                              for y in range(-3, 0)]
+        verdicts = set()
+        for picks in itertools.product(choices, repeat=len(pairs)):
+            matrix = [[2] * rank for _ in range(rank)]
+            for (i, j), (x, y) in zip(pairs, picks):
+                matrix[i][j], matrix[j][i] = x, y
+            verdict = is_finite_type(matrix)
+            assert verdict == closure_stays_finite(matrix), matrix
+            verdicts.add(verdict)
+        assert verdicts == {False, True}
 
 
 def test_type_a30_roots_and_dimensions():

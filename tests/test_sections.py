@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bottsam import (
@@ -197,8 +197,11 @@ def test_probe_run_work_on_monomial_charts(a2, monkeypatch):
     polynomial: the products fell from 70,398 to 1,398, the ones that
     build the charts and their slot-factor powers, and to 858 once charts
     are read off sparse orbit vectors instead of dense matrix products.
-    The run still makes 88 glue calls and one nullspace call per chart
-    filter, 30,158 in all, as perfbench/selfcheck.py pins.  The filters
+    Regularity on those charts is a sign test on exponent vectors, with
+    one row per irregular candidate, and one-column systems skip
+    elimination; none of that moved a pin.  The run still makes 88 glue
+    calls and one nullspace call per chart filter, 30,158 in all, as
+    perfbench/selfcheck.py pins.  The filters
     stay in the integers: the whole run builds 160 Fractions, from 16,953
     when nullspace back-substituted through Fractions and the span kept
     pivot-1 rows, from 1,202 when charts multiplied dense matrices, and
@@ -239,80 +242,119 @@ def _glue_classes(engine, box):
     return [classes[key] for key in sorted(classes)]
 
 
-def _check_monomial_rests(chart, cands, used) -> dict:
-    """Exponent-path remainders equal the polynomial ones: same keys in
-    the same order, same terms, same coefficient types."""
-    got = chart.monomial_rests(cands, used)
-    amax = tuple(map(max, zip(*cands)))
-    for j, power in enumerate(amax):
-        chart.grow(j, power)
-    den = chart.denominator(amax)
-    want = {i: chart.lift(cands[i], amax).remainder(den).terms for i in used}
+def _monomial_charts(engine, can, eff) -> list[_ChartPowers]:
+    """The glue call's tables on the engine's monomial charts."""
+    charts = (engine._chart_powers(f, can, eff)
+              for f in itertools.product((0, 1), repeat=engine.n) if any(f))
+    return [chart for chart in charts if chart.steps is not None]
 
-    def typed(rests):
-        return [(i, [(m, c, type(c)) for m, c in terms.items()])
-                for i, terms in rests.items()]
 
-    assert typed(got) == typed(want)
-    return got
+@st.composite
+def engine_classes(draw, engine):
+    """A glue class and one of its monomial charts, as a glue call on the
+    engine builds them: a random class can or eff, box and weight class.
+    Words without a repeated letter have one candidate per weight class,
+    so the candidates are also drawn as any distinct points of the box."""
+    n = engine.n
+    kinds = ["can", "eff"] if engine.is_multiplicity_free() else ["can"]
+    kind = draw(st.sampled_from(kinds))
+    low = -2 if kind == "can" else 0
+    degree = draw(st.tuples(*[st.integers(low, 2)] * n))
+    can, eff = (degree, None) if kind == "can" else (None, degree)
+    box = draw(st.tuples(*[st.integers(1, 4)] * n))
+    points = sorted(itertools.product(*[range(b + 1) for b in box]))
+    cands = draw(st.sampled_from(_glue_classes(engine, box))
+                 | st.lists(st.sampled_from(points), min_size=2, max_size=6,
+                            unique=True))
+    chart = draw(st.sampled_from(_monomial_charts(engine, can, eff)))
+    return chart, cands
+
+
+@st.composite
+def single_term_tables(draw):
+    """A random monomial chart with coefficients other than 1, Fractions
+    among them, and an invertible exponent matrix S, with distinct
+    candidate exponents.  The built-in models have unit coefficients."""
+    coeffs = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-4, 3)])
+    n = draw(st.integers(2, 3))
+    term = st.builds(lambda e, c: Polynomial(n, {e: c}),
+                     st.tuples(*[st.integers(0, 2)] * n), coeffs)
+    tops, bottoms = (draw(st.lists(term, min_size=n + 1, max_size=n + 1))
+                     for _ in range(2))
+    frame = _ChartFrame((1,) * n, tuple(tops[1:]), tuple(bottoms[1:]), ())
+    chart = _ChartPowers(frame, tops[0], bottoms[0])
+    matrix = [{j: v for j, v in enumerate(col) if v} for _, col in chart.steps]
+    assume(dense_rank(matrix, n) == n)
+    cands = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n),
+                          min_size=1, max_size=6, unique=True))
+    return chart, cands
+
+
+@pytest.mark.parametrize("source", ["eng12", "engb2", "eng121", "tables"])
+def test_sign_test_filter_matches_the_remainder_filter(request, eng12,
+                                                       source):
+    """On a monomial chart, the sign-test filter keeps exactly the vectors
+    that the lift/remainder filter keeps on the same _ChartPowers, entry
+    order included, for unit and random integer incoming vectors."""
+    if source == "tables":
+        engine, classes = eng12, single_term_tables()
+    else:
+        engine = request.getfixturevalue(source)
+        classes = engine_classes(engine)
+    outcomes = set()
+
+    @settings(max_examples=60)
+    @given(classes, st.data())
+    def check(drawn, data):
+        chart, cands = drawn
+        index = st.integers(0, len(cands) - 1)
+        vectors = data.draw(st.one_of(
+            st.just([{i: 1} for i in range(len(cands))]),
+            st.lists(st.dictionaries(index, st.integers(-3, 3).filter(bool),
+                                     min_size=1), min_size=1, max_size=4)))
+        assert chart.steps is not None
+        sign = engine._chart_filter(chart, cands, vectors)
+        steps, chart.steps = chart.steps, None
+        try:
+            remainder = engine._chart_filter(chart, cands, vectors)
+        finally:
+            chart.steps = steps
+        assert [list(v.items()) for v in sign] \
+            == [list(v.items()) for v in remainder]
+        outcomes.add((len(sign) == len(vectors), len(vectors) > 1))
+
+    check()
+    assert outcomes >= {(True, False), (False, False), (True, True),
+                        (False, True)}
 
 
 @pytest.mark.parametrize("engine", ["eng12", "engb2", "eng121"])
-def test_monomial_rests_match_polynomial_remainders(request, engine):
-    """On a monomial chart the remainders read off exponent vectors equal
-    the polynomial lifts reduced by the class denominator."""
+def test_distinct_candidates_leave_distinct_remainders(request, engine):
+    """On a monomial chart the remainder of an irregular candidate is its
+    own one-term lift, and distinct candidates leave distinct monomials, so
+    the filter's system has one row per irregular candidate."""
     engine = request.getfixturevalue(engine)
-    n = engine.n
-    kinds = ["can", "eff"] if engine.is_multiplicity_free() else ["can"]
-    charts = [f for f in itertools.product((0, 1), repeat=n) if any(f)]
-    outcomes = set()
-
-    @settings(max_examples=40)
-    @given(st.data())
-    def check(data):
-        kind = data.draw(st.sampled_from(kinds))
-        low = -2 if kind == "can" else 0
-        degree = data.draw(st.tuples(*[st.integers(low, 2)] * n))
-        can, eff = (degree, None) if kind == "can" else (None, degree)
-        box = data.draw(st.tuples(*[st.integers(1, 4)] * n))
-        cands = data.draw(st.sampled_from(_glue_classes(engine, box)))
-        used = data.draw(st.sets(st.integers(0, len(cands) - 1), min_size=1))
-        monomial = {f: chart for f in charts if (
-            chart := engine._chart_powers(f, can, eff)).steps is not None}
-        chart = monomial[data.draw(st.sampled_from(sorted(monomial)))]
-        rests = _check_monomial_rests(chart, cands, used)
-        outcomes.update(bool(terms) for terms in rests.values())
-
-    check()
-    assert outcomes == {False, True}
-
-
-def test_monomial_rests_keep_coefficients():
-    """The charts of the built-in models have unit coefficients, so random
-    single-term tables with other coefficients check that the exponent
-    path carries the lift's coefficient and its int or Fraction type."""
-    coeffs = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-4, 3)])
-
-    def term(n):
-        return st.builds(lambda e, c: Polynomial(n, {e: c}),
-                         st.tuples(*[st.integers(0, 2)] * n), coeffs)
+    seen = set()
 
     @settings(max_examples=60)
-    @given(st.data())
-    def check(data):
-        n = data.draw(st.integers(2, 3))
-        tops, bottoms = (data.draw(st.lists(term(n), min_size=n + 1,
-                                            max_size=n + 1))
-                         for _ in range(2))
-        frame = _ChartFrame((1,) * n, tuple(tops[1:]), tuple(bottoms[1:]),
-                            ())
-        cands = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * n),
-                                   min_size=1, max_size=6, unique=True))
-        used = data.draw(st.sets(st.integers(0, len(cands) - 1), min_size=1))
-        _check_monomial_rests(_ChartPowers(frame, tops[0], bottoms[0]),
-                              cands, used)
+    @given(engine_classes(engine))
+    def check(drawn):
+        chart, cands = drawn
+        amax = tuple(map(max, zip(*cands)))
+        for j, power in enumerate(amax):
+            chart.grow(j, power)
+        den = chart.denominator(amax)
+        monos = []
+        for a in cands:
+            lift = chart.lift(a, amax)
+            rest = lift.remainder(den).terms
+            assert rest in ({}, lift.terms)
+            monos.extend(rest)
+        assert len(monos) == len(set(monos))
+        seen.add(len(monos))
 
     check()
+    assert max(seen) > 1
 
 
 @pytest.mark.parametrize("engine, can", [
