@@ -1,14 +1,12 @@
 """Exact Okounkov-body computations for Bott-Samelson varieties."""
 
 from .errors import (
-    ChamberResolutionFailure,
     EngineError,
     NoMatch,
     NonIntegralAll,
     NotAffine,
     NotInterior,
     NotNef,
-    NotPointed,
     SpanDeficiency,
     Unstable,
     ValidationError,
@@ -53,7 +51,6 @@ __all__ = [
     "Basis",
     "BasisChange",
     "CartanDatum",
-    "ChamberResolutionFailure",
     "Character",
     "DivisorClass",
     "EngineError",
@@ -64,7 +61,6 @@ __all__ = [
     "NotAffine",
     "NotInterior",
     "NotNef",
-    "NotPointed",
     "OkounkovBody",
     "OkounkovEngine",
     "PicardLattice",

@@ -42,13 +42,5 @@ class Unstable(EngineError):
     """A computation did not stabilize within its configured caps."""
 
 
-class ChamberResolutionFailure(Unstable):
-    """Fixed-part peeling could not resolve the chamber structure."""
-
-
 class NotAffine(EngineError):
     """The weight data of a graded semigroup is not an affine image."""
-
-
-class NotPointed(EngineError):
-    """A pointed cone was required but the generators span a line."""

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import NamedTuple
 
-from .errors import ChamberResolutionFailure, NotNef, Unstable, ValidationError
+from .errors import NotNef, Unstable, ValidationError
 from .picard import Basis, DivisorClass, PicardLattice
 from .polyhedra import RationalCone, RationalPolytope
 from .rootsys import bs_character, demazure_dimension
@@ -385,78 +385,36 @@ class OkounkovEngine:
 
     # ----- surface recipe -----------------------------------------------------
 
-    def surface_chamber_data(self, peel_levels: int = 3) -> dict:
-        """Nef-cone rays and boundary fixed-part data for a length-2 word.
-
-        Each nef ray is reported in effective coordinates with the degree of
-        its restriction to the first boundary divisor; each boundary class
-        carries its section valuation and a linearity check of its fixed
-        part across levels.
-        """
-        if self.n != 2:
-            raise ValidationError("chamber data is implemented for words "
-                                  "of length 2 only")
-        change = self.lattice.change
-        engine = self.lattice.engine
-        rays = []
-        for k in range(2):
-            eff = tuple(change.inverse[j][k] for j in range(2))
-            canonical = tuple(change.matrix[r][0] * eff[0]
-                              + change.matrix[r][1] * eff[1]
-                              for r in range(2))
-            rays.append({"effective": eff,
-                         "restriction_degree": canonical[1]})
-        boundary = []
-        for j in range(2):
-            unit = tuple(1 if pos == j else 0 for pos in range(2))
-            canonical = tuple(change.matrix[r][j] for r in range(2))
-            try:
-                peels = [engine.fixed_part_peel(canonical, level)[0].coords
-                         for level in range(1, peel_levels + 1)]
-            except Unstable as exc:
-                raise ChamberResolutionFailure(
-                    f"fixed-part peel of boundary class {j + 1} is "
-                    f"unstable: {exc}") from exc
-            base = peels[0]
-            for level, got in enumerate(peels, start=1):
-                if got != tuple(level * v for v in base):
-                    raise ChamberResolutionFailure(
-                        f"fixed part of boundary class {j + 1} does not "
-                        f"scale linearly across levels: {peels}")
-            boundary.append({
-                "slot": j + 1,
-                "valuation": valuation(engine.boundary_section(j + 1)),
-                "effective": unit,
-                "fixed_part": base,
-            })
-        return {"nef_rays": rays, "boundary": boundary}
-
-    def indok_generators_surface(self, chamber: dict | None = None
-                                 ) -> tuple[list[tuple[int, ...]],
-                                            RationalCone]:
+    def indok_generators_surface(self) -> tuple[list[tuple[int, ...]],
+                                                RationalCone]:
         """Generator recipe for the global cone of a length-2 word.
 
-        Combines the first boundary divisor's defining section, the
-        boundary fixed-part sections, and per nef ray the two lifted points
-        coming from the restriction to the first boundary curve.  The
-        resulting cone is meant to coincide with the saturated global cone;
-        the acceptance tests assert that equality.
+        Read off the verified basis change M, with c_k the k-th column of
+        M^-1: the effective coordinates of the canonical unit class e_k,
+        which spans the k-th ray of the nef cone.  In (valuation, effective
+        class) coordinates the generators are
+
+          - (e_1, e_1) and (e_2, e_2): the boundary sections t_j, whose
+            valuations are e_j, with their classes;
+          - (0, c_1) and (0, c_2): a nef class is base-point free, so it has
+            a section that vanishes neither on the first boundary curve
+            Y_1 = P^1 nor at the flag point;
+          - (e_2, c_2): the class e_k has degree [k = 2] on Y_1 (its second
+            canonical coordinate, as M c_k = e_k), and restriction from a
+            nef class onto Y_1 is surjective, so e_2 also has a section
+            that vanishes once at the flag point and not on Y_1.
+
+        The acceptance tests check that the cone they span equals the
+        saturated global cone.
         """
-        if chamber is None:
-            chamber = self.surface_chamber_data()
-        engine = self.lattice.engine
-        gens = set()
-        gens.add(valuation(engine.boundary_section(1)) + (1, 0))
-        for entry in chamber["boundary"]:
-            gens.add(tuple(entry["valuation"]) + tuple(entry["effective"]))
-        for ray in chamber["nef_rays"]:
-            eff = tuple(ray["effective"])
-            degree = ray["restriction_degree"]
-            gens.add((0, 0) + eff)
-            gens.add((0, degree) + eff)
-        ordered = sorted(gens)
-        cone = RationalCone.from_generators(ordered, ambient=4)
-        return ordered, cone
+        if self.n != 2:
+            raise ValidationError("the surface recipe is implemented for "
+                                  "words of length 2 only")
+        inverse = self.lattice.change.inverse
+        c1, c2 = (tuple(row[k] for row in inverse) for k in range(2))
+        ordered = sorted({(1, 0, 1, 0), (0, 1, 0, 1),
+                          (0, 0) + c1, (0, 0) + c2, (0, 1) + c2})
+        return ordered, RationalCone.from_generators(ordered, ambient=4)
 
     # ----- identity reports ---------------------------------------------------
 

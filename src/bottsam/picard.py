@@ -243,10 +243,8 @@ class PicardLattice:
     """
 
     def __init__(self, datum: CartanDatum, word,
-                 model: GroupModel | None = None,
-                 engine: SectionEngine | None = None):
-        self.engine = engine if engine is not None \
-            else SectionEngine(datum, word, model)
+                 model: GroupModel | None = None):
+        self.engine = SectionEngine(datum, word, model)
         self.datum = self.engine.datum
         self.word = self.engine.word
         self.n = self.engine.n

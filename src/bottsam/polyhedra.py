@@ -24,7 +24,6 @@ from typing import Iterable, Sequence
 from ._kernel import clear_denominators, kernel_lattice_basis, solve_dense
 from .errors import (
     EngineError,
-    NotPointed,
     Unstable,
     ValidationError,
     VerificationFailure,
@@ -180,10 +179,6 @@ class RationalCone:
             rows.append(tuple(-x for x in e))
         rays, lin = _dual_description(rows, ambient)
         return cls(ambient, rays, lin, ineqs, eqs)
-
-    @property
-    def is_pointed(self) -> bool:
-        return not self.lineality
 
     def dim(self) -> int:
         return self.ambient - len(self.equations)
@@ -453,19 +448,6 @@ def _pyramid_volume(vertices: list[Vector], d: int) -> Fraction:
             raise EngineError("facet vertex left the facet hyperplane")
         total += height * _pyramid_volume(coords, d - 1)
     return Fraction(total, d)
-
-
-def extreme_rays(vectors: Sequence[Sequence],
-                 ambient: int | None = None) -> list[tuple[int, ...]]:
-    """Extreme rays of the cone the vectors generate, as primitive vectors.
-
-    Raises NotPointed when the cone contains a line: extreme rays are only
-    well defined for pointed cones.
-    """
-    cone = RationalCone.from_generators(vectors, ambient)
-    if not cone.is_pointed:
-        raise NotPointed("cone contains a line; extreme rays are undefined")
-    return list(cone.rays)
 
 
 # ----- JSON payloads ---------------------------------------------------------

@@ -250,9 +250,6 @@ class Character:
     def multiplicity(self, weight: Weight) -> int:
         return self.terms.get(weight, 0)
 
-    def support(self) -> list[Weight]:
-        return sorted(self.terms, key=Weight.sort_key)
-
     def canonical_items(self) -> list[tuple[Weight, int]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
@@ -527,10 +524,11 @@ def weyl_dimension(datum: CartanDatum, highest: Weight) -> int:
     """
     if not highest.is_dominant():
         raise ValidationError("weyl_dimension needs a dominant weight")
-    value = Fraction(1)
+    num = den = 1
     for coroot in positive_roots(CartanDatum(tuple(zip(*datum.matrix)))):
-        num = sum((Fraction(h) + 1) * c for h, c in zip(highest, coroot))
-        value *= num / sum(coroot)
+        num *= sum((h + 1) * c for h, c in zip(highest, coroot))
+        den *= sum(coroot)
+    value = Fraction(num, den)
     if value.denominator != 1:
         raise EngineError("Weyl dimension did not come out integral")
     return int(value)

@@ -1028,70 +1028,6 @@ class SectionEngine:
             out.append(int(value))
         return tuple(out)
 
-    # ----- fixed parts ------------------------------------------------------
-
-    def fixed_part_peel(self, multidegree: Sequence[int],
-                        level: int) -> tuple["DivisorClass", int]:
-        """Fixed boundary part of the level-scaled bundle, plus movable dim.
-
-        Returns the fixed part as an effective-basis divisor class whose
-        entry j is the largest power of t_j dividing every section of
-        level * multidegree, together with the dimension of the peeled
-        (movable) class.  Warns when the residual sections still share a
-        nonmonomial factor.
-        """
-        m = self._canonical_degree(multidegree)
-        if level < 1:
-            raise ValidationError("level must be a positive integer")
-        total = tuple(level * v for v in m)
-        basis = self.section_basis(can=total)
-        if not basis:
-            raise ValidationError(
-                "the class has no sections at this level; "
-                "there is nothing to peel")
-        mins = tuple(min(sp.poly.min_degree_in(j) for sp in basis)
-                     for j in range(self.n))
-        matrix = self.effective_to_canonical_matrix()
-        inverse = invert_dense(matrix)
-        if inverse is not None:
-            caps = [sum(inverse[j][k] * total[k] for k in range(self.n))
-                    for j in range(self.n)]
-            for j in range(self.n):
-                if caps[j].denominator == 1 and mins[j] > caps[j]:
-                    raise EngineError(
-                        "fixed part exceeds the effective coordinates; "
-                        "the order matrices are inconsistent")
-        if any(mins):
-            self._warn_residual_factor(basis, mins)
-        from .picard import Basis, DivisorClass
-        return DivisorClass(mins, Basis.EFFECTIVE), len(basis)
-
-    def _warn_residual_factor(self, basis, mins) -> None:
-        import warnings
-
-        import sympy
-
-        symbols = sympy.symbols(f"t1:{self.n + 1}")
-        shift = tuple(-v for v in mins)
-        residual_gcd = None
-        for sp in basis:
-            expr = sympy.Integer(0)
-            for mono, coeff in sp.poly.shifted(shift).terms.items():
-                term = sympy.Rational(coeff)
-                for sym, exp in zip(symbols, mono):
-                    if exp:
-                        term *= sym ** exp
-                expr += term
-            residual_gcd = expr if residual_gcd is None \
-                else sympy.gcd(residual_gcd, expr)
-            if residual_gcd == 1:
-                return
-        if residual_gcd is not None and residual_gcd.free_symbols:
-            warnings.warn(
-                "residual sections share a nonmonomial common factor; "
-                "the coordinatewise peel is not the full fixed part",
-                stacklevel=3)
-
     # ----- equivariance ------------------------------------------------------
 
     def equivariance_failures(self, sections: Iterable[SectionPoly],

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,13 +13,16 @@ from hypothesis import strategies as st
 
 from bottsam import (
     Basis,
+    CartanDatum,
     DivisorClass,
     NotNef,
     OkounkovEngine,
+    PicardLattice,
     RationalPolytope,
     SectionEngine,
     Unstable,
     ValidationError,
+    WeylWord,
     bs_character,
 )
 from bottsam import okounkov, polyhedra, rootsys
@@ -25,6 +31,8 @@ from bottsam.polyhedra import polytope_payload
 from bottsam.valuation import adapted_basis, valuation
 
 from oracles import hirzebruch_count, raw_point_body, raw_point_image
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 GOLDEN_RAYS_12 = ((0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 1, 0))
 
@@ -225,18 +233,62 @@ def test_global_cone_validation(okounkov_a1):
         okounkov_a1.global_cone(2, -1)
 
 
-def test_surface_recipe_matches_the_saturated_cone(okounkov_a2_12,
-                                                   okounkov_b2_12):
-    for engine in (okounkov_a2_12, okounkov_b2_12):
-        generators, cone = engine.indok_generators_surface()
-        saturated = engine.global_cone(6, 3).cone
-        assert cone.rays == saturated.rays
-        assert generators
+SURFACE_WORDS = [
+    ("A2", (1, 2)), ("B2", (1, 2)), ("A2", (2, 1)), ("B2", (2, 1)),
+    ("G2", (1, 2)), ("G2", (2, 1)), ("C2", (1, 2)), ("A3", (1, 2)),
+    ("A3", (1, 3)),
+]
 
 
-def test_surface_recipe_needs_a_surface(okounkov_a2_121):
-    with pytest.raises(ValidationError):
-        okounkov_a2_121.surface_chamber_data()
+@pytest.mark.parametrize("name, word", SURFACE_WORDS, ids=[
+    f"{name}-{''.join(map(str, word))}" for name, word in SURFACE_WORDS])
+def test_surface_recipe_matches_the_saturated_cone(name, word):
+    engine = OkounkovEngine(PicardLattice(CartanDatum.from_type(name),
+                                          WeylWord(word)))
+    generators, cone = engine.indok_generators_surface()
+    approx = engine.global_cone(6, 3)
+    assert approx.saturated
+    assert cone.rays == approx.cone.rays
+    assert cone.lineality == approx.cone.lineality == ()
+    assert generators
+
+
+def test_surface_recipe_is_read_off_the_basis_change(okounkov_b2_12):
+    """On B2 (2, 1) the inverse basis change has an off-diagonal 2, and
+    the nef-ray generators carry it."""
+    engine = OkounkovEngine(PicardLattice(CartanDatum.from_type("B2"),
+                                          WeylWord((2, 1))))
+    assert engine.lattice.change.inverse == ((1, 2), (0, 1))
+    generators, _ = engine.indok_generators_surface()
+    assert generators == [(0, 0, 1, 0), (0, 0, 2, 1), (0, 1, 0, 1),
+                          (0, 1, 2, 1), (1, 0, 1, 0)]
+    generators, _ = okounkov_b2_12.indok_generators_surface()
+    assert generators == [(0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 0, 1),
+                          (0, 1, 1, 1), (1, 0, 1, 0)]
+
+
+def test_surface_recipe_needs_a_surface(okounkov_a1, okounkov_a2_121):
+    for engine in (okounkov_a1, okounkov_a2_121):
+        with pytest.raises(ValidationError, match="length 2"):
+            engine.indok_generators_surface()
+
+
+def test_package_runs_without_sympy():
+    """The package has no runtime dependency: with sympy made unimportable
+    the surface recipe and the quick verification battery still run."""
+    script = (
+        "import sys; sys.modules['sympy'] = None\n"
+        "from bottsam import (CartanDatum, OkounkovEngine, PicardLattice,\n"
+        "                     WeylWord, cli)\n"
+        "engine = OkounkovEngine(PicardLattice(CartanDatum.from_type('A2'),\n"
+        "                                      WeylWord((1, 2))))\n"
+        "generators, _ = engine.indok_generators_surface()\n"
+        "assert len(generators) == 5, generators\n"
+        "sys.exit(cli.main(['verify', '--quick']))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_restriction_identity(okounkov_a2_12):

@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bottsam import (
-    NotPointed,
     RationalCone,
     RationalPolytope,
     ValidationError,
@@ -22,7 +21,6 @@ from bottsam import (
 from bottsam.polyhedra import (
     cone_from_payload,
     cone_payload,
-    extreme_rays,
     polytope_from_payload,
     polytope_payload,
     primitive_vector,
@@ -107,21 +105,25 @@ def test_embedded_polygon_volumes_match_shoelace(points, a, b):
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5))
                 .filter(any), min_size=1, max_size=6))
 def test_extreme_rays_matches_pairwise_oracle(vectors):
-    assert sorted(extreme_rays(vectors)) == sorted(extreme_rays_2d(vectors))
+    rays = RationalCone.from_generators(vectors).rays
+    assert sorted(rays) == sorted(extreme_rays_2d(vectors))
 
 
 def test_extreme_rays_collapses_parallel_generators():
-    assert extreme_rays([(0, 1), (1, 1), (2, 2), (1, 2)]) == [(0, 1), (1, 1)]
+    cone = RationalCone.from_generators([(0, 1), (1, 1), (2, 2), (1, 2)])
+    assert cone.rays == ((0, 1), (1, 1))
 
 
 def test_extreme_rays_in_three_dimensions():
-    rays = extreme_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    rays = RationalCone.from_generators(
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]).rays
     assert sorted(rays) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
-def test_extreme_rays_rejects_lines():
-    with pytest.raises(NotPointed):
-        extreme_rays([(1, 0), (-1, 0), (0, 1)])
+def test_cone_with_a_line_reports_its_lineality():
+    cone = RationalCone.from_generators([(1, 0), (-1, 0), (0, 1)])
+    assert cone.lineality == ((1, 0),)
+    assert cone.rays == ((0, 1),)
 
 
 def test_slice_of_triangle_is_segment():
@@ -269,7 +271,7 @@ def test_random_cone_payloads_roundtrip(dim, data):
 
 
 def test_cone_payload_roundtrip():
-    rays = extreme_rays([(0, 1), (1, 1), (3, 2)])
+    rays = RationalCone.from_generators([(0, 1), (1, 1), (3, 2)]).rays
     cone = RationalCone(2, rays, (), (), ())
     payload = cone_payload(cone)
     back = cone_from_payload(payload)

@@ -11,9 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bottsam import (
-    Basis,
     CartanDatum,
-    DivisorClass,
     EngineError,
     PicardLattice,
     Unstable,
@@ -542,29 +540,6 @@ def test_boundary_sections(eng12):
         assert section.multidegree is None and section.weight is None
     with pytest.raises(ValidationError):
         eng12.boundary_section(3)
-
-
-def test_fixed_part_peel(eng12):
-    fixed, movable = eng12.fixed_part_peel((-1, 1), 1)
-    assert fixed == DivisorClass((0, 1), Basis.EFFECTIVE)
-    assert movable == 1
-    fixed, movable = eng12.fixed_part_peel((1, 1), 1)
-    assert fixed == DivisorClass((0, 0), Basis.EFFECTIVE)
-    assert movable == 5
-    fixed, movable = eng12.fixed_part_peel((-2, 2), 2)
-    assert fixed == DivisorClass((0, 4), Basis.EFFECTIVE)
-    assert movable == 1
-
-
-def test_fixed_part_scales_linearly(eng12):
-    parts = [eng12.fixed_part_peel((-1, 1), level)[0].coords
-             for level in (1, 2, 3)]
-    assert parts == [(0, 1), (0, 2), (0, 3)]
-
-
-def test_peel_of_empty_class_is_rejected(eng12):
-    with pytest.raises(ValidationError):
-        eng12.fixed_part_peel((1, -1), 1)
 
 
 def test_equivariance_spot_checks(eng12, eng121):
