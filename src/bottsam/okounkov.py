@@ -437,7 +437,7 @@ class OkounkovEngine:
             points = self.valuation_points(divisor, k)
             dimension = self._dimension(
                 tuple(k * c for c in canonical.coords))
-            dilated = len(body.polytope.lattice_points(k))
+            dilated = body.polytope.lattice_point_count(k)
             rows.append({
                 "level": k,
                 "points": len(points),

@@ -151,7 +151,8 @@ def compute_basis_change(engine: SectionEngine) -> BasisChange:
     repeated letter the effective glue route of m is the canonical glue
     route of M m by construction, so only the canonical space is computed;
     the probes then check M through the zero checks and the columns.
-    Each canonical glue space is computed once per run.
+    Each canonical glue space is computed once per run, and each degree
+    box's weight classes are built once per run (reusing_box_classes).
     """
     raw = engine.effective_to_canonical_matrix()
     n = engine.n
@@ -170,6 +171,14 @@ def compute_basis_change(engine: SectionEngine) -> BasisChange:
     except ValidationError as exc:
         raise VerificationFailure(
             f"{exc}; expected a unimodular matrix") from None
+    with engine.reusing_box_classes():
+        _check_probes(engine, matrix, change)
+    return change
+
+
+def _check_probes(engine: SectionEngine, matrix, change: BasisChange) -> None:
+    """The column and probe checks of compute_basis_change."""
+    n = engine.n
     spaces: dict[tuple[int, ...], list] = {}
 
     def canonical_space(mc: tuple[int, ...]) -> list:
@@ -220,7 +229,6 @@ def compute_basis_change(engine: SectionEngine) -> BasisChange:
                 raise VerificationFailure(
                     f"probe {m}: effective route gives {got_eff} but the "
                     f"canonical image {mc} gives {got_can}")
-    return change
 
 
 class PicardLattice:

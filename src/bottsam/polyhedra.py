@@ -4,7 +4,13 @@ Everything here runs on int/Fraction arithmetic; no floating point enters.
 The single core primitive is a double-description sweep (_dual_description)
 that turns an inequality system {x : a.x >= 0} into extreme rays plus a
 lineality basis.  Polytopes homogenize into that primitive for both
-directions of the V/H conversion.
+directions of the V/H conversion.  A hull of points takes one sweep, to its
+facets and equations; its vertices are the points whose tight-facet masks
+are maximal, so no second sweep runs back from the facets.
+
+Lattice points of a dilation are listed by scanning its bounding box, and
+counted by scanning all but the last coordinate, whose interval is read
+off the rows; both refuse a box of more than _LATTICE_POINT_GUARD points.
 
 Volumes come out of a pyramid recursion: with primitive integer facet
 normals, the Euclidean volume of a full-dimensional polytope equals
@@ -48,7 +54,16 @@ def primitive_vector(values: Iterable) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers, preserving direction.
 
     The zero vector comes back unchanged; callers treat it as degenerate.
+    A vector of plain ints, what the double-description sweep makes, is
+    divided by its gcd directly.
     """
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            break
+    else:
+        g = gcd(*values)
+        return tuple([v // g for v in values]) if g > 1 else values
     exact = [v if isinstance(v, (int, Fraction)) else Fraction(v)
              for v in values]
     if not any(exact):
@@ -243,7 +258,19 @@ class RationalPolytope:
     @classmethod
     def from_points(cls, points: Sequence[Sequence],
                     ambient: int | None = None) -> "RationalPolytope":
-        pts = [_frac_vector(p) for p in points]
+        """The hull of finitely many points, from one double-description
+        sweep.
+
+        The sweep over the homogenized points (1, p) gives the facets and
+        the equations of the affine span.  The vertices are read off the
+        points themselves: a point is a vertex exactly when no other
+        point is tight at every facet it is tight at, since a point
+        inside a face of positive dimension is tight at fewer facets than
+        each vertex of that face, and only the vertex itself lies on all
+        the facets of a vertex.  With the tight-facet bitmasks sorted by
+        popcount, each is tested against the masks kept so far.
+        """
+        pts = [tuple(p) for p in points]
         if not pts:
             if ambient is None:
                 raise ValidationError(
@@ -254,11 +281,25 @@ class RationalPolytope:
         cls._check_ambient(ambient)
         if any(len(p) != ambient for p in pts):
             raise ValidationError("points have mixed lengths")
-        homog = [primitive_vector((Fraction(1),) + p) for p in pts]
-        ineqs, eqs = _dual_description(homog, ambient + 1)
-        verts, unbounded = cls._vertices_from_hrep(ineqs, eqs, ambient)
-        if unbounded:
-            raise EngineError("hull of finitely many points came out unbounded")
+        # A point of ints is its own primitive homogenization (1, p).
+        homog = {(1, *p) if all(type(v) is int for v in p)
+                 else primitive_vector((Fraction(1),) + _frac_vector(p)): p
+                 for p in pts}
+        ineqs, eqs = _dual_description(list(homog), ambient + 1)
+        masks = []
+        for h in homog:
+            mask = 0
+            for bit, row in enumerate(ineqs):
+                if not _idot(row, h):
+                    mask |= 1 << bit
+            masks.append((mask.bit_count(), mask, homog[h]))
+        masks.sort(key=lambda item: -item[0])
+        kept: list[int] = []
+        verts = []
+        for _, mask, p in masks:
+            if all(k & mask != mask for k in kept):
+                kept.append(mask)
+                verts.append(_frac_vector(p))
         return cls(ambient, verts, ineqs, eqs)
 
     @classmethod
@@ -364,12 +405,17 @@ class RationalPolytope:
             raise EngineError("vertex fell outside its own affine span")
         return coords, len(basis)
 
-    def lattice_points(self, denominator: int = 1) -> list[Vector]:
-        """All points of (1/denominator) Z^n inside the polytope, sorted."""
+    def _dilation_box(self, denominator: int) -> list[range] | None:
+        """Integer ranges of the bounding box of the polytope dilated by
+        denominator, or None when some range is empty.
+
+        Raises Unstable when the box holds more than _LATTICE_POINT_GUARD
+        points, so counting and listing refuse the same inputs.
+        """
         if denominator < 1:
             raise ValidationError("denominator must be a positive integer")
         if self.is_empty:
-            return []
+            return None
         k = denominator
         ranges = []
         total = 1
@@ -380,13 +426,21 @@ class RationalPolytope:
             lo_int = int(lo) if lo.denominator == 1 else int(lo) + (lo > 0)
             hi_int = int(hi) if hi.denominator == 1 else int(hi) - (hi < 0)
             if hi < lo_int:
-                return []
+                return None
             span = hi_int - lo_int + 1
             total *= max(span, 0)
             if total > _LATTICE_POINT_GUARD:
                 raise Unstable(
                     "lattice point enumeration exceeds the supported size")
             ranges.append(range(lo_int, hi_int + 1))
+        return ranges
+
+    def lattice_points(self, denominator: int = 1) -> list[Vector]:
+        """All points of (1/denominator) Z^n inside the polytope, sorted."""
+        ranges = self._dilation_box(denominator)
+        if ranges is None:
+            return []
+        k = denominator
         # c / k lies in the polytope exactly when c lies in its k-th
         # dilation, so the integer rows are tested on c directly; the
         # product runs in lexicographic order, which is the sorted order.
@@ -398,6 +452,40 @@ class RationalPolytope:
                             for e in self.equations)):
                 points.append(tuple(Fraction(x, k) for x in c))
         return points
+
+    def lattice_point_count(self, denominator: int = 1) -> int:
+        """len(lattice_points(denominator)), without listing the points.
+
+        The first d - 1 coordinates c of the dilation's box are scanned;
+        each row s + r x >= 0, with s its value at c and r its last entry,
+        bounds the last coordinate x by an integer ceiling or floor, or
+        holds or fails on c when r = 0.  An equation is the pair of
+        opposite rows, so one with r != 0 pins x, and leaves no point when
+        -s / r is not an integer.
+        """
+        ranges = self._dilation_box(denominator)
+        if ranges is None:
+            return 0
+        k = denominator
+        *head, last = ranges
+        rows = [(k * a[0], a[1:-1], a[-1]) for a in self.inequalities]
+        for e in self.equations:
+            rows.append((k * e[0], e[1:-1], e[-1]))
+            rows.append((-k * e[0], tuple(-v for v in e[1:-1]), -e[-1]))
+        count = 0
+        for c in itertools.product(*head):
+            lo, hi = last.start, last.stop - 1
+            for base, row, r in rows:
+                s = base + _idot(row, c)
+                if r > 0:
+                    lo = max(lo, -(s // r))
+                elif r < 0:
+                    hi = min(hi, s // -r)
+                elif s < 0:
+                    break
+            else:
+                count += max(hi - lo + 1, 0)
+        return count
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalPolytope):

@@ -400,7 +400,9 @@ def positive_roots(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
     height.  The alpha_i-string through a root beta runs from
     beta - p alpha_i to beta + q alpha_i with p - q = <beta, alpha_i^vee>,
     and p is read off the roots of lower height, so beta + alpha_i is a
-    root exactly when q > 0.
+    root exactly when q > 0.  Only the letters i in or next to supp(beta)
+    are stepped: for any other i both p and <beta, alpha_i^vee> are 0.
+    And p is 0 without a walk when beta_i = 0.
     """
     rank = datum.rank
     a = datum.matrix
@@ -408,17 +410,22 @@ def positive_roots(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
         raise ValidationError("root system is not finite; "
                               "the Cartan matrix is not of finite type")
     neighbors = [[(j, v) for j, v in enumerate(row) if v] for row in a]
+    # touching[j]: the letters i with a[i][j] != 0, j itself among them.
+    touching = [[i for i in range(rank) if a[i][j]] for j in range(rank)]
     level = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
     found = set(level)
     while level:
         above = []
         for beta in level:
-            for i in range(rank):
+            letters = sorted({i for j, v in enumerate(beta) if v
+                              for i in touching[j]})
+            for i in letters:
                 p = 0
-                lower = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
-                while lower in found:
-                    p += 1
-                    lower = lower[:i] + (lower[i] - 1,) + lower[i + 1:]
+                if beta[i]:
+                    lower = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+                    while lower in found:
+                        p += 1
+                        lower = lower[:i] + (lower[i] - 1,) + lower[i + 1:]
                 if p > sum(v * beta[j] for j, v in neighbors[i]):
                     up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
                     if up not in found:

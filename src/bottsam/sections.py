@@ -28,7 +28,12 @@ Section spaces are built two independent ways and cross-checked by the tests:
     (Polynomial.remainder) is unique, linear, and 0 exactly on multiples.
     Each lift is reduced once, and the regular combinations are the
     nullspace of the remainder coefficients.  On a chart whose tables are
-    single terms, the lifts and remainders are read off exponent vectors.
+    single terms, the lifts and remainders are read off exponent vectors,
+    and a weight class of one candidate (every class on a word without a
+    repeated letter) is decided by a sign test in the glue loop itself,
+    which still asks nullspace its one-column question.  The basis-change
+    probe run builds each box's weight classes once (reusing_box_classes)
+    and drops them when it ends.
 
 On words without repeated letters monomial_section_basis reads a basis off
 the boundary vanishing orders; its exponent vectors (monomial_exponents) are
@@ -41,6 +46,7 @@ sets of the okounkov layer both ask it.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 from fractions import Fraction
@@ -296,8 +302,8 @@ class _ChartPowers:
     and denominator are single terms, steps holds one integer column per
     chart variable: the exponent of num / den in it and those of each
     coordinate t_j = N_j / D_j.  Regularity of t^a there is the sign test
-    of SectionEngine._chart_filter, and the power tables stay empty.  On
-    other charts steps is None.
+    of _regular, and the power tables stay empty.  On other charts steps
+    is None.
     """
 
     __slots__ = ("frame", "npow", "dpow", "num", "den", "num_heads",
@@ -422,6 +428,26 @@ def _torus_weight(mono: Sequence[int], weights: Sequence[tuple]) -> tuple:
     return tuple([sum(map(mul, mono, col)) for col in zip(*weights)])
 
 
+def _weight_classes(box: Sequence[int],
+                    roots: Sequence[tuple]) -> list[list[Mono]]:
+    """The exponent vectors of a degree box grouped by torus weight: the
+    classes in weight order, each in lexicographic order (the product of
+    ascending ranges comes out sorted)."""
+    classes: dict[tuple, list[Mono]] = {}
+    for a in itertools.product(*[range(b + 1) for b in box]):
+        classes.setdefault(_torus_weight(a, roots), []).append(a)
+    return [classes[key] for key in sorted(classes)]
+
+
+def _regular(steps, a: Mono) -> bool:
+    """The sign test of a monomial chart with steps (g, S): t^a is regular
+    there exactly when every entry of g + S a is >= 0."""
+    for g, col in steps:
+        if g + sum(map(mul, a, col)) < 0:
+            return False
+    return True
+
+
 class SectionEngine:
     """Exact section-space engine for one reduced word."""
 
@@ -456,6 +482,7 @@ class SectionEngine:
         self._charts: dict[tuple[int, ...], _ChartFrame] = {}
         self._slot_polys: dict[int, list[SectionPoly]] = {}
         self._order_matrices: tuple | None = None
+        self._box_classes: dict[tuple[int, ...], list] | None = None
         self._chart((0,) * self.n)
 
     # ----- charts ---------------------------------------------------------
@@ -834,30 +861,63 @@ class SectionEngine:
             box.append(total)
         return tuple(box)
 
+    @contextlib.contextmanager
+    def reusing_box_classes(self):
+        """Build each degree box's weight classes once inside the block.
+
+        The basis-change probe run of A2 (1,2) solves 176 boxes but only
+        25 distinct ones, so it runs in this block; the memo goes when the
+        block exits, so it holds no memory past the run.
+        """
+        self._box_classes = {}
+        try:
+            yield
+        finally:
+            self._box_classes = None
+
     def _glue_space(self, can, eff, box) -> list[SectionPoly]:
+        """The regular combinations of the candidates t^a, a in the box.
+
+        Candidates are grouped by torus weight, and each class passes the
+        charts in order until none of its combinations is left.  A class
+        of one candidate on a monomial chart is decided here: the sign
+        test (_regular) gives its one-column system, [{0: 1}] when
+        irregular and [] otherwise, and the class keeps its one vector
+        [{0: 1}] when that nullspace is nonempty, as _chart_filter would.
+        Every other (class, chart) pair goes through _chart_filter, so
+        each pair visited makes one nullspace call.  Inside
+        reusing_box_classes the classes of a box are built once.
+        """
         size = 1
         for b in box:
             size *= b + 1
             if size > _CANDIDATE_GUARD:
                 raise Unstable("glue candidate box exceeds the supported size")
-        # The product of ascending ranges comes out sorted.
-        classes: dict[tuple, list[Mono]] = {}
-        for a in itertools.product(*[range(b + 1) for b in box]):
-            classes.setdefault(_torus_weight(a, self._roots), []).append(a)
+        memo = self._box_classes
+        classes = None if memo is None else memo.get(box)
+        if classes is None:
+            classes = _weight_classes(box, self._roots)
+            if memo is not None:
+                memo[box] = classes
         charts = sorted((flips for flips in
                          itertools.product((0, 1), repeat=self.n)
                          if any(flips)),
                         key=lambda f: (sum(f), f))
         tables: dict[tuple[int, ...], _ChartPowers] = {}
         result: list[SectionPoly] = []
-        for key in sorted(classes):
-            cands = classes[key]
+        for cands in classes:
+            single = len(cands) == 1
             vectors = [{i: 1} for i in range(len(cands))]
             for flips in charts:
                 chart = tables.get(flips)
                 if chart is None:
                     chart = tables[flips] = self._chart_powers(flips, can, eff)
-                vectors = self._chart_filter(chart, cands, vectors)
+                if single and chart.steps is not None:
+                    rows = [] if _regular(chart.steps, cands[0]) else [{0: 1}]
+                    if not nullspace(rows, 1):
+                        vectors = []
+                else:
+                    vectors = self._chart_filter(chart, cands, vectors)
                 if not vectors:
                     break
             if not vectors:
@@ -915,17 +975,14 @@ class SectionEngine:
         system, c times {col: vec[i]}.  The row {col: vec[i]} spans the
         same line, so the nullspace, canonical on a row space, is the same
         one, and no lift, remainder or coefficient is computed.  Other
-        charts lift and divide polynomials.
+        charts lift and divide polynomials.  A class of one candidate on a
+        monomial chart never comes here: _glue_space puts the same
+        one-column system to nullspace itself.
         """
         used = {i for vec in vectors for i in vec}
         if chart.steps is not None:
-            irregular: dict[int, dict[int, int]] = {}
-            for i in used:
-                a = cands[i]
-                for g, col in chart.steps:
-                    if g + sum(map(mul, a, col)) < 0:
-                        irregular[i] = {}
-                        break
+            irregular: dict[int, dict[int, int]] = {
+                i: {} for i in used if not _regular(chart.steps, cands[i])}
             for col, vec in enumerate(vectors):
                 for i, c in vec.items():
                     row = irregular.get(i)

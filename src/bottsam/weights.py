@@ -145,7 +145,7 @@ def slice_lattice_count(body_polytope: RationalPolytope,
                         mu: Sequence[Fraction], level: int) -> int:
     """Count (1/level)-lattice points of the weight fiber inside a body."""
     slice_polytope = body_polytope.sliced(_fiber_equalities(projection, mu))
-    return len(slice_polytope.lattice_points(level))
+    return slice_polytope.lattice_point_count(level)
 
 
 def _fiber_equalities(projection: WeightProjection,

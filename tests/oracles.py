@@ -18,7 +18,12 @@ root enumeration by reflection closure that Weyl dimensions and reduced
 words were read off before root strings and inversion roots;
 interpolated_degree and searched_pullbacks keep the degree interpolated
 from character dimensions and the pullback searched among characters,
-before torus localization and the closed-form pullback.
+before torus localization and the closed-form pullback;
+glue_space_by_filters keeps the glue class loop that sent every
+(class, chart) pair through the chart filter, before one-candidate classes
+on monomial charts were decided inline; two_sweep_vertices keeps the hull
+vertices read off a second double-description sweep, before they were read
+off the tight-facet masks of the first.
 """
 
 from __future__ import annotations
@@ -710,3 +715,50 @@ def searched_pullbacks(datum, word, highest):
 
     search(())
     return matches
+
+
+def glue_space_by_filters(engine, can, eff, box):
+    """The glue space of a degree box with every (class, chart) pair sent
+    through the engine's chart filter: the candidates grouped by torus
+    weight per point, classes in weight order, charts by number of flips."""
+    from bottsam._poly import Polynomial
+    from bottsam.sections import SectionPoly, _torus_weight
+
+    classes = {}
+    for a in itertools.product(*[range(b + 1) for b in box]):
+        classes.setdefault(_torus_weight(a, engine._roots), []).append(a)
+    charts = sorted((flips for flips in itertools.product((0, 1),
+                                                          repeat=engine.n)
+                     if any(flips)), key=lambda f: (sum(f), f))
+    tables = {}
+    result = []
+    for key in sorted(classes):
+        cands = classes[key]
+        vectors = [{i: 1} for i in range(len(cands))]
+        for flips in charts:
+            if flips not in tables:
+                tables[flips] = engine._chart_powers(flips, can, eff)
+            vectors = engine._chart_filter(tables[flips], cands, vectors)
+            if not vectors:
+                break
+        weight = engine.section_weight(can, cands[0])
+        for vec in vectors:
+            poly = Polynomial(engine.n, {cands[i]: c for i, c in vec.items()})
+            result.append(SectionPoly(poly.normalized(), can, weight))
+    return result
+
+
+def two_sweep_vertices(points, ambient):
+    """Sorted hull vertices of a nonempty point list: one sweep from the
+    homogenized points to facets and equations, a second from those back
+    to the vertices of the homogenization."""
+    from bottsam.polyhedra import RationalPolytope, _dual_description, \
+        primitive_vector
+
+    homog = [primitive_vector((Fraction(1),) + tuple(map(Fraction, p)))
+             for p in points]
+    ineqs, eqs = _dual_description(homog, ambient + 1)
+    verts, unbounded = RationalPolytope._vertices_from_hrep(ineqs, eqs,
+                                                            ambient)
+    assert not unbounded
+    return sorted(verts)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from bottsam import (
     RationalCone,
     RationalPolytope,
+    Unstable,
     ValidationError,
     VerificationFailure,
 )
@@ -26,7 +27,13 @@ from bottsam.polyhedra import (
     primitive_vector,
 )
 
-from oracles import convex_hull_2d, extreme_rays_2d, shoelace_area
+from bottsam import polyhedra
+from oracles import (
+    convex_hull_2d,
+    extreme_rays_2d,
+    shoelace_area,
+    two_sweep_vertices,
+)
 
 UNIT_TRIANGLE = ((0, 0), (1, 0), (0, 1))
 
@@ -37,6 +44,10 @@ UNIT_TRIANGLE = ((0, 0), (1, 0), (0, 1))
     ((2, Fraction(3, 4), Fraction(4, 2)), (8, 3, 8)),
     ((0.5, 1), (1, 2)),
     ((0, Fraction(0)), (0, 0)),
+    ((0, 0, 0), (0, 0, 0)),
+    ((-3,), (-1,)),
+    ((1, -4), (1, -4)),
+    ((), ()),
 ])
 def test_primitive_vector_scales_to_coprime_ints(values, expected):
     got = primitive_vector(values)
@@ -188,6 +199,72 @@ def test_lattice_points_match_brute_force(dim, data, k):
     polytope = RationalPolytope.from_points(data.draw(point_sets(dim)))
     assert polytope.lattice_points(k) == \
         brute_force_lattice_points(polytope, k)
+
+
+@st.composite
+def rational_point_sets(draw, dim):
+    """point_sets scaled by 1/q and shifted by a fixed offset, so that the
+    points, and the equations of their span, have Fraction entries; q = 1
+    with no shift keeps the plain ints."""
+    points = draw(point_sets(dim))
+    q = draw(st.integers(1, 3))
+    shift = draw(st.tuples(*[st.sampled_from(
+        [0, Fraction(1, 2), Fraction(-1, 3)])] * dim))
+    if q == 1 and not any(shift):
+        return points
+    return [tuple(Fraction(x, q) + c for x, c in zip(p, shift))
+            for p in points]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_one_sweep_vertices_match_two_sweeps(dim, data):
+    """The vertices read off the tight-facet masks of one sweep are those
+    of the second sweep over the facets, for int and Fraction points, with
+    repeats, on sets whose affine span has any dimension up to dim, and
+    on single points."""
+    points = data.draw(st.one_of(
+        rational_point_sets(dim),
+        st.tuples(*[st.integers(-2, 2)] * dim).map(lambda p: [p, p])))
+    points += data.draw(st.lists(st.sampled_from(points), max_size=3))
+    polytope = RationalPolytope.from_points(points)
+    assert list(polytope.vertices) == two_sweep_vertices(points, dim)
+    assert all(type(v) is Fraction for vert in polytope.vertices
+               for v in vert)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@settings(max_examples=30)
+@given(data=st.data(), k=st.integers(1, 4))
+def test_lattice_point_count_matches_the_listing(dim, data, k):
+    """Counting the points of a dilation off the last coordinate's
+    interval gives the length of the listing, on hulls with Fraction
+    vertices and with equations, and on slices whose equations pin the
+    last coordinate at values that need not be integers."""
+    polytope = RationalPolytope.from_points(
+        data.draw(rational_point_sets(dim)))
+    assert polytope.lattice_point_count(k) == len(polytope.lattice_points(k))
+    if dim > 1:
+        coeffs = data.draw(st.tuples(*[st.integers(-1, 2)] * dim))
+        value = data.draw(st.sampled_from([0, 1, Fraction(1, 2)]))
+        sliced = polytope.sliced([(coeffs, value)])
+        assert sliced.lattice_point_count(k) == \
+            len(sliced.lattice_points(k))
+
+
+def test_lattice_point_count_keeps_the_guard(monkeypatch):
+    """Counting refuses the same bounding boxes as listing."""
+    square = RationalPolytope.from_points([(0, 0), (3, 0), (0, 3), (3, 3)])
+    monkeypatch.setattr(polyhedra, "_LATTICE_POINT_GUARD", 16)
+    assert square.lattice_point_count() == 16
+    with pytest.raises(Unstable):
+        square.lattice_point_count(2)
+    with pytest.raises(Unstable):
+        square.lattice_points(2)
+    with pytest.raises(ValidationError):
+        square.lattice_point_count(0)
+    assert RationalPolytope.empty(2).lattice_point_count() == 0
 
 
 def test_polytope_payload_roundtrip():

@@ -16,10 +16,11 @@ from bottsam import (
     PicardLattice,
     Unstable,
     ValidationError,
+    VerificationFailure,
     WeylWord,
     bs_character,
 )
-from bottsam import polyhedra, sections
+from bottsam import picard, polyhedra, sections
 from bottsam._poly import Polynomial
 from bottsam.rootsys import Character, Weight, demazure_operator, is_reduced
 from bottsam.sections import (
@@ -38,6 +39,7 @@ from oracles import (
     dense_chart,
     dense_rank,
     dense_slot_sections,
+    glue_space_by_filters,
     hirzebruch_count,
     oracle_actions,
     order_polytope_points,
@@ -70,6 +72,16 @@ def eng121(a2):
 @pytest.fixture(scope="module")
 def engb2(b2):
     return SectionEngine(b2, WeylWord([1, 2]))
+
+
+@pytest.fixture(scope="module")
+def engg2():
+    return SectionEngine(CartanDatum.from_type("G2"), WeylWord([1, 2]))
+
+
+@pytest.fixture(scope="module")
+def eng123():
+    return SectionEngine(CartanDatum.from_type("A3"), WeylWord([1, 2, 3]))
 
 
 def test_non_reduced_word_is_rejected(a2):
@@ -197,9 +209,14 @@ def test_probe_run_work_on_monomial_charts(a2, monkeypatch):
     are read off sparse orbit vectors instead of dense matrix products.
     Regularity on those charts is a sign test on exponent vectors, with
     one row per irregular candidate, and one-column systems skip
-    elimination; none of that moved a pin.  The run still makes 88 glue
-    calls and one nullspace call per chart filter, 30,158 in all, as
-    perfbench/selfcheck.py pins.  The filters
+    elimination; none of that moved a pin.  Every weight class of that
+    word holds one candidate, so _glue_space now decides each class on
+    each chart itself, and each box's classes are built once per run;
+    neither moved a pin either, because each (class, chart) pair still
+    makes its one nullspace call on the same one-column system and the
+    charts and their tables are built as before.  The run still makes 88
+    glue calls and one nullspace call per (class, chart) pair, 30,158 in
+    all, as perfbench/selfcheck.py pins.  The filters
     stay in the integers: the whole run builds 160 Fractions, from 16,953
     when nullspace back-substituted through Fractions and the span kept
     pivot-1 rows, from 1,202 when charts multiplied dense matrices, and
@@ -229,6 +246,77 @@ def test_probe_run_work_on_monomial_charts(a2, monkeypatch):
     assert counts["nullspace"] == 30_158
     assert counts["mul"] == 858
     assert counts["fraction"] == 160
+
+
+def test_probe_run_builds_each_box_classes_once(a2, monkeypatch):
+    """The A2 (1,2) probe run solves 176 degree boxes, 25 of them
+    distinct, and builds the weight classes of each of those once; the
+    memo is gone when the run returns, and when it raises."""
+    lattice = PicardLattice(a2, WeylWord((1, 2)))
+    engine = lattice.engine
+    builds = []
+    build = sections._weight_classes
+
+    def counted(box, roots):
+        builds.append(box)
+        return build(box, roots)
+
+    monkeypatch.setattr(sections, "_weight_classes", counted)
+    assert lattice.change.matrix == ((1, -1), (0, 1))
+    assert len(builds) == len(set(builds)) == 25
+    assert engine._box_classes is None
+    builds.clear()
+    engine.section_basis_glue(can=(2, 1))
+    engine.section_basis_glue(can=(2, 1))
+    assert len(builds) == 2 * len(set(builds))
+
+    failing = PicardLattice(a2, WeylWord((1, 2)))
+    monkeypatch.setattr(picard, "_character_dimension",
+                        lambda datum, word, multidegree: -1)
+    with pytest.raises(VerificationFailure):
+        failing.change
+    assert failing.engine._box_classes is None
+
+
+@pytest.mark.parametrize("engine", ["eng12", "engb2", "engg2", "eng123",
+                                    "eng121"])
+def test_glue_space_matches_the_filter_loop(request, monkeypatch, engine):
+    """_glue_space, with one-candidate classes on monomial charts decided
+    inline, returns the sections of the loop that sends every
+    (class, chart) pair through _chart_filter: in the same order, with the
+    same terms, multidegrees and weights, and from as many nullspace
+    calls.  Classes are drawn at _initial_box and at its double."""
+    engine = request.getfixturevalue(engine)
+    calls = [0]
+    solve = sections.nullspace
+
+    def counted(rows, ncols):
+        calls[0] += 1
+        return solve(rows, ncols)
+
+    monkeypatch.setattr(sections, "nullspace", counted)
+    n = engine.n
+
+    def tally(fn, *args):
+        calls[0] = 0
+        out = fn(*args)
+        return ([(list(sp.poly.terms.items()), sp.multidegree, sp.weight)
+                 for sp in out], calls[0])
+
+    @settings(max_examples=25)
+    @given(st.sampled_from(["can", "eff"]),
+           st.tuples(*[st.integers(-2, 2)] * n), st.booleans())
+    def check(kind, degree, doubled):
+        can, eff = (degree, None) if kind == "can" else (None, degree)
+        if eff is not None and not engine.is_multiplicity_free():
+            can, eff = engine.effective_exponents(eff), None
+        box = engine._initial_box(can, eff)
+        if doubled:
+            box = tuple(2 * b for b in box)
+        assert tally(engine._glue_space, can, eff, box) \
+            == tally(glue_space_by_filters, engine, can, eff, box)
+
+    check()
 
 
 def _glue_classes(engine, box):
