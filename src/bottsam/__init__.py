@@ -4,7 +4,6 @@ from .errors import (
     EngineError,
     NoMatch,
     NonIntegralAll,
-    NotAffine,
     NotInterior,
     NotNef,
     SpanDeficiency,
@@ -35,7 +34,7 @@ from .rootsys import (
     weyl_dimension,
 )
 from .sections import GroupModel, SectionEngine, SectionPoly
-from .valuation import adapted_basis, first_boundary_restriction, valuation
+from .valuation import adapted_basis, valuation
 from .weights import (
     WeightedSemigroup,
     WeightProjection,
@@ -58,7 +57,6 @@ __all__ = [
     "GroupModel",
     "NoMatch",
     "NonIntegralAll",
-    "NotAffine",
     "NotInterior",
     "NotNef",
     "OkounkovBody",
@@ -81,7 +79,6 @@ __all__ = [
     "compute_basis_change",
     "demazure_dimension",
     "demazure_operator",
-    "first_boundary_restriction",
     "format_divisor",
     "is_reduced",
     "multiplicity_asymptotics",

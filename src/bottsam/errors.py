@@ -40,7 +40,3 @@ class SpanDeficiency(EngineError):
 
 class Unstable(EngineError):
     """A computation did not stabilize within its configured caps."""
-
-
-class NotAffine(EngineError):
-    """The weight data of a graded semigroup is not an affine image."""

@@ -326,8 +326,11 @@ class OkounkovEngine:
 
         It is taken of the memoized hull vertices of each level set, scaled
         by 1/k: the hull of a union of hulls is the hull of their vertices.
+        A word longer than the polytope ambient cap is refused
+        (ValidationError) before any level set is computed.
         """
         _check_levels(levels)
+        RationalPolytope._check_ambient(self.n)
         self._require_effective(divisor)
         _check_run(self, divisor, levels)
         points = [tuple(Fraction(v, k) for v in vert)
@@ -347,11 +350,14 @@ class OkounkovEngine:
         because points sharing a class part are convex combinations there.
         Level sets and hull vertices are memoized per class on the engine,
         so the saturation run and later calls build only the hulls of
-        classes not seen before.
+        classes not seen before.  A word whose 2n coordinates exceed the
+        cone ambient cap is refused (ValidationError) before the basis
+        change or any level set.
         """
         if levels < 1 or box < 0:
             raise ValidationError("levels must be >= 1 and box >= 0")
         ambient = 2 * self.n
+        RationalCone._check_ambient(ambient)
         gens = self._cone_generators(levels, box)
         cone = RationalCone.from_generators(gens, ambient=ambient)
         bigger = RationalCone.from_generators(
@@ -426,6 +432,7 @@ class OkounkovEngine:
         lattice points of its dilations; compares the exact hull volume
         against volume(D)/n!.
         """
+        RationalPolytope._check_ambient(self.n)
         canonical = self.lattice.canonical(divisor)
         if min(canonical.coords, default=0) < 0:
             raise NotNef(f"volume identities need a nef class, got "
@@ -470,6 +477,7 @@ class OkounkovEngine:
         drops that entry; the intrinsic side computes the body of the tail
         class on the word with its first letter removed.
         """
+        RationalPolytope._check_ambient(self.n)
         canonical = self.lattice.canonical(divisor)
         if min(canonical.coords, default=0) < 0:
             raise NotNef(f"restriction identities need a nef class, got "

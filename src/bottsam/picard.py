@@ -206,7 +206,8 @@ def _check_probes(engine: SectionEngine, matrix, change: BasisChange) -> None:
         if min(m) < 0:
             routes = []
             if separate:
-                routes.append(("effective", engine.glue_dimension(eff=m)))
+                routes.append(
+                    ("effective", len(engine.section_basis_glue(eff=m))))
             routes.append(("canonical", len(canonical_space(mc))))
             for route, got in routes:
                 if got != 0:
@@ -216,14 +217,14 @@ def _check_probes(engine: SectionEngine, matrix, change: BasisChange) -> None:
         elif min(mc) >= 0:
             expected = _character_dimension(engine.datum,
                                             engine.word.indices, mc)
-            got = (engine.glue_dimension(eff=m) if separate
+            got = (len(engine.section_basis_glue(eff=m)) if separate
                    else len(canonical_space(mc)))
             if got != expected:
                 raise VerificationFailure(
                     f"probe {m}: glue dimension {got} != character "
                     f"dimension {expected} at canonical image {mc}")
         elif separate:
-            got_eff = engine.glue_dimension(eff=m)
+            got_eff = len(engine.section_basis_glue(eff=m))
             got_can = len(canonical_space(mc))
             if got_eff != got_can:
                 raise VerificationFailure(

@@ -604,17 +604,3 @@ def cone_payload(cone: RationalCone) -> dict:
         "lineality": [_int_row(row) for row in cone.lineality],
     }
 
-
-def cone_from_payload(payload: dict) -> RationalCone:
-    try:
-        ambient = int(payload["ambient"])
-        rays = [_parse_int_row(row) for row in payload["rays"]]
-        lineality = [_parse_int_row(row) for row in payload["lineality"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed cone payload: {exc}") from exc
-    generators = list(rays) + list(lineality) \
-        + [tuple(-v for v in row) for row in lineality]
-    cone = RationalCone.from_generators(generators, ambient=ambient)
-    if cone.rays != tuple(rays) or cone.lineality != tuple(lineality):
-        raise VerificationFailure("cone payload fails its ray round-trip")
-    return cone

@@ -223,15 +223,13 @@ def fundamental_rep(datum: CartanDatum, i: int) -> FundamentalRep:
 
 class GroupModel:
     """Cartan datum plus its fundamental representations, each built from
-    the Cartan matrix (fundamental_rep) on first use; reps seeds that
-    cache."""
+    the Cartan matrix (fundamental_rep) on first use and cached in reps."""
 
     __slots__ = ("datum", "reps")
 
-    def __init__(self, datum: CartanDatum,
-                 reps: dict[int, FundamentalRep] | None = None):
+    def __init__(self, datum: CartanDatum):
         self.datum = datum
-        self.reps = dict(reps or {})
+        self.reps: dict[int, FundamentalRep] = {}
 
     def rep(self, i: int) -> FundamentalRep:
         rep = self.reps.get(i)
@@ -683,10 +681,6 @@ class SectionEngine:
             if len(basis) == len(check):
                 return basis
             box, basis = doubled, check
-
-    def glue_dimension(self, can: Sequence[int] | None = None,
-                       eff: Sequence[int] | None = None) -> int:
-        return len(self.section_basis_glue(can=can, eff=eff))
 
     def section_basis(self, can: Sequence[int] | None = None,
                       eff: Sequence[int] | None = None) -> list[SectionPoly]:

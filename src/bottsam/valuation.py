@@ -58,14 +58,3 @@ def adapted_basis(sections: Sequence[SectionPoly]) -> list[SectionPoly]:
             adapted.append(SectionPoly(poly, degree, key))
     return adapted
 
-
-def first_boundary_restriction(section: SectionPoly) -> SectionPoly:
-    """Restrict a section to the first flag member and drop that variable.
-
-    Keeps only monomials free of t_1 and reindexes the rest; the result can
-    be the zero section when t_1 divides every term.
-    """
-    poly = section.poly if isinstance(section, SectionPoly) else section
-    terms = {mono[1:]: coeff for mono, coeff in poly.terms.items()
-             if mono[0] == 0}
-    return SectionPoly(Polynomial(poly.nvars - 1, terms))

@@ -2,12 +2,14 @@
 
 Every section in an adapted basis is torus homogeneous, and its valuation
 is one of its monomials, in which t_j has weight -alpha_{i_j}.  So the
-weight of a level-k point nu is the bundle weight of k D minus
-sum_j nu_j alpha_{i_j}: recording it next to the valuation gives a weighted
-semigroup on which the weight map is affine by construction in
-(valuation, level).  Slicing the Okounkov body along a fiber of that map
-gives the polytope whose lattice-normalized volume governs the growth of
-weight-space dimensions.
+weight of a level-k point nu is k b - sum_j nu_j alpha_{i_j}, b the bundle
+weight of D: an affine map in (valuation, level), read off the one weight
+rule SectionEngine.section_weight (weight_projection).  The weight polytope
+is the image of the level sets' hull vertices under that map, divided by
+their level, and slicing the Okounkov body along a fiber of the map gives
+the polytope whose lattice-normalized volume governs the growth of
+weight-space dimensions.  weighted_semigroup labels every point with the
+rule.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from ._kernel import solve_dense
-from .errors import NonIntegralAll, NotAffine, NotInterior, ValidationError
+from .errors import NonIntegralAll, NotInterior, ValidationError
 from .okounkov import OkounkovEngine, _check_levels, _check_run
 from .picard import DivisorClass, PicardLattice
 from .polyhedra import RationalPolytope
@@ -45,7 +46,9 @@ def _coerce_projection(torus_projection, rank: int):
             "torus projection rows must be lists of integers")
     rows = tuple(tuple(_integer_entry(v, "torus projection") for v in row)
                  for row in torus_projection)
-    if not rows or any(len(row) != rank for row in rows):
+    if not rows:
+        raise ValidationError("torus projection needs at least one row")
+    if any(len(row) != rank for row in rows):
         raise ValidationError(
             f"torus projection rows must have length {rank}")
     return rows
@@ -99,32 +102,26 @@ class WeightProjection:
             for i, row in enumerate(self.matrix))
 
 
-def weight_projection(semigroup: WeightedSemigroup) -> WeightProjection:
-    """Fit the unique exact affine map (nu, k) -> mu through all triples.
+def weight_projection(lattice: PicardLattice, divisor: DivisorClass,
+                      torus_projection=None) -> WeightProjection:
+    """The weight map of the level sets of a class, read off the one
+    weight rule.
 
-    Degenerate directions that the data does not determine get coefficient
-    zero; an inconsistent fit raises NotAffine.
+    SectionEngine.section_weight labels a level-k point nu with
+    k b - sum_j nu_j alpha_{i_j}, b the bundle weight of the class: b is
+    its label at the zero exponent vector, and column j of C its label at
+    the j-th unit vector minus b.  A projection maps both linearly.
     """
-    if not semigroup.triples:
-        raise ValidationError("weighted semigroup is empty")
-    n = len(semigroup.triples[0][0])
-    rows = [(*nu, k) for nu, k, _ in semigroup.triples]
-    columns = [[mu[i] for _, _, mu in semigroup.triples]
-               for i in range(semigroup.weight_dim)]
-    fits = solve_dense(rows, columns)
-    if len(fits) < len(columns):
-        raise NotAffine(
-            f"weight coordinate {len(fits) + 1} admits no exact affine fit "
-            "in (valuation, level)")
-    return WeightProjection([fit[:n] for fit in fits],
-                            [fit[n] for fit in fits])
-
-
-def _weight_polytope(semigroup: WeightedSemigroup) -> RationalPolytope:
-    points = [tuple(Fraction(v, k) for v in mu)
-              for _, k, mu in semigroup.triples]
-    return RationalPolytope.from_points(points,
-                                        ambient=semigroup.weight_dim)
+    projection = _coerce_projection(torus_projection, lattice.datum.rank)
+    mc = lattice.canonical(divisor).coords
+    label = lattice.engine.section_weight
+    n = lattice.n
+    base = _project(label(mc, (0,) * n), projection)
+    columns = [_project(label(mc, tuple(int(i == j) for i in range(n))),
+                        projection) for j in range(n)]
+    return WeightProjection(
+        [[column[i] - b for column in columns] for i, b in enumerate(base)],
+        base)
 
 
 def _in_relative_interior(polytope: RationalPolytope,
@@ -166,11 +163,14 @@ def multiplicity_asymptotics(lattice: PicardLattice, divisor: DivisorClass,
     polytope of the weight fiber with its lattice-normalized volume, and
     the ratio sequence dim / k^(d - r) where d is the body dimension and r
     the weight-polytope dimension.  With require_interior=False, boundary
-    weights are reported instead of rejected.
+    weights are reported instead of rejected.  A body or a weight polytope
+    past the polytope ambient cap is refused (ValidationError) before any
+    level set.
     """
     _check_levels(levels)
     coords = mu.coords if isinstance(mu, Weight) else tuple(mu)
     mu_coords = tuple(Fraction(v) for v in coords)
+    mu_text = ",".join(map(str, mu_coords))
     projection_rows = _coerce_projection(torus_projection,
                                          lattice.datum.rank)
     expected_dim = len(projection_rows) if projection_rows \
@@ -179,15 +179,24 @@ def multiplicity_asymptotics(lattice: PicardLattice, divisor: DivisorClass,
         raise ValidationError(
             f"weight has {len(mu_coords)} coordinates, expected "
             f"{expected_dim}")
+    RationalPolytope._check_ambient(expected_dim)
+    RationalPolytope._check_ambient(lattice.n)
     engine = OkounkovEngine(lattice)
-    semigroup = weighted_semigroup(engine, divisor, levels, projection_rows)
-    weight_polytope = _weight_polytope(semigroup)
+    _check_run(engine, divisor, levels)
+    projection = weight_projection(lattice, divisor, projection_rows)
+    # An affine map sends the hull of each level set onto the hull of its
+    # image, so the level sets' hull vertices span the weight polytope.
+    images = [tuple(x / k for x in projection.apply(vert, k))
+              for k in range(1, levels + 1)
+              for vert in engine._level_vertices(divisor, k)]
+    weight_polytope = RationalPolytope.from_points(images,
+                                                   ambient=expected_dim)
     interior = _in_relative_interior(weight_polytope, mu_coords)
     if require_interior and not interior:
-        raise NotInterior(
-            f"weight {','.join(map(str, mu_coords))} is not in the relative "
-            "interior of the weight polytope")
-    projection = weight_projection(semigroup)
+        raise NotInterior(f"weight {mu_text} is not in the relative "
+                          "interior of the weight polytope")
+    if not images:
+        raise ValidationError("weighted semigroup is empty")
     body = engine.body(divisor, levels)
     d = body.polytope.dim()
     r = weight_polytope.dim()
@@ -195,7 +204,7 @@ def multiplicity_asymptotics(lattice: PicardLattice, divisor: DivisorClass,
     usable = [k for k in range(1, levels + 1) if k % step == 0]
     if not usable:
         raise NonIntegralAll(
-            f"no level up to {levels} makes {mu_coords} integral")
+            f"no level up to {levels} makes {mu_text} integral")
     rows = []
     for k in usable:
         mc = lattice.canonical(divisor.scaled(k)).coords

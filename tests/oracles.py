@@ -6,7 +6,11 @@ exceptions keep an older route of the package: order_polytope_points keeps
 its double description, the monomial route as it was before
 back-substitution; section_weight_triples keeps the section spaces and
 adapted bases that weighted semigroups were read off before they labeled
-the level sets; dense_chart and dense_slot_sections keep the dense matrix
+the level sets; fitted_weight_projection and
+fitted_multiplicity_asymptotics keep the weight map fitted through every
+label and the weight polytope hulled from every label, before the map was
+read off the weight rule and the polytope taken as the image of the level
+hulls; dense_chart and dense_slot_sections keep the dense matrix
 products that charts and slot sections came from before they were read off
 sparse orbit vectors; raw_point_body and raw_point_image hull every
 valuation point, as bodies did before they hulled memoized class hulls;
@@ -411,6 +415,96 @@ def section_weight_triples(lattice, divisor, levels):
             triples.append((valuation(section), k, section.weight.coords))
     return sorted(triples)
 
+
+def fitted_weight_projection(semigroup):
+    """The exact affine map (nu, k) -> mu fitted through every triple of a
+    weighted semigroup with solve_dense.
+
+    Directions the data does not determine get coefficient zero; data no
+    affine map fits raises ValueError naming the first such coordinate.
+    """
+    from bottsam import ValidationError, WeightProjection
+    from bottsam._kernel import solve_dense
+
+    if not semigroup.triples:
+        raise ValidationError("weighted semigroup is empty")
+    n = len(semigroup.triples[0][0])
+    rows = [(*nu, k) for nu, k, _ in semigroup.triples]
+    columns = [[mu[i] for _, _, mu in semigroup.triples]
+               for i in range(semigroup.weight_dim)]
+    fits = solve_dense(rows, columns)
+    if len(fits) < len(columns):
+        raise ValueError(
+            f"weight coordinate {len(fits) + 1} admits no exact affine fit "
+            "in (valuation, level)")
+    return WeightProjection([fit[:n] for fit in fits],
+                            [fit[n] for fit in fits])
+
+
+def fitted_multiplicity_asymptotics(lattice, divisor, mu, levels,
+                                    torus_projection=None,
+                                    require_interior=True):
+    """multiplicity_asymptotics by labeling every point of every level,
+    hulling all the labels divided by their level, and fitting the weight
+    map through the labels; the same report, errors and messages."""
+    from bottsam import (NonIntegralAll, NotInterior, OkounkovEngine,
+                         RationalPolytope, ValidationError, Weight,
+                         bs_character, weighted_semigroup)
+    from bottsam.okounkov import _check_levels
+    from bottsam.weights import _coerce_projection, _project
+
+    _check_levels(levels)
+    mu = tuple(Fraction(v) for v in mu)
+    rows = _coerce_projection(torus_projection, lattice.datum.rank)
+    width = len(rows) if rows else lattice.datum.rank
+    if len(mu) != width:
+        raise ValidationError(
+            f"weight has {len(mu)} coordinates, expected {width}")
+    engine = OkounkovEngine(lattice)
+    semigroup = weighted_semigroup(engine, divisor, levels, rows)
+    weight_polytope = RationalPolytope.from_points(
+        [tuple(Fraction(v, k) for v in label)
+         for _, k, label in semigroup.triples], ambient=width)
+    interior = not weight_polytope.is_empty and all(
+        row[0] + sum(a * x for a, x in zip(row[1:], mu)) == 0
+        for row in weight_polytope.equations) and all(
+        row[0] + sum(a * x for a, x in zip(row[1:], mu)) > 0
+        for row in weight_polytope.inequalities)
+    text = ",".join(map(str, mu))
+    if require_interior and not interior:
+        raise NotInterior(f"weight {text} is not in the relative interior "
+                          "of the weight polytope")
+    projection = fitted_weight_projection(semigroup)
+    body = engine.body(divisor, levels)
+    d, r = body.polytope.dim(), weight_polytope.dim()
+    step = math.lcm(*(v.denominator for v in mu))
+    usable = [k for k in range(1, levels + 1) if k % step == 0]
+    if not usable:
+        raise NonIntegralAll(f"no level up to {levels} makes {text} "
+                             "integral")
+    level_rows = []
+    for k in usable:
+        mc = lattice.canonical(divisor.scaled(k)).coords
+        character = bs_character(lattice.datum, lattice.word, mc)
+        target = tuple(k * v for v in mu)
+        dimension = character.multiplicity(Weight(target)) if rows is None \
+            else sum(m for w, m in character.terms.items()
+                     if _project(w, rows) == target)
+        level_rows.append({"level": k, "dimension": dimension,
+                           "ratio": Fraction(dimension, k ** (d - r))})
+    fiber = [(row, mu[i] - projection.level_part[i])
+             for i, row in enumerate(projection.matrix)]
+    slice_polytope = body.polytope.sliced(fiber)
+    return {
+        "levels": level_rows,
+        "slice_vertices": slice_polytope.vertices,
+        "slice_volume": Fraction(0) if slice_polytope.is_empty
+        else slice_polytope.lattice_volume(),
+        "body_dimension": d,
+        "weight_dimension": r,
+        "codimension": d - r,
+        "interior": interior,
+    }
 
 def commutator_holds(weights, raising, lowering, j):
     """[e_j, f_j] = diag(weights[r][j - 1]) with dense matrices built from

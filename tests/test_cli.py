@@ -398,7 +398,8 @@ def test_type_a_models_build_only_the_word_letters(capsys):
     ("[1, 2]", "torus projection rows must be lists of integers"),
     ("[[1.5, 0]]", "torus projection entry 1.5 is not an integer"),
     ("[[true, 0]]", "torus projection entry True is not an integer"),
-], ids=["string", "flat", "fraction", "boolean"])
+    ("[]", "torus projection needs at least one row"),
+], ids=["string", "flat", "fraction", "boolean", "no-rows"])
 def test_bad_projection_files_exit_2_with_one_line(tmp_path, capsys,
                                                    content, message):
     path = tmp_path / "proj.json"
@@ -414,6 +415,52 @@ def test_bad_projection_files_exit_2_with_one_line(tmp_path, capsys,
     path.write_text("[[1, 0]]")
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["weight_dimension"] == 1
+
+
+def test_weight_without_an_integral_level_exits_2_with_one_line(capsys):
+    """The weight is printed as the comma list of the --mu flag."""
+    code = main(["weights", "--type", "A2", "--word", "1,2", "--bundle",
+                 "can:2,1", "--mu", "1/2,1/3", "--max-level", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: no level up to 3 makes 1/2,1/3 integral"]
+
+
+NINE = "1,2,3,4,5,6,7,8,9"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["body", "--type", "A9", "--word", NINE, "--bundle",
+      "can:1,1,1,1,1,1,1,1,1", "--max-level", "3"],
+     "polytope ambient dimension must be 1..8"),
+    (["body", "--type", "A9", "--word", NINE, "--bundle",
+      "eff:1,1,1,1,1,1,1,1,1", "--max-level", "1"],
+     "polytope ambient dimension must be 1..8"),
+    (["weights", "--type", "A9", "--word", NINE, "--bundle",
+      "can:1,1,1,1,1,1,1,1,1", "--mu", "0,0,0,0,0,0,0,0,0"],
+     "polytope ambient dimension must be 1..8"),
+    (["weights", "--type", "A9", "--word", "1", "--bundle", "can:1",
+      "--mu", "0,0,0,0,0,0,0,0,0"],
+     "polytope ambient dimension must be 1..8"),
+    (["global", "--type", "A5", "--word", "1,2,3,4,5", "--max-level", "1",
+      "--box", "1"], "cone ambient dimension must be 1..9"),
+], ids=["body", "body-effective", "weights", "weights-rank", "global"])
+def test_hulls_past_the_ambient_caps_exit_2_at_once(capsys, argv, message):
+    """A body on more than 8 coordinates, a weight polytope on more than
+    8 or a cone on more than 9 can never be hulled, so it is refused
+    before any level set, run guard or basis change.  The body at level 3
+    ran into the run guard (exit 3), the effective body and the cone into
+    the probe run of the basis change."""
+    start = time.process_time()
+    code = main(argv)
+    elapsed = time.process_time() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert elapsed < 1.0
 
 
 def test_engine_failures_exit_4(capsys, monkeypatch):

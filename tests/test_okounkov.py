@@ -24,6 +24,7 @@ from bottsam import (
     ValidationError,
     WeylWord,
     bs_character,
+    multiplicity_asymptotics,
 )
 from bottsam import okounkov, polyhedra, rootsys
 from bottsam.okounkov import GradedValuationPoint
@@ -174,6 +175,31 @@ def test_level_counts_above_the_guard_are_refused_at_once(okounkov_a2_12):
         okounkov_a2_12.global_cone(huge, 1)
     with pytest.raises(Unstable):
         okounkov_a2_12.global_cone(2, huge)
+
+
+def test_hulls_past_the_ambient_caps_are_refused_before_any_work():
+    """A cone on 2n > 9 coordinates is refused before the basis change,
+    and a body on n > 8 before any level set or basis change, in each call
+    that hulls one."""
+    a5 = OkounkovEngine(PicardLattice(CartanDatum.from_type("A5"),
+                                      WeylWord([1, 2, 3, 4, 5])))
+    with pytest.raises(ValidationError,
+                       match=r"^cone ambient dimension must be 1\.\.9$"):
+        a5.global_cone(1, 1)
+    assert a5.lattice._change is None
+    nine = OkounkovEngine(PicardLattice(CartanDatum.from_type("A9"),
+                                        WeylWord(range(1, 10))))
+    ones = DivisorClass((1,) * 9, Basis.EFFECTIVE)
+    for call, args in ((nine.body, (ones, 3)),
+                       (nine.volume_check, (ones, 3)),
+                       (nine.restriction_check, (ones, 3)),
+                       (multiplicity_asymptotics,
+                        (nine.lattice, ones, (0,) * 9, 3))):
+        with pytest.raises(ValidationError, match=r"^polytope ambient "
+                           r"dimension must be 1\.\.8$"):
+            call(*args)
+    assert list(nine._points) == [(0,) * 9]
+    assert nine.lattice._change is None
 
 
 @pytest.mark.parametrize("engine, coords, last", [

@@ -20,8 +20,6 @@ from bottsam import (
     VerificationFailure,
 )
 from bottsam.polyhedra import (
-    cone_from_payload,
-    cone_payload,
     polytope_from_payload,
     polytope_payload,
     primitive_vector,
@@ -330,30 +328,3 @@ def test_random_polytope_payloads_roundtrip(dim, data):
     assert back.inequalities == polytope.inequalities
     assert back.equations == polytope.equations
 
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@settings(max_examples=40)
-@given(data=st.data())
-def test_random_cone_payloads_roundtrip(dim, data):
-    """A cone of random generators in [-3,3]^d, lines included, survives
-    its payload with the same rays and lineality."""
-    gens = data.draw(st.lists(
-        st.tuples(*[st.integers(-3, 3)] * dim).filter(any),
-        min_size=1, max_size=6))
-    cone = RationalCone.from_generators(gens, ambient=dim)
-    back = cone_from_payload(json.loads(json.dumps(cone_payload(cone))))
-    assert back == cone
-    assert back.rays == cone.rays
-    assert back.lineality == cone.lineality
-
-
-def test_cone_payload_roundtrip():
-    rays = RationalCone.from_generators([(0, 1), (1, 1), (3, 2)]).rays
-    cone = RationalCone(2, rays, (), (), ())
-    payload = cone_payload(cone)
-    back = cone_from_payload(payload)
-    assert sorted(back.rays) == sorted(rays)
-    bad = json.loads(json.dumps(payload))
-    bad["rays"].append(["1", "1"])
-    with pytest.raises(VerificationFailure):
-        cone_from_payload(bad)

@@ -703,11 +703,14 @@ def test_products_land_in_the_sum_class(eng12):
 
 
 def oracle_model(name):
-    """The hand-made A_n or B2 representations as a GroupModel."""
+    """The hand-made A_n or B2 representations as a GroupModel, its
+    cache filled in before any representation is derived."""
     datum = CartanDatum.from_type(name)
-    return GroupModel(datum, {
-        i: FundamentalRep(datum, i, *action)
-        for i, action in oracle_actions(name).items()})
+    model = GroupModel(datum)
+    model.reps.update(
+        (i, FundamentalRep(datum, i, *action))
+        for i, action in oracle_actions(name).items())
+    return model
 
 
 def longest_word(datum):

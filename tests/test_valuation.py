@@ -1,4 +1,4 @@
-"""Flag valuation, adapted bases, and the first boundary restriction."""
+"""Flag valuation and adapted bases."""
 
 from __future__ import annotations
 
@@ -9,11 +9,7 @@ import pytest
 from bottsam import ValidationError, WeylWord
 from bottsam._poly import Polynomial
 from bottsam.sections import SectionEngine
-from bottsam.valuation import (
-    adapted_basis,
-    first_boundary_restriction,
-    valuation,
-)
+from bottsam.valuation import adapted_basis, valuation
 
 from oracles import dense_rank
 
@@ -82,19 +78,3 @@ def test_adapted_basis_preserves_weights(a2):
     echeloned = sorted(sp.weight.coords for sp in adapted)
     assert original == echeloned
 
-
-def test_first_boundary_restriction_drops_the_leading_variable(a2):
-    engine = SectionEngine(a2, WeylWord([1, 2]))
-    basis = engine.section_basis_nef((0, 1))
-    flat = [sp for sp in basis if valuation(sp)[0] == 0]
-    for sp in flat:
-        restricted = first_boundary_restriction(sp)
-        assert restricted.poly.nvars == sp.poly.nvars - 1
-        assert valuation(restricted) == valuation(sp)[1:]
-
-
-def test_first_boundary_restriction_kills_divisible_sections(a2):
-    engine = SectionEngine(a2, WeylWord([1, 2]))
-    section = engine.boundary_section(1)
-    restricted = first_boundary_restriction(section)
-    assert not restricted.poly.terms

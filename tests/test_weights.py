@@ -16,11 +16,12 @@ from bottsam import (
     Basis,
     CartanDatum,
     DivisorClass,
+    EngineError,
     NonIntegralAll,
-    NotAffine,
     NotInterior,
     OkounkovEngine,
     PicardLattice,
+    RationalPolytope,
     Unstable,
     WeightedSemigroup,
     WeylWord,
@@ -31,10 +32,15 @@ from bottsam import (
     weighted_semigroup,
 )
 from bottsam import cli
+from bottsam._kernel import solve_dense
 from bottsam.sections import SectionEngine, SectionPoly
 from bottsam.valuation import adapted_basis
 
-from oracles import section_weight_triples
+from oracles import (
+    fitted_multiplicity_asymptotics,
+    fitted_weight_projection,
+    section_weight_triples,
+)
 
 
 def can(coords):
@@ -52,9 +58,8 @@ def test_base_weighted_semigroup(okounkov_a1):
     assert level_one == [(-3,), (-1,), (1,), (3,)]
 
 
-def test_base_weight_projection(okounkov_a1):
-    semigroup = weighted_semigroup(okounkov_a1, can((3,)), 2)
-    projection = weight_projection(semigroup)
+def test_base_weight_projection(lattice_a1):
+    projection = weight_projection(lattice_a1, can((3,)))
     assert projection.matrix == ((Fraction(-2),),)
     assert projection.level_part == (Fraction(3),)
     assert projection.apply((1,), 1) == (Fraction(1),)
@@ -75,7 +80,7 @@ def test_weights_match_the_character(okounkov_a2_12, a2):
 def test_slice_counts_partition_the_level(okounkov_a2_12):
     divisor = can((1, 1))
     semigroup = weighted_semigroup(okounkov_a2_12, divisor, 2)
-    projection = weight_projection(semigroup)
+    projection = weight_projection(okounkov_a2_12.lattice, divisor)
     body = okounkov_a2_12.body(divisor, 4)
     level_one = [(nu, mu) for nu, level, mu in semigroup.triples
                  if level == 1]
@@ -85,17 +90,18 @@ def test_slice_counts_partition_the_level(okounkov_a2_12):
     assert total == len(level_one) == 5
 
 
-def test_inconsistent_weights_are_not_affine():
-    """NotAffine names the first weight coordinate without an exact fit."""
+def test_fitted_projection_refuses_inconsistent_weights():
+    """The fit oracle names the first weight coordinate without an exact
+    affine fit."""
     triples = frozenset({((0,), 1, (0,)), ((1,), 1, (5,)), ((2,), 1, (1,))})
     semigroup = WeightedSemigroup(can((1,)), 1, triples, 1)
-    with pytest.raises(NotAffine, match="coordinate 1 "):
-        weight_projection(semigroup)
+    with pytest.raises(ValueError, match="coordinate 1 "):
+        fitted_weight_projection(semigroup)
     triples = frozenset({((0,), 1, (0, 0, 0)), ((1,), 1, (1, 5, 0)),
                          ((2,), 1, (2, 1, 1))})
     semigroup = WeightedSemigroup(can((1,)), 1, triples, 3)
-    with pytest.raises(NotAffine, match="coordinate 2 "):
-        weight_projection(semigroup)
+    with pytest.raises(ValueError, match="coordinate 2 "):
+        fitted_weight_projection(semigroup)
 
 
 def test_interior_weight_asymptotics(lattice_a2_121):
@@ -168,9 +174,9 @@ def test_subtorus_projection(lattice_a2_12, a2):
         assert row["dimension"] == expected
 
 
-def test_weighted_semigroup_reuses_an_engine(lattice_a2_12, monkeypatch):
-    """multiplicity_asymptotics builds one engine for the semigroup and the
-    body, so each level set is computed once."""
+def test_asymptotics_reuse_one_engine(lattice_a2_12, monkeypatch):
+    """multiplicity_asymptotics builds one engine for the weight polytope
+    and the body, so each level set is computed once."""
     calls = []
     compute = OkounkovEngine._compute_points
 
@@ -224,13 +230,17 @@ def test_weighted_semigroup_matches_the_section_route(section_route, data):
     sets with section_weight gives the triples that adapted bases of the
     built section spaces carry, the representation model's weights on the
     spanning route included; with a drawn projection row per class, it
-    gives their projections."""
+    gives their projections.  The closed-form weight_projection maps each
+    point to its label, projected or not."""
     assert sum(bool(expected) for _, expected in section_route.values()) \
         == 96
     for case, (engine, expected) in section_route.items():
         coords, levels = case[2:]
         semigroup = weighted_semigroup(engine, can(coords), levels)
         assert sorted(semigroup.triples) == expected, case
+        projection = weight_projection(engine.lattice, can(coords))
+        assert all(projection.apply(nu, k) == mu
+                   for nu, k, mu in semigroup.triples), case
         row = data.draw(st.tuples(
             *[st.integers(-2, 2)] * engine.lattice.datum.rank))
         semigroup = weighted_semigroup(engine, can(coords), levels, [row])
@@ -238,6 +248,40 @@ def test_weighted_semigroup_matches_the_section_route(section_route, data):
             (nu, k, (sum(map(mul, row, mu)),)) for nu, k, mu in expected), \
             (case, row)
         assert semigroup.weight_dim == 1
+        projection = weight_projection(engine.lattice, can(coords), [row])
+        assert all(projection.apply(nu, k) == mu
+                   for nu, k, mu in semigroup.triples), (case, row)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except EngineError as error:
+        return type(error), str(error)
+
+
+@settings(max_examples=2)
+@given(data=st.data())
+def test_asymptotics_match_the_fitted_pipeline(section_route, data):
+    """On every canonical class of the grids, with a drawn weight in
+    {0, 1, 1/2}^rank or a drawn projection row and a one-coordinate
+    weight, and both require_interior values, multiplicity_asymptotics
+    gives the report, or the error type and message, of the pipeline that
+    labels every point, hulls every label and fits the weight map."""
+    for case, (engine, _) in section_route.items():
+        coords, levels = case[2:]
+        lattice = engine.lattice
+        rank = lattice.datum.rank
+        weight = st.sampled_from((0, 1, Fraction(1, 2)))
+        projection = data.draw(st.none() | st.tuples(st.tuples(
+            *[st.integers(-2, 2)] * rank)))
+        mu = data.draw(st.tuples(
+            *[weight] * (rank if projection is None else 1)))
+        for interior in (True, False):
+            args = (lattice, can(coords), mu, levels, projection, interior)
+            assert _outcome(multiplicity_asymptotics, *args) == _outcome(
+                fitted_multiplicity_asymptotics, *args), \
+                (case, mu, projection, interior)
 
 
 def test_weighted_semigroup_refuses_a_long_run_at_once(lattice_a2_12):
@@ -254,12 +298,18 @@ def test_weighted_semigroup_refuses_a_long_run_at_once(lattice_a2_12):
 
 def test_weights_job_builds_no_sections(capsys, monkeypatch):
     """Work pins for `weights --type A2 --word 1,2,1 --bundle can:0,1,1
-    --mu 0,0 --max-level 5`: the semigroup labels the engine's level sets,
-    so the job builds no section space (from 5 section_basis_nef calls,
+    --mu 0,0 --max-level 5`: the weight map is read off section_weight
+    and the points are the engine's level sets, so the job builds no
+    section space (from 5 section_basis_nef calls,
     6,972 products and 5 adapted bases when each level's sections were
     rebuilt), and it computes each of the 5 level sets once, for the
-    semigroup and the body together."""
-    counts = dict.fromkeys(("nef", "multiplied", "adapted", "points"), 0)
+    weight polytope and the body together.  The weight polytope hulls the
+    images of the 35 level-set hull vertices that the body hulls too (from
+    all 440 labeled points when it was hulled from the labels), and the
+    one solve_dense call is the slice's lattice volume (a second one
+    fitted the weight map)."""
+    counts = dict.fromkeys(("nef", "multiplied", "adapted", "points",
+                            "solve_dense"), 0)
 
     def counted(name, call):
         def wrapped(*args, **kwargs):
@@ -273,13 +323,27 @@ def test_weights_job_builds_no_sections(capsys, monkeypatch):
         "multiplied", SectionPoly.multiplied))
     monkeypatch.setattr(OkounkovEngine, "_compute_points", counted(
         "points", OkounkovEngine._compute_points))
-    adapted = counted("adapted", adapted_basis)
-    for module in list(sys.modules.values()):
-        if module is not None and module.__name__.startswith("bottsam") \
-                and getattr(module, "adapted_basis", None) is adapted_basis:
-            monkeypatch.setattr(module, "adapted_basis", adapted)
+    hulls = []
+    from_points = RationalPolytope.from_points.__func__
+
+    def recorded(cls, points, ambient=None):
+        hulls.append((ambient, len(points)))
+        return from_points(cls, points, ambient)
+
+    monkeypatch.setattr(RationalPolytope, "from_points",
+                        classmethod(recorded))
+    for name, call in (("adapted", adapted_basis),
+                       ("solve_dense", solve_dense)):
+        wrapper = counted(name, call)
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("bottsam") \
+                    and getattr(module, call.__name__, None) is call:
+                monkeypatch.setattr(module, call.__name__, wrapper)
     assert cli.main(["weights", "--type", "A2", "--word", "1,2,1",
                      "--bundle", "can:0,1,1", "--mu", "0,0",
                      "--max-level", "5"]) == 0
     capsys.readouterr()
-    assert counts == {"nef": 0, "multiplied": 0, "adapted": 0, "points": 5}
+    assert counts == {"nef": 0, "multiplied": 0, "adapted": 0, "points": 5,
+                      "solve_dense": 1}
+    assert [size for ambient, size in hulls if ambient == 2] == [35]
+    assert (3, 35) in hulls
