@@ -290,12 +290,12 @@ def _check_counting(lattice: PicardLattice, engine: OkounkovEngine,
     for coords in itertools.product(range(coord_max + 1), repeat=n):
         divisor = DivisorClass(coords, Basis.CANONICAL)
         for k in range(1, level_max + 1):
-            points = engine.valuation_points(divisor, k)
+            count = engine.level_count(divisor, k)
             dim = lattice.section_dimension(
                 DivisorClass(tuple(k * c for c in coords), Basis.CANONICAL))
-            if len(points) != dim:
+            if count != dim:
                 raise VerifyFailed(
-                    f"class can:{coords} level {k}: {len(points)} valuation "
+                    f"class can:{coords} level {k}: {count} valuation "
                     f"points vs dimension {dim}")
             checked += 1
     return f"{checked} (class, level) pairs"

@@ -2,20 +2,24 @@
 
 Semigroup points at level k are the valuation vectors of an adapted basis of
 the k-th multiple of a class, so their count equals the section dimension by
-construction.  Okounkov bodies are hulls of scaled semigroup points; the
-global cone collects (valuation, class) pairs over a box of effective
-classes and is certified by double stabilization in both the level cap and
-the box.
+construction.  On the nef cone they are certified Minkowski sums of the slot
+valuation sets, kept as a count and packed codes and decoded into points
+only when asked for; their hull vertices are read off one vertex list per
+support of the class.  Okounkov bodies are hulls of scaled semigroup
+points; the global cone collects (valuation, class) pairs over a box of
+effective classes and is certified by double stabilization in both the
+level cap and the box.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from fractions import Fraction
 from math import factorial, prod
 from typing import NamedTuple
 
-from .errors import NotNef, Unstable, ValidationError
+from .errors import EngineError, NotNef, Unstable, ValidationError
 from .picard import Basis, DivisorClass, PicardLattice
 from .polyhedra import RationalCone, RationalPolytope
 from .rootsys import bs_character, demazure_dimension
@@ -47,7 +51,7 @@ def _check_run(engine: "OkounkovEngine", divisor: "DivisorClass",
     """Refuse (Unstable) a run over levels 1..levels whose level sets
     together exceed _LEVEL_SET_GUARD points, before level 1 is computed.
 
-    A nef class counts the engine's memoized dimensions of k * divisor; a
+    A nef class counts the engine's dimensions of k * divisor; a
     class on the monomial route counts the points of each level's
     order-polytope box, which holds the level set and bounds its
     enumeration.  The sizes are summed only until the total passes the
@@ -71,6 +75,28 @@ def _check_run(engine: "OkounkovEngine", divisor: "DivisorClass",
         total += size(tuple(k * c for c in coords))
         if total > _LEVEL_SET_GUARD:
             raise Unstable("level sets of the run exceed the supported size")
+
+
+def _width(top: int) -> int:
+    """Bits per packed coordinate for coordinates up to top, in whole
+    bytes, so that a sum grown from a smaller class seldom needs a wider
+    code than its source and its source's codes seldom need repacking."""
+    return -(-top.bit_length() // 8) * 8
+
+
+def _pack(point: tuple[int, ...], bits: int) -> int:
+    """One int holding a nonnegative point, bits per coordinate, first
+    coordinate most significant."""
+    code = 0
+    for v in point:
+        code = code << bits | v
+    return code
+
+
+def _unpack(code: int, bits: int, n: int) -> tuple[int, ...]:
+    """The point of length n that _pack(point, bits) packed into code."""
+    mask = (1 << bits) - 1
+    return tuple(code >> (bits * j) & mask for j in range(n - 1, -1, -1))
 
 
 class GradedValuationPoint(NamedTuple):
@@ -121,15 +147,24 @@ class OkounkovEngine:
         self.lattice = lattice
         self.n = lattice.n
         zero = (0,) * self.n
-        # Per canonical class: its sorted level set, its hull vertices, its
-        # Demazure dimension, and the cached class a certified Minkowski sum
-        # started from.  The zero class seeds every sum.
-        self._points: dict[tuple[int, ...], list[tuple[int, ...]]] = {
-            zero: [zero]}
+        # Per canonical class: the size of its level set; the level set as
+        # sorted points, or for a certified Minkowski sum as packed codes
+        # with their bit width and a bound on their coordinates; and its
+        # hull vertices.  Plain classes are those whose level set is
+        # m_1 N_1 + ... + m_n N_n, and the cached nef classes are ranked by
+        # weight (_source).  The zero class seeds every sum.
+        self._counts: dict[tuple[int, ...], int] = {zero: 1}
+        self._points: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        self._sums: dict[tuple[int, ...], tuple[set[int], int, int]] = {
+            zero: ({0}, 0, 0)}
         self._vertices: dict[tuple[int, ...], list[tuple[int, ...]]] = {
             zero: [zero]}
-        self._dims: dict[tuple[int, ...], int] = {}
-        self._sources: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._plain = {zero}
+        self._ranked: list[tuple[int, tuple[int, ...]]] = [(0, zero)]
+        # Per support of a plain class, the slot corners of each vertex;
+        # per tail class, the two terms of its nef dimensions (_dimension).
+        self._supports: dict[tuple[int, ...], list[tuple]] = {}
+        self._tails: dict[tuple[int, ...], tuple[int, int]] = {}
         self._slots: list[tuple[list, list]] | None = None
         self._truncated: "OkounkovEngine | None" = None
 
@@ -138,38 +173,60 @@ class OkounkovEngine:
     def valuation_points(self, divisor: DivisorClass,
                          level: int = 1) -> list[tuple[int, ...]]:
         """Sorted valuation vectors of an adapted basis of level * divisor."""
-        if level < 1:
-            raise ValidationError("level must be a positive integer")
-        total = self.lattice.canonical(divisor.scaled(level))
-        points = self._points.get(total.coords)
+        return self._level_points(self._level(divisor, level))
+
+    def _level_points(self, mc: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Sorted points of a cached level set; a certified Minkowski sum is
+        decoded from its codes here, once."""
+        points = self._points.get(mc)
         if points is None:
-            points = self._compute_points(total.coords)
-            self._points[total.coords] = points
+            codes, bits, _ = self._sums[mc]
+            points = [_unpack(code, bits, self.n) for code in sorted(codes)]
+            self._points[mc] = points
         return points
 
-    def _compute_points(self, mc: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """The level set of a canonical class, by the engine's route rule.
+    def level_count(self, divisor: DivisorClass, level: int = 1) -> int:
+        """Number of valuation points of level * divisor, which is the
+        dimension of its section space, without decoding them."""
+        return self._counts[self._level(divisor, level)]
 
-        A nef class is grown by Minkowski sums where they certify; a class
-        on the monomial route reads its valuations off the exponents of its
-        monomial basis; any other class takes the valuations of an adapted
-        basis of its section space.
+    def _level(self, divisor: DivisorClass, level: int) -> tuple[int, ...]:
+        """Canonical coordinates of level * divisor, its level set cached."""
+        if level < 1:
+            raise ValidationError("level must be a positive integer")
+        mc = self.lattice.canonical(divisor.scaled(level)).coords
+        if mc not in self._counts:
+            self._compute_level(mc)
+        return mc
+
+    def _compute_level(self, mc: tuple[int, ...]) -> None:
+        """Cache the level set of a canonical class, by the engine's route
+        rule.
+
+        A nef class is grown by Minkowski sums where they certify, and kept
+        as codes; a class on the monomial route reads its valuations off the
+        exponents of its monomial basis; any other class takes the
+        valuations of an adapted basis of its section space.
         """
         engine = self.lattice.engine
         route = engine.section_route(can=mc)
+        if route == "spanning" and self._sum_level(mc):
+            return
+        if route == "monomial":
+            points = engine.monomial_exponents(can=mc)
+        else:
+            basis = engine.section_basis(can=mc)
+            points = sorted(valuation(s) for s in adapted_basis(basis)) \
+                if basis else []
+        self._points[mc] = points
+        self._counts[mc] = len(points)
         if route == "spanning":
-            sums = self._minkowski_points(mc)
-            if sums is not None:
-                return sums
-        elif route == "monomial":
-            return engine.monomial_exponents(can=mc)
-        basis = engine.section_basis(can=mc)
-        if not basis:
-            return []
-        return sorted(valuation(s) for s in adapted_basis(basis))
+            bisect.insort(self._ranked, (self._weight(mc), mc),
+                          key=lambda r: r[0])
 
-    def _minkowski_points(self, mc) -> list[tuple[int, ...]] | None:
-        """Level set of a nef class grown from a cached class below it.
+    def _sum_level(self, mc: tuple[int, ...]) -> bool:
+        """Cache the level set of a nef class as a certified Minkowski sum
+        grown from a cached class below it; False when it does not certify.
 
         Valuations add under products, so for a cached nef class prev <= mc
         the sums S(prev) + (mc - prev)_1 N_1 + ... + (mc - prev)_n N_n, with
@@ -177,69 +234,90 @@ class OkounkovEngine:
         S(mc) and contain the plain per-slot sum mc_1 N_1 + ... + mc_n N_n.
         They are kept only when their count matches the character
         dimension, which makes them the whole level.  The sums start from
-        the cached class that leaves the fewest of them; the zero class is
-        always cached, and from it this is the plain per-slot sum.  An
-        enumeration whose bound, dimension x point-set sums, exceeds
-        _LEVEL_SET_GUARD raises Unstable instead of running.
+        the cached class that leaves the fewest of them (_source); the zero
+        class is always cached, and from it this is the plain per-slot sum.
+        A sum from a plain class is plain, since S(prev) is then
+        prev_1 N_1 + ... + prev_n N_n.  An enumeration whose bound,
+        dimension x point-set sums, exceeds _LEVEL_SET_GUARD raises Unstable
+        instead of running.
 
         Valuations are nonnegative, so each point is packed into one int,
-        its coordinates read as base-major digits in a base above any
+        its coordinates read as base-major digits of a bit width above any
         coordinate the sums reach: a sum of codes is then the code of the
-        sum, and code order is lex order.  Points are decoded once, after
-        the count certifies them.
+        sum, and code order is lex order.  The codes are kept as they are;
+        only valuation_points decodes them.
         """
+        slots = self._slot_sets()
+        weight = self._weight(mc)
+        prev = self._source(mc, weight)
         target = self._dimension(mc)
-        slots = [nus for nus, _ in self._slot_sets()]
-
-        def sums_left(prev):
-            return sum((b - a) * len(nus)
-                       for a, b, nus in zip(prev, mc, slots))
-
-        prev = min((p for p in self._points
-                    if all(0 <= a <= b for a, b in zip(p, mc))),
-                   key=sums_left)
-        if target * sums_left(prev) > _LEVEL_SET_GUARD:
+        if target * (weight - self._weight(prev)) > _LEVEL_SET_GUARD:
             raise Unstable("level set enumeration exceeds the supported size")
-        start = self._points[prev]
-        base = 1 + max(v for point in start for v in point) + sum(
-            (b - a) * max(v for nu in nus for v in nu)
-            for a, b, nus in zip(prev, mc, slots))
-
-        def encode(point):
-            code = 0
-            for v in point:
-                code = code * base + v
-            return code
-
-        codes = set(map(encode, start))
-        for a, b, nus in zip(prev, mc, slots):
-            steps = [encode(nu) for nu in nus]
+        codes, bits, top = self._packed(prev)
+        top += sum((b - a) * max(map(max, nus))
+                   for a, b, (nus, _) in zip(prev, mc, slots))
+        width = _width(top)
+        if width != bits:
+            codes = {_pack(_unpack(code, bits, self.n), width)
+                     for code in codes}
+        for a, b, (nus, _) in zip(prev, mc, slots):
+            steps = [_pack(nu, width) for nu in nus]
             for _ in range(b - a):
                 codes = {x + y for x in codes for y in steps}
         if len(codes) != target:
-            return None
-        self._sources[mc] = prev
-        points = []
-        for code in sorted(codes):
-            digits = [0] * self.n
-            for j in range(self.n - 1, -1, -1):
-                code, digits[j] = divmod(code, base)
-            points.append(tuple(digits))
-        return points
+            return False
+        self._sums[mc] = (codes, width, top)
+        self._counts[mc] = target
+        if prev in self._plain:
+            self._plain.add(mc)
+        bisect.insort(self._ranked, (weight, mc), key=lambda r: r[0])
+        return True
+
+    def _packed(self, mc: tuple[int, ...]) -> tuple[set[int], int, int]:
+        """Codes, bit width and coordinate bound of a cached nef level set;
+        a level set kept as points is packed afresh."""
+        packed = self._sums.get(mc)
+        if packed is None:
+            points = self._points[mc]
+            top = max(map(max, points))
+            bits = _width(top)
+            packed = ({_pack(point, bits) for point in points}, bits, top)
+        return packed
+
+    def _weight(self, mc: tuple[int, ...]) -> int:
+        """sum_k mc_k |N_k|: the slot points a sum up to mc adds."""
+        return sum(c * len(nus) for c, (nus, _) in zip(mc, self._slot_sets()))
+
+    def _source(self, mc: tuple[int, ...], weight: int) -> tuple[int, ...]:
+        """The heaviest cached nef class prev <= mc, which leaves the
+        fewest sums, weight(mc) - weight(prev).  A class below mc is no
+        heavier than mc, so the scan starts at mc's weight and walks down
+        through lighter classes; the zero class heads the ranking and ends
+        it."""
+        ranked = self._ranked
+        start = bisect.bisect_right(ranked, weight, key=lambda r: r[0])
+        for index in range(start - 1, 0, -1):
+            prev = ranked[index][1]
+            if all(a <= b for a, b in zip(prev, mc)):
+                return prev
+        return ranked[0][1]
 
     def _dimension(self, mc: tuple[int, ...]) -> int:
-        """Demazure character dimension of a nef canonical class, memoized.
+        """Demazure character dimension of a nef canonical class.
 
-        Only the tail word's character is built; the first letter's
-        operator contributes its rank-one count (demazure_dimension).
+        Only the tail word's character is built: demazure_dimension is
+        linear in its twist, so the dimension is A + mc_0 B, with A the
+        first letter's count at twist 0 and B the size of the tail
+        character.  (A, B) is memoized per tail class mc[1:].
         """
-        dimension = self._dims.get(mc)
-        if dimension is None:
+        terms = self._tails.get(mc[1:])
+        if terms is None:
             datum, word = self.lattice.datum, self.lattice.word.indices
-            dimension = demazure_dimension(
-                datum, word[0], bs_character(datum, word[1:], mc[1:]), mc[0])
-            self._dims[mc] = dimension
-        return dimension
+            char = bs_character(datum, word[1:], mc[1:])
+            terms = (demazure_dimension(datum, word[0], char, 0),
+                     sum(char.terms.values()))
+            self._tails[mc[1:]] = terms
+        return terms[0] + mc[0] * terms[1]
 
     def _slot_sets(self) -> list[tuple[list, list]]:
         """Per slot, its valuation set N_k and the hull vertices of N_k."""
@@ -280,26 +358,47 @@ class OkounkovEngine:
     def _hull_vertices(self, mc: tuple[int, ...]) -> list[tuple[int, ...]]:
         """Hull vertices of a cached nonempty level set, memoized per class.
 
-        For a class certified as S(prev) + sum_k c_k N_k whose source prev
-        has memoized vertices, the hull is taken of verts(prev) +
-        sum_k c_k verts(conv N_k): the vertices of a Minkowski sum are sums
-        of vertices, and those of c P are c times those of P.
+        A plain class reads them off the vertex list of its support
+        (_plain_vertices), with no hull; any other class hulls its points.
         """
         verts = self._vertices.get(mc)
         if verts is None:
-            prev = self._sources.get(mc)
-            if prev in self._vertices:
-                points = set(self._vertices[prev])
-                for a, b, (_, corners) in zip(prev, mc, self._slot_sets()):
-                    if b > a:
-                        points = {tuple(x + (b - a) * y
-                                        for x, y in zip(point, corner))
-                                  for point in points for corner in corners}
-            else:
-                points = self._points[mc]
-            verts = self._hull(points)
+            verts = self._plain_vertices(mc) if mc in self._plain \
+                else self._hull(self._level_points(mc))
             self._vertices[mc] = verts
         return verts
+
+    def _plain_vertices(self, mc: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Hull vertices of a plain class, sum_k mc_k conv(N_k).
+
+        On the support J of mc (the slots with mc_k > 0) the normal fan of
+        sum_k m_k conv(N_k) is the same for every m positive on J: the
+        common refinement of the slot normal fans.  So each vertex is
+        sum_k mc_k v_k, for the slot corners v_k that one maximal cone of
+        that fan selects.  The selections are read once per support off
+        the hull of the corner sums at m = 1_J.  There each vertex
+        decomposes uniquely, since it is the sum of the faces that the
+        summands show in a direction singling it out, and those faces are
+        points; a vertex reached twice raises EngineError.
+        """
+        support = tuple(k for k, c in enumerate(mc) if c)
+        selections = self._supports.get(support)
+        if selections is None:
+            slots = self._slot_sets()
+            sums: dict[tuple[int, ...], tuple | None] = {}
+            for corners in itertools.product(*(slots[k][1]
+                                               for k in support)):
+                point = tuple(map(sum, zip(*corners)))
+                sums[point] = None if point in sums else corners
+            selections = [sums[vert] for vert in self._hull(list(sums))]
+            if None in selections:
+                raise EngineError("a vertex of a sum of slot hulls has two "
+                                  "decompositions")
+            self._supports[support] = selections
+        scales = [mc[k] for k in support]
+        return sorted({tuple(sum(c * v for c, v in zip(scales, column))
+                             for column in zip(*corners))
+                       for corners in selections})
 
     def _require_effective(self, divisor: DivisorClass) -> None:
         if not self.lattice.is_effective(divisor):
@@ -384,10 +483,8 @@ class OkounkovEngine:
                         level: int = 1) -> list[tuple[int, ...]]:
         """Memoized hull vertices of the level set of level * divisor; none
         when the level set is empty."""
-        if not self.valuation_points(divisor, level):
-            return []
-        return self._hull_vertices(
-            self.lattice.canonical(divisor.scaled(level)).coords)
+        mc = self._level(divisor, level)
+        return self._hull_vertices(mc) if self._counts[mc] else []
 
     # ----- surface recipe -----------------------------------------------------
 
@@ -441,17 +538,17 @@ class OkounkovEngine:
         body = self.body(divisor, levels)
         rows = []
         for k in range(1, levels + 1):
-            points = self.valuation_points(divisor, k)
+            points = self.level_count(divisor, k)
             dimension = self._dimension(
                 tuple(k * c for c in canonical.coords))
             dilated = body.polytope.lattice_point_count(k)
             rows.append({
                 "level": k,
-                "points": len(points),
+                "points": points,
                 "dimension": dimension,
-                "count_match": len(points) == dimension,
+                "count_match": points == dimension,
                 "dilation_points": dilated,
-                "dilation_match": len(points) == dilated,
+                "dilation_match": points == dilated,
             })
         hull_volume = body.polytope.volume()
         target = Fraction(self.lattice.volume(divisor), factorial(self.n))

@@ -14,6 +14,9 @@ hulls; dense_chart and dense_slot_sections keep the dense matrix
 products that charts and slot sections came from before they were read off
 sparse orbit vectors; raw_point_body and raw_point_image hull every
 valuation point, as bodies did before they hulled memoized class hulls;
+minkowski_points keeps the plain per-slot sum of the slot valuation sets,
+packed, summed, count-checked and decoded into every point, as nef level
+sets were kept before they were kept as counts and codes;
 exterior_power_action and b2_action keep the hand-made fundamental
 representations (exterior powers of C^(n+1) and data/B2.json) that the
 group action came from before it was derived from the Cartan matrix;
@@ -689,6 +692,48 @@ def raw_point_image(engine, divisor, levels):
               for k in range(1, levels + 1)
               for nu in engine.valuation_points(divisor, k) if nu[0] == 0]
     return RationalPolytope.from_points(points, ambient=engine.n - 1)
+
+
+def minkowski_points(lattice, mc):
+    """Sorted points of mc_1 N_1 + ... + mc_n N_n, with N_k the valuations
+    of the k-th slot's sections, or None when their count is not the
+    dimension of the character of the nef class mc.
+
+    Each point is packed into one int, its coordinates read as base-major
+    digits in a base above any coordinate the sums reach, so a sum of codes
+    is the code of the sum; the codes are decoded after the count check.
+    """
+    from bottsam.rootsys import bs_character
+    from bottsam.valuation import valuation
+
+    slots = [sorted({valuation(p)
+                     for p in lattice.engine.slot_polynomials(k)})
+             for k in range(1, lattice.n + 1)]
+    base = 1 + sum(c * max(v for nu in nus for v in nu)
+                   for c, nus in zip(mc, slots))
+
+    def encode(point):
+        code = 0
+        for v in point:
+            code = code * base + v
+        return code
+
+    codes = {0}
+    for c, nus in zip(mc, slots):
+        steps = [encode(nu) for nu in nus]
+        for _ in range(c):
+            codes = {x + y for x in codes for y in steps}
+    target = bs_character(lattice.datum, lattice.word.indices,
+                          mc).dimension()
+    if len(codes) != target:
+        return None
+    points = []
+    for code in sorted(codes):
+        digits = [0] * lattice.n
+        for j in range(lattice.n - 1, -1, -1):
+            code, digits[j] = divmod(code, base)
+        points.append(tuple(digits))
+    return points
 
 
 def reflection_closure(matrix):

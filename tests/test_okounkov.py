@@ -31,7 +31,8 @@ from bottsam.okounkov import GradedValuationPoint
 from bottsam.polyhedra import polytope_payload
 from bottsam.valuation import adapted_basis, valuation
 
-from oracles import hirzebruch_count, raw_point_body, raw_point_image
+from oracles import (hirzebruch_count, minkowski_points, raw_point_body,
+                     raw_point_image)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -40,6 +41,20 @@ GOLDEN_RAYS_12 = ((0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 1, 0))
 
 def can(*coords):
     return DivisorClass(coords, Basis.CANONICAL)
+
+
+def recorded_sources(monkeypatch):
+    """Record (class, source) for each Minkowski sum an engine starts."""
+    pairs = []
+    source = OkounkovEngine._source
+
+    def recorded(self, mc, weight):
+        prev = source(self, mc, weight)
+        pairs.append((mc, prev))
+        return prev
+
+    monkeypatch.setattr(OkounkovEngine, "_source", recorded)
+    return pairs
 
 
 def test_base_semigroup(okounkov_a1):
@@ -142,8 +157,11 @@ def test_bodies_of_class_hulls_match_the_raw_points(request, lattice, low,
 def test_body_hulls_the_class_vertices(lattice_a2_12, monkeypatch):
     """Work pin: the level-8 body of can:(1,1) on A2 (1,2) hulls the 32
     scaled hull vertices of its level sets, not all 404 valuation points.
-    The ten hulls before it are those of the two slots' valuation sets and
-    of the eight level sets, each from summed vertices."""
+    The three hulls before it are those of the two slots' valuation sets
+    and of the slot corner sums on the support of (1, 1); the eight level
+    sets are plain, so their vertices are read off that hull's vertex
+    list (from eight hulls of summed vertices, of 4, 5, 6, 6, 6, 6, 6 and
+    6 points)."""
     engine = OkounkovEngine(lattice_a2_12)
     sizes = []
     build = RationalPolytope.from_points.__func__
@@ -154,7 +172,7 @@ def test_body_hulls_the_class_vertices(lattice_a2_12, monkeypatch):
 
     monkeypatch.setattr(RationalPolytope, "from_points", classmethod(counted))
     body = engine.body(can(1, 1), 8)
-    assert sizes == [2, 3, 4, 5, 6, 6, 6, 6, 6, 6, 32]
+    assert sizes == [2, 3, 4, 32]
     assert body.polytope == raw_point_body(engine, can(1, 1), 8)
 
 
@@ -198,7 +216,7 @@ def test_hulls_past_the_ambient_caps_are_refused_before_any_work():
         with pytest.raises(ValidationError, match=r"^polytope ambient "
                            r"dimension must be 1\.\.8$"):
             call(*args)
-    assert list(nine._points) == [(0,) * 9]
+    assert list(nine._counts) == [(0,) * 9]
     assert nine.lattice._change is None
 
 
@@ -349,6 +367,7 @@ def test_repeated_letter_body_has_full_dimension(okounkov_a2_121):
     ("lattice_a2_121", 0, 2),
 ])
 def test_grown_level_sets_and_hulls_match_the_spanning_route(request,
+                                                             monkeypatch,
                                                              lattice, low,
                                                              top):
     """Level sets grown from cached classes, level sets read off monomial
@@ -361,15 +380,15 @@ def test_grown_level_sets_and_hulls_match_the_spanning_route(request,
     classes include negative canonical ones, which take the monomial route.
     """
     lattice = request.getfixturevalue(lattice)
-    zero = (0,) * lattice.n
-    grown = off_nef = 0
+    sources = recorded_sources(monkeypatch)
+    off_nef = 0
     classes = st.lists(st.tuples(*[st.integers(low, top)] * lattice.n),
                        min_size=1, max_size=6, unique=True)
 
     @settings(max_examples=30)
     @given(classes)
     def check(order):
-        nonlocal grown, off_nef
+        nonlocal off_nef
         engine = OkounkovEngine(lattice)
         for mc in order:
             points = engine.valuation_points(can(*mc))
@@ -380,11 +399,10 @@ def test_grown_level_sets_and_hulls_match_the_spanning_route(request,
             assert engine._hull_vertices(mc) == list(
                 RationalPolytope.from_points(points,
                                              ambient=lattice.n).vertices)
-            grown += engine._sources.get(mc, zero) != zero
             off_nef += min(mc) < 0
 
     check()
-    assert grown
+    assert any(any(prev) for _, prev in sources)
     assert off_nef or low == 0
 
 
@@ -442,13 +460,17 @@ def test_sweep_builds_each_class_hull_once(lattice_a2_12, monkeypatch):
     points.  Each hull took two double-description sweeps, one to the
     facets and one back to the vertices: 468 sweeps with the 12 of the
     cones.  Reading the vertices off the first sweep's tight-facet masks
-    leaves 240.
+    leaves 240.  The 140 nef classes are plain sums of the slot valuation
+    sets, so their vertices are read off one hull of slot corner sums per
+    support, with no hull of their own: 91 hulls from 1,066 points, and
+    103 sweeps.
 
     The 113 classes off the nef cone read their level sets off monomial
     exponents, with no monomial section basis and no adapted basis (113
-    of each before).  The 140 nef classes each build only their tail
-    word's character, one Demazure operator (280 operators before).
-    Counts are deterministic where a time bound would be flaky.
+    of each before).  The nef dimensions need only the character of each
+    of the 28 tail classes, one Demazure operator each (280 operators
+    when each class built its full character, 140 when each built its
+    tail's).  Counts are deterministic where a time bound would be flaky.
     """
     assert lattice_a2_12.change
     engine = OkounkovEngine(lattice_a2_12)
@@ -480,7 +502,106 @@ def test_sweep_builds_each_class_hull_once(lattice_a2_12, monkeypatch):
                                 polyhedra._dual_description))
     for levels, box in ((4, 2), (6, 3), (8, 4)):
         assert engine.global_cone(levels, box).rays == GOLDEN_RAYS_12
-    assert calls == 228
-    assert points_in == 1_679
-    assert work == {"demazure_operator": 140, "adapted_basis": 0,
-                    "monomial_section_basis": 0, "_dual_description": 240}
+    assert calls == 91
+    assert points_in == 1_066
+    assert work == {"demazure_operator": 28, "adapted_basis": 0,
+                    "monomial_section_basis": 0, "_dual_description": 103}
+
+
+# (type, word, top): nef classes with coordinates in 0..top.
+SUM_WORDS = (("A2", (1, 2), 4), ("B2", (1, 2), 4), ("G2", (1, 2), 3),
+             ("A2", (1, 2, 1), 2), ("B2", (1, 2, 1), 2),
+             ("A3", (1, 2, 3), 2))
+SUM_IDS = [f"{t}-{''.join(map(str, w))}" for t, w, _ in SUM_WORDS]
+
+
+def nef_orders(n, top):
+    return st.lists(st.tuples(*[st.integers(0, top)] * n), min_size=1,
+                    max_size=6, unique=True)
+
+
+@pytest.mark.parametrize("cartan, word, top", SUM_WORDS, ids=SUM_IDS)
+def test_level_sets_are_counted_then_decoded_to_the_plain_sums(monkeypatch,
+                                                                cartan, word,
+                                                                top):
+    """On random nef classes visited in random orders, so that each level
+    set grows from a varying cached class, the count is read without
+    decoding any point and equals the length of the plain per-slot sum,
+    and the decoded level set equals that sum."""
+    lattice = PicardLattice(CartanDatum.from_type(cartan), WeylWord(word))
+    sources = recorded_sources(monkeypatch)
+
+    @settings(max_examples=30)
+    @given(nef_orders(lattice.n, top))
+    def check(order):
+        engine = OkounkovEngine(lattice)
+        for mc in order:
+            expected = minkowski_points(lattice, mc)
+            assert engine.level_count(can(*mc)) == len(expected)
+            assert mc not in engine._points
+            assert engine.valuation_points(can(*mc)) == expected
+
+    check()
+    assert any(any(prev) for _, prev in sources)
+
+
+@pytest.mark.parametrize("cartan, word, top", SUM_WORDS, ids=SUM_IDS)
+def test_plain_class_vertices_are_the_hull_vertices(cartan, word, top):
+    """The vertices a plain class reads off the vertex list of its
+    support equal the hull vertices of its level set, on classes with
+    every pattern of zero entries."""
+    lattice = PicardLattice(CartanDatum.from_type(cartan), WeylWord(word))
+    supports = set()
+
+    @settings(max_examples=30)
+    @given(nef_orders(lattice.n, top))
+    def check(order):
+        engine = OkounkovEngine(lattice)
+        for mc in order:
+            points = engine.valuation_points(can(*mc))
+            assert mc in engine._plain
+            assert engine._hull_vertices(mc) == list(
+                RationalPolytope.from_points(points,
+                                             ambient=lattice.n).vertices)
+            supports.add(tuple(c > 0 for c in mc))
+
+    check()
+    assert len(supports) == 2 ** lattice.n
+
+
+def test_sums_from_a_section_route_class_hull_their_level_sets(lattice_a2_12,
+                                                               monkeypatch):
+    """A nef class whose sums do not certify takes the section route and
+    is not plain; a class summed from it is certified but not plain, and
+    its hull is taken of its decoded level set."""
+    engine = OkounkovEngine(lattice_a2_12)
+    summed = OkounkovEngine._sum_level
+    monkeypatch.setattr(OkounkovEngine, "_sum_level",
+                        lambda self, mc: mc != (1, 1) and summed(self, mc))
+    sources = recorded_sources(monkeypatch)
+    order = [(1, 1), (2, 1), (2, 3)]
+    points = {mc: engine.valuation_points(can(*mc)) for mc in order}
+    assert sources == [((2, 1), (1, 1)), ((2, 3), (2, 1))]
+    assert (1, 1) not in engine._sums
+    for mc in reversed(order):
+        assert points[mc] == minkowski_points(lattice_a2_12, mc)
+        assert mc not in engine._plain
+        assert engine._hull_vertices(mc) == list(
+            RationalPolytope.from_points(points[mc], ambient=2).vertices)
+
+
+def test_cone_session_decodes_no_point(lattice_a2_12):
+    """Work pin for an A2 (1,2) session shaped like the benchmark's: the
+    sweep (4,2), (6,3), (8,4), three level-8 volume checks and one
+    restriction check read only counts and hull vertices, so no nef level
+    set is decoded (27,084 points in 144 classes when every certified sum
+    was decoded)."""
+    engine = OkounkovEngine(lattice_a2_12)
+    for levels, box in ((4, 2), (6, 3), (8, 4)):
+        engine.global_cone(levels, box)
+    for coords in ((1, 1), (2, 1), (1, 2)):
+        assert engine.volume_check(can(*coords), 8)["certified"]
+    engine.restriction_check(can(1, 1), 4)
+    for each in (engine, engine._truncated_engine()):
+        assert all(min(mc) < 0 for mc in each._points)
+    assert len(engine._sums) + len(engine._truncated._sums) == 2 + 144

@@ -178,13 +178,13 @@ def test_asymptotics_reuse_one_engine(lattice_a2_12, monkeypatch):
     """multiplicity_asymptotics builds one engine for the weight polytope
     and the body, so each level set is computed once."""
     calls = []
-    compute = OkounkovEngine._compute_points
+    compute = OkounkovEngine._compute_level
 
     def counted(self, mc):
         calls.append(mc)
         return compute(self, mc)
 
-    monkeypatch.setattr(OkounkovEngine, "_compute_points", counted)
+    monkeypatch.setattr(OkounkovEngine, "_compute_level", counted)
     report = multiplicity_asymptotics(
         lattice_a2_12, can((1, 1)), (0, 0), 3, require_interior=False)
     assert [row["dimension"] for row in report["levels"]] == [1, 1, 1]
@@ -293,7 +293,7 @@ def test_weighted_semigroup_refuses_a_long_run_at_once(lattice_a2_12):
                        match="level sets of the run exceed the supported"):
         weighted_semigroup(engine, can((1, 1)), 1000)
     assert time.process_time() - start < 1.0
-    assert len(engine._points) == 1
+    assert len(engine._counts) == 1
 
 
 def test_weights_job_builds_no_sections(capsys, monkeypatch):
@@ -321,8 +321,8 @@ def test_weights_job_builds_no_sections(capsys, monkeypatch):
         "nef", SectionEngine.section_basis_nef))
     monkeypatch.setattr(SectionPoly, "multiplied", counted(
         "multiplied", SectionPoly.multiplied))
-    monkeypatch.setattr(OkounkovEngine, "_compute_points", counted(
-        "points", OkounkovEngine._compute_points))
+    monkeypatch.setattr(OkounkovEngine, "_compute_level", counted(
+        "points", OkounkovEngine._compute_level))
     hulls = []
     from_points = RationalPolytope.from_points.__func__
 
