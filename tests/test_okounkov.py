@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bottsam import (
@@ -445,7 +446,7 @@ def test_monomial_level_sets_run_no_double_description(lattice_a2_12,
     assert sweeps == 0
 
 
-def test_sweep_builds_each_class_hull_once(lattice_a2_12, monkeypatch):
+def test_sweep_builds_each_class_hull_once(a2, monkeypatch):
     """Work regression for the A2 (1,2) sweep (4,2), (6,3), (8,4).
 
     Without the vertex memo, every sweep step and its saturation run
@@ -470,10 +471,14 @@ def test_sweep_builds_each_class_hull_once(lattice_a2_12, monkeypatch):
     of each before).  The nef dimensions need only the character of each
     of the 28 tail classes, one Demazure operator each (280 operators
     when each class built its full character, 140 when each built its
-    tail's).  Counts are deterministic where a time bound would be flaky.
+    tail's).  The section engine keeps that memo, so the 4 tails that the
+    probe run already counted are not built again: 24 operators.  A fresh
+    lattice keeps other tests' tails out of the count.  Counts are
+    deterministic where a time bound would be flaky.
     """
-    assert lattice_a2_12.change
-    engine = OkounkovEngine(lattice_a2_12)
+    lattice = PicardLattice(a2, WeylWord((1, 2)))
+    assert lattice.change
+    engine = OkounkovEngine(lattice)
     calls = points_in = 0
     build = RationalPolytope.from_points.__func__
 
@@ -504,7 +509,7 @@ def test_sweep_builds_each_class_hull_once(lattice_a2_12, monkeypatch):
         assert engine.global_cone(levels, box).rays == GOLDEN_RAYS_12
     assert calls == 91
     assert points_in == 1_066
-    assert work == {"demazure_operator": 28, "adapted_basis": 0,
+    assert work == {"demazure_operator": 24, "adapted_basis": 0,
                     "monomial_section_basis": 0, "_dual_description": 103}
 
 
@@ -567,6 +572,34 @@ def test_plain_class_vertices_are_the_hull_vertices(cartan, word, top):
 
     check()
     assert len(supports) == 2 ** lattice.n
+
+
+@pytest.mark.parametrize("cartan, word, top", SUM_WORDS, ids=SUM_IDS)
+def test_plain_bodies_are_sums_of_slot_hulls(cartan, word, top):
+    """When levels 1..L of a nef class m are all plain, level k has the
+    hull k (m_1 conv(N_1) + ... + m_n conv(N_n)), so the body is that sum
+    of slot hulls for every L."""
+    lattice = PicardLattice(CartanDatum.from_type(cartan), WeylWord(word))
+    plain = []
+
+    @settings(max_examples=20)
+    @given(st.tuples(*[st.integers(0, top)] * lattice.n).filter(any),
+           st.integers(1, 3))
+    def check(mc, levels):
+        engine = OkounkovEngine(lattice)
+        body = engine.body(can(*mc), levels)
+        assume(all(tuple(k * c for c in mc) in engine._plain
+                   for k in range(1, levels + 1)))
+        plain.append(mc)
+        corners = [hull for _, hull in engine._slot_sets()]
+        sums = {tuple(sum(c * v for c, v in zip(mc, column))
+                      for column in zip(*choice))
+                for choice in itertools.product(*corners)}
+        assert body.polytope == RationalPolytope.from_points(
+            sorted(sums), ambient=lattice.n)
+
+    check()
+    assert plain
 
 
 def test_sums_from_a_section_route_class_hull_their_level_sets(lattice_a2_12,

@@ -42,11 +42,22 @@ def eff(*coords):
     return DivisorClass(coords, Basis.EFFECTIVE)
 
 
-def test_divisor_class_validation():
-    with pytest.raises(ValidationError):
-        DivisorClass((1, 0), "can")
+@pytest.mark.parametrize("build, message", [
+    (lambda a2: DivisorClass((1, 0), "can"), "basis must be a Basis value"),
+    (lambda a2: can(1.5, 1), "divisor class entry 1.5 is not an integer"),
+    (lambda a2: eff(1, True), "divisor class entry True is not an integer"),
+    (lambda a2: SectionEngine(a2, (1, 2)).section_basis_nef((1.9, 1)),
+     "divisor class entry 1.9 is not an integer"),
+    (lambda a2: SectionEngine(a2, (1, 2)).section_basis_glue(eff=(0, 0.5)),
+     "divisor class entry 0.5 is not an integer"),
+], ids=["basis", "fraction", "boolean", "nef-fraction", "glue-fraction"])
+def test_divisor_class_validation(a2, build, message):
+    """A coordinate that is not an integer is refused, never truncated."""
+    with pytest.raises(ValidationError, match=message):
+        build(a2)
     assert can(1, 0).scaled(3).coords == (3, 0)
     assert can(1, 0) != eff(1, 0)
+    assert can(1.0, Fraction(2)).coords == (1, 2)
 
 
 def test_parse_and_format_divisors():

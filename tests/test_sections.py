@@ -20,7 +20,7 @@ from bottsam import (
     WeylWord,
     bs_character,
 )
-from bottsam import picard, polyhedra, sections
+from bottsam import polyhedra, sections
 from bottsam._poly import Polynomial
 from bottsam.rootsys import Character, Weight, demazure_operator, is_reduced
 from bottsam.sections import (
@@ -115,14 +115,18 @@ def test_first_coordinate_conventions(eng12, a2):
     assert const.weight.coords == shift
 
 
-def test_nef_dimensions_match_characters(eng12, eng121, engb2, a2, b2):
-    cases = [(eng12, a2, [1, 2], 2), (eng121, a2, [1, 2, 1], 3),
-             (engb2, b2, [1, 2], 2)]
-    for engine, datum, word, n in cases:
-        for multidegree in _small_grid(n, 2):
-            expected = bs_character(datum, word, multidegree).dimension()
-            got = engine.section_basis_nef(multidegree)
-            assert len(got) == expected
+def test_nef_dimensions_match_characters(eng12, eng121, engb2, engg2,
+                                         eng123):
+    """The engine's one nef count, read off the tail character, is the
+    size of the full character and of the spanning route's basis."""
+    for engine in (eng12, eng121, engb2, engg2, eng123):
+        for multidegree in _small_grid(engine.n, 2):
+            expected = bs_character(engine.datum, engine.word,
+                                    multidegree).dimension()
+            assert engine.nef_dimension(multidegree) == expected
+            assert len(engine.section_basis_nef(multidegree)) == expected
+    with pytest.raises(ValidationError, match="nonnegative"):
+        eng12.nef_dimension((1, -1))
 
 
 def _small_grid(n, bound):
@@ -217,10 +221,12 @@ def test_probe_run_work_on_monomial_charts(a2, monkeypatch):
     charts and their tables are built as before.  The run still makes 88
     glue calls and one nullspace call per (class, chart) pair, 30,158 in
     all, as perfbench/selfcheck.py pins.  The filters
-    stay in the integers: the whole run builds 160 Fractions, from 16,953
+    stay in the integers: the whole run builds 132 Fractions, from 16,953
     when nullspace back-substituted through Fractions and the span kept
-    pivot-1 rows, from 1,202 when charts multiplied dense matrices, and
-    from 226 when Demazure strings were ordered and stepped in Fractions.
+    pivot-1 rows, from 1,202 when charts multiplied dense matrices, from
+    226 when Demazure strings were ordered and stepped in Fractions, and
+    from 160 when each nef probe built its tail's character afresh instead
+    of reading the section engine's per-tail memo (nef_dimension).
     """
     lattice = PicardLattice(a2, WeylWord((1, 2)))
     engine = lattice.engine
@@ -245,7 +251,7 @@ def test_probe_run_work_on_monomial_charts(a2, monkeypatch):
     assert counts["glue"] == 88
     assert counts["nullspace"] == 30_158
     assert counts["mul"] == 858
-    assert counts["fraction"] == 160
+    assert counts["fraction"] == 132
 
 
 def test_probe_run_builds_each_box_classes_once(a2, monkeypatch):
@@ -270,9 +276,12 @@ def test_probe_run_builds_each_box_classes_once(a2, monkeypatch):
     engine.section_basis_glue(can=(2, 1))
     assert len(builds) == 2 * len(set(builds))
 
+    # A wrong count off the column class (1, 0), whose spanning-route
+    # target stays true, makes a nef probe fail.
     failing = PicardLattice(a2, WeylWord((1, 2)))
-    monkeypatch.setattr(picard, "_character_dimension",
-                        lambda datum, word, multidegree: -1)
+    count = failing.engine.nef_dimension
+    monkeypatch.setattr(failing.engine, "nef_dimension",
+                        lambda can: count(can) if can == (1, 0) else -1)
     with pytest.raises(VerificationFailure):
         failing.change
     assert failing.engine._box_classes is None
