@@ -2,13 +2,15 @@
 
 Semigroup points at level k are the valuation vectors of an adapted basis of
 the k-th multiple of a class, so their count equals the section dimension by
-construction.  On the nef cone they are certified Minkowski sums of the slot
-valuation sets, kept as a count and packed codes and decoded into points
+construction.  On the nef cone they are the plain Minkowski sums
+m_1 N_1 + ... + m_n N_n of the slot valuation sets, certified against the
+character count, kept as a count and packed codes and decoded into points
 only when asked for; their hull vertices are read off one vertex list per
-support of the class.  Okounkov bodies are hulls of scaled semigroup
-points; the global cone collects (valuation, class) pairs over a box of
-effective classes and is certified by double stabilization in both the
-level cap and the box.
+support of the class.  A nef class whose sum does not certify takes the
+route rule's section space instead, and no sum grows from it.  Okounkov
+bodies are hulls of scaled semigroup points; the global cone collects
+(valuation, class) pairs over a box of effective classes and is certified
+by double stabilization in both the level cap and the box.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _check_run(engine: "OkounkovEngine", divisor: "DivisorClass",
     """
     coords = engine.lattice.canonical(divisor).coords
     sections = engine.lattice.engine
-    route = sections.section_route(can=coords)
+    route = sections.section_route(coords)
     if route == "spanning":
         size = sections.nef_dimension
     elif route == "monomial":
@@ -149,20 +151,18 @@ class OkounkovEngine:
         self.n = lattice.n
         zero = (0,) * self.n
         # Per canonical class: the size of its level set; the level set as
-        # sorted points, or for a certified Minkowski sum as packed codes
-        # with their bit width and a bound on their coordinates; and its
-        # hull vertices.  Plain classes are those whose level set is
-        # m_1 N_1 + ... + m_n N_n, and the cached nef classes are ranked by
-        # weight (_source).  The zero class seeds every sum.
+        # sorted points, or for a certified Minkowski sum (always the plain
+        # sum m_1 N_1 + ... + m_n N_n) as packed codes with their bit width
+        # and a bound on their coordinates; and its hull vertices.  The sums
+        # are ranked by weight (_source).  The zero class seeds every sum.
         self._counts: dict[tuple[int, ...], int] = {zero: 1}
         self._points: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         self._sums: dict[tuple[int, ...], tuple[set[int], int, int]] = {
             zero: ({0}, 0, 0)}
         self._vertices: dict[tuple[int, ...], list[tuple[int, ...]]] = {
             zero: [zero]}
-        self._plain = {zero}
         self._ranked: list[tuple[int, tuple[int, ...]]] = [(0, zero)]
-        # Per support of a plain class, the slot corners of each vertex.
+        # Per support of a summed class, the slot corners of each vertex.
         self._supports: dict[tuple[int, ...], list[tuple]] = {}
         self._slots: list[tuple[list, list]] | None = None
         self._truncated: "OkounkovEngine | None" = None
@@ -204,39 +204,35 @@ class OkounkovEngine:
 
         A nef class is grown by Minkowski sums where they certify, and kept
         as codes; a class on the monomial route reads its valuations off the
-        exponents of its monomial basis; any other class takes the
-        valuations of an adapted basis of its section space.
+        exponents of its monomial basis; any other class, a nef class whose
+        sums do not certify included, takes the valuations of an adapted
+        basis of its section space, and no sum grows from it.
         """
         engine = self.lattice.engine
-        route = engine.section_route(can=mc)
+        route = engine.section_route(mc)
         if route == "spanning" and self._sum_level(mc):
             return
         if route == "monomial":
-            points = engine.monomial_exponents(can=mc)
+            points = engine.monomial_exponents(mc)
         else:
-            basis = engine.section_basis(can=mc)
+            basis = engine.section_basis(mc)
             points = sorted(valuation(s) for s in adapted_basis(basis)) \
                 if basis else []
         self._points[mc] = points
         self._counts[mc] = len(points)
-        if route == "spanning":
-            bisect.insort(self._ranked, (self._weight(mc), mc),
-                          key=lambda r: r[0])
 
     def _sum_level(self, mc: tuple[int, ...]) -> bool:
         """Cache the level set of a nef class as a certified Minkowski sum
-        grown from a cached class below it; False when it does not certify.
+        grown from a kept sum below it; False when it does not certify.
 
-        Valuations add under products, so for a cached nef class prev <= mc
-        the sums S(prev) + (mc - prev)_1 N_1 + ... + (mc - prev)_n N_n, with
-        N_k the valuations of the k-th slot's sections, lie in the level set
-        S(mc) and contain the plain per-slot sum mc_1 N_1 + ... + mc_n N_n.
-        They are kept only when their count matches the character
-        dimension, which makes them the whole level.  The sums start from
-        the cached class that leaves the fewest of them (_source); the zero
-        class is always cached, and from it this is the plain per-slot sum.
-        A sum from a plain class is plain, since S(prev) is then
-        prev_1 N_1 + ... + prev_n N_n.  An enumeration whose bound,
+        Valuations add under products, so the plain per-slot sum
+        mc_1 N_1 + ... + mc_n N_n, with N_k the valuations of the k-th
+        slot's sections, lies in the level set S(mc).  It is kept only when
+        its count matches the character dimension, which makes it the
+        whole level.  Every kept sum is plain, so for a kept sum prev <= mc
+        it is S(prev) + (mc - prev)_1 N_1 + ... + (mc - prev)_n N_n, and it
+        starts from the kept sum that leaves the fewest sums (_source); the
+        zero class is always kept.  An enumeration whose bound,
         dimension x point-set sums, exceeds _LEVEL_SET_GUARD raises Unstable
         instead of running.
 
@@ -252,7 +248,7 @@ class OkounkovEngine:
         target = self.lattice.engine.nef_dimension(mc)
         if target * (weight - self._weight(prev)) > _LEVEL_SET_GUARD:
             raise Unstable("level set enumeration exceeds the supported size")
-        codes, bits, top = self._packed(prev)
+        codes, bits, top = self._sums[prev]
         top += sum((b - a) * max(map(max, nus))
                    for a, b, (nus, _) in zip(prev, mc, slots))
         width = _width(top)
@@ -267,29 +263,16 @@ class OkounkovEngine:
             return False
         self._sums[mc] = (codes, width, top)
         self._counts[mc] = target
-        if prev in self._plain:
-            self._plain.add(mc)
         bisect.insort(self._ranked, (weight, mc), key=lambda r: r[0])
         return True
-
-    def _packed(self, mc: tuple[int, ...]) -> tuple[set[int], int, int]:
-        """Codes, bit width and coordinate bound of a cached nef level set;
-        a level set kept as points is packed afresh."""
-        packed = self._sums.get(mc)
-        if packed is None:
-            points = self._points[mc]
-            top = max(map(max, points))
-            bits = _width(top)
-            packed = ({_pack(point, bits) for point in points}, bits, top)
-        return packed
 
     def _weight(self, mc: tuple[int, ...]) -> int:
         """sum_k mc_k |N_k|: the slot points a sum up to mc adds."""
         return sum(c * len(nus) for c, (nus, _) in zip(mc, self._slot_sets()))
 
     def _source(self, mc: tuple[int, ...], weight: int) -> tuple[int, ...]:
-        """The heaviest cached nef class prev <= mc, which leaves the
-        fewest sums, weight(mc) - weight(prev).  A class below mc is no
+        """The heaviest kept sum prev <= mc, which leaves the fewest
+        sums, weight(mc) - weight(prev).  A class below mc is no
         heavier than mc, so the scan starts at mc's weight and walks down
         through lighter classes; the zero class heads the ranking and ends
         it."""
@@ -340,12 +323,12 @@ class OkounkovEngine:
     def _hull_vertices(self, mc: tuple[int, ...]) -> list[tuple[int, ...]]:
         """Hull vertices of a cached nonempty level set, memoized per class.
 
-        A plain class reads them off the vertex list of its support
+        A kept sum reads them off the vertex list of its support
         (_plain_vertices), with no hull; any other class hulls its points.
         """
         verts = self._vertices.get(mc)
         if verts is None:
-            verts = self._plain_vertices(mc) if mc in self._plain \
+            verts = self._plain_vertices(mc) if mc in self._sums \
                 else self._hull(self._level_points(mc))
             self._vertices[mc] = verts
         return verts
@@ -565,6 +548,7 @@ class OkounkovEngine:
             raise ValidationError("restriction needs a word of length "
                                   "at least 2")
         _check_levels(levels)
+        _check_run(self, divisor, levels)
         # Valuations are >= 0, so {nu_1 = 0} is a face of each level's hull,
         # spanned by the hull vertices on it.
         image_points = [tuple(Fraction(v, k) for v in vert[1:])

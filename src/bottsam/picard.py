@@ -237,10 +237,11 @@ class PicardLattice:
     Everything else never triggers the probe run: ``is_effective`` in
     either basis (a class with nonnegative coordinates is effective, an
     effective class with a negative coordinate is not, and a canonical
-    class with a negative coordinate asks the canonical glue route for a
-    nonzero section), ``canonical``, ``is_nef`` and ``volume`` on canonical
-    classes, ``section_basis`` and ``section_dimension`` in either basis,
-    and ``pullback_from_flag_variety``.
+    class with a negative coordinate is effective when the engine's route
+    rule, ``SectionEngine.section_basis``, finds a nonzero section),
+    ``canonical``, ``is_nef`` and ``volume`` on canonical classes,
+    ``section_basis`` and ``section_dimension`` in either basis, and
+    ``pullback_from_flag_variety``.
     """
 
     def __init__(self, datum: CartanDatum, word,
@@ -287,17 +288,19 @@ class PicardLattice:
         # The effective basis is a Z-basis of the lattice and its orthant
         # is the effective cone, so an integral class is effective exactly
         # when it has a nonzero section.
-        return bool(self.engine.section_basis_glue(can=divisor.coords))
+        return bool(self.engine.section_basis(divisor.coords))
 
     def is_nef(self, divisor: DivisorClass) -> bool:
         return min(self.canonical(divisor).coords, default=0) >= 0
 
     def section_basis(self, divisor: DivisorClass):
-        """Section space in the basis-tag route the class arrived in."""
+        """Section space in the basis the class arrived in: the route rule's
+        for a canonical class, the glue route's for effective coordinates,
+        which never uses the basis change."""
         divisor = self._check(divisor)
         if divisor.basis is Basis.CANONICAL:
-            return self.engine.section_basis(can=divisor.coords)
-        return self.engine.section_basis(eff=divisor.coords)
+            return self.engine.section_basis(divisor.coords)
+        return self.engine.section_basis_glue(eff=divisor.coords)
 
     def section_dimension(self, divisor: DivisorClass) -> int:
         divisor = self._check(divisor)

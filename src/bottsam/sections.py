@@ -40,10 +40,12 @@ the boundary vanishing orders; its exponent vectors (monomial_exponents) are
 already the valuations of an adapted basis.  They are the lattice points of
 an order polytope whose order matrix is unit triangular, so they come by
 back-substitution on plain integers.  SectionEngine.section_route is
-the one rule that picks among the three routes; section_basis and the level
-sets of the okounkov layer both ask it.  SectionEngine.nef_dimension is the
-one count of a nef section space, the Demazure character dimension: the
-spanning route's certificate, the probe run, the lattice's section
+the one rule that picks among the three routes for a canonical class;
+section_basis, the lattice's effectiveness test (PicardLattice.is_effective)
+and the level sets of the okounkov layer all ask it.  Effective
+coordinates go to section_basis_glue directly.  SectionEngine.nef_dimension
+is the one count of a nef section space, the Demazure character dimension:
+the spanning route's certificate, the probe run, the lattice's section
 dimension and the okounkov layer's level counts all read it.
 """
 
@@ -245,36 +247,28 @@ class GroupModel:
 class SectionPoly:
     """A section written as a polynomial in the open-cell coordinates.
 
-    multidegree is the canonical-basis multidegree of the bundle when known;
     weight is the torus weight of the section when known.  Glue output on the
-    effective route leaves both unset on purpose, so that route stays fully
+    effective route leaves it unset on purpose, so that route stays fully
     independent of the basis-change matrix.
     """
 
-    __slots__ = ("poly", "multidegree", "weight")
+    __slots__ = ("poly", "weight")
 
-    def __init__(self, poly: Polynomial,
-                 multidegree: tuple[int, ...] | None = None,
-                 weight: Weight | None = None):
+    def __init__(self, poly: Polynomial, weight: Weight | None = None):
         self.poly = poly
-        self.multidegree = multidegree
         self.weight = weight
 
     def __bool__(self) -> bool:
         return bool(self.poly)
 
     def multiplied(self, other: "SectionPoly") -> "SectionPoly":
-        degree = None
-        if self.multidegree is not None and other.multidegree is not None:
-            degree = tuple(a + b
-                           for a, b in zip(self.multidegree, other.multidegree))
         weight = None
         if self.weight is not None and other.weight is not None:
             weight = self.weight + other.weight
-        return SectionPoly(self.poly * other.poly, degree, weight)
+        return SectionPoly(self.poly * other.poly, weight)
 
     def __repr__(self) -> str:
-        return f"SectionPoly({self.poly!r}, multidegree={self.multidegree})"
+        return f"SectionPoly({self.poly!r}, weight={self.weight})"
 
 
 class _ChartFrame:
@@ -599,16 +593,15 @@ class SectionEngine:
         rep = self.model.rep(letter)
         column = self._orbit(self._chart_chain((0,) * self.n)[:k], letter,
                              Polynomial.one(self.n))
-        unit = tuple(1 if pos == k - 1 else 0 for pos in range(self.n))
-        polys = [SectionPoly(column[r], unit, rep.weights[r])
+        polys = [SectionPoly(column[r], rep.weights[r])
                  for r in sorted(column)]
         self._slot_polys[k] = polys
         return polys
 
     def boundary_section(self, j: int) -> SectionPoly:
         """The coordinate section t_j, the canonical section of the j-th
-        effective-basis bundle.  Its class is deliberately left unlabeled so
-        the effective route never depends on the basis change."""
+        effective-basis bundle.  Its weight is deliberately left unlabeled
+        so the effective route never depends on the basis change."""
         if not 1 <= j <= self.n:
             raise ValidationError(f"slot index {j} out of range 1..{self.n}")
         return SectionPoly(Polynomial.variable(self.n, j - 1))
@@ -635,7 +628,7 @@ class SectionEngine:
         span = IncrementalSpan()
         basis: list[SectionPoly] = []
         for choice in itertools.product(*per_slot):
-            section = SectionPoly(Polynomial.one(self.n), (0,) * self.n,
+            section = SectionPoly(Polynomial.one(self.n),
                                   self.datum.zero_weight())
             for factor in itertools.chain.from_iterable(choice):
                 section = section.multiplied(factor)
@@ -705,35 +698,32 @@ class SectionEngine:
                 return basis
             box, basis = doubled, check
 
-    def section_basis(self, can: Sequence[int] | None = None,
-                      eff: Sequence[int] | None = None) -> list[SectionPoly]:
-        """A section basis by the route that section_route picks.
+    def section_basis(self, can: Sequence[int]) -> list[SectionPoly]:
+        """A section basis of a canonical class by the route that
+        section_route picks.
 
         The spanning route falls back to the glue route when the slot
         products fall short.
         """
-        route = self.section_route(can=can, eff=eff)
+        route = self.section_route(can)
         if route == "spanning":
             try:
                 return self.section_basis_nef(can)
             except SpanDeficiency:
                 return self.section_basis_glue(can=can)
         if route == "monomial":
-            return self.monomial_section_basis(can=can)
-        return self.section_basis_glue(can=can, eff=eff)
+            return self.monomial_section_basis(can)
+        return self.section_basis_glue(can=can)
 
-    def section_route(self, can: Sequence[int] | None = None,
-                      eff: Sequence[int] | None = None) -> str:
-        """The one route rule of the package: "spanning", "monomial" or
-        "glue".
+    def section_route(self, can: Sequence[int]) -> str:
+        """The one route rule of the package for a canonical class:
+        "spanning", "monomial" or "glue".
 
-        A nef class takes the spanning route; a negative canonical class on
-        a word without repeated letters takes the monomial route; everything
-        else, effective coordinates included, takes the glue route.
+        A nef class takes the spanning route; a class with a negative entry
+        takes the monomial route on a word without repeated letters and the
+        glue route otherwise.
         """
-        can, eff = self._route(can, eff)
-        if can is None:
-            return "glue"
+        can = self._canonical_degree(can)
         if min(can) >= 0:
             return "spanning"
         if self.is_multiplicity_free():
@@ -750,7 +740,7 @@ class SectionEngine:
         """Monomial basis cut out by the boundary order conditions alone:
         t^a for each exponent vector a of monomial_exponents."""
         can = self._canonical_degree(can)
-        return [SectionPoly(Polynomial.monomial(self.n, mono), can,
+        return [SectionPoly(Polynomial.monomial(self.n, mono),
                             self.section_weight(can, mono))
                 for mono in self.monomial_exponents(can)]
 
@@ -943,7 +933,7 @@ class SectionEngine:
             for vec in vectors:
                 poly = Polynomial(self.n, {cands[i]: c
                                            for i, c in vec.items()})
-                result.append(SectionPoly(poly.normalized(), can, weight))
+                result.append(SectionPoly(poly.normalized(), weight))
         return result
 
     def _chart_powers(self, flips, can, eff) -> _ChartPowers:

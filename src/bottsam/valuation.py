@@ -43,11 +43,7 @@ def adapted_basis(sections: Sequence[SectionPoly]) -> list[SectionPoly]:
     adapted: list[SectionPoly] = []
     for key in order:
         span = IncrementalSpan()
-        members = groups[key]
-        degree = members[0].multidegree
-        if any(m.multidegree != degree for m in members):
-            degree = None
-        for section in members:
+        for section in groups[key]:
             if not section.poly:
                 raise ValidationError("adapted_basis needs nonzero sections")
             reduced = span.add(dict(section.poly.terms))
@@ -55,6 +51,6 @@ def adapted_basis(sections: Sequence[SectionPoly]) -> list[SectionPoly]:
                 raise ValidationError(
                     "sections are not linearly independent")
             poly = Polynomial(section.poly.nvars, reduced).normalized()
-            adapted.append(SectionPoly(poly, degree, key))
+            adapted.append(SectionPoly(poly, key))
     return adapted
 

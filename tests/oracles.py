@@ -30,7 +30,9 @@ glue_space_by_filters keeps the glue class loop that sent every
 (class, chart) pair through the chart filter, before one-candidate classes
 on monomial charts were decided inline; two_sweep_vertices keeps the hull
 vertices read off a second double-description sweep, before they were read
-off the tight-facet masks of the first.
+off the tight-facet masks of the first.  divisible_part is a second route
+to an off-nef section space, off the spanning route's basis of a nef class
+and the verified basis change, with no chart and no degree box.
 """
 
 from __future__ import annotations
@@ -883,7 +885,7 @@ def glue_space_by_filters(engine, can, eff, box):
         weight = engine.section_weight(can, cands[0])
         for vec in vectors:
             poly = Polynomial(engine.n, {cands[i]: c for i, c in vec.items()})
-            result.append(SectionPoly(poly.normalized(), can, weight))
+            result.append(SectionPoly(poly.normalized(), weight))
     return result
 
 
@@ -901,3 +903,63 @@ def two_sweep_vertices(points, ambient):
                                                             ambient)
     assert not unbounded
     return sorted(verts)
+
+
+def nef_shift(matrix, can):
+    """The effective N >= 0 that makes can + M N nef, M the unit upper
+    triangular effective-to-canonical matrix: back-substitution, last
+    coordinate first, N_k = max(0, -can_k - sum_{j>k} M_kj N_j).  Any other
+    M is refused (EngineError), as the package's monomial_box refuses
+    order matrices that are not unit triangular."""
+    from bottsam.errors import EngineError
+
+    n = len(can)
+    if any(matrix[k][j] != (k == j) for k in range(n) for j in range(k + 1)):
+        raise EngineError("the basis change is not unit upper triangular")
+    shift = [0] * n
+    for k in range(n - 1, -1, -1):
+        shift[k] = max(0, -can[k] - sum(matrix[k][j] * shift[j]
+                                        for j in range(k + 1, n)))
+    nef = tuple(c + sum(matrix[k][j] * shift[j] for j in range(n))
+                for k, c in enumerate(can))
+    return tuple(shift), nef
+
+
+def divided_sections(sections, exponents):
+    """The combinations of the sections whose every monomial t^a has
+    a >= exponents, divided by t^exponents, as Polynomials: the kernel of
+    the coefficients of the monomials that fail the bound, by Fraction
+    elimination."""
+    from bottsam._poly import Polynomial
+
+    polys = [sp.poly for sp in sections]
+    low = sorted({mono for poly in polys for mono in poly.terms
+                  if any(a < e for a, e in zip(mono, exponents))})
+    rows = [{i: Fraction(poly.terms[mono]) for i, poly in enumerate(polys)
+             if mono in poly.terms} for mono in low]
+    out = []
+    for vec in fraction_nullspace(rows, len(polys)):
+        terms = {}
+        for i, c in vec.items():
+            for mono, coeff in polys[i].terms.items():
+                key = tuple(a - e for a, e in zip(mono, exponents))
+                terms[key] = terms.get(key, 0) + c * coeff
+        out.append(Polynomial(len(exponents),
+                              {m: c for m, c in terms.items() if c}))
+    return out
+
+
+def divisible_part(lattice, can):
+    """A basis of the sections of a canonical class, read off the nef class
+    can + M N of nef_shift with no chart and no degree box.
+
+    t_j, the section of the j-th effective class, vanishes on the
+    boundary divisor E_j, which meets the open cell in {t_j = 0}.  So the
+    order of a section along E_j is the t_j-adic order of its cell
+    polynomial, and multiplying by t^N maps the sections of can onto the
+    sections of can + M N that t^N divides.  Those are the combinations of
+    the spanning route's basis of can + M N whose monomials all have
+    a >= N (divided_sections).
+    """
+    shift, nef = nef_shift(lattice.change.matrix, can)
+    return divided_sections(lattice.engine.section_basis_nef(nef), shift)

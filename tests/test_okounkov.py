@@ -236,6 +236,17 @@ def test_run_guard_sums_the_levels(request, engine, coords, last):
         okounkov._check_run(engine, can(*coords), last + 1)
 
 
+def test_restriction_check_refuses_a_run_past_the_guard(lattice_a2_12):
+    """restriction_check walks levels 1..L of its class like body, so it is
+    refused at the first L that the run guard refuses (341 on A2 (1,2)
+    can:1,1) before any level set is computed."""
+    engine = OkounkovEngine(lattice_a2_12)
+    with pytest.raises(Unstable):
+        engine.restriction_check(can(1, 1), 341)
+    assert list(engine._counts) == [(0, 0)]
+    assert engine._truncated is None
+
+
 def test_volume_check_report(okounkov_a2_12):
     report = okounkov_a2_12.volume_check(can(1, 1), 8)
     assert report["hull_volume"] == Fraction(3, 2)
@@ -564,7 +575,7 @@ def test_plain_class_vertices_are_the_hull_vertices(cartan, word, top):
         engine = OkounkovEngine(lattice)
         for mc in order:
             points = engine.valuation_points(can(*mc))
-            assert mc in engine._plain
+            assert mc in engine._sums
             assert engine._hull_vertices(mc) == list(
                 RationalPolytope.from_points(points,
                                              ambient=lattice.n).vertices)
@@ -588,7 +599,7 @@ def test_plain_bodies_are_sums_of_slot_hulls(cartan, word, top):
     def check(mc, levels):
         engine = OkounkovEngine(lattice)
         body = engine.body(can(*mc), levels)
-        assume(all(tuple(k * c for c in mc) in engine._plain
+        assume(all(tuple(k * c for c in mc) in engine._sums
                    for k in range(1, levels + 1)))
         plain.append(mc)
         corners = [hull for _, hull in engine._slot_sets()]
@@ -602,11 +613,12 @@ def test_plain_bodies_are_sums_of_slot_hulls(cartan, word, top):
     assert plain
 
 
-def test_sums_from_a_section_route_class_hull_their_level_sets(lattice_a2_12,
-                                                               monkeypatch):
-    """A nef class whose sums do not certify takes the section route and
-    is not plain; a class summed from it is certified but not plain, and
-    its hull is taken of its decoded level set."""
+def test_no_sum_grows_from_a_section_route_class(lattice_a2_12,
+                                                monkeypatch):
+    """A nef class whose sum does not certify takes the route rule and is
+    not kept, so later sums grow from kept sums only: every kept sum is
+    plain and reads its vertices off its support, and the other class's
+    hull is taken of its level set."""
     engine = OkounkovEngine(lattice_a2_12)
     summed = OkounkovEngine._sum_level
     monkeypatch.setattr(OkounkovEngine, "_sum_level",
@@ -614,11 +626,12 @@ def test_sums_from_a_section_route_class_hull_their_level_sets(lattice_a2_12,
     sources = recorded_sources(monkeypatch)
     order = [(1, 1), (2, 1), (2, 3)]
     points = {mc: engine.valuation_points(can(*mc)) for mc in order}
-    assert sources == [((2, 1), (1, 1)), ((2, 3), (2, 1))]
-    assert (1, 1) not in engine._sums
+    assert sources == [((2, 1), (0, 0)), ((2, 3), (2, 1))]
+    assert (1, 1) not in engine._sums and (1, 1) in engine._points
+    assert [r[1] for r in engine._ranked] == [(0, 0), (2, 1), (2, 3)]
     for mc in reversed(order):
         assert points[mc] == minkowski_points(lattice_a2_12, mc)
-        assert mc not in engine._plain
+        assert (mc in engine._sums) == (mc != (1, 1))
         assert engine._hull_vertices(mc) == list(
             RationalPolytope.from_points(points[mc], ambient=2).vertices)
 

@@ -16,6 +16,7 @@ from bottsam import (
     BasisChange,
     CartanDatum,
     DivisorClass,
+    EngineError,
     NoMatch,
     NotNef,
     OkounkovEngine,
@@ -29,9 +30,18 @@ from bottsam import (
     format_divisor,
     parse_divisor,
     picard,
+    sections,
 )
 
-from oracles import interpolated_degree, searched_pullbacks, weyl_dim_a2
+from oracles import (
+    dense_rank,
+    divided_sections,
+    divisible_part,
+    interpolated_degree,
+    nef_shift,
+    searched_pullbacks,
+    weyl_dim_a2,
+)
 
 
 def can(*coords):
@@ -242,7 +252,8 @@ def test_conversions_still_build_the_basis_change(no_probe_run, a2):
 def test_is_effective_never_builds_the_basis_change(no_probe_run, a2,
                                                     capsys):
     """A canonical class with a negative coordinate is effective exactly
-    when it has a nonzero section; one glue call answers that."""
+    when it has a nonzero section; the route rule's section space answers
+    that."""
     lattice = PicardLattice(a2, WeylWord([1, 2]))
     assert lattice.is_effective(can(-1, 1))
     assert not lattice.is_effective(can(1, -1))
@@ -254,6 +265,102 @@ def test_is_effective_never_builds_the_basis_change(no_probe_run, a2,
                      "--bundle", "can:-1,1"]) == 0
     capsys.readouterr()
     assert no_probe_run == []
+
+
+EFFECTIVE_WORDS = [("A2", (1, 2)), ("B2", (1, 2)), ("G2", (1, 2)),
+                   ("A3", (1, 2, 3)), ("A2", (1, 2, 1))]
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(EFFECTIVE_WORDS), st.data())
+def test_is_effective_is_the_route_rule(case, data):
+    """On canonical classes with a negative entry, is_effective, which asks
+    the route rule, gives the answer of the canonical glue route."""
+    name, word = case
+    lattice = lattice_of(name, word)
+    top = 3 if len(word) == 2 else 2
+    coords = data.draw(st.tuples(*[st.integers(-top, top)] * len(word))
+                       .filter(lambda c: min(c) < 0))
+    assert lattice.is_effective(can(*coords)) \
+        == bool(lattice.engine.section_basis_glue(can=coords))
+
+
+def test_off_nef_body_without_a_repeated_letter_makes_no_glue_call(
+        monkeypatch, capsys):
+    """Work pin: on A3 (1,2,3) can:-1,2,2 both the effectiveness test and
+    every level take the monomial route, so the job makes no glue call and
+    no nullspace call (1 and 2,812 when effectiveness asked the glue
+    route)."""
+    calls = {"section_basis_glue": 0, "nullspace": 0}
+    glue, solve = SectionEngine.section_basis_glue, sections.nullspace
+
+    def counted_glue(self, *args, **kwargs):
+        calls["section_basis_glue"] += 1
+        return glue(self, *args, **kwargs)
+
+    def counted_solve(rows, ncols):
+        calls["nullspace"] += 1
+        return solve(rows, ncols)
+
+    monkeypatch.setattr(SectionEngine, "section_basis_glue", counted_glue)
+    monkeypatch.setattr(sections, "nullspace", counted_solve)
+    assert cli.main(["body", "--type", "A3", "--word", "1,2,3", "--bundle",
+                     "can:-1,2,2", "--max-level", "4"]) == 0
+    capsys.readouterr()
+    assert calls == {"section_basis_glue": 0, "nullspace": 0}
+
+
+def same_span(polys_a, polys_b):
+    """Both lists are independent and span the same space."""
+    monos = sorted({m for poly in polys_a + polys_b for m in poly.terms})
+    index = {m: i for i, m in enumerate(monos)}
+
+    def rank(polys):
+        return dense_rank([{index[m]: c for m, c in poly.terms.items()}
+                           for poly in polys], len(monos))
+
+    return rank(polys_a) == len(polys_a) and rank(polys_b) == len(polys_b) \
+        and len(polys_a) == len(polys_b) == rank(polys_a + polys_b)
+
+
+DIVISIBLE_WORDS = [("A2", (1, 2)), ("B2", (1, 2)), ("G2", (1, 2)),
+                   ("A2", (1, 2, 1)), ("B2", (1, 2, 1)), ("A3", (1, 2, 3)),
+                   ("A3", (2, 1, 3, 2))]
+
+
+def test_divisible_part_spans_the_glue_space():
+    """Off the nef cone the chart-free oracle divisible_part spans the glue
+    route's space, on random classes.  Mutation check: dividing by
+    t^(N - 1) wherever N_j > 0, in place of t^N, fails on some of them."""
+    mutant_failures = []
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(DIVISIBLE_WORDS), st.data())
+    def check(case, data):
+        name, word = case
+        lattice = lattice_of(name, word)
+        top = {2: 3, 3: 2, 4: 1}[len(word)]
+        coords = data.draw(st.tuples(*[st.integers(-top, top)] * len(word))
+                           .filter(lambda c: min(c) < 0))
+        glue = [sp.poly
+                for sp in lattice.engine.section_basis_glue(can=coords)]
+        assert same_span(divisible_part(lattice, coords), glue)
+        shift, nef = nef_shift(lattice.change.matrix, coords)
+        lowered = [max(0, e - 1) for e in shift]
+        mutant = divided_sections(lattice.engine.section_basis_nef(nef),
+                                  lowered)
+        mutant_failures.append(not same_span(mutant, glue))
+
+    check()
+    assert any(mutant_failures)
+
+
+def test_nef_shift_refuses_other_matrices():
+    with pytest.raises(EngineError, match="unit upper triangular"):
+        nef_shift(((1, 0), (1, 1)), (-1, 1))
+    with pytest.raises(EngineError, match="unit upper triangular"):
+        nef_shift(((2, 0), (0, 1)), (-1, 1))
+    assert nef_shift(((1, -1), (0, 1)), (-1, -2)) == ((3, 2), (0, 0))
 
 
 def test_section_dimensions(lattice_a2_12, lattice_a2_121, lattice_b2_12):

@@ -11,7 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bottsam import (
+    Basis,
     CartanDatum,
+    DivisorClass,
     EngineError,
     PicardLattice,
     Unstable,
@@ -163,7 +165,6 @@ def test_hirzebruch_counts(eng12):
 def test_glue_off_the_nef_cone(eng12):
     twisted = eng12.section_basis_glue(can=(-2, 2))
     assert [poly_terms(sp) for sp in twisted] == [{(0, 2): 1}]
-    assert twisted[0].multidegree == (-2, 2)
     assert twisted[0].weight.coords == (0, -2)
     assert [poly_terms(sp) for sp in eng12.section_basis_glue(can=(-1, 1))] \
         == [{(0, 1): 1}]
@@ -293,7 +294,7 @@ def test_glue_space_matches_the_filter_loop(request, monkeypatch, engine):
     """_glue_space, with one-candidate classes on monomial charts decided
     inline, returns the sections of the loop that sends every
     (class, chart) pair through _chart_filter: in the same order, with the
-    same terms, multidegrees and weights, and from as many nullspace
+    same terms and weights, and from as many nullspace
     calls.  Classes are drawn at _initial_box and at its double."""
     engine = request.getfixturevalue(engine)
     calls = [0]
@@ -309,7 +310,7 @@ def test_glue_space_matches_the_filter_loop(request, monkeypatch, engine):
     def tally(fn, *args):
         calls[0] = 0
         out = fn(*args)
-        return ([(list(sp.poly.terms.items()), sp.multidegree, sp.weight)
+        return ([(list(sp.poly.terms.items()), sp.weight)
                  for sp in out], calls[0])
 
     @settings(max_examples=25)
@@ -473,8 +474,8 @@ def test_glue_solves_each_box_once(request, monkeypatch, engine, can):
     monkeypatch.setattr(engine, "_glue_space", spy)
     got = engine.section_basis_glue(can=can)
     assert boxes == [(b,) * engine.n for b in (1, 2, 4, 8)]
-    assert [(poly_terms(sp), sp.multidegree, sp.weight) for sp in got] \
-        == [(poly_terms(sp), sp.multidegree, sp.weight) for sp in expected]
+    assert [(poly_terms(sp), sp.weight) for sp in got] \
+        == [(poly_terms(sp), sp.weight) for sp in expected]
 
 
 def test_monomial_basis_matches_glue_for_multiplicity_free(eng12):
@@ -511,13 +512,31 @@ def test_section_basis_route_rule(request, monkeypatch, engine, can, route):
         "monomial_section_basis": "monomial",
         "section_basis_glue": "glue"}[route]
     assert got
-    assert [(poly_terms(sp), sp.multidegree, sp.weight) for sp in got] \
-        == [(poly_terms(sp), sp.multidegree, sp.weight) for sp in expected]
+    assert [(poly_terms(sp), sp.weight) for sp in got] \
+        == [(poly_terms(sp), sp.weight) for sp in expected]
 
 
-def test_effective_coordinates_take_the_glue_route(eng12, eng121):
-    for engine in (eng12, eng121):
-        assert engine.section_route(eff=(1,) * engine.n) == "glue"
+def test_effective_coordinates_take_the_glue_route(monkeypatch,
+                                                   lattice_a2_12,
+                                                   lattice_a2_121):
+    """A class in effective coordinates goes straight to the glue route,
+    which never asks the route rule, a canonical-class rule."""
+    for lattice in (lattice_a2_12, lattice_a2_121):
+        engine = lattice.engine
+        coords = (1,) * lattice.n
+        expected = engine.section_basis_glue(eff=coords)
+        calls = []
+        for name in ("section_route", "section_basis_glue"):
+            method = getattr(engine, name)
+            monkeypatch.setattr(
+                engine, name, lambda *args, _name=name, _method=method,
+                **kwargs: calls.append(_name) or _method(*args, **kwargs))
+        got = lattice.section_basis(DivisorClass(coords, Basis.EFFECTIVE))
+        assert calls == ["section_basis_glue"]
+        assert got and [(poly_terms(sp), sp.weight) for sp in got] \
+            == [(poly_terms(sp), sp.weight) for sp in expected]
+        with pytest.raises(TypeError):
+            engine.section_route(eff=coords)
 
 
 def test_monomial_exponents_are_the_adapted_valuations(eng12):
@@ -634,7 +653,7 @@ def test_boundary_sections(eng12):
         expected = tuple(1 if k == j - 1 else 0 for k in range(2))
         assert poly_terms(section) == {expected: 1}
         assert valuation(section) == expected
-        assert section.multidegree is None and section.weight is None
+        assert section.weight is None
     with pytest.raises(ValidationError):
         eng12.boundary_section(3)
 
@@ -651,13 +670,12 @@ def test_equivariance_spot_checks(eng12, eng121):
     basis = eng121.section_basis_nef((0, 1, 1))
     assert eng121.equivariance_failures(basis, (0, 1, 1)) == 0
     assert eng12.equivariance_failures(nef, (2, 1)) > 0
-    fake = SectionPoly(Polynomial(2, {(3, 1): 1, (0, 0): 7}), (1, 1),
-                       Weight((1, 1)))
+    fake = SectionPoly(Polynomial(2, {(3, 1): 1, (0, 0): 7}), Weight((1, 1)))
     assert eng12.equivariance_failures([fake], (1, 1)) > 0
 
 
 def test_equivariance_needs_weight_labels(eng12):
-    unlabeled = SectionPoly(Polynomial.one(2), (1, 1))
+    unlabeled = SectionPoly(Polynomial.one(2))
     with pytest.raises(ValidationError, match="weight label"):
         eng12.equivariance_failures([unlabeled], (1, 1))
 
