@@ -238,7 +238,9 @@ class PicardLattice:
     either basis (a class with nonnegative coordinates is effective, an
     effective class with a negative coordinate is not, and a canonical
     class with a negative coordinate is effective when the engine's route
-    rule, ``SectionEngine.section_basis``, finds a nonzero section),
+    rule finds a nonzero section: on the monomial route when
+    ``SectionEngine.monomial_box`` is not None, otherwise when
+    ``SectionEngine.section_basis`` is nonempty),
     ``canonical``, ``is_nef`` and ``volume`` on canonical classes,
     ``section_basis`` and ``section_dimension`` in either basis, and
     ``pullback_from_flag_variety``.
@@ -287,7 +289,10 @@ class PicardLattice:
             return False
         # The effective basis is a Z-basis of the lattice and its orthant
         # is the effective cone, so an integral class is effective exactly
-        # when it has a nonzero section.
+        # when it has a nonzero section.  On the monomial route the box of
+        # its exponents says so without enumerating them.
+        if self.engine.section_route(divisor.coords) == "monomial":
+            return self.engine.monomial_box(divisor.coords) is not None
         return bool(self.engine.section_basis(divisor.coords))
 
     def is_nef(self, divisor: DivisorClass) -> bool:

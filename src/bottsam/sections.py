@@ -28,12 +28,16 @@ Section spaces are built two independent ways and cross-checked by the tests:
     (Polynomial.remainder) is unique, linear, and 0 exactly on multiples.
     Each lift is reduced once, and the regular combinations are the
     nullspace of the remainder coefficients.  On a chart whose tables are
-    single terms, the lifts and remainders are read off exponent vectors,
-    and a weight class of one candidate (every class on a word without a
-    repeated letter) is decided by a sign test in the glue loop itself,
-    which still asks nullspace its one-column question.  The basis-change
-    probe run builds each box's weight classes once (reusing_box_classes)
-    and drops them when it ends.
+    single terms, the lifts and remainders are read off exponent vectors:
+    t^a is regular exactly when a passes a sign test, and distinct
+    candidates leave distinct monomials.  So while a weight class's
+    combinations are still single candidates, the glue loop itself
+    decides the class there: it keeps the candidates that pass, with no
+    elimination.  A class of one candidate (every class on a word without
+    a repeated letter) still asks nullspace its one-column question, the
+    call that the probe-run work pins count.  The basis-change probe run
+    builds each box's weight classes once (reusing_box_classes) and drops
+    them when it ends.
 
 On words without repeated letters monomial_section_basis reads a basis off
 the boundary vanishing orders; its exponent vectors (monomial_exponents) are
@@ -298,12 +302,14 @@ class _ChartPowers:
     and denominator are single terms, steps holds one integer column per
     chart variable: the exponent of num / den in it and those of each
     coordinate t_j = N_j / D_j.  Regularity of t^a there is the sign test
-    of _regular, and the power tables stay empty.  On other charts steps
-    is None.
+    of _regular, and the power tables stay empty.  checks keeps the rows
+    of steps that some a >= 0 can fail, those with g < 0 or a negative
+    entry in col; every other row holds for all a >= 0, so the sign test
+    reads checks alone.  On other charts steps and checks are None.
     """
 
     __slots__ = ("frame", "npow", "dpow", "num", "den", "num_heads",
-                 "den_heads", "steps")
+                 "den_heads", "steps", "checks")
 
     def __init__(self, frame: _ChartFrame, num: Polynomial, den: Polynomial):
         one = Polynomial.one(len(frame.flips))
@@ -314,7 +320,7 @@ class _ChartPowers:
         self.den = den
         self.num_heads: dict[tuple[int, int], Polynomial] = {}
         self.den_heads: dict[tuple[int, int], Polynomial] = {}
-        self.steps = None
+        self.steps = self.checks = None
         tops = (num, *frame.numerators)
         bottoms = (den, *frame.denominators)
         if all(len(p.terms) == 1 for p in tops + bottoms):
@@ -322,6 +328,8 @@ class _ChartPowers:
                              next(iter(bottom.terms))))
                     for top, bottom in zip(tops, bottoms)]
             self.steps = [(g, col) for g, *col in zip(*gaps)]
+            self.checks = [(g, col) for g, col in self.steps
+                           if g < 0 or min(col) < 0]
 
     def grow(self, j: int, power: int) -> None:
         """Extend the j-th power tables up to the given exponent."""
@@ -428,17 +436,34 @@ def _weight_classes(box: Sequence[int],
                     roots: Sequence[tuple]) -> list[list[Mono]]:
     """The exponent vectors of a degree box grouped by torus weight: the
     classes in weight order, each in lexicographic order (the product of
-    ascending ranges comes out sorted)."""
-    classes: dict[tuple, list[Mono]] = {}
-    for a in itertools.product(*[range(b + 1) for b in box]):
-        classes.setdefault(_torus_weight(a, roots), []).append(a)
+    ascending ranges comes out sorted).
+
+    A weight is keyed by one int, its coordinates as balanced digits,
+    first coordinate most significant, as okounkov._pack packs points.
+    The base exceeds twice the largest weight coordinate in the box, so
+    distinct weights get distinct keys and int order is weight order.
+    The key is linear in the exponents, so each point's key is a sum of
+    per-coordinate contributions.
+    """
+    base = 2 * sum(b * max(map(abs, root))
+                   for b, root in zip(box, roots)) + 1
+    keys = [0]
+    for b, root in zip(box, roots):
+        step = 0
+        for v in root:
+            step = step * base + v
+        keys = [key + x * step for key in keys for x in range(b + 1)]
+    classes: dict[int, list[Mono]] = {}
+    for key, a in zip(keys, itertools.product(*[range(b + 1) for b in box])):
+        classes.setdefault(key, []).append(a)
     return [classes[key] for key in sorted(classes)]
 
 
-def _regular(steps, a: Mono) -> bool:
+def _regular(checks, a: Mono) -> bool:
     """The sign test of a monomial chart with steps (g, S): t^a is regular
-    there exactly when every entry of g + S a is >= 0."""
-    for g, col in steps:
+    there exactly when every entry of g + S a is >= 0.  It reads only the
+    rows that can fail, the chart's checks."""
+    for g, col in checks:
         if g + sum(map(mul, a, col)) < 0:
             return False
     return True
@@ -886,14 +911,23 @@ class SectionEngine:
         """The regular combinations of the candidates t^a, a in the box.
 
         Candidates are grouped by torus weight, and each class passes the
-        charts in order until none of its combinations is left.  A class
-        of one candidate on a monomial chart is decided here: the sign
-        test (_regular) gives its one-column system, [{0: 1}] when
-        irregular and [] otherwise, and the class keeps its one vector
-        [{0: 1}] when that nullspace is nonempty, as _chart_filter would.
-        Every other (class, chart) pair goes through _chart_filter, so
-        each pair visited makes one nullspace call.  Inside
-        reusing_box_classes the classes of a box are built once.
+        charts in order until none of its combinations is left.  A
+        monomial chart is decided here while the class's vectors are the
+        unit vectors {i: 1} of distinct candidates, as they are until a
+        polynomial chart mixes them.  On such input each irregular
+        candidate gives _chart_filter the row {col: 1}, so it returns the
+        unit vectors of the regular candidates, in order; here:
+
+          - a class of two or more candidates keeps the vectors whose
+            candidate passes the sign test (_regular), with no rows,
+            nullspace or span;
+          - a class of one candidate still puts its one-column system,
+            [{0: 1}] when irregular and [] otherwise, to nullspace, the
+            call the probe-run work pins count.
+
+        Every other (class, chart) pair goes through _chart_filter, the
+        general filter.  Inside reusing_box_classes the classes of a box
+        are built once.
         """
         size = 1
         for b in box:
@@ -915,16 +949,22 @@ class SectionEngine:
         for cands in classes:
             single = len(cands) == 1
             vectors = [{i: 1} for i in range(len(cands))]
+            units = True
             for flips in charts:
                 chart = tables.get(flips)
                 if chart is None:
                     chart = tables[flips] = self._chart_powers(flips, can, eff)
-                if single and chart.steps is not None:
-                    rows = [] if _regular(chart.steps, cands[0]) else [{0: 1}]
+                checks = chart.checks
+                if checks is None or not units:
+                    vectors = self._chart_filter(chart, cands, vectors)
+                    units = all(list(vec.values()) == [1] for vec in vectors)
+                elif single:
+                    rows = [] if _regular(checks, cands[0]) else [{0: 1}]
                     if not nullspace(rows, 1):
                         vectors = []
                 else:
-                    vectors = self._chart_filter(chart, cands, vectors)
+                    vectors = [vec for vec in vectors
+                               if _regular(checks, cands[next(iter(vec))])]
                 if not vectors:
                     break
             if not vectors:
@@ -982,14 +1022,17 @@ class SectionEngine:
         system, c times {col: vec[i]}.  The row {col: vec[i]} spans the
         same line, so the nullspace, canonical on a row space, is the same
         one, and no lift, remainder or coefficient is computed.  Other
-        charts lift and divide polynomials.  A class of one candidate on a
-        monomial chart never comes here: _glue_space puts the same
-        one-column system to nullspace itself.
+        charts lift and divide polynomials.  This is the general filter,
+        for any incoming vectors.  _glue_space sends a monomial chart here
+        only once a polynomial chart has mixed a class's vectors: while
+        they are unit vectors of distinct candidates the kept vectors are
+        those of the regular candidates, and it reads them off the sign
+        test itself.
         """
         used = {i for vec in vectors for i in vec}
         if chart.steps is not None:
             irregular: dict[int, dict[int, int]] = {
-                i: {} for i in used if not _regular(chart.steps, cands[i])}
+                i: {} for i in used if not _regular(chart.checks, cands[i])}
             for col, vec in enumerate(vectors):
                 for i, c in vec.items():
                     row = irregular.get(i)

@@ -27,8 +27,8 @@ interpolated_degree and searched_pullbacks keep the degree interpolated
 from character dimensions and the pullback searched among characters,
 before torus localization and the closed-form pullback;
 glue_space_by_filters keeps the glue class loop that sent every
-(class, chart) pair through the chart filter, before one-candidate classes
-on monomial charts were decided inline; two_sweep_vertices keeps the hull
+(class, chart) pair through the chart filter, before classes on monomial
+charts were decided inline; two_sweep_vertices keeps the hull
 vertices read off a second double-description sweep, before they were read
 off the tight-facet masks of the first.  divisible_part is a second route
 to an off-nef section space, off the spanning route's basis of a nef class
@@ -858,10 +858,14 @@ def searched_pullbacks(datum, word, highest):
     return matches
 
 
-def glue_space_by_filters(engine, can, eff, box):
+def glue_space_by_filters(engine, can, eff, box, screened=None):
     """The glue space of a degree box with every (class, chart) pair sent
     through the engine's chart filter: the candidates grouped by torus
-    weight per point, classes in weight order, charts by number of flips."""
+    weight per point, classes in weight order, charts by number of flips.
+
+    screened, when given, is a list that gets (class, flips) for every
+    pair of a class of two or more candidates and a monomial chart that
+    is sent in with the unit vectors of distinct candidates."""
     from bottsam._poly import Polynomial
     from bottsam.sections import SectionPoly, _torus_weight
 
@@ -879,6 +883,10 @@ def glue_space_by_filters(engine, can, eff, box):
         for flips in charts:
             if flips not in tables:
                 tables[flips] = engine._chart_powers(flips, can, eff)
+            if (screened is not None and len(cands) > 1
+                    and tables[flips].steps is not None
+                    and all(list(vec.values()) == [1] for vec in vectors)):
+                screened.append((tuple(cands), flips))
             vectors = engine._chart_filter(tables[flips], cands, vectors)
             if not vectors:
                 break

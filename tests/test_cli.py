@@ -49,6 +49,28 @@ def test_global_command(capsys):
     assert data["cone"]["rays"] == [["0", "1"], ["1", "1"]]
 
 
+A2_121_RAYS = [[str(v) for v in ray] for ray in (
+    (0, 0, 0, 0, 1, 1), (0, 0, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0),
+    (0, 0, 1, 0, 0, 1), (0, 0, 1, 0, 1, 1), (0, 1, 0, 0, 1, 0),
+    (1, 0, 0, 1, 0, 0))]
+
+
+def test_length_three_global_cone(tmp_path, capsys):
+    """A global cone of a word with a repeated letter: A2 (1,2,1) at
+    level 2 and box 1 is saturated with seven rays, and a rerun writes
+    the same bytes.  Off the nef cone its classes take the glue route."""
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    argv = ["global", "--type", "A2", "--word", "1,2,1",
+            "--max-level", "2", "--box", "1"]
+    assert main(argv + ["--out", str(first)]) == 0
+    assert main(argv + ["--out", str(second)]) == 0
+    capsys.readouterr()
+    data = json.loads(first.read_text())
+    assert data["saturated"] is True
+    assert data["cone"]["rays"] == A2_121_RAYS
+    assert first.read_bytes() == second.read_bytes()
+
+
 def test_weights_command(capsys):
     code, out = run(capsys, ["weights", "--type", "A2", "--word", "1,2,1",
                              "--bundle", "can:0,1,1", "--mu", "0,0",

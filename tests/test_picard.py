@@ -285,6 +285,46 @@ def test_is_effective_is_the_route_rule(case, data):
         == bool(lattice.engine.section_basis_glue(can=coords))
 
 
+def test_is_effective_reads_the_monomial_box(monkeypatch):
+    """Work pin: the monomial basis of A3 (1,2,3) can:-3,40,40 has 73,021
+    sections; is_effective answers from the corners of its exponent box
+    (monomial_box) and builds none of them."""
+    lattice = PicardLattice(CartanDatum.from_type("A3"), (1, 2, 3))
+    assert len(lattice.engine.monomial_exponents((-3, 40, 40))) == 73_021
+
+    def refused(self, can):
+        raise AssertionError("is_effective built a monomial basis")
+
+    monkeypatch.setattr(SectionEngine, "monomial_section_basis", refused)
+    assert lattice.is_effective(can(-3, 40, 40))
+    assert not lattice.is_effective(can(40, 40, -3))
+
+
+MONOMIAL_WORDS = [("A2", (1, 2)), ("B2", (1, 2)), ("G2", (1, 2)),
+                  ("A3", (1, 2, 3))]
+
+
+def test_is_effective_is_a_nonempty_section_basis():
+    """On words without a repeated letter, is_effective on a canonical
+    class with a negative entry, which reads the monomial box, answers
+    whether the route rule's section basis is nonempty."""
+    answers = set()
+
+    @settings(max_examples=80)
+    @given(st.sampled_from(MONOMIAL_WORDS), st.data())
+    def check(case, data):
+        name, word = case
+        lattice = lattice_of(name, word)
+        coords = data.draw(st.tuples(*[st.integers(-6, 6)] * len(word))
+                           .filter(lambda c: min(c) < 0))
+        answer = lattice.is_effective(can(*coords))
+        assert answer == bool(lattice.engine.section_basis(coords))
+        answers.add(answer)
+
+    check()
+    assert answers == {True, False}
+
+
 def test_off_nef_body_without_a_repeated_letter_makes_no_glue_call(
         monkeypatch, capsys):
     """Work pin: on A3 (1,2,3) can:-1,2,2 both the effectiveness test and

@@ -22,7 +22,7 @@ from bottsam import (
     WeylWord,
     bs_character,
 )
-from bottsam import polyhedra, sections
+from bottsam import _kernel, polyhedra, sections
 from bottsam._poly import Polynomial
 from bottsam.rootsys import Character, Weight, demazure_operator, is_reduced
 from bottsam.sections import (
@@ -74,6 +74,11 @@ def eng121(a2):
 @pytest.fixture(scope="module")
 def engb2(b2):
     return SectionEngine(b2, WeylWord([1, 2]))
+
+
+@pytest.fixture(scope="module")
+def engb121(b2):
+    return SectionEngine(b2, WeylWord([1, 2, 1]))
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +260,37 @@ def test_probe_run_work_on_monomial_charts(a2, monkeypatch):
     assert counts["fraction"] == 132
 
 
+def test_probe_run_work_on_a_repeated_letter(a2, monkeypatch):
+    """Work pins for the A2 (1,2,1) probe run.
+
+    Its weight classes can hold several candidates.  While a class's
+    vectors are single candidates, _glue_space decides it on a monomial
+    chart by the sign test alone, with no nullspace or elimination, where
+    each such (class, chart) pair used to go through _chart_filter: the
+    run's 26 glue calls make 1,015 nullspace calls (4,290 before) and 38
+    echelon calls (2,843 before), counting those of the basis-change
+    solves.
+    """
+    lattice = PicardLattice(a2, WeylWord((1, 2, 1)))
+    engine = lattice.engine
+    counts = {"glue": 0, "nullspace": 0, "echelon": 0}
+    glue = engine.section_basis_glue
+    solve = sections.nullspace
+    reduce = _kernel.echelon
+
+    def counted(name, call):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return call(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(engine, "section_basis_glue", counted("glue", glue))
+    monkeypatch.setattr(sections, "nullspace", counted("nullspace", solve))
+    monkeypatch.setattr(_kernel, "echelon", counted("echelon", reduce))
+    assert lattice.change.matrix == ((1, -1, 1), (0, 1, -1), (0, 0, 1))
+    assert counts == {"glue": 26, "nullspace": 1_015, "echelon": 38}
+
+
 def test_probe_run_builds_each_box_classes_once(a2, monkeypatch):
     """The A2 (1,2) probe run solves 176 degree boxes, 25 of them
     distinct, and builds the weight classes of each of those once; the
@@ -289,13 +325,17 @@ def test_probe_run_builds_each_box_classes_once(a2, monkeypatch):
 
 
 @pytest.mark.parametrize("engine", ["eng12", "engb2", "engg2", "eng123",
-                                    "eng121"])
+                                    "eng121", "engb121"])
 def test_glue_space_matches_the_filter_loop(request, monkeypatch, engine):
-    """_glue_space, with one-candidate classes on monomial charts decided
-    inline, returns the sections of the loop that sends every
-    (class, chart) pair through _chart_filter: in the same order, with the
-    same terms and weights, and from as many nullspace
-    calls.  Classes are drawn at _initial_box and at its double."""
+    """_glue_space, with classes on monomial charts decided inline,
+    returns the sections of the loop that sends every (class, chart) pair
+    through _chart_filter: in the same order, with the same terms and
+    weights.  It makes one nullspace call fewer for each pair of a class
+    of two or more candidates and a monomial chart that the loop sends in
+    with unit vectors, which it decides by the sign test alone, and as
+    many calls as the loop on a word without a repeated letter, whose
+    classes hold one candidate.  Classes are drawn at _initial_box and at
+    its double."""
     engine = request.getfixturevalue(engine)
     calls = [0]
     solve = sections.nullspace
@@ -307,11 +347,13 @@ def test_glue_space_matches_the_filter_loop(request, monkeypatch, engine):
     monkeypatch.setattr(sections, "nullspace", counted)
     n = engine.n
 
-    def tally(fn, *args):
+    def tally(fn, *args, **kwargs):
         calls[0] = 0
-        out = fn(*args)
+        out = fn(*args, **kwargs)
         return ([(list(sp.poly.terms.items()), sp.weight)
                  for sp in out], calls[0])
+
+    screened_total = [0]
 
     @settings(max_examples=25)
     @given(st.sampled_from(["can", "eff"]),
@@ -323,10 +365,16 @@ def test_glue_space_matches_the_filter_loop(request, monkeypatch, engine):
         box = engine._initial_box(can, eff)
         if doubled:
             box = tuple(2 * b for b in box)
-        assert tally(engine._glue_space, can, eff, box) \
-            == tally(glue_space_by_filters, engine, can, eff, box)
+        screened = []
+        got, got_calls = tally(engine._glue_space, can, eff, box)
+        want, want_calls = tally(glue_space_by_filters, engine, can, eff,
+                                 box, screened=screened)
+        assert got == want
+        assert got_calls == want_calls - len(screened)
+        screened_total[0] += len(screened)
 
     check()
+    assert (screened_total[0] > 0) != engine.is_multiplicity_free()
 
 
 def _glue_classes(engine, box):
@@ -386,7 +434,8 @@ def single_term_tables(draw):
     return chart, cands
 
 
-@pytest.mark.parametrize("source", ["eng12", "engb2", "eng121", "tables"])
+@pytest.mark.parametrize("source", ["eng12", "engb2", "eng121", "engb121",
+                                    "tables"])
 def test_sign_test_filter_matches_the_remainder_filter(request, eng12,
                                                        source):
     """On a monomial chart, the sign-test filter keeps exactly the vectors
