@@ -166,8 +166,8 @@ def _build_config(args: argparse.Namespace, need_word: bool) -> JobConfig:
         datum=datum,
         word=word,
         bundle=text["bundle"],
-        max_level=_optional_int(merged, "max_level"),
-        box=_optional_int(merged, "box"),
+        max_level=_optional_int(merged, "max_level", 4),
+        box=_optional_int(merged, "box", 2),
         mu=mu,
         torus_projection=torus_projection,
         out=text["out"],
@@ -208,34 +208,31 @@ def _volume_report(report: dict) -> dict:
 
 def cmd_body(config: JobConfig) -> dict:
     divisor = _require_bundle(config)
-    levels = config.max_level if config.max_level is not None else 4
     lattice = PicardLattice(config.datum, config.word)
     engine = OkounkovEngine(lattice)
-    body = engine.body(divisor, levels)
+    body = engine.body(divisor, config.max_level)
     payload = {
         "word": list(config.word.indices),
         "divisor": format_divisor(divisor),
-        "max_level": levels,
+        "max_level": config.max_level,
         "body": polytope_payload(body.polytope),
     }
     if lattice.is_nef(divisor):
         payload["volume_check"] = _volume_report(
-            engine.volume_check(divisor, levels))
+            engine.volume_check(divisor, config.max_level))
     else:
         payload["volume_check"] = {"skipped": "divisor is not nef"}
     return payload
 
 
 def cmd_global(config: JobConfig) -> dict:
-    levels = config.max_level if config.max_level is not None else 4
-    box = config.box if config.box is not None else 2
     lattice = PicardLattice(config.datum, config.word)
     engine = OkounkovEngine(lattice)
-    approx = engine.global_cone(levels, box)
+    approx = engine.global_cone(config.max_level, config.box)
     return {
         "word": list(config.word.indices),
-        "max_level": levels,
-        "box": box,
+        "max_level": config.max_level,
+        "box": config.box,
         "generators": [_int_row(g) for g in approx.generators],
         "cone": cone_payload(approx.cone),
         "saturated": approx.saturated,
@@ -246,15 +243,15 @@ def cmd_weights(config: JobConfig) -> dict:
     divisor = _require_bundle(config)
     if config.mu is None:
         raise ValidationError("a --mu value such as 0,0 is required")
-    levels = config.max_level if config.max_level is not None else 4
     lattice = PicardLattice(config.datum, config.word)
-    report = multiplicity_asymptotics(lattice, divisor, config.mu, levels,
+    report = multiplicity_asymptotics(lattice, divisor, config.mu,
+                                      config.max_level,
                                       config.torus_projection)
     return {
         "word": list(config.word.indices),
         "divisor": format_divisor(divisor),
         "mu": [_pair(v) for v in config.mu],
-        "max_level": levels,
+        "max_level": config.max_level,
         "levels": [
             {
                 "level": row["level"],

@@ -28,16 +28,16 @@ Section spaces are built two independent ways and cross-checked by the tests:
     (Polynomial.remainder) is unique, linear, and 0 exactly on multiples.
     Each lift is reduced once, and the regular combinations are the
     nullspace of the remainder coefficients.  On a chart whose tables are
-    single terms, the lifts and remainders are read off exponent vectors:
-    t^a is regular exactly when a passes a sign test, and distinct
-    candidates leave distinct monomials.  So while a weight class's
-    combinations are still single candidates, the glue loop itself
-    decides the class there: it keeps the candidates that pass, with no
-    elimination.  A class of one candidate (every class on a word without
-    a repeated letter) still asks nullspace its one-column question, the
-    call that the probe-run work pins count.  The basis-change probe run
-    builds each box's weight classes once (reusing_box_classes) and drops
-    them when it ends.
+    single terms, t^a is regular exactly when a passes a sign test on
+    exponent vectors.  So while a weight class's combinations are still
+    single candidates, the glue loop itself decides the class there: it
+    keeps the candidates that pass, with no elimination.  A class of one
+    candidate (every class on a word without a repeated letter) still
+    asks nullspace its one-column question, the call that the probe-run
+    work pins count.  Every other (class, chart) pair lifts and divides.
+    The boxes of one call share each chart's tables, and the
+    basis-change probe run builds each box's weight classes once
+    (reusing_box_classes) and drops them when it ends.
 
 On words without repeated letters monomial_section_basis reads a basis off
 the boundary vanishing orders; its exponent vectors (monomial_exponents) are
@@ -299,17 +299,17 @@ class _ChartPowers:
     them.
 
     On a monomial chart, where num, den and every coordinate numerator
-    and denominator are single terms, steps holds one integer column per
-    chart variable: the exponent of num / den in it and those of each
-    coordinate t_j = N_j / D_j.  Regularity of t^a there is the sign test
-    of _regular, and the power tables stay empty.  checks keeps the rows
-    of steps that some a >= 0 can fail, those with g < 0 or a negative
-    entry in col; every other row holds for all a >= 0, so the sign test
-    reads checks alone.  On other charts steps and checks are None.
+    and denominator are single terms, the exponent gaps top minus bottom
+    give each chart variable a row (g, col): the gap of num / den in it
+    and those of each coordinate t_j = N_j / D_j.  t^a is regular there
+    exactly when g + col . a >= 0 on every row, the sign test of
+    _regular.  checks keeps the rows that some a >= 0 can fail, those
+    with g < 0 or a negative entry in col; every other row holds for all
+    a >= 0.  On other charts checks is None.
     """
 
     __slots__ = ("frame", "npow", "dpow", "num", "den", "num_heads",
-                 "den_heads", "steps", "checks")
+                 "den_heads", "checks")
 
     def __init__(self, frame: _ChartFrame, num: Polynomial, den: Polynomial):
         one = Polynomial.one(len(frame.flips))
@@ -320,15 +320,14 @@ class _ChartPowers:
         self.den = den
         self.num_heads: dict[tuple[int, int], Polynomial] = {}
         self.den_heads: dict[tuple[int, int], Polynomial] = {}
-        self.steps = self.checks = None
+        self.checks = None
         tops = (num, *frame.numerators)
         bottoms = (den, *frame.denominators)
         if all(len(p.terms) == 1 for p in tops + bottoms):
             gaps = [list(map(sub, next(iter(top.terms)),
                              next(iter(bottom.terms))))
                     for top, bottom in zip(tops, bottoms)]
-            self.steps = [(g, col) for g, *col in zip(*gaps)]
-            self.checks = [(g, col) for g, col in self.steps
+            self.checks = [(g, col) for g, *col in zip(*gaps)
                            if g < 0 or min(col) < 0]
 
     def grow(self, j: int, power: int) -> None:
@@ -460,9 +459,9 @@ def _weight_classes(box: Sequence[int],
 
 
 def _regular(checks, a: Mono) -> bool:
-    """The sign test of a monomial chart with steps (g, S): t^a is regular
-    there exactly when every entry of g + S a is >= 0.  It reads only the
-    rows that can fail, the chart's checks."""
+    """The sign test of a monomial chart: t^a is regular there exactly
+    when g + col . a >= 0 on every row (g, col) of its exponent gaps.  It
+    reads only the rows that can fail, the chart's checks."""
     for g, col in checks:
         if g + sum(map(mul, a, col)) < 0:
             return False
@@ -700,7 +699,8 @@ class SectionEngine:
         box and returns the box's space once their dimensions agree;
         otherwise the doubled space becomes the next base, so no box is
         solved twice.  A doubled box past the cap reports the bundle
-        Unstable.
+        Unstable.  Every box of the call shares one table per chart
+        (_chart_powers), which goes when the call returns.
         """
         can, eff = self._route(can, eff)
         if eff is not None and not self.is_multiplicity_free():
@@ -709,6 +709,7 @@ class SectionEngine:
             # clear its poles; the slot factors can, at these exponents.
             can, eff = self.effective_exponents(eff), None
         box = self._initial_box(can, eff)
+        tables: dict[tuple[int, ...], _ChartPowers] = {}
         basis = None
         while True:
             doubled = tuple(2 * b for b in box)
@@ -717,8 +718,8 @@ class SectionEngine:
                     f"glue dimensions kept growing past the degree-box cap "
                     f"({_BOX_CAP})")
             if basis is None:
-                basis = self._glue_space(can, eff, box)
-            check = self._glue_space(can, eff, doubled)
+                basis = self._glue_space(can, eff, box, tables)
+            check = self._glue_space(can, eff, doubled, tables)
             if len(basis) == len(check):
                 return basis
             box, basis = doubled, check
@@ -907,16 +908,20 @@ class SectionEngine:
         finally:
             self._box_classes = None
 
-    def _glue_space(self, can, eff, box) -> list[SectionPoly]:
+    def _glue_space(self, can, eff, box, tables) -> list[SectionPoly]:
         """The regular combinations of the candidates t^a, a in the box.
 
         Candidates are grouped by torus weight, and each class passes the
-        charts in order until none of its combinations is left.  A
-        monomial chart is decided here while the class's vectors are the
+        charts in order until none of its combinations is left.  tables
+        maps a chart's flips to its _ChartPowers, built here on first use;
+        section_basis_glue passes one dict to every box it solves.
+
+        A monomial chart is decided here while the class's vectors are the
         unit vectors {i: 1} of distinct candidates, as they are until a
-        polynomial chart mixes them.  On such input each irregular
-        candidate gives _chart_filter the row {col: 1}, so it returns the
-        unit vectors of the regular candidates, in order; here:
+        polynomial chart mixes them.  There the remainder of a one-term
+        lift is 0 or the lift itself, and distinct candidates leave
+        distinct monomials, so _chart_filter would keep the unit vectors
+        of the regular candidates, in order:
 
           - a class of two or more candidates keeps the vectors whose
             candidate passes the sign test (_regular), with no rows,
@@ -925,9 +930,8 @@ class SectionEngine:
             [{0: 1}] when irregular and [] otherwise, to nullspace, the
             call the probe-run work pins count.
 
-        Every other (class, chart) pair goes through _chart_filter, the
-        general filter.  Inside reusing_box_classes the classes of a box
-        are built once.
+        Every other (class, chart) pair lifts and divides in _chart_filter.
+        Inside reusing_box_classes the classes of a box are built once.
         """
         size = 1
         for b in box:
@@ -944,7 +948,6 @@ class SectionEngine:
                          itertools.product((0, 1), repeat=self.n)
                          if any(flips)),
                         key=lambda f: (sum(f), f))
-        tables: dict[tuple[int, ...], _ChartPowers] = {}
         result: list[SectionPoly] = []
         for cands in classes:
             single = len(cands) == 1
@@ -977,7 +980,8 @@ class SectionEngine:
         return result
 
     def _chart_powers(self, flips, can, eff) -> _ChartPowers:
-        """The tables one glue call shares across weight classes on a chart."""
+        """The tables one glue call shares across its boxes and weight
+        classes on a chart."""
         frame = self._chart(flips)
         n = self.n
         num = Polynomial.one(n)
@@ -1009,54 +1013,27 @@ class SectionEngine:
         of its ideal, so den divides a polynomial exactly when its division
         remainder modulo den is 0, and that remainder is linear.  So each
         lift is reduced once, and the regular combinations are the
-        nullspace of the remainder rows over the incoming vectors.
-
-        On a monomial chart, one whose num, den and coordinate numerators
-        and denominators are all single terms, every lift is one term
-        c x^(lead + g + S a), with x^lead the one-term denominator and
-        (g, S) the chart's steps, so t^a is regular exactly when every
-        entry of g + S a is >= 0.  An irregular lift is its own remainder.
-        S is the exponent matrix of a birational monomial change of
-        coordinates, so it is invertible and distinct candidates leave
-        distinct monomials: each irregular candidate i is one row of the
-        system, c times {col: vec[i]}.  The row {col: vec[i]} spans the
-        same line, so the nullspace, canonical on a row space, is the same
-        one, and no lift, remainder or coefficient is computed.  Other
-        charts lift and divide polynomials.  This is the general filter,
-        for any incoming vectors.  _glue_space sends a monomial chart here
-        only once a polynomial chart has mixed a class's vectors: while
-        they are unit vectors of distinct candidates the kept vectors are
-        those of the regular candidates, and it reads them off the sign
-        test itself.
+        nullspace of the remainder rows over the incoming vectors.  This
+        is the general filter, for any chart and any incoming vectors.
         """
         used = {i for vec in vectors for i in vec}
-        if chart.steps is not None:
-            irregular: dict[int, dict[int, int]] = {
-                i: {} for i in used if not _regular(chart.checks, cands[i])}
-            for col, vec in enumerate(vectors):
-                for i, c in vec.items():
-                    row = irregular.get(i)
-                    if row is not None:
-                        row[col] = c
-            int_rows = list(irregular.values())
-        else:
-            amax = tuple(map(max, zip(*cands)))
-            for j, power in enumerate(amax):
-                chart.grow(j, power)
-            den = chart.denominator(amax)
-            rests = {i: chart.lift(cands[i], amax).remainder(den).terms
-                     for i in used}
-            rows: dict[Mono, dict[int, Fraction | int]] = {}
-            for col, vec in enumerate(vectors):
-                for i, c in vec.items():
-                    for mono, r in rests[i].items():
-                        row = rows.setdefault(mono, {})
-                        v = row.get(col, 0) + c * r
-                        if v:
-                            row[col] = v
-                        else:
-                            del row[col]
-            int_rows = [clear_denominators(row) for row in rows.values()]
+        amax = tuple(map(max, zip(*cands)))
+        for j, power in enumerate(amax):
+            chart.grow(j, power)
+        den = chart.denominator(amax)
+        rests = {i: chart.lift(cands[i], amax).remainder(den).terms
+                 for i in used}
+        rows: dict[Mono, dict[int, Fraction | int]] = {}
+        for col, vec in enumerate(vectors):
+            for i, c in vec.items():
+                for mono, r in rests[i].items():
+                    row = rows.setdefault(mono, {})
+                    v = row.get(col, 0) + c * r
+                    if v:
+                        row[col] = v
+                    else:
+                        del row[col]
+        int_rows = [clear_denominators(row) for row in rows.values()]
         solutions = nullspace(int_rows, len(vectors))
         span = IncrementalSpan()
         filtered = []

@@ -210,12 +210,8 @@ def multiplicity_asymptotics(lattice: PicardLattice, divisor: DivisorClass,
         mc = lattice.canonical(divisor.scaled(k)).coords
         character = bs_character(lattice.datum, lattice.word, mc)
         target = tuple(k * v for v in mu_coords)
-        if projection_rows is None:
-            dimension = character.multiplicity(Weight(target))
-        else:
-            dimension = sum(
-                mult for weight, mult in character.terms.items()
-                if _project(weight, projection_rows) == target)
+        dimension = sum(mult for weight, mult in character.terms.items()
+                        if _project(weight, projection_rows) == target)
         ratio = Fraction(dimension, k ** (d - r))
         rows.append({"level": k, "dimension": dimension, "ratio": ratio})
     slice_polytope = body.polytope.sliced(

@@ -884,7 +884,7 @@ def glue_space_by_filters(engine, can, eff, box, screened=None):
             if flips not in tables:
                 tables[flips] = engine._chart_powers(flips, can, eff)
             if (screened is not None and len(cands) > 1
-                    and tables[flips].steps is not None
+                    and tables[flips].checks is not None
                     and all(list(vec.values()) == [1] for vec in vectors)):
                 screened.append((tuple(cands), flips))
             vectors = engine._chart_filter(tables[flips], cands, vectors)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bottsam import (Unstable, cli, okounkov, picard, rootsys, sections,
-                     weights)
+from bottsam import (SpanDeficiency, Unstable, cli, okounkov, picard,
+                     rootsys, sections, weights)
 from bottsam.cli import main
 
 
@@ -49,25 +49,51 @@ def test_global_command(capsys):
     assert data["cone"]["rays"] == [["0", "1"], ["1", "1"]]
 
 
-A2_121_RAYS = [[str(v) for v in ray] for ray in (
+def _rays(*rays):
+    return [[str(v) for v in ray] for ray in rays]
+
+
+A2_121_RAYS = _rays(
     (0, 0, 0, 0, 1, 1), (0, 0, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0),
     (0, 0, 1, 0, 0, 1), (0, 0, 1, 0, 1, 1), (0, 1, 0, 0, 1, 0),
-    (1, 0, 0, 1, 0, 0))]
+    (1, 0, 0, 1, 0, 0))
+B2_121_RAYS = _rays(
+    (0, 0, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0), (0, 0, 1, 0, 0, 1),
+    (0, 0, 1, 2, 2, 2), (0, 1, 0, 0, 1, 0), (1, 0, 0, 1, 0, 0),
+    (1, 0, 1, 2, 2, 2), (1, 0, 2, 2, 2, 2))
 
 
-def test_length_three_global_cone(tmp_path, capsys):
-    """A global cone of a word with a repeated letter: A2 (1,2,1) at
-    level 2 and box 1 is saturated with seven rays, and a rerun writes
-    the same bytes.  Off the nef cone its classes take the glue route."""
+@pytest.mark.parametrize("cartan, saturated, rays, tables", [
+    ("A2", True, A2_121_RAYS, 334),
+    ("B2", False, B2_121_RAYS, 432),
+], ids=["A2", "B2"])
+def test_length_three_global_cone(tmp_path, capsys, monkeypatch, cartan,
+                                  saturated, rays, tables):
+    """Global cones of a word with a repeated letter at level 2 and box 1:
+    A2 (1,2,1) is saturated with seven rays, B2 (1,2,1) is not and has
+    eight, both with no lineality, and a rerun writes the same bytes.  Off
+    the nef cone their classes take the glue route, whose boxes share
+    their chart tables: the A2 step builds 334 of them and the B2 step
+    432, from 668 and 864 when each box built its own."""
+    built = [0]
+    build = sections.SectionEngine._chart_powers
+
+    def counted(self, *args):
+        built[0] += 1
+        return build(self, *args)
+
+    monkeypatch.setattr(sections.SectionEngine, "_chart_powers", counted)
     first, second = tmp_path / "a.json", tmp_path / "b.json"
-    argv = ["global", "--type", "A2", "--word", "1,2,1",
+    argv = ["global", "--type", cartan, "--word", "1,2,1",
             "--max-level", "2", "--box", "1"]
     assert main(argv + ["--out", str(first)]) == 0
+    assert built[0] == tables
     assert main(argv + ["--out", str(second)]) == 0
     capsys.readouterr()
     data = json.loads(first.read_text())
-    assert data["saturated"] is True
-    assert data["cone"]["rays"] == A2_121_RAYS
+    assert data["saturated"] is saturated
+    assert data["cone"]["rays"] == rays
+    assert data["cone"]["lineality"] == []
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -304,6 +330,24 @@ def test_glue_box_cap_exits_3_with_one_line(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "unstable: glue dimensions kept growing past the degree-box cap (4)"]
+
+
+def test_span_deficiency_exits_3_with_one_line(capsys, monkeypatch):
+    """Slot products that fail to span are unstable: the probe run's nef
+    column check stops there, on exit code 3 with one stderr line."""
+    message = "slot products fell short"
+
+    def deficient(self, multidegree):
+        raise SpanDeficiency(message)
+
+    monkeypatch.setattr(sections.SectionEngine, "section_basis_nef",
+                        deficient)
+    code = main(["body", "--type", "A2", "--word", "1,2",
+                 "--bundle", "eff:1,2", "--max-level", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"unstable: {message}"]
 
 
 def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import sub
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +17,7 @@ from bottsam import (
     DivisorClass,
     EngineError,
     PicardLattice,
+    SpanDeficiency,
     Unstable,
     ValidationError,
     VerificationFailure,
@@ -32,6 +34,7 @@ from bottsam.sections import (
     SectionPoly,
     _ChartFrame,
     _ChartPowers,
+    _regular,
     _torus_weight,
 )
 from bottsam.valuation import adapted_basis, valuation
@@ -226,7 +229,9 @@ def test_probe_run_work_on_monomial_charts(a2, monkeypatch):
     makes its one nullspace call on the same one-column system and the
     charts and their tables are built as before.  The run still makes 88
     glue calls and one nullspace call per (class, chart) pair, 30,158 in
-    all, as perfbench/selfcheck.py pins.  The filters
+    all, as perfbench/selfcheck.py pins.  The boxes of a glue call share
+    each chart's tables, so the run builds 156 of them, from 312 when
+    each box built its own, and the products fell to 457.  The filters
     stay in the integers: the whole run builds 132 Fractions, from 16,953
     when nullspace back-substituted through Fractions and the span kept
     pivot-1 rows, from 1,202 when charts multiplied dense matrices, from
@@ -236,10 +241,12 @@ def test_probe_run_work_on_monomial_charts(a2, monkeypatch):
     """
     lattice = PicardLattice(a2, WeylWord((1, 2)))
     engine = lattice.engine
-    counts = {"mul": 0, "glue": 0, "nullspace": 0, "fraction": 0}
+    counts = {"mul": 0, "glue": 0, "nullspace": 0, "fraction": 0,
+              "tables": 0}
     multiply = Polynomial.__mul__
     glue = engine.section_basis_glue
     solve = sections.nullspace
+    tables = engine._chart_powers
 
     def counted(name, call):
         def wrapped(*args, **kwargs):
@@ -251,12 +258,14 @@ def test_probe_run_work_on_monomial_charts(a2, monkeypatch):
     monkeypatch.setattr(Polynomial, "__rmul__", counted("mul", multiply))
     monkeypatch.setattr(engine, "section_basis_glue", counted("glue", glue))
     monkeypatch.setattr(sections, "nullspace", counted("nullspace", solve))
+    monkeypatch.setattr(engine, "_chart_powers", counted("tables", tables))
     monkeypatch.setattr(Fraction, "__new__",
                         counted("fraction", Fraction.__new__))
     assert lattice.change.matrix == ((1, -1), (0, 1))
     assert counts["glue"] == 88
     assert counts["nullspace"] == 30_158
-    assert counts["mul"] == 858
+    assert counts["tables"] == 156
+    assert counts["mul"] == 457
     assert counts["fraction"] == 132
 
 
@@ -366,7 +375,7 @@ def test_glue_space_matches_the_filter_loop(request, monkeypatch, engine):
         if doubled:
             box = tuple(2 * b for b in box)
         screened = []
-        got, got_calls = tally(engine._glue_space, can, eff, box)
+        got, got_calls = tally(engine._glue_space, can, eff, box, {})
         want, want_calls = tally(glue_space_by_filters, engine, can, eff,
                                  box, screened=screened)
         assert got == want
@@ -390,7 +399,7 @@ def _monomial_charts(engine, can, eff) -> list[_ChartPowers]:
     """The glue call's tables on the engine's monomial charts."""
     charts = (engine._chart_powers(f, can, eff)
               for f in itertools.product((0, 1), repeat=engine.n) if any(f))
-    return [chart for chart in charts if chart.steps is not None]
+    return [chart for chart in charts if chart.checks is not None]
 
 
 @st.composite
@@ -427,7 +436,9 @@ def single_term_tables(draw):
                      for _ in range(2))
     frame = _ChartFrame((1,) * n, tuple(tops[1:]), tuple(bottoms[1:]), ())
     chart = _ChartPowers(frame, tops[0], bottoms[0])
-    matrix = [{j: v for j, v in enumerate(col) if v} for _, col in chart.steps]
+    gaps = [map(sub, next(iter(top.terms)), next(iter(bottom.terms)))
+            for top, bottom in zip(tops[1:], bottoms[1:])]
+    matrix = [{j: v for j, v in enumerate(gap) if v} for gap in gaps]
     assume(dense_rank(matrix, n) == n)
     cands = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n),
                           min_size=1, max_size=6, unique=True))
@@ -438,9 +449,10 @@ def single_term_tables(draw):
                                     "tables"])
 def test_sign_test_filter_matches_the_remainder_filter(request, eng12,
                                                        source):
-    """On a monomial chart, the sign-test filter keeps exactly the vectors
+    """On a monomial chart, the glue loop's screen of unit vectors, the
+    ones whose candidate passes the sign test, keeps exactly the vectors
     that the lift/remainder filter keeps on the same _ChartPowers, entry
-    order included, for unit and random integer incoming vectors."""
+    order included."""
     if source == "tables":
         engine, classes = eng12, single_term_tables()
     else:
@@ -449,24 +461,17 @@ def test_sign_test_filter_matches_the_remainder_filter(request, eng12,
     outcomes = set()
 
     @settings(max_examples=60)
-    @given(classes, st.data())
-    def check(drawn, data):
+    @given(classes)
+    def check(drawn):
         chart, cands = drawn
-        index = st.integers(0, len(cands) - 1)
-        vectors = data.draw(st.one_of(
-            st.just([{i: 1} for i in range(len(cands))]),
-            st.lists(st.dictionaries(index, st.integers(-3, 3).filter(bool),
-                                     min_size=1), min_size=1, max_size=4)))
-        assert chart.steps is not None
-        sign = engine._chart_filter(chart, cands, vectors)
-        steps, chart.steps = chart.steps, None
-        try:
-            remainder = engine._chart_filter(chart, cands, vectors)
-        finally:
-            chart.steps = steps
-        assert [list(v.items()) for v in sign] \
+        assert chart.checks is not None
+        units = [{i: 1} for i in range(len(cands))]
+        screen = [vec for vec in units
+                  if _regular(chart.checks, cands[next(iter(vec))])]
+        remainder = engine._chart_filter(chart, cands, units)
+        assert [list(v.items()) for v in screen] \
             == [list(v.items()) for v in remainder]
-        outcomes.add((len(sign) == len(vectors), len(vectors) > 1))
+        outcomes.add((len(screen) == len(units), len(units) > 1))
 
     check()
     assert outcomes >= {(True, False), (False, False), (True, True),
@@ -514,9 +519,9 @@ def test_glue_solves_each_box_once(request, monkeypatch, engine, can):
     boxes = []
     solve = engine._glue_space
 
-    def spy(can, eff, box):
+    def spy(can, eff, box, tables):
         boxes.append(box)
-        return solve(can, eff, box)
+        return solve(can, eff, box, tables)
 
     monkeypatch.setattr(engine, "_initial_box",
                         lambda can, eff: (1,) * engine.n)
@@ -560,6 +565,20 @@ def test_section_basis_route_rule(request, monkeypatch, engine, can, route):
         "section_basis_nef": "spanning",
         "monomial_section_basis": "monomial",
         "section_basis_glue": "glue"}[route]
+    assert got
+    assert [(poly_terms(sp), sp.weight) for sp in got] \
+        == [(poly_terms(sp), sp.weight) for sp in expected]
+
+
+def test_span_deficiency_falls_back_to_the_glue_route(eng12, monkeypatch):
+    """A nef class whose slot products fail to span takes the glue route."""
+    expected = eng12.section_basis_glue(can=(1, 1))
+
+    def deficient(multidegree):
+        raise SpanDeficiency("slot products fell short")
+
+    monkeypatch.setattr(eng12, "section_basis_nef", deficient)
+    got = eng12.section_basis((1, 1))
     assert got
     assert [(poly_terms(sp), sp.weight) for sp in got] \
         == [(poly_terms(sp), sp.weight) for sp in expected]
