@@ -102,10 +102,14 @@ def nullspace(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
     x_p = -row_p[f] / row_p[p], scaled by the lcm L of the pivot
     coefficients of the rows that touch f, so every entry is an integer:
     x_f = L and x_p = -row_p[f] * (L // row_p[p]).  A one-column system
-    needs no elimination: its kernel is everything or nothing.
+    needs no elimination: one plain loop over the rows tells whether its
+    kernel is everything or nothing, the whole cost of such a question.
     """
     if ncols == 1:
-        return [] if any(row.get(0) for row in rows) else [{0: 1}]
+        for row in rows:
+            if row.get(0):
+                return []
+        return [{0: 1}]
     pivots, reduced = echelon(rows)
     pivot_set = set(pivots)
     basis: list[dict[int, int]] = []

@@ -26,18 +26,19 @@ Section spaces are built two independent ways and cross-checked by the tests:
     divides its lifted numerator.  That is exact division: one polynomial
     is a Groebner basis of its ideal, so the lex division remainder
     (Polynomial.remainder) is unique, linear, and 0 exactly on multiples.
-    Each lift is reduced once, and the regular combinations are the
-    nullspace of the remainder coefficients.  On a chart whose tables are
-    single terms, t^a is regular exactly when a passes a sign test on
-    exponent vectors.  So while a weight class's combinations are still
-    single candidates, the glue loop itself decides the class there: it
-    keeps the candidates that pass, with no elimination.  A class of one
-    candidate (every class on a word without a repeated letter) still
-    asks nullspace its one-column question, the call that the probe-run
-    work pins count.  Every other (class, chart) pair lifts and divides.
-    The boxes of one call share each chart's tables, and the
-    basis-change probe run builds each box's weight classes once
-    (reusing_box_classes) and drops them when it ends.
+    Each lift is reduced once per glue call, and the regular combinations
+    are the nullspace of the remainder coefficients.  On a chart whose
+    tables are single terms, t^a is regular exactly when a passes a sign
+    test on exponent vectors.  So while a weight class's combinations are
+    still single candidates, the glue loop itself decides the class
+    there: it keeps the candidates that pass, with no elimination.  A
+    class of one candidate (every class on a word without a repeated
+    letter) pays one sign test and one one-column nullspace question per
+    monomial chart it reaches, the call that the probe-run work pins
+    count, and nothing besides.  Every other (class, chart) pair lifts
+    and divides.  The boxes of one call share each chart's tables and
+    remainders, and the basis-change probe run builds each box's weight
+    classes once (reusing_box_classes) and drops them when it ends.
 
 On words without repeated letters monomial_section_basis reads a basis off
 the boundary vanishing orders; its exponent vectors (monomial_exponents) are
@@ -87,6 +88,9 @@ from .rootsys import (
 
 _BOX_CAP = 64
 _CANDIDATE_GUARD = 400_000
+# The glue charts' flips in visiting order, per word length: a pure
+# function of the length, built once and shared as a tuple of tuples.
+_CHART_ORDERS: dict[int, tuple[tuple[int, ...], ...]] = {}
 
 
 class FundamentalRep:
@@ -296,7 +300,8 @@ class _ChartPowers:
     numerators and of the common denominator.  num_heads and den_heads
     hold num and den times their first-coordinate powers, keyed by the two
     exponents; candidates and classes with the same first exponents share
-    them.
+    them.  rests keeps each lift's remainder terms, keyed by candidate
+    and class top, so no box of the call divides a lift twice.
 
     On a monomial chart, where num, den and every coordinate numerator
     and denominator are single terms, the exponent gaps top minus bottom
@@ -309,7 +314,7 @@ class _ChartPowers:
     """
 
     __slots__ = ("frame", "npow", "dpow", "num", "den", "num_heads",
-                 "den_heads", "checks")
+                 "den_heads", "rests", "checks")
 
     def __init__(self, frame: _ChartFrame, num: Polynomial, den: Polynomial):
         one = Polynomial.one(len(frame.flips))
@@ -320,6 +325,7 @@ class _ChartPowers:
         self.den = den
         self.num_heads: dict[tuple[int, int], Polynomial] = {}
         self.den_heads: dict[tuple[int, int], Polynomial] = {}
+        self.rests: dict[tuple[Mono, Mono], dict] = {}
         self.checks = None
         tops = (num, *frame.numerators)
         bottoms = (den, *frame.denominators)
@@ -461,7 +467,8 @@ def _weight_classes(box: Sequence[int],
 def _regular(checks, a: Mono) -> bool:
     """The sign test of a monomial chart: t^a is regular there exactly
     when g + col . a >= 0 on every row (g, col) of its exponent gaps.  It
-    reads only the rows that can fail, the chart's checks."""
+    reads only the rows that can fail, the chart's checks.  _glue_space
+    inlines it for one-candidate classes, the probe run's hot path."""
     for g, col in checks:
         if g + sum(map(mul, a, col)) < 0:
             return False
@@ -926,9 +933,10 @@ class SectionEngine:
           - a class of two or more candidates keeps the vectors whose
             candidate passes the sign test (_regular), with no rows,
             nullspace or span;
-          - a class of one candidate still puts its one-column system,
-            [{0: 1}] when irregular and [] otherwise, to nullspace, the
-            call the probe-run work pins count.
+          - a class of one candidate pays one inline sign test and puts
+            its one-column system, [{0: 1}] when irregular and []
+            otherwise, to nullspace, the call the probe-run work pins
+            count; its vectors stay None, for [{0: 1}], on those charts.
 
         Every other (class, chart) pair lifts and divides in _chart_filter.
         Inside reusing_box_classes the classes of a box are built once.
@@ -944,39 +952,45 @@ class SectionEngine:
             classes = _weight_classes(box, self._roots)
             if memo is not None:
                 memo[box] = classes
-        charts = sorted((flips for flips in
-                         itertools.product((0, 1), repeat=self.n)
-                         if any(flips)),
-                        key=lambda f: (sum(f), f))
+        charts = _CHART_ORDERS.get(self.n)
+        if charts is None:
+            charts = _CHART_ORDERS[self.n] = tuple(sorted(
+                (flips for flips in itertools.product((0, 1), repeat=self.n)
+                 if any(flips)), key=lambda f: (sum(f), f)))
         result: list[SectionPoly] = []
         for cands in classes:
             single = len(cands) == 1
-            vectors = [{i: 1} for i in range(len(cands))]
+            vectors = None if single else [{i: 1} for i in range(len(cands))]
             units = True
             for flips in charts:
                 chart = tables.get(flips)
                 if chart is None:
                     chart = tables[flips] = self._chart_powers(flips, can, eff)
                 checks = chart.checks
-                if checks is None or not units:
-                    vectors = self._chart_filter(chart, cands, vectors)
-                    units = all(list(vec.values()) == [1] for vec in vectors)
-                elif single:
-                    rows = [] if _regular(checks, cands[0]) else [{0: 1}]
-                    if not nullspace(rows, 1):
-                        vectors = []
-                else:
+                if checks is not None and units:
+                    if single:
+                        rows = []
+                        for g, col in checks:
+                            if g + sum(map(mul, cands[0], col)) < 0:
+                                rows = [{0: 1}]
+                                break
+                        if nullspace(rows, 1):
+                            continue
+                        break
                     vectors = [vec for vec in vectors
                                if _regular(checks, cands[next(iter(vec))])]
+                else:
+                    vectors = self._chart_filter(chart, cands,
+                                                 vectors or [{0: 1}])
+                    units = all(list(vec.values()) == [1] for vec in vectors)
                 if not vectors:
                     break
-            if not vectors:
-                continue
-            weight = self.section_weight(can, cands[0])
-            for vec in vectors:
-                poly = Polynomial(self.n, {cands[i]: c
-                                           for i, c in vec.items()})
-                result.append(SectionPoly(poly.normalized(), weight))
+            else:
+                weight = self.section_weight(can, cands[0])
+                for vec in vectors or [{0: 1}]:
+                    poly = Polynomial(self.n, {cands[i]: c
+                                               for i, c in vec.items()})
+                    result.append(SectionPoly(poly.normalized(), weight))
         return result
 
     def _chart_powers(self, flips, can, eff) -> _ChartPowers:
@@ -1015,14 +1029,20 @@ class SectionEngine:
         lift is reduced once, and the regular combinations are the
         nullspace of the remainder rows over the incoming vectors.  This
         is the general filter, for any chart and any incoming vectors.
+        Remainders the chart holds (rests) are read, not lifted again.
         """
-        used = {i for vec in vectors for i in vec}
         amax = tuple(map(max, zip(*cands)))
-        for j, power in enumerate(amax):
-            chart.grow(j, power)
-        den = chart.denominator(amax)
-        rests = {i: chart.lift(cands[i], amax).remainder(den).terms
-                 for i in used}
+        rests, den = {}, None
+        for i in {i for vec in vectors for i in vec}:
+            rest = chart.rests.get((cands[i], amax))
+            if rest is None:
+                if den is None:
+                    for j, power in enumerate(amax):
+                        chart.grow(j, power)
+                    den = chart.denominator(amax)
+                rest = chart.rests[cands[i], amax] = chart.lift(
+                    cands[i], amax).remainder(den).terms
+            rests[i] = rest
         rows: dict[Mono, dict[int, Fraction | int]] = {}
         for col, vec in enumerate(vectors):
             for i, c in vec.items():

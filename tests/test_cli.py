@@ -63,31 +63,41 @@ B2_121_RAYS = _rays(
     (1, 0, 1, 2, 2, 2), (1, 0, 2, 2, 2, 2))
 
 
-@pytest.mark.parametrize("cartan, saturated, rays, tables", [
-    ("A2", True, A2_121_RAYS, 334),
-    ("B2", False, B2_121_RAYS, 432),
+@pytest.mark.parametrize("cartan, saturated, rays, tables, lifts", [
+    ("A2", True, A2_121_RAYS, 334, 5_334),
+    ("B2", False, B2_121_RAYS, 432, 7_401),
 ], ids=["A2", "B2"])
 def test_length_three_global_cone(tmp_path, capsys, monkeypatch, cartan,
-                                  saturated, rays, tables):
+                                  saturated, rays, tables, lifts):
     """Global cones of a word with a repeated letter at level 2 and box 1:
     A2 (1,2,1) is saturated with seven rays, B2 (1,2,1) is not and has
     eight, both with no lineality, and a rerun writes the same bytes.  Off
     the nef cone their classes take the glue route, whose boxes share
     their chart tables: the A2 step builds 334 of them and the B2 step
-    432, from 668 and 864 when each box built its own."""
-    built = [0]
+    432, from 668 and 864 when each box built its own.  The tables also
+    keep the remainders they have divided, so the doubled box lifts only
+    the candidates its base box did not: the A2 step makes 5,334 lifts
+    and the B2 step 7,401, from 6,864 and 9,432 when it lifted them all
+    again."""
+    built = {"tables": 0, "lifts": 0}
     build = sections.SectionEngine._chart_powers
+    lift = sections._ChartPowers.lift
 
     def counted(self, *args):
-        built[0] += 1
+        built["tables"] += 1
         return build(self, *args)
 
+    def lifted(self, *args):
+        built["lifts"] += 1
+        return lift(self, *args)
+
     monkeypatch.setattr(sections.SectionEngine, "_chart_powers", counted)
+    monkeypatch.setattr(sections._ChartPowers, "lift", lifted)
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["global", "--type", cartan, "--word", "1,2,1",
             "--max-level", "2", "--box", "1"]
     assert main(argv + ["--out", str(first)]) == 0
-    assert built[0] == tables
+    assert built == {"tables": tables, "lifts": lifts}
     assert main(argv + ["--out", str(second)]) == 0
     capsys.readouterr()
     data = json.loads(first.read_text())

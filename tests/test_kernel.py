@@ -5,9 +5,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bottsam import _kernel
 from bottsam._kernel import (
     IMPLEMENTATION,
     IncrementalSpan,
@@ -257,6 +259,42 @@ def test_nullspace_matches_the_fraction_back_substitution(system):
     want = fraction_nullspace(rows, ncols)
     assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
     assert all(v.__class__ is int for vec in got for v in vec.values())
+
+
+@st.composite
+def one_column_rows(draw):
+    """Rows of a one-column system: column 0 absent (other keys may be
+    there), present, or present in several rows, always nonzero."""
+    value = st.integers(-6, 6).filter(bool)
+    others = st.dictionaries(st.integers(1, 3), value, max_size=2)
+    with_zero = st.builds(lambda v, rest: {0: v, **rest}, value, others)
+    return draw(st.lists(others | with_zero, max_size=5))
+
+
+@settings(max_examples=200)
+@given(one_column_rows())
+@example([])
+@example([{1: 4}, {2: -1}])
+@example([{0: 2}, {0: -5, 1: 1}, {3: 1}])
+def test_one_column_kernel_stays_clean(rows):
+    """nullspace(rows, 1) reads its answer off the rows with no
+    elimination, agrees with the Fraction back-substitution, and returns a
+    fresh list and dict each time, so a caller that mutates one answer
+    leaves the next one at [{0: 1}]."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "echelon", _no_elimination)
+        got = nullspace(rows, 1)
+        again = nullspace(rows, 1)
+    assert got == fraction_nullspace(rows, 1)
+    if got:
+        assert got is not again and got[0] is not again[0]
+        got[0][0] = 7
+        got.append({0: 3})
+        assert nullspace(rows, 1) == [{0: 1}]
+
+
+def _no_elimination(rows):
+    raise AssertionError("a one-column system needs no elimination")
 
 
 @settings(max_examples=150)

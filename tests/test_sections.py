@@ -213,10 +213,16 @@ def test_probe_run_polynomial_products_stay_bounded(a2, monkeypatch, word,
     assert calls <= 100_000
 
 
-def test_probe_run_work_on_monomial_charts(a2, monkeypatch):
-    """Work pins for the A2 (1,2) probe run.
+@pytest.mark.parametrize("cartan, matrix, pins", [
+    ("A2", ((1, -1), (0, 1)), (88, 30_158, 156, 457, 132)),
+    ("B2", ((1, -1), (0, 1)), (88, 30_158, 156, 457, 132)),
+    ("G2", ((1, -3), (0, 1)), (93, 34_739, 171, 844, 244)),
+], ids=["A2", "B2", "G2"])
+def test_probe_run_work_on_monomial_charts(monkeypatch, cartan, matrix, pins):
+    """Work pins for the (1,2) probe runs, as glue calls, nullspace calls,
+    chart tables, polynomial products and Fractions.
 
-    Every chart of that run is monomial, so no filter lifts or divides a
+    Every chart of the A2 run is monomial, so no filter lifts or divides a
     polynomial: the products fell from 70,398 to 1,398, the ones that
     build the charts and their slot-factor powers, and to 858 once charts
     are read off sparse orbit vectors instead of dense matrix products.
@@ -237,12 +243,19 @@ def test_probe_run_work_on_monomial_charts(a2, monkeypatch):
     pivot-1 rows, from 1,202 when charts multiplied dense matrices, from
     226 when Demazure strings were ordered and stepped in Fractions, and
     from 160 when each nef probe built its tail's character afresh instead
-    of reading the section engine's per-tail memo (nef_dimension).
+    of reading the section engine's per-tail memo (nef_dimension).  A
+    one-candidate class then came to cost one sign test and its one
+    one-column question per monomial chart it reaches, with no vector
+    list or helper call around them, and nullspace answers such a
+    question by a plain loop over its rows; the run took half its time
+    and moved no pin.  B2 (1,2), the other word of the cone sessions,
+    does the same work as A2.  The G2 (1,2) charts are monomial too; its
+    basis change has the entry -3, and it makes more probes and products.
     """
-    lattice = PicardLattice(a2, WeylWord((1, 2)))
+    lattice = PicardLattice(CartanDatum.from_type(cartan), WeylWord((1, 2)))
     engine = lattice.engine
-    counts = {"mul": 0, "glue": 0, "nullspace": 0, "fraction": 0,
-              "tables": 0}
+    counts = {"glue": 0, "nullspace": 0, "tables": 0, "mul": 0,
+              "fraction": 0}
     multiply = Polynomial.__mul__
     glue = engine.section_basis_glue
     solve = sections.nullspace
@@ -261,12 +274,8 @@ def test_probe_run_work_on_monomial_charts(a2, monkeypatch):
     monkeypatch.setattr(engine, "_chart_powers", counted("tables", tables))
     monkeypatch.setattr(Fraction, "__new__",
                         counted("fraction", Fraction.__new__))
-    assert lattice.change.matrix == ((1, -1), (0, 1))
-    assert counts["glue"] == 88
-    assert counts["nullspace"] == 30_158
-    assert counts["tables"] == 156
-    assert counts["mul"] == 457
-    assert counts["fraction"] == 132
+    assert lattice.change.matrix == matrix
+    assert counts == dict(zip(counts, pins))
 
 
 def test_probe_run_work_on_a_repeated_letter(a2, monkeypatch):
@@ -278,14 +287,18 @@ def test_probe_run_work_on_a_repeated_letter(a2, monkeypatch):
     each such (class, chart) pair used to go through _chart_filter: the
     run's 26 glue calls make 1,015 nullspace calls (4,290 before) and 38
     echelon calls (2,843 before), counting those of the basis-change
-    solves.
+    solves.  Each chart table holds the remainders it has divided, per
+    candidate and class top, for the rest of its glue call, so the doubled
+    box does not lift and divide its base box's candidates again: the run
+    makes 224 lifts (348 before).
     """
     lattice = PicardLattice(a2, WeylWord((1, 2, 1)))
     engine = lattice.engine
-    counts = {"glue": 0, "nullspace": 0, "echelon": 0}
+    counts = {"glue": 0, "nullspace": 0, "echelon": 0, "lift": 0}
     glue = engine.section_basis_glue
     solve = sections.nullspace
     reduce = _kernel.echelon
+    lift = _ChartPowers.lift
 
     def counted(name, call):
         def wrapped(*args, **kwargs):
@@ -296,8 +309,10 @@ def test_probe_run_work_on_a_repeated_letter(a2, monkeypatch):
     monkeypatch.setattr(engine, "section_basis_glue", counted("glue", glue))
     monkeypatch.setattr(sections, "nullspace", counted("nullspace", solve))
     monkeypatch.setattr(_kernel, "echelon", counted("echelon", reduce))
+    monkeypatch.setattr(_ChartPowers, "lift", counted("lift", lift))
     assert lattice.change.matrix == ((1, -1, 1), (0, 1, -1), (0, 0, 1))
-    assert counts == {"glue": 26, "nullspace": 1_015, "echelon": 38}
+    assert counts == {"glue": 26, "nullspace": 1_015, "echelon": 38,
+                      "lift": 224}
 
 
 def test_probe_run_builds_each_box_classes_once(a2, monkeypatch):
