@@ -10,7 +10,11 @@ support of the class.  A nef class whose sum does not certify takes the
 route rule's section space instead, and no sum grows from it.  Okounkov
 bodies are hulls of scaled semigroup points; the global cone collects
 (valuation, class) pairs over a box of effective classes and is certified
-by double stabilization in both the level cap and the box.
+by double stabilization in both the level cap and the box.  Every walk
+over levels 1..L of one class, the semigroup, bodies, the identity reports
+and the weights layer's, is one checked run (OkounkovEngine._run): the
+level count, the class and the size of the run are checked once, before
+any level set, and the canonical class of each level is converted once.
 """
 
 from __future__ import annotations
@@ -34,50 +38,10 @@ from .valuation import adapted_basis, valuation
 # Every level 1..L of an effective class holds at least one point, because
 # multiplying by a section of (k - 1)D is injective, so the same bound caps
 # a level count L and a global cone's levels x (box + 1)^n classes.  It also
-# caps a whole run over levels 1..L (_check_run): the Demazure dimensions of
-# kD for a nef class, and the order-polytope boxes that hold the level sets
-# of a class on the monomial route, summed over the levels.
+# caps a whole run over levels 1..L (OkounkovEngine._run): the Demazure
+# dimensions of kD for a nef class, and the order-polytope boxes that hold
+# the level sets of a class on the monomial route, summed over the levels.
 _LEVEL_SET_GUARD = 20_000_000
-
-
-def _check_levels(levels: int) -> None:
-    """Refuse a level count below 1 (ValidationError) or above the guard
-    (Unstable), before any level is computed."""
-    if levels < 1:
-        raise ValidationError("levels must be a positive integer")
-    if levels > _LEVEL_SET_GUARD:
-        raise Unstable("level count exceeds the supported size")
-
-
-def _check_run(engine: "OkounkovEngine", divisor: "DivisorClass",
-               levels: int) -> None:
-    """Refuse (Unstable) a run over levels 1..levels whose level sets
-    together exceed _LEVEL_SET_GUARD points, before level 1 is computed.
-
-    A nef class counts the section engine's nef_dimension of k * divisor; a
-    class on the monomial route counts the points of each level's
-    order-polytope box, which holds the level set and bounds its
-    enumeration.  The sizes are summed only until the total passes the
-    guard.  A class on the glue route is left to the degree-box cap of
-    section_basis_glue, which its levels reach within a few dozen.
-    """
-    coords = engine.lattice.canonical(divisor).coords
-    sections = engine.lattice.engine
-    route = sections.section_route(coords)
-    if route == "spanning":
-        size = sections.nef_dimension
-    elif route == "monomial":
-        def size(mc):
-            box = sections.monomial_box(mc)
-            return 0 if box is None else prod(
-                high - low + 1 for low, high in zip(*box))
-    else:
-        return
-    total = 0
-    for k in range(1, levels + 1):
-        total += size(tuple(k * c for c in coords))
-        if total > _LEVEL_SET_GUARD:
-            raise Unstable("level sets of the run exceed the supported size")
 
 
 def _width(top: int) -> int:
@@ -150,12 +114,11 @@ class OkounkovEngine:
         self.lattice = lattice
         self.n = lattice.n
         zero = (0,) * self.n
-        # Per canonical class: the size of its level set; the level set as
-        # sorted points, or for a certified Minkowski sum (always the plain
-        # sum m_1 N_1 + ... + m_n N_n) as packed codes with their bit width
-        # and a bound on their coordinates; and its hull vertices.  The sums
+        # Per canonical class: its level set as sorted points, or for a
+        # certified Minkowski sum (always the plain sum
+        # m_1 N_1 + ... + m_n N_n) as packed codes with their bit width and
+        # a bound on their coordinates; and its hull vertices.  The sums
         # are ranked by weight (_source).  The zero class seeds every sum.
-        self._counts: dict[tuple[int, ...], int] = {zero: 1}
         self._points: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         self._sums: dict[tuple[int, ...], tuple[set[int], int, int]] = {
             zero: ({0}, 0, 0)}
@@ -172,31 +135,40 @@ class OkounkovEngine:
     def valuation_points(self, divisor: DivisorClass,
                          level: int = 1) -> list[tuple[int, ...]]:
         """Sorted valuation vectors of an adapted basis of level * divisor."""
-        return self._level_points(self._level(divisor, level))
+        return self._level_points(self._class(divisor, level))
+
+    def level_count(self, divisor: DivisorClass, level: int = 1) -> int:
+        """Number of valuation points of level * divisor, which is the
+        dimension of its section space, without decoding them."""
+        return self._count(self._class(divisor, level))
+
+    def _class(self, divisor: DivisorClass, level: int) -> tuple[int, ...]:
+        """Canonical coordinates of level * divisor."""
+        if level < 1:
+            raise ValidationError("level must be a positive integer")
+        return self.lattice.canonical(divisor.scaled(level)).coords
+
+    def _level(self, mc: tuple[int, ...]) -> tuple[int, ...]:
+        """A canonical class, its level set computed on first use."""
+        if mc not in self._sums and mc not in self._points:
+            self._compute_level(mc)
+        return mc
 
     def _level_points(self, mc: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Sorted points of a cached level set; a certified Minkowski sum is
-        decoded from its codes here, once."""
-        points = self._points.get(mc)
+        """Sorted points of the level set of a canonical class; a certified
+        Minkowski sum is decoded from its codes here, once."""
+        points = self._points.get(self._level(mc))
         if points is None:
             codes, bits, _ = self._sums[mc]
             points = [_unpack(code, bits, self.n) for code in sorted(codes)]
             self._points[mc] = points
         return points
 
-    def level_count(self, divisor: DivisorClass, level: int = 1) -> int:
-        """Number of valuation points of level * divisor, which is the
-        dimension of its section space, without decoding them."""
-        return self._counts[self._level(divisor, level)]
-
-    def _level(self, divisor: DivisorClass, level: int) -> tuple[int, ...]:
-        """Canonical coordinates of level * divisor, its level set cached."""
-        if level < 1:
-            raise ValidationError("level must be a positive integer")
-        mc = self.lattice.canonical(divisor.scaled(level)).coords
-        if mc not in self._counts:
-            self._compute_level(mc)
-        return mc
+    def _count(self, mc: tuple[int, ...]) -> int:
+        """Size of the level set of a canonical class, read off its codes
+        when it is a kept sum."""
+        kept = self._sums.get(self._level(mc))
+        return len(self._points[mc] if kept is None else kept[0])
 
     def _compute_level(self, mc: tuple[int, ...]) -> None:
         """Cache the level set of a canonical class, by the engine's route
@@ -219,7 +191,6 @@ class OkounkovEngine:
             points = sorted(valuation(s) for s in adapted_basis(basis)) \
                 if basis else []
         self._points[mc] = points
-        self._counts[mc] = len(points)
 
     def _sum_level(self, mc: tuple[int, ...]) -> bool:
         """Cache the level set of a nef class as a certified Minkowski sum
@@ -262,7 +233,6 @@ class OkounkovEngine:
         if len(codes) != target:
             return False
         self._sums[mc] = (codes, width, top)
-        self._counts[mc] = target
         bisect.insort(self._ranked, (weight, mc), key=lambda r: r[0])
         return True
 
@@ -321,15 +291,19 @@ class OkounkovEngine:
         return [tuple(int(v) for v in vert) for vert in hull.vertices]
 
     def _hull_vertices(self, mc: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Hull vertices of a cached nonempty level set, memoized per class.
+        """Hull vertices of the level set of a canonical class, memoized
+        per class; none when the level set is empty.
 
         A kept sum reads them off the vertex list of its support
         (_plain_vertices), with no hull; any other class hulls its points.
         """
         verts = self._vertices.get(mc)
         if verts is None:
-            verts = self._plain_vertices(mc) if mc in self._sums \
-                else self._hull(self._level_points(mc))
+            if self._level(mc) in self._sums:
+                verts = self._plain_vertices(mc)
+            else:
+                points = self._points[mc]
+                verts = self._hull(points) if points else []
             self._vertices[mc] = verts
         return verts
 
@@ -365,43 +339,78 @@ class OkounkovEngine:
                              for column in zip(*corners))
                        for corners in selections})
 
-    def _require_effective(self, divisor: DivisorClass) -> None:
-        if not self.lattice.is_effective(divisor):
+    def _run(self, divisor: DivisorClass, levels: int,
+             nef: str | None = None) -> list[tuple[int, ...]]:
+        """Canonical coordinates of k * divisor, k = 1..levels, after the
+        run's checks, in this order and before any level set: the level
+        count (ValidationError below 1, Unstable above _LEVEL_SET_GUARD);
+        the class, nef for the identity report that nef names (NotNef) and
+        otherwise effective (ValidationError, tested before any change of
+        basis); and the run guard (Unstable).  The guard sums each level's
+        nef_dimension on the nef cone, or the points of its order-polytope
+        box on the monomial route, until the total passes _LEVEL_SET_GUARD.
+        On the glue route a level's first degree box grows with the level,
+        so the top level's decides (SectionEngine.check_glue_box).
+        """
+        if levels < 1:
+            raise ValidationError("levels must be a positive integer")
+        if levels > _LEVEL_SET_GUARD:
+            raise Unstable("level count exceeds the supported size")
+        if nef is None and not self.lattice.is_effective(divisor):
             raise ValidationError(
                 "divisor class is not effective; its valuation semigroup "
                 "is empty")
+        coords = self.lattice.canonical(divisor).coords
+        if nef is not None and min(coords, default=0) < 0:
+            raise NotNef(f"{nef} identities need a nef class, got "
+                         f"canonical coordinates {coords}")
+        sections = self.lattice.engine
+        route = sections.section_route(coords)
+        if route == "glue":
+            sections.check_glue_box(tuple(levels * c for c in coords))
+        else:
+            if route == "spanning":
+                size = sections.nef_dimension
+            else:
+                def size(mc):
+                    box = sections.monomial_box(mc)
+                    return 0 if box is None else prod(
+                        high - low + 1 for low, high in zip(*box))
+            total = 0
+            for k in range(1, levels + 1):
+                total += size(tuple(k * c for c in coords))
+                if total > _LEVEL_SET_GUARD:
+                    raise Unstable(
+                        "level sets of the run exceed the supported size")
+        return [tuple(k * c for c in coords) for k in range(1, levels + 1)]
 
     def semigroup(self, divisor: DivisorClass,
                   levels: int) -> list[GradedValuationPoint]:
         """All (valuation, level) points for levels 1..levels."""
-        _check_levels(levels)
-        self._require_effective(divisor)
-        _check_run(self, divisor, levels)
-        out = []
-        for k in range(1, levels + 1):
-            out.extend(GradedValuationPoint(nu, k)
-                       for nu in self.valuation_points(divisor, k))
-        return out
+        return [GradedValuationPoint(nu, k)
+                for k, mc in enumerate(self._run(divisor, levels), 1)
+                for nu in self._level_points(mc)]
 
     # ----- bodies -----------------------------------------------------------
 
     def body(self, divisor: DivisorClass, levels: int) -> OkounkovBody:
         """Hull of valuation points scaled by their level, up to a cap.
 
-        It is taken of the memoized hull vertices of each level set, scaled
-        by 1/k: the hull of a union of hulls is the hull of their vertices.
         A word longer than the polytope ambient cap is refused
         (ValidationError) before any level set is computed.
         """
-        _check_levels(levels)
         RationalPolytope._check_ambient(self.n)
-        self._require_effective(divisor)
-        _check_run(self, divisor, levels)
+        return OkounkovBody(self._scaled_hull(self._run(divisor, levels)),
+                            divisor, levels)
+
+    def _scaled_hull(self, classes) -> RationalPolytope:
+        """Hull of the level sets of the classes of levels 1, 2, ..., each
+        scaled by 1/k.  It is taken of their memoized hull vertices: the
+        hull of a union of hulls is the hull of their vertices."""
         points = [tuple(Fraction(v, k) for v in vert)
-                  for k in range(1, levels + 1)
-                  for vert in self._level_vertices(divisor, k)]
-        polytope = RationalPolytope.from_points(points, ambient=self.n)
-        return OkounkovBody(polytope, divisor, levels)
+                  for k, mc in enumerate(classes, 1)
+                  for vert in self._hull_vertices(mc)]
+        return RationalPolytope.from_points(points, ambient=self.n)
 
     # ----- global cone ------------------------------------------------------
 
@@ -439,17 +448,11 @@ class OkounkovEngine:
             for k in range(1, levels + 1)
         } - {(0,) * self.n})
         gens = set()
+        canonical = self.lattice.canonical
         for q in totals:
-            gens.update(vert + q for vert in self._level_vertices(
-                DivisorClass(q, Basis.EFFECTIVE)))
+            gens.update(vert + q for vert in self._hull_vertices(
+                canonical(DivisorClass(q, Basis.EFFECTIVE)).coords))
         return sorted(gens)
-
-    def _level_vertices(self, divisor: DivisorClass,
-                        level: int = 1) -> list[tuple[int, ...]]:
-        """Memoized hull vertices of the level set of level * divisor; none
-        when the level set is empty."""
-        mc = self._level(divisor, level)
-        return self._hull_vertices(mc) if self._counts[mc] else []
 
     # ----- surface recipe -----------------------------------------------------
 
@@ -495,18 +498,13 @@ class OkounkovEngine:
         against volume(D)/n!.
         """
         RationalPolytope._check_ambient(self.n)
-        canonical = self.lattice.canonical(divisor)
-        if min(canonical.coords, default=0) < 0:
-            raise NotNef(f"volume identities need a nef class, got "
-                         f"canonical coordinates {canonical.coords}")
-        _check_levels(levels)
-        body = self.body(divisor, levels)
+        classes = self._run(divisor, levels, nef="volume")
+        polytope = self._scaled_hull(classes)
         rows = []
-        for k in range(1, levels + 1):
-            points = self.level_count(divisor, k)
-            dimension = self.lattice.engine.nef_dimension(
-                tuple(k * c for c in canonical.coords))
-            dilated = body.polytope.lattice_point_count(k)
+        for k, mc in enumerate(classes, 1):
+            points = self._count(mc)
+            dimension = self.lattice.engine.nef_dimension(mc)
+            dilated = polytope.lattice_point_count(k)
             rows.append({
                 "level": k,
                 "points": points,
@@ -515,10 +513,10 @@ class OkounkovEngine:
                 "dilation_points": dilated,
                 "dilation_match": points == dilated,
             })
-        hull_volume = body.polytope.volume()
+        hull_volume = polytope.volume()
         target = Fraction(self.lattice.volume(divisor), factorial(self.n))
         stabilized = levels >= 2 and \
-            self.body(divisor, levels - 1).polytope == body.polytope
+            self._scaled_hull(classes[:-1]) == polytope
         certified = (stabilized and hull_volume == target
                      and all(r["count_match"] and r["dilation_match"]
                              for r in rows))
@@ -540,25 +538,20 @@ class OkounkovEngine:
         class on the word with its first letter removed.
         """
         RationalPolytope._check_ambient(self.n)
-        canonical = self.lattice.canonical(divisor)
-        if min(canonical.coords, default=0) < 0:
-            raise NotNef(f"restriction identities need a nef class, got "
-                         f"canonical coordinates {canonical.coords}")
         if self.n < 2:
             raise ValidationError("restriction needs a word of length "
                                   "at least 2")
-        _check_levels(levels)
-        _check_run(self, divisor, levels)
+        classes = self._run(divisor, levels, nef="restriction")
         # Valuations are >= 0, so {nu_1 = 0} is a face of each level's hull,
         # spanned by the hull vertices on it.
         image_points = [tuple(Fraction(v, k) for v in vert[1:])
-                        for k in range(1, levels + 1)
-                        for vert in self._level_vertices(divisor, k)
+                        for k, mc in enumerate(classes, 1)
+                        for vert in self._hull_vertices(mc)
                         if vert[0] == 0]
         image = RationalPolytope.from_points(image_points,
                                              ambient=self.n - 1)
         inner = self._truncated_engine()
-        tail = DivisorClass(canonical.coords[1:], Basis.CANONICAL)
+        tail = DivisorClass(classes[0][1:], Basis.CANONICAL)
         intrinsic = inner.body(tail, levels).polytope
         contained = all(intrinsic.contains(v) for v in image.vertices)
         return {

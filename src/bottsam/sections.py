@@ -297,11 +297,10 @@ class _ChartPowers:
     npow[j] and dpow[j] hold the successive powers of the j-th coordinate
     numerator and denominator, grown on demand and shared by every weight
     class; num and den are the class-independent factors of the lifted
-    numerators and of the common denominator.  num_heads and den_heads
-    hold num and den times their first-coordinate powers, keyed by the two
-    exponents; candidates and classes with the same first exponents share
-    them.  rests keeps each lift's remainder terms, keyed by candidate
-    and class top, so no box of the call divides a lift twice.
+    numerators and of the common denominator.  A lift or a denominator is
+    one product over the power tables.  rests keeps each lift's remainder
+    terms, keyed by candidate and class top, so no box of the call divides
+    a lift twice.
 
     On a monomial chart, where num, den and every coordinate numerator
     and denominator are single terms, the exponent gaps top minus bottom
@@ -313,8 +312,7 @@ class _ChartPowers:
     a >= 0.  On other charts checks is None.
     """
 
-    __slots__ = ("frame", "npow", "dpow", "num", "den", "num_heads",
-                 "den_heads", "rests", "checks")
+    __slots__ = ("frame", "npow", "dpow", "num", "den", "rests", "checks")
 
     def __init__(self, frame: _ChartFrame, num: Polynomial, den: Polynomial):
         one = Polynomial.one(len(frame.flips))
@@ -323,8 +321,6 @@ class _ChartPowers:
         self.dpow = [[one] for _ in frame.flips]
         self.num = num
         self.den = den
-        self.num_heads: dict[tuple[int, int], Polynomial] = {}
-        self.den_heads: dict[tuple[int, int], Polynomial] = {}
         self.rests: dict[tuple[Mono, Mono], dict] = {}
         self.checks = None
         tops = (num, *frame.numerators)
@@ -345,33 +341,32 @@ class _ChartPowers:
 
     def lift(self, a: Mono, amax: Mono) -> Polynomial:
         """num * prod_j npow[j][a_j] * dpow[j][amax_j - a_j]: the numerator
-        of t^a over the denominator of a class whose exponents reach amax."""
-        return self._chain(self.num_heads, self.num, a,
-                           tuple([m - x for m, x in zip(amax, a)]))
+        of t^a over the denominator of a class whose exponents reach amax;
+        unit factors are skipped."""
+        g = self.num
+        for j, (up, top) in enumerate(zip(a, amax)):
+            if up:
+                g = g * self.npow[j][up]
+            if top - up:
+                g = g * self.dpow[j][top - up]
+        return g
 
     def denominator(self, amax: Mono) -> Polynomial:
-        """den * prod_j dpow[j][amax_j]."""
-        return self._chain(self.den_heads, self.den, (0,) * len(amax), amax)
-
-    def _chain(self, heads, base: Polynomial, ups: Mono,
-               downs: Mono) -> Polynomial:
-        """base * prod_j npow[j][ups_j] * dpow[j][downs_j]; the product up
-        to the first coordinate is kept in heads."""
-        key = (ups[0], downs[0])
-        g = heads.get(key)
-        if g is None:
-            g = heads[key] = self._times(base, 0, *key)
-        for j in range(1, len(ups)):
-            g = self._times(g, j, ups[j], downs[j])
+        """den * prod_j dpow[j][amax_j], unit factors skipped."""
+        g = self.den
+        for j, top in enumerate(amax):
+            if top:
+                g = g * self.dpow[j][top]
         return g
 
-    def _times(self, g: Polynomial, j: int, up: int, down: int) -> Polynomial:
-        """g * npow[j][up] * dpow[j][down], skipping unit factors."""
-        if up:
-            g = g * self.npow[j][up]
-        if down:
-            g = g * self.dpow[j][down]
-        return g
+
+def _doubled(box: tuple[int, ...]) -> tuple[int, ...]:
+    """The doubled degree box of a glue solve; Unstable past the cap."""
+    doubled = tuple(2 * b for b in box)
+    if any(b > _BOX_CAP for b in doubled):
+        raise Unstable(f"glue dimensions kept growing past the degree-box "
+                       f"cap ({_BOX_CAP})")
+    return doubled
 
 
 def _exp_action(triples, t, vec: dict, bound: int) -> dict:
@@ -719,17 +714,20 @@ class SectionEngine:
         tables: dict[tuple[int, ...], _ChartPowers] = {}
         basis = None
         while True:
-            doubled = tuple(2 * b for b in box)
-            if any(b > _BOX_CAP for b in doubled):
-                raise Unstable(
-                    f"glue dimensions kept growing past the degree-box cap "
-                    f"({_BOX_CAP})")
+            doubled = _doubled(box)
             if basis is None:
                 basis = self._glue_space(can, eff, box, tables)
             check = self._glue_space(can, eff, doubled, tables)
             if len(basis) == len(check):
                 return basis
             box, basis = doubled, check
+
+    def check_glue_box(self, can: Sequence[int]) -> None:
+        """Refuse (Unstable) a canonical class whose first degree box,
+        doubled, passes the cap, as section_basis_glue would before it
+        solves a box.  The box grows with the class's positive entries, so
+        the top level of a run decides for every level below it."""
+        _doubled(self._initial_box(self._canonical_degree(can), None))
 
     def section_basis(self, can: Sequence[int]) -> list[SectionPoly]:
         """A section basis of a canonical class by the route that

@@ -9,7 +9,9 @@ is the image of the level sets' hull vertices under that map, divided by
 their level, and slicing the Okounkov body along a fiber of the map gives
 the polytope whose lattice-normalized volume governs the growth of
 weight-space dimensions.  weighted_semigroup labels every point with the
-rule.
+rule.  Both walk levels 1..L through the engine's one checked run
+(OkounkovEngine._run), so they refuse the classes and level counts that
+body refuses, with the same errors.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import NonIntegralAll, NotInterior, ValidationError
-from .okounkov import OkounkovEngine, _check_levels, _check_run
+from .okounkov import OkounkovEngine
 from .picard import DivisorClass, PicardLattice
 from .polyhedra import RationalPolytope
 from .rootsys import Weight, _integer_entry, bs_character
@@ -68,19 +70,17 @@ def weighted_semigroup(engine: OkounkovEngine, divisor: DivisorClass,
 
     The points are the engine's level sets, each labeled by
     SectionEngine.section_weight in the canonical class of its level, the
-    weight rule of every section the package builds.  A run whose level
-    sets exceed the guard raises Unstable before level 1.
+    weight rule of every section the package builds.  The run is checked
+    as the engine checks a body's: a level count below 1 or a class that
+    is not effective raises ValidationError, and a run whose level sets
+    exceed the guard raises Unstable, each before level 1.
     """
-    _check_levels(levels)
     lattice = engine.lattice
     projection = _coerce_projection(torus_projection, lattice.datum.rank)
-    _check_run(engine, divisor, levels)
     label = lattice.engine.section_weight
-    triples = []
-    for k in range(1, levels + 1):
-        mc = lattice.canonical(divisor.scaled(k)).coords
-        triples.extend((nu, k, _project(label(mc, nu), projection))
-                       for nu in engine.valuation_points(divisor, k))
+    triples = [(nu, k, _project(label(mc, nu), projection))
+               for k, mc in enumerate(engine._run(divisor, levels), 1)
+               for nu in engine._level_points(mc)]
     width = len(projection) if projection else lattice.datum.rank
     return WeightedSemigroup(divisor, levels, triples, width)
 
@@ -165,9 +165,8 @@ def multiplicity_asymptotics(lattice: PicardLattice, divisor: DivisorClass,
     the weight-polytope dimension.  With require_interior=False, boundary
     weights are reported instead of rejected.  A body or a weight polytope
     past the polytope ambient cap is refused (ValidationError) before any
-    level set.
+    level set, and the run is checked as a body's (OkounkovEngine._run).
     """
-    _check_levels(levels)
     coords = mu.coords if isinstance(mu, Weight) else tuple(mu)
     mu_coords = tuple(Fraction(v) for v in coords)
     mu_text = ",".join(map(str, mu_coords))
@@ -182,23 +181,21 @@ def multiplicity_asymptotics(lattice: PicardLattice, divisor: DivisorClass,
     RationalPolytope._check_ambient(expected_dim)
     RationalPolytope._check_ambient(lattice.n)
     engine = OkounkovEngine(lattice)
-    _check_run(engine, divisor, levels)
+    classes = engine._run(divisor, levels)
     projection = weight_projection(lattice, divisor, projection_rows)
     # An affine map sends the hull of each level set onto the hull of its
     # image, so the level sets' hull vertices span the weight polytope.
     images = [tuple(x / k for x in projection.apply(vert, k))
-              for k in range(1, levels + 1)
-              for vert in engine._level_vertices(divisor, k)]
+              for k, mc in enumerate(classes, 1)
+              for vert in engine._hull_vertices(mc)]
     weight_polytope = RationalPolytope.from_points(images,
                                                    ambient=expected_dim)
     interior = _in_relative_interior(weight_polytope, mu_coords)
     if require_interior and not interior:
         raise NotInterior(f"weight {mu_text} is not in the relative "
                           "interior of the weight polytope")
-    if not images:
-        raise ValidationError("weighted semigroup is empty")
-    body = engine.body(divisor, levels)
-    d = body.polytope.dim()
+    body = engine._scaled_hull(classes)
+    d = body.dim()
     r = weight_polytope.dim()
     step = lcm(*(v.denominator for v in mu_coords)) if mu_coords else 1
     usable = [k for k in range(1, levels + 1) if k % step == 0]
@@ -207,15 +204,14 @@ def multiplicity_asymptotics(lattice: PicardLattice, divisor: DivisorClass,
             f"no level up to {levels} makes {mu_text} integral")
     rows = []
     for k in usable:
-        mc = lattice.canonical(divisor.scaled(k)).coords
-        character = bs_character(lattice.datum, lattice.word, mc)
+        character = bs_character(lattice.datum, lattice.word,
+                                 classes[k - 1])
         target = tuple(k * v for v in mu_coords)
         dimension = sum(mult for weight, mult in character.terms.items()
                         if _project(weight, projection_rows) == target)
         ratio = Fraction(dimension, k ** (d - r))
         rows.append({"level": k, "dimension": dimension, "ratio": ratio})
-    slice_polytope = body.polytope.sliced(
-        _fiber_equalities(projection, mu_coords))
+    slice_polytope = body.sliced(_fiber_equalities(projection, mu_coords))
     slice_volume = Fraction(0) if slice_polytope.is_empty \
         else slice_polytope.lattice_volume()
     return {

@@ -455,10 +455,8 @@ def fitted_multiplicity_asymptotics(lattice, divisor, mu, levels,
     from bottsam import (NonIntegralAll, NotInterior, OkounkovEngine,
                          RationalPolytope, ValidationError, Weight,
                          bs_character, weighted_semigroup)
-    from bottsam.okounkov import _check_levels
     from bottsam.weights import _coerce_projection, _project
 
-    _check_levels(levels)
     mu = tuple(Fraction(v) for v in mu)
     rows = _coerce_projection(torus_projection, lattice.datum.rank)
     width = len(rows) if rows else lattice.datum.rank

@@ -316,6 +316,21 @@ def test_body_on_derived_types_is_certified(capsys, name):
     assert json.loads(out)["volume_check"]["certified"] is True
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("body", []), ("weights", ["--mu", "0,0"])])
+def test_non_effective_class_exits_2_with_one_line(capsys, command, extra):
+    """body and weights walk levels through the same checked run, so both
+    refuse a class that is not effective with the same line."""
+    code = main([command, "--type", "A2", "--word", "1,2",
+                 "--bundle", "eff:-1,1", *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: divisor class is not effective; its valuation semigroup "
+        "is empty"]
+
+
 def test_instability_exits_3(capsys, monkeypatch):
     def explode(self, levels, box):
         raise Unstable("synthetic blowup")

@@ -6,6 +6,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from bottsam import (
     WeylWord,
     bs_character,
     multiplicity_asymptotics,
+    weighted_semigroup,
 )
 from bottsam import okounkov, polyhedra, rootsys
 from bottsam.okounkov import GradedValuationPoint
@@ -217,7 +219,7 @@ def test_hulls_past_the_ambient_caps_are_refused_before_any_work():
         with pytest.raises(ValidationError, match=r"^polytope ambient "
                            r"dimension must be 1\.\.8$"):
             call(*args)
-    assert list(nine._counts) == [(0,) * 9]
+    assert list(nine._sums) == [(0,) * 9] and not nine._points
     assert nine.lattice._change is None
 
 
@@ -231,9 +233,63 @@ def test_run_guard_sums_the_levels(request, engine, coords, last):
     dimensions on the nef cone and order-polytope boxes on the monomial
     route, and refuses the first L whose sum passes the guard."""
     engine = request.getfixturevalue(engine)
-    okounkov._check_run(engine, can(*coords), last)
+    assert len(engine._run(can(*coords), last)) == last
     with pytest.raises(Unstable):
-        okounkov._check_run(engine, can(*coords), last + 1)
+        engine._run(can(*coords), last + 1)
+
+
+def test_glue_route_run_is_refused_by_its_top_level_box(a2):
+    """A class on the glue route has no level-set sum, but the first degree
+    box of level k grows with k, so a run whose top level's doubled box
+    passes the cap is refused at once with the cap's message: A2 (1,2,1)
+    can:-1,1,1 runs 15 levels and is refused from 16 on.  Refused only at
+    its last level, body over 1000 levels took about a minute of CPU."""
+    engine = OkounkovEngine(PicardLattice(a2, WeylWord((1, 2, 1))))
+    start = time.process_time()
+    assert len(engine._run(can(-1, 1, 1), 15)) == 15
+    for levels in (16, 1000):
+        with pytest.raises(Unstable, match=r"^glue dimensions kept growing "
+                           r"past the degree-box cap \(64\)$"):
+            engine.body(can(-1, 1, 1), levels)
+    assert time.process_time() - start < 1.0
+    assert not engine._points and engine.lattice._change is None
+
+
+RUN_APIS = {
+    "semigroup": lambda engine, d, levels: engine.semigroup(d, levels),
+    "body": lambda engine, d, levels: engine.body(d, levels),
+    "volume_check": lambda engine, d, levels: engine.volume_check(d, levels),
+    "restriction_check":
+        lambda engine, d, levels: engine.restriction_check(d, levels),
+    "weighted_semigroup":
+        lambda engine, d, levels: weighted_semigroup(engine, d, levels),
+    "multiplicity_asymptotics": lambda engine, d, levels:
+        multiplicity_asymptotics(engine.lattice, d, (0, 0), levels),
+}
+
+
+@pytest.mark.parametrize("api", list(RUN_APIS))
+def test_every_run_is_checked_before_any_level_set(a2, monkeypatch, api):
+    """The six walks over levels 1..L of a class go through one checked
+    run, so each refuses 0 levels, and a class it cannot run on, before
+    any level set or basis change is built: an identity report a class
+    off the nef cone, the others a class that is not effective."""
+    if api.endswith("_check"):
+        bad = (can(-1, 1), 3, NotNef,
+               rf"^{api[:-6]} identities need a nef class")
+    else:
+        bad = (DivisorClass((-1, 1), Basis.EFFECTIVE), 3, ValidationError,
+               r"^divisor class is not effective")
+    zero = (can(1, 1), 0, ValidationError,
+            r"^levels must be a positive integer$")
+    computed = []
+    monkeypatch.setattr(OkounkovEngine, "_compute_level",
+                        lambda self, mc: computed.append(mc))
+    for divisor, levels, kind, text in (zero, bad):
+        engine = OkounkovEngine(PicardLattice(a2, WeylWord((1, 2))))
+        with pytest.raises(kind, match=text):
+            RUN_APIS[api](engine, divisor, levels)
+        assert computed == [] and engine.lattice._change is None
 
 
 def test_restriction_check_refuses_a_run_past_the_guard(lattice_a2_12):
@@ -243,7 +299,7 @@ def test_restriction_check_refuses_a_run_past_the_guard(lattice_a2_12):
     engine = OkounkovEngine(lattice_a2_12)
     with pytest.raises(Unstable):
         engine.restriction_check(can(1, 1), 341)
-    assert list(engine._counts) == [(0, 0)]
+    assert list(engine._sums) == [(0, 0)] and not engine._points
     assert engine._truncated is None
 
 

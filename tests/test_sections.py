@@ -189,14 +189,13 @@ def test_glue_accepts_effective_coordinates(eng12, eng121):
 ], ids=["A2-12", "A2-121"])
 def test_probe_run_polynomial_products_stay_bounded(a2, monkeypatch, word,
                                                     matrix):
-    """Work regression: the glue route shares its chart power tables and
-    lift prefixes, and a repeated-letter probe makes one glue call.
+    """Work regression: the glue route shares its chart power tables, and
+    a repeated-letter probe makes one glue call.
 
     Rebuilding the coordinate powers for every weight class took 1,228,788
-    products in the A2 (1,2) probe run, and sharing them 221,816.  Lifts
-    from shared first-coordinate heads, without unit factors, take 70,524
-    there and 40,701 on A2 (1,2,1) (225,935 before).  A call count is
-    deterministic where a time bound would be flaky.
+    products in the A2 (1,2) probe run, and sharing them 221,816.  A lift
+    is one product over the shared power tables, unit factors skipped.
+    A call count is deterministic where a time bound would be flaky.
     """
     lattice = PicardLattice(a2, WeylWord(word))
     calls = 0
