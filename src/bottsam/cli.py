@@ -40,6 +40,7 @@ from .polyhedra import (
     polytope_payload,
 )
 from .rootsys import CartanDatum, WeylWord
+from .sections import EQUIVARIANCE_TRIALS
 from .valuation import adapted_basis, valuation
 from .weights import multiplicity_asymptotics
 
@@ -312,11 +313,10 @@ def _check_nef_glue(engine, coords) -> str:
 
 def _check_equivariance(engine, coords, seed: int) -> str:
     basis = engine.section_basis_nef(coords)
-    failures = engine.equivariance_failures(basis, coords, trials=20,
-                                            seed=seed)
+    failures = engine.equivariance_failures(basis, coords, seed=seed)
     if failures:
         raise VerifyFailed(f"{failures} failed specializations")
-    return f"{len(basis)} sections x 20 specializations"
+    return f"{len(basis)} sections x {EQUIVARIANCE_TRIALS} specializations"
 
 
 def _check_global(engine, levels, box, expected_rays) -> str:

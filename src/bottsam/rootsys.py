@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EngineError, ValidationError
@@ -82,10 +81,10 @@ class CartanDatum:
     """A rank and a valid generalized Cartan matrix.
 
     The constructor checks the integer entries, the diagonal and the sign
-    and zero pattern only.  Finite type is checked (is_finite_type) at the
-    first enumeration of the roots (positive_roots, through weyl_dimension
-    when a fundamental representation is built), which refuses any other
-    matrix.
+    and zero pattern only.  Finite type is decided by the count of
+    positive roots at their first enumeration (positive_roots, through
+    weyl_dimension when a fundamental representation is built), which
+    refuses a matrix with more roots than r max(r, 15).
     """
 
     __slots__ = ("rank", "matrix")
@@ -302,83 +301,36 @@ def is_reduced(datum: CartanDatum, word: WeylWord | Sequence[int]) -> bool:
     return True
 
 
-def is_finite_type(matrix: Sequence[Sequence[int]]) -> bool:
-    """Whether a generalized Cartan matrix is of finite type.
-
-    A matrix is of finite type exactly when it is symmetrizable and its
-    symmetrization DA is positive definite (Kac, Infinite-dimensional Lie
-    algebras, ch. 4).  Each connected component gets positive integers d
-    with d_i a_ij = d_j a_ji, read off along its edges; a conflict means
-    there is no symmetrizer.  Then every pivot of the exact elimination of
-    DA must be positive.  The elimination scales rows by positive integers
-    only, so its pivots have the signs of Gaussian elimination's.
-    """
-    rank = len(matrix)
-    d = [0] * rank
-    for start in range(rank):
-        if d[start]:
-            continue
-        d[start] = 1
-        component = [start]
-        for i in component:
-            for j in range(rank):
-                if j == i or not matrix[i][j]:
-                    continue
-                num, den = d[i] * matrix[i][j], matrix[j][i]
-                if d[j]:
-                    if d[j] * den != num:
-                        return False
-                    continue
-                if num % den:
-                    scale = abs(den) // gcd(num, den)
-                    for k in component:
-                        d[k] *= scale
-                    num *= scale
-                d[j] = num // den
-                component.append(j)
-    rows = [{j: d[i] * v for j, v in enumerate(row) if v}
-            for i, row in enumerate(matrix)]
-    for k, pivot_row in enumerate(rows):
-        pivot = pivot_row.get(k, 0)
-        if pivot <= 0:
-            return False
-        for i in range(k + 1, rank):
-            factor = rows[i].get(k)
-            if not factor:
-                continue
-            row = {c: pivot * v for c, v in rows[i].items()}
-            for c, v in pivot_row.items():
-                value = row.get(c, 0) - factor * v
-                if value:
-                    row[c] = value
-                else:
-                    del row[c]
-            content = gcd(*row.values())
-            rows[i] = {c: v // content for c, v in row.items()}
-    return True
-
-
 @lru_cache(maxsize=None)
 def positive_roots(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
     """All positive roots in simple-root coordinates, sorted.
 
-    A matrix that is not of finite type has infinitely many roots, so it
-    is refused first, by is_finite_type.  A finite root system of rank r
-    has r h / 2 positive roots per component, with Coxeter number h at
-    most 2r on types A-D and at most 30 on the exceptional ones, so more
-    than r max(r, 15) roots is an internal error.  The roots are found by
-    height.  The alpha_i-string through a root beta runs from
-    beta - p alpha_i to beta + q alpha_i with p - q = <beta, alpha_i^vee>,
-    and p is read off the roots of lower height, so beta + alpha_i is a
-    root exactly when q > 0.  Only the letters i in or next to supp(beta)
-    are stepped: for any other i both p and <beta, alpha_i^vee> are 0.
-    And p is 0 without a walk when beta_i = 0.
+    The roots are found by height.  The alpha_i-string through a root beta
+    runs from beta - p alpha_i to beta + q alpha_i with
+    p - q = <beta, alpha_i^vee>, and p is read off the roots of lower
+    height, so beta + alpha_i is a root exactly when q > 0.  Only the
+    letters i in or next to supp(beta) are stepped: for any other i both p
+    and <beta, alpha_i^vee> are 0.  And p is 0 without a walk when
+    beta_i = 0.
+
+    The count of roots decides finite type; no other test runs.  A finite
+    root system of rank r has r h / 2 positive roots per component, with
+    Coxeter number h at most 2r on types A-D and at most 30 on the
+    exceptional ones, so it has at most r max(r, 15) in all: E8 (120),
+    and B_r and C_r for r >= 15 (r^2), meet the bound, so only a count
+    strictly above it is refused.  Any other generalized Cartan matrix
+    has infinitely many positive roots, and the enumeration finds each of
+    them, imaginary roots too: a positive root of height > 1 is a root
+    plus a simple root, and alpha_i-strings are unbroken with the same
+    p - q (Kac, Infinite-dimensional Lie algebras, Lemma 1.6 and
+    Prop. 3.6).  So its count passes the bound at some height, and the
+    matrix is refused (ValidationError) there.  The bound grows with the
+    rank; a fixed cap on the count would refuse a large finite type, as
+    a cap of 10,000 roots once refused A100 (10,100 roots, 5,050 of them
+    positive).
     """
     rank = datum.rank
     a = datum.matrix
-    if not is_finite_type(a):
-        raise ValidationError("root system is not finite; "
-                              "the Cartan matrix is not of finite type")
     neighbors = [[(j, v) for j, v in enumerate(row) if v] for row in a]
     # touching[j]: the letters i with a[i][j] != 0, j itself among them.
     touching = [[i for i in range(rank) if a[i][j]] for j in range(rank)]
@@ -402,7 +354,8 @@ def positive_roots(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
                         found.add(up)
                         above.append(up)
         if len(found) > rank * max(rank, 15):
-            raise EngineError("more positive roots than finite type allows")
+            raise ValidationError("root system is not finite; "
+                                  "the Cartan matrix is not of finite type")
         level = above
     return tuple(sorted(found))
 
@@ -410,61 +363,37 @@ def positive_roots(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
 def demazure_operator(datum: CartanDatum, i: int, char: Character) -> Character:
     """The i-th Demazure operator (f - e^{-alpha_i} s_i f) / (1 - e^{-alpha_i}).
 
-    The division is performed exactly along alpha_i-strings; a nonzero
-    remainder is an internal error because the numerator is always divisible.
+    It is applied term by term through the rank-one string rule, the rule
+    demazure_dimension counts.  With h = <lam, alpha_i^vee>, D_i(e^lam) is
+    e^lam + e^{lam - alpha_i} + ... + e^{s_i lam} when h >= 0, zero when
+    h = -1, and -(e^{lam + alpha_i} + ... + e^{s_i lam - alpha_i}) when
+    h <= -2.  A weight whose pairing is not an integer raises EngineError.
     """
     datum._check_index(i)
-    alpha = datum.simple_root(i)
-    numerator: dict[Weight, int] = {}
+    alpha = datum.simple_root(i).coords
+    out: dict[tuple, int] = {}
     for w, m in char.terms.items():
-        for weight, mult in ((w, m),
-                             (simple_reflection(datum, i, w) - alpha, -m)):
-            s = numerator.get(weight, 0) + mult
-            if s:
-                numerator[weight] = s
-            else:
-                numerator.pop(weight, None)
-    # Group the numerator into alpha_i-strings: lam and lam - k*alpha share
-    # the s_i-invariant 2*lam - <lam, alpha_i^vee>*alpha_i and the parity of
-    # the pairing.  The parity tells lam from lam + alpha_i/2, which shares
-    # the first part and is a weight when alpha_i is divisible by 2 (the
-    # alpha_1 of B2, say).
-    strings: dict[tuple, list[tuple[int, Weight, int]]] = {}
-    for w, m in numerator.items():
-        h = w[i - 1]
-        key = ((w.scaled(2) - alpha.scaled(h)).sort_key(), h % 2)
-        strings.setdefault(key, []).append((h, w, m))
-    out: dict[Weight, int] = {}
-    for members in strings.values():
-        members.sort(key=lambda t: -t[0])
-        h_top = members[0][0]
-        coeff: dict[int, int] = {}
-        for h, w, m in members:
-            coeff[(h_top - h) // 2] = m
-        top_weight = members[0][1]
-        running = 0
-        last = max(coeff)
-        for k in range(last + 1):
-            running += coeff.get(k, 0)
-            if running:
-                w = top_weight - alpha.scaled(k)
-                s = out.get(w, 0) + running
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-        if running:
-            raise EngineError("Demazure operator division was not exact")
-    return Character(out)
+        h = int(w[i - 1])
+        if h != w[i - 1]:
+            raise EngineError(f"Demazure operator needs integral pairings, "
+                              f"got <lam, alpha_{i}^vee> = {w[i - 1]}")
+        # lam + k alpha_i over the string, with its sign; empty at h = -1.
+        ks, m = (range(0, -h - 1, -1), m) if h >= 0 else (range(1, -h), -m)
+        for k in ks:
+            coords = tuple(c + k * a for c, a in zip(w.coords, alpha))
+            out[coords] = out.get(coords, 0) + m
+    return Character({Weight(c): m for c, m in out.items()})
 
 
 def demazure_dimension(datum: CartanDatum, i: int, char: Character,
                        twist: int = 0) -> int:
     """Dimension of D_i(e^{twist * omega_i} char), without building it.
 
-    D_i(e^lam) has dimension <lam, alpha_i^vee> + 1 in every case: a string
-    of h + 1 weights when h >= 0, zero when h = -1, and minus a string of
-    -h - 1 weights when h <= -2.  So the count is linear in the character.
+    It counts the rank-one string rule of demazure_operator: with
+    h = <lam, alpha_i^vee>, D_i(e^lam) is a string of h + 1 weights when
+    h >= 0, zero when h = -1, and minus a string of -h - 1 weights when
+    h <= -2, so it has dimension h + 1 in every case and the count is
+    linear in the character.
     """
     datum._check_index(i)
     return sum(m * (w[i - 1] + twist + 1) for w, m in char.terms.items())

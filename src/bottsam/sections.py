@@ -88,6 +88,8 @@ from .rootsys import (
 
 _BOX_CAP = 64
 _CANDIDATE_GUARD = 400_000
+# Random points per section of SectionEngine.equivariance_failures.
+EQUIVARIANCE_TRIALS = 20
 # The glue charts' flips in visiting order, per word length: a pure
 # function of the length, built once and shared as a tuple of tuples.
 _CHART_ORDERS: dict[int, tuple[tuple[int, ...], ...]] = {}
@@ -1134,8 +1136,9 @@ class SectionEngine:
 
     def equivariance_failures(self, sections: Iterable[SectionPoly],
                               multidegree: Sequence[int],
-                              trials: int = 20, seed: int = 1) -> int:
-        """Check the torus transformation law at random rational points.
+                              seed: int = 1) -> int:
+        """Check the torus transformation law at EQUIVARIANCE_TRIALS random
+        rational points per section.
 
         Each section is evaluated at a random point g = (g_1, ..., g_n) of
         the open cell and at its translate (tau g_1 h_1, h_1^-1 g_2 h_2,
@@ -1158,7 +1161,7 @@ class SectionEngine:
             if sp.weight is None:
                 raise ValidationError(
                     "the equivariance check needs sections with a weight label")
-            for _ in range(trials):
+            for _ in range(EQUIVARIANCE_TRIALS):
                 for _attempt in range(80):
                     taus = [self._random_fraction(rng, nonzero=True)
                             for _ in range(self.n)]

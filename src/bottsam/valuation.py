@@ -46,11 +46,13 @@ def adapted_basis(sections: Sequence[SectionPoly]) -> list[SectionPoly]:
         for section in groups[key]:
             if not section.poly:
                 raise ValidationError("adapted_basis needs nonzero sections")
+            # span.add returns a primitive integer row whose lex-min
+            # monomial has a positive coefficient: a normalized polynomial.
             reduced = span.add(dict(section.poly.terms))
             if reduced is None:
                 raise ValidationError(
                     "sections are not linearly independent")
-            poly = Polynomial(section.poly.nvars, reduced).normalized()
-            adapted.append(SectionPoly(poly, key))
+            adapted.append(SectionPoly(
+                Polynomial(section.poly.nvars, reduced), key))
     return adapted
 

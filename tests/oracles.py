@@ -23,6 +23,9 @@ group action came from before it was derived from the Cartan matrix;
 reflection_closure, closure_weyl_dimension and closure_length keep the
 root enumeration by reflection closure that Weyl dimensions and reduced
 words were read off before root strings and inversion roots;
+demazure_by_division keeps the Demazure operator as an exact division
+along root strings, before it applied the rank-one string rule of
+demazure_closed_form term by term;
 interpolated_degree and searched_pullbacks keep the degree interpolated
 from character dimensions and the pullback searched among characters,
 before torus localization and the closed-form pullback;
@@ -75,6 +78,59 @@ def demazure_closed_form(matrix, index, terms):
             for j in range(1, -pairing):
                 add(tuple(coords[r] + j * root[r] for r in range(rank)),
                     -mult)
+    return out
+
+
+def demazure_by_division(matrix, index, terms):
+    """The Demazure operator as the package had it before the rank-one
+    rule: (f - e^{-alpha} s_i f) / (1 - e^{-alpha}), divided exactly along
+    alpha_i-strings.
+
+    Same arguments as demazure_closed_form; coordinates may be ints or
+    Fractions.  A string is keyed by the s_i-invariant
+    2 lam - <lam, alpha_i^vee> alpha_i and the parity of the pairing, which
+    tells lam from lam + alpha_i / 2 when alpha_i is divisible by 2.  The
+    quotient is read off a running sum from the top of each string, which
+    must end at zero; a nonzero remainder raises ArithmeticError.
+    """
+    rank = len(matrix)
+    i = index - 1
+    root = tuple(matrix[r][i] for r in range(rank))
+    numerator: dict[tuple, int] = {}
+    for coords, mult in terms.items():
+        pairing = coords[i]
+        reflected = tuple(coords[r] - (pairing + 1) * root[r]
+                          for r in range(rank))
+        for weight, m in ((tuple(coords), mult), (reflected, -mult)):
+            total = numerator.get(weight, 0) + m
+            if total:
+                numerator[weight] = total
+            else:
+                numerator.pop(weight, None)
+    strings: dict[tuple, list] = {}
+    for coords, mult in numerator.items():
+        pairing = coords[i]
+        key = (tuple(Fraction(2 * coords[r] - pairing * root[r])
+                     for r in range(rank)), pairing % 2)
+        strings.setdefault(key, []).append((pairing, coords, mult))
+    out: dict[tuple, int] = {}
+    for members in strings.values():
+        members.sort(key=lambda t: -t[0])
+        top_pairing, top, _ = members[0]
+        steps = {(top_pairing - pairing) // 2: mult
+                 for pairing, _, mult in members}
+        running = 0
+        for k in range(max(steps) + 1):
+            running += steps.get(k, 0)
+            if running:
+                coords = tuple(top[r] - k * root[r] for r in range(rank))
+                total = out.get(coords, 0) + running
+                if total:
+                    out[coords] = total
+                else:
+                    del out[coords]
+        if running:
+            raise ArithmeticError("Demazure division was not exact")
     return out
 
 

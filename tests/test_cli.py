@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bottsam import (SpanDeficiency, Unstable, cli, okounkov, picard,
-                     rootsys, sections, weights)
+                     polyhedra, rootsys, sections, weights)
 from bottsam.cli import main
 
 
@@ -161,6 +161,34 @@ def test_verify_quick_counts_nef_characters_in_one_place(capsys,
     assert code == 0
     assert json.loads(out)["passed"] is True
     assert len(calls) == 31
+
+
+@pytest.mark.parametrize("argv, hulls", [
+    (["--type", "A2", "--word", "1,2,1", "--bundle", "can:1,1,1",
+      "--max-level", "4"], 5),
+    (["--type", "A2", "--word", "1,2", "--bundle", "can:2,1",
+      "--max-level", "7"], 4),
+], ids=["A2-121", "A2-12"])
+def test_nef_body_jobs_hull_their_body_once(capsys, monkeypatch, argv,
+                                            hulls):
+    """A nef body job hulls its body once: the volume check reuses the
+    run's scaled hull, and reads stabilization off that hull's vertices,
+    so it builds neither the body again (7 and 6 hulls when it did) nor
+    the body of one level less.  The rest are slot and class hulls."""
+    calls = 0
+    build = polyhedra.RationalPolytope.from_points.__func__
+
+    def counted(cls, points, ambient=None):
+        nonlocal calls
+        calls += 1
+        return build(cls, points, ambient)
+
+    monkeypatch.setattr(polyhedra.RationalPolytope, "from_points",
+                        classmethod(counted))
+    code, out = run(capsys, ["body", *argv])
+    assert code == 0
+    assert json.loads(out)["volume_check"]["certified"] is True
+    assert calls == hulls
 
 
 def test_output_files_are_byte_identical(tmp_path, capsys):

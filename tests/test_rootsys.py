@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,12 +26,13 @@ from bottsam import (
     is_reduced,
     weyl_dimension,
 )
-from bottsam.rootsys import is_finite_type, positive_roots
+from bottsam.rootsys import positive_roots
 
 from oracles import (
     closure_length,
     closure_stays_finite,
     closure_weyl_dimension,
+    demazure_by_division,
     demazure_closed_form,
     reflection_closure,
     weyl_dim_a1,
@@ -109,17 +111,31 @@ def test_character_operations(a2):
 
 
 @settings(max_examples=75)
-@given(st.sampled_from(["A2", "B2", "G2"]), st.data())
+@given(st.sampled_from(["A2", "B2", "G2", "C3"]), st.data())
 def test_demazure_matches_closed_form_on_random_characters(name, data):
+    """The package applies the closed rank-one rule term by term; it
+    agrees with the exact division along root strings that it replaced,
+    on weights with int and integral Fraction coordinates.  B2 and C3
+    have a simple root divisible by 2."""
     datum = CartanDatum.from_type(name)
+    coordinate = st.integers(-4, 4) | st.integers(-4, 4).map(Fraction)
     terms = data.draw(st.dictionaries(
-        st.tuples(*[st.integers(-4, 4)] * datum.rank),
+        st.tuples(*[coordinate] * datum.rank),
         st.integers(-3, 3).filter(bool), min_size=1, max_size=5))
     ch = Character({Weight(c): m for c, m in terms.items()})
     for index in range(1, datum.rank + 1):
         got = demazure_operator(datum, index, ch)
-        expected = demazure_closed_form(datum.matrix, index, terms)
+        expected = demazure_by_division(datum.matrix, index, terms)
         assert {w.coords: m for w, m in got.terms.items()} == expected
+
+
+def test_demazure_refuses_a_non_integral_pairing(a2, b2):
+    for datum, coords in ((a2, (Fraction(1, 2), 0)),
+                          (b2, (Fraction(-3, 2), Fraction(1, 3)))):
+        with pytest.raises(EngineError, match="integral"):
+            demazure_operator(datum, 1, Character.monomial(Weight(coords)))
+    assert demazure_operator(b2, 2, Character.monomial(
+        Weight((Fraction(1, 2), 1)))).dimension() == 2
 
 
 @pytest.mark.parametrize("name, word", [
@@ -277,31 +293,68 @@ E8 = [[2, 0, -1, 0, 0, 0, 0, 0],
       [0, 0, 0, 0, 0, 0, -1, 2]]
 
 
+def is_finite(matrix) -> bool:
+    """Whether positive_roots accepts the matrix; a refusal must carry
+    the one message for a matrix that is not of finite type."""
+    try:
+        positive_roots(CartanDatum(matrix))
+    except ValidationError as exc:
+        assert str(exc) == ("root system is not finite; "
+                            "the Cartan matrix is not of finite type")
+        return False
+    return True
+
+
+def cycle(rank):
+    """The affine matrix of type A_{rank-1}^(1): a cycle of rank nodes."""
+    matrix = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i in range(rank):
+        matrix[i][(i + 1) % rank] = matrix[(i + 1) % rank][i] = -1
+    return matrix
+
+
 def test_finite_type_is_decided_from_the_matrix():
-    """Finite type is read off the matrix, with no root enumerated: A100
-    (10,100 roots) and E8 pass, the affine matrices and a hyperbolic one
-    fail, and so does a matrix without a symmetrizer."""
+    """Finite type is decided by the count of positive roots: A100
+    (5,050 positive roots) and E8 pass, the affine matrices and a
+    hyperbolic one fail, and so does a matrix without a symmetrizer."""
     for name in ("A100", "B7", "C5", "D6", "G2"):
-        assert is_finite_type(CartanDatum.from_type(name).matrix)
-    assert is_finite_type(E8)
+        assert is_finite(CartanDatum.from_type(name).matrix)
+    assert is_finite(E8)
     for matrix in ([[2, -2], [-2, 2]],
                    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
                    [[2, -3], [-3, 2]],
                    [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]):
-        assert not is_finite_type(matrix)
+        assert not is_finite(matrix)
 
 
 def test_exceptional_root_counts_pass_the_internal_bound():
-    """E8 has 120 positive roots, 15 per node: the most a finite type has
-    for its rank, which the enumeration's internal check allows."""
-    assert len(positive_roots(CartanDatum(E8))) == 120
+    """E8 has 120 positive roots, 15 per node, and B_r and C_r for
+    r >= 15 have r^2: each sits exactly on the bound r max(r, 15) that
+    decides finite type, so the refusal is a strict >.  D16 (240) sits
+    below it, and G2 (6) far below."""
+    for datum, count in ((CartanDatum(E8), 120),
+                         (CartanDatum.from_type("B15"), 225),
+                         (CartanDatum.from_type("C15"), 225),
+                         (CartanDatum.from_type("B16"), 256),
+                         (CartanDatum.from_type("C16"), 256)):
+        assert len(positive_roots(datum)) == count \
+            == datum.rank * max(datum.rank, 15)
+    assert len(positive_roots(CartanDatum.from_type("D16"))) == 240 < 256
     assert len(positive_roots(CartanDatum.from_type("G2"))) == 6
+
+
+def test_an_affine_cycle_of_rank_30_is_refused_quickly():
+    """Refusing an infinite type enumerates roots up to the bound, 900 on
+    rank 30; that takes well under half a second of CPU."""
+    start = time.process_time()
+    assert not is_finite(cycle(30))
+    assert time.process_time() - start < 0.5
 
 
 def test_finite_type_matches_the_closure_on_every_small_matrix():
     """On every generalized Cartan matrix of rank 2 or 3 with off-diagonal
-    entries in -3..0, the decision agrees with whether the reflection
-    closure of the simple roots stays finite."""
+    entries in -3..0, the root count accepts exactly the matrices whose
+    reflection closure of the simple roots stays finite."""
     for rank in (2, 3):
         pairs = [(i, j) for i in range(rank) for j in range(i + 1, rank)]
         choices = [(0, 0)] + [(x, y) for x in range(-3, 0)
@@ -311,7 +364,7 @@ def test_finite_type_matches_the_closure_on_every_small_matrix():
             matrix = [[2] * rank for _ in range(rank)]
             for (i, j), (x, y) in zip(pairs, picks):
                 matrix[i][j], matrix[j][i] = x, y
-            verdict = is_finite_type(matrix)
+            verdict = is_finite(matrix)
             assert verdict == closure_stays_finite(matrix), matrix
             verdicts.add(verdict)
         assert verdicts == {False, True}
