@@ -191,9 +191,6 @@ class Polynomial:
             return 0
         return max(m[index] for m in self.terms)
 
-    def canonical_items(self) -> list[tuple[Mono, Fraction | int]]:
-        return sorted(self.terms.items())
-
     def normalized(self) -> "Polynomial":
         """Scale so the coefficients are coprime integers and the
         lexicographically smallest monomial has a positive coefficient."""
@@ -206,7 +203,7 @@ class Polynomial:
         if not self.terms:
             return "Polynomial(0)"
         bits = []
-        for mono, coeff in self.canonical_items()[:6]:
+        for mono, coeff in sorted(self.terms.items())[:6]:
             vars_part = "*".join(f"x{j + 1}^{e}" if e > 1 else f"x{j + 1}"
                                  for j, e in enumerate(mono) if e)
             if vars_part:

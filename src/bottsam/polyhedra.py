@@ -8,24 +8,27 @@ directions of the V/H conversion.  A hull of points takes one sweep, to its
 facets and equations; its vertices are the points whose tight-facet masks
 are maximal, so no second sweep runs back from the facets.
 
-Lattice points of a dilation are listed by scanning its bounding box, and
-counted by scanning all but the last coordinate, whose interval is read
-off the rows; both refuse a box of more than _LATTICE_POINT_GUARD points.
+Lattice points of a dilation are listed and counted from one fiber scan:
+all but the last coordinate run over the dilation's bounding box, and the
+last coordinate's interval is read off the rows.  Both refuse a box of
+more than _LATTICE_POINT_GUARD points.
 
 Volumes come out of a pyramid recursion: with primitive integer facet
 normals, the Euclidean volume of a full-dimensional polytope equals
 (1/d) * sum over facets of (height of an apex over the facet) times the
-facet volume normalized to the saturated hyperplane lattice.  The same
-recursion computes lattice-normalized volumes of lower-dimensional
-polytopes after a change to saturated-lattice coordinates.
+facet volume normalized to the saturated hyperplane lattice.  Every
+lattice-normalized volume, of a facet in the recursion or of a
+lower-dimensional polytope, takes its lattice as the integer kernel of the
+span's equation normals and runs the recursion in a basis of it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._kernel import clear_denominators, kernel_lattice_basis, solve_dense
 from .errors import (
@@ -178,7 +181,7 @@ class RationalCone:
     @classmethod
     def from_generators(cls, vectors: Sequence[Sequence],
                         ambient: int | None = None) -> "RationalCone":
-        vecs = [primitive_vector(v) for v in vectors]
+        vecs = [tuple(v) for v in vectors]
         if ambient is None:
             if not vecs:
                 raise ValidationError(
@@ -194,33 +197,6 @@ class RationalCone:
             rows.append(tuple(-x for x in e))
         rays, lin = _dual_description(rows, ambient)
         return cls(ambient, rays, lin, ineqs, eqs)
-
-    def dim(self) -> int:
-        return self.ambient - len(self.equations)
-
-    def contains(self, vector: Sequence) -> bool:
-        vec = _frac_vector(vector)
-        if len(vec) != self.ambient:
-            return False
-        return (all(_idot(a, vec) >= 0 for a in self.inequalities)
-                and all(_idot(e, vec) == 0 for e in self.equations))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalCone):
-            return NotImplemented
-        if self.ambient != other.ambient:
-            return False
-
-        def covered(cone: "RationalCone", by: "RationalCone") -> bool:
-            for v in cone.rays:
-                if not by.contains(v):
-                    return False
-            for v in cone.lineality:
-                if not by.contains(v) or not by.contains([-x for x in v]):
-                    return False
-            return True
-
-        return covered(self, other) and covered(other, self)
 
     def __repr__(self) -> str:
         return (f"RationalCone(ambient={self.ambient}, rays={len(self.rays)}, "
@@ -306,8 +282,8 @@ class RationalPolytope:
     def from_inequalities(cls, rows: Sequence[Sequence],
                           equations: Sequence[Sequence] = (),
                           ambient: int | None = None) -> "RationalPolytope":
-        ineq_rows = [primitive_vector(r) for r in rows]
-        eq_rows = [primitive_vector(e) for e in equations]
+        ineq_rows = [tuple(r) for r in rows]
+        eq_rows = [tuple(e) for e in equations]
         if ambient is None:
             if not ineq_rows and not eq_rows:
                 raise ValidationError(
@@ -323,11 +299,13 @@ class RationalPolytope:
 
     @staticmethod
     def _vertices_from_hrep(ineq_rows, eq_rows, ambient):
-        """Vertices of the homogenization; flags recession rays or lines."""
+        """Vertices of the homogenization; flags recession rays or lines.
+
+        The rows are tuples; the sweep makes them primitive."""
         rows = [(1,) + (0,) * ambient]
-        rows.extend(tuple(r) for r in ineq_rows)
+        rows.extend(ineq_rows)
         for e in eq_rows:
-            rows.append(tuple(e))
+            rows.append(e)
             rows.append(tuple(-x for x in e))
         rays, lineality = _dual_description(rows, ambient + 1)
         verts = []
@@ -362,10 +340,8 @@ class RationalPolytope:
         """Intersect with affine hyperplanes coeffs . x = value."""
         if self.is_empty:
             return self
-        extra = []
-        for coeffs, value in equalities:
-            row = (-Fraction(value),) + _frac_vector(coeffs)
-            extra.append(primitive_vector(row))
+        extra = [(-Fraction(value),) + _frac_vector(coeffs)
+                 for coeffs, value in equalities]
         return RationalPolytope.from_inequalities(
             self.inequalities, tuple(self.equations) + tuple(extra),
             self.ambient)
@@ -377,33 +353,15 @@ class RationalPolytope:
         return _pyramid_volume(list(self.vertices), self.ambient)
 
     def lattice_volume(self) -> Fraction:
-        """Volume normalized to the saturated lattice of the affine span.
+        """Volume normalized to the saturated lattice of the affine span,
+        the integer kernel of the span's equation normals.
 
         A single point has lattice volume 1 by convention.
         """
         if self.is_empty:
             return Fraction(0)
-        coords, d = self._lattice_coordinates()
-        if d == 0:
-            return Fraction(1)
-        return _pyramid_volume(coords, d)
-
-    def _lattice_coordinates(self) -> tuple[list[Vector], int]:
-        """Vertices rewritten in a basis of the saturated direction lattice."""
-        origin = self.vertices[0]
-        directions = []
-        for v in self.vertices[1:]:
-            diff = primitive_vector(tuple(a - b for a, b in zip(v, origin)))
-            if any(diff):
-                directions.append(diff)
-        if not directions:
-            return [()] * len(self.vertices), 0
-        orthogonal = kernel_lattice_basis(directions, self.ambient)
-        basis = kernel_lattice_basis(orthogonal, self.ambient)
-        coords = _coordinates(self.vertices, origin, basis)
-        if coords is None:
-            raise EngineError("vertex fell outside its own affine span")
-        return coords, len(basis)
+        return _span_volume(list(self.vertices),
+                            [e[1:] for e in self.equations], self.ambient)
 
     def _dilation_box(self, denominator: int) -> list[range] | None:
         """Integer ranges of the bounding box of the polytope dilated by
@@ -416,63 +374,41 @@ class RationalPolytope:
             raise ValidationError("denominator must be a positive integer")
         if self.is_empty:
             return None
-        k = denominator
         ranges = []
         total = 1
         for i in range(self.ambient):
-            values = [v[i] * k for v in self.vertices]
-            lo = min(values)
-            hi = max(values)
-            lo_int = int(lo) if lo.denominator == 1 else int(lo) + (lo > 0)
-            hi_int = int(hi) if hi.denominator == 1 else int(hi) - (hi < 0)
-            if hi < lo_int:
+            values = [v[i] * denominator for v in self.vertices]
+            lo = math.ceil(min(values))
+            hi = math.floor(max(values))
+            if hi < lo:
                 return None
-            span = hi_int - lo_int + 1
-            total *= max(span, 0)
+            total *= hi - lo + 1
             if total > _LATTICE_POINT_GUARD:
                 raise Unstable(
                     "lattice point enumeration exceeds the supported size")
-            ranges.append(range(lo_int, hi_int + 1))
+            ranges.append(range(lo, hi + 1))
         return ranges
 
-    def lattice_points(self, denominator: int = 1) -> list[Vector]:
-        """All points of (1/denominator) Z^n inside the polytope, sorted."""
-        ranges = self._dilation_box(denominator)
-        if ranges is None:
-            return []
-        k = denominator
-        # c / k lies in the polytope exactly when c lies in its k-th
-        # dilation, so the integer rows are tested on c directly; the
-        # product runs in lexicographic order, which is the sorted order.
-        points = []
-        for c in itertools.product(*ranges):
-            if (all(k * a[0] + _idot(a[1:], c) >= 0
-                    for a in self.inequalities)
-                    and all(k * e[0] + _idot(e[1:], c) == 0
-                            for e in self.equations)):
-                points.append(tuple(Fraction(x, k) for x in c))
-        return points
+    def _fibers(self, k: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        """Yield (c, lo, hi) for each head point c of the k-th dilation's
+        box with a nonempty fiber: the points of the dilation over c are
+        c + (x,) for the integers lo <= x <= hi.
 
-    def lattice_point_count(self, denominator: int = 1) -> int:
-        """len(lattice_points(denominator)), without listing the points.
-
-        The first d - 1 coordinates c of the dilation's box are scanned;
-        each row s + r x >= 0, with s its value at c and r its last entry,
-        bounds the last coordinate x by an integer ceiling or floor, or
-        holds or fails on c when r = 0.  An equation is the pair of
-        opposite rows, so one with r != 0 pins x, and leaves no point when
-        -s / r is not an integer.
+        The first d - 1 coordinates c of the box are scanned in
+        lexicographic order; each row s + r x >= 0, with s its value at c
+        and r its last entry, bounds the last coordinate x by an integer
+        ceiling or floor, or holds or fails on c when r = 0.  An equation
+        is the pair of opposite rows, so one with r != 0 pins x, and leaves
+        no point when -s / r is not an integer.
         """
-        ranges = self._dilation_box(denominator)
+        ranges = self._dilation_box(k)
         if ranges is None:
-            return 0
-        k = denominator
+            return
         *head, last = ranges
         rows = [(k * a[0], a[1:-1], a[-1]) for a in self.inequalities]
         for e in self.equations:
             rows.append((k * e[0], e[1:-1], e[-1]))
             rows.append((-k * e[0], tuple(-v for v in e[1:-1]), -e[-1]))
-        count = 0
         for c in itertools.product(*head):
             lo, hi = last.start, last.stop - 1
             for base, row, r in rows:
@@ -484,8 +420,28 @@ class RationalPolytope:
                 elif s < 0:
                     break
             else:
-                count += max(hi - lo + 1, 0)
-        return count
+                if lo <= hi:
+                    yield c, lo, hi
+
+    def lattice_points(self, denominator: int = 1) -> list[Vector]:
+        """All points of (1/denominator) Z^n inside the polytope, sorted.
+
+        c / k lies in the polytope exactly when c lies in its k-th
+        dilation, so the points are the fibers of _fibers(k) scaled by
+        1/k; the scan runs in lexicographic order, which is the sorted
+        order.
+        """
+        k = denominator
+        points = []
+        for c, lo, hi in self._fibers(k):
+            head = tuple(Fraction(x, k) for x in c)
+            points.extend(head + (Fraction(x, k),) for x in range(lo, hi + 1))
+        return points
+
+    def lattice_point_count(self, denominator: int = 1) -> int:
+        """len(lattice_points(denominator)), summed off the fiber lengths
+        of the same scan without listing the points."""
+        return sum(hi - lo + 1 for _, lo, hi in self._fibers(denominator))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalPolytope):
@@ -512,10 +468,33 @@ def _coordinates(points: Sequence[Vector], origin: Vector,
     return [tuple(x) for x in solutions]
 
 
-def _pyramid_volume(vertices: list[Vector], d: int) -> Fraction:
-    """Lattice-normalized volume of a full-dimensional polytope in Q^d."""
-    if d == 0:
+def _span_volume(points: Sequence[Vector], normals: Sequence[Sequence[int]],
+                 ambient: int) -> Fraction:
+    """Volume of the hull of points that span the affine space cut out by
+    equations with the given integer normals, normalized to that span's
+    saturated lattice: the integer kernel of the normals.
+
+    The points are rewritten in a basis of that lattice, and the pyramid
+    recursion runs there; the value does not depend on the basis.  An
+    empty basis means a single point, of volume 1.
+    """
+    basis = kernel_lattice_basis(normals, ambient)
+    if not basis:
         return Fraction(1)
+    coords = _coordinates(points, points[0], basis)
+    if coords is None:
+        raise EngineError("vertex fell outside its own affine span")
+    return _pyramid_volume(coords, len(basis))
+
+
+def _pyramid_volume(vertices: list[Vector], d: int) -> Fraction:
+    """Lattice-normalized volume of a full-dimensional polytope in Q^d,
+    for d >= 1.
+
+    A facet row (a_0, a) is primitive as a whole, but a need not be when
+    the facet misses the lattice points, so the apex height is the value
+    of the row divided by gcd(a).
+    """
     if d == 1:
         values = [v[0] for v in vertices]
         return max(values) - min(values)
@@ -526,15 +505,11 @@ def _pyramid_volume(vertices: list[Vector], d: int) -> Fraction:
     apex = vertices[0]
     total = Fraction(0)
     for row in ineqs:
-        height = row[0] + _idot(row[1:], apex)
+        height = Fraction(row[0] + _idot(row[1:], apex), gcd(*row[1:]))
         if height == 0:
             continue
         facet = [v for v in vertices if row[0] + _idot(row[1:], v) == 0]
-        basis = kernel_lattice_basis([row[1:]], d)
-        coords = _coordinates(facet, facet[0], basis)
-        if coords is None:
-            raise EngineError("facet vertex left the facet hyperplane")
-        total += height * _pyramid_volume(coords, d - 1)
+        total += height * _span_volume(facet, [row[1:]], d)
     return Fraction(total, d)
 
 

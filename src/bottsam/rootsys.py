@@ -59,9 +59,6 @@ class Weight:
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coords)
 
-    def sort_key(self):
-        return tuple(Fraction(c) for c in self.coords)
-
     def __repr__(self) -> str:
         return f"Weight({list(self.coords)})"
 
@@ -249,9 +246,6 @@ class Character:
     def multiplicity(self, weight: Weight) -> int:
         return self.terms.get(weight, 0)
 
-    def canonical_items(self) -> list[tuple[Weight, int]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-
     def translated(self, shift: Weight) -> "Character":
         """Multiply by e^shift."""
         return Character({w + shift: m for w, m in self.terms.items()})
@@ -265,7 +259,7 @@ class Character:
         return bool(self.terms)
 
     def __repr__(self) -> str:
-        items = self.canonical_items()
+        items = sorted(self.terms.items(), key=lambda kv: kv[0].coords)
         inner = ", ".join(f"{list(w.coords)}: {m}" for w, m in items[:5])
         tail = ", ..." if len(items) > 5 else ""
         return f"Character({{{inner}{tail}}})"

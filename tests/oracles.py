@@ -33,9 +33,13 @@ glue_space_by_filters keeps the glue class loop that sent every
 (class, chart) pair through the chart filter, before classes on monomial
 charts were decided inline; two_sweep_vertices keeps the hull
 vertices read off a second double-description sweep, before they were read
-off the tight-facet masks of the first.  divisible_part is a second route
-to an off-nef section space, off the spanning route's basis of a nef class
-and the verified basis change, with no chart and no degree box.
+off the tight-facet masks of the first; direction_lattice_volume keeps the
+lattice volume taken in a basis of the direction lattice (primitive
+directions from the first vertex, then two integer kernels), before the
+lattice was read off the span's equation normals.  divisible_part is a
+second route to an off-nef section space, off the spanning route's basis
+of a nef class and the verified basis change, with no chart and no degree
+box.
 """
 
 from __future__ import annotations
@@ -965,6 +969,28 @@ def two_sweep_vertices(points, ambient):
                                                             ambient)
     assert not unbounded
     return sorted(verts)
+
+
+def direction_lattice_volume(polytope):
+    """Lattice volume of a nonempty polytope: its vertices in a basis of
+    the saturated lattice of the directions from the first vertex, the
+    integer kernel of the integer kernel of those directions, then the
+    pyramid recursion; a single point has volume 1."""
+    from bottsam._kernel import kernel_lattice_basis
+    from bottsam.polyhedra import _coordinates, _pyramid_volume, \
+        primitive_vector
+
+    origin = polytope.vertices[0]
+    directions = [primitive_vector(tuple(a - b for a, b in zip(v, origin)))
+                  for v in polytope.vertices[1:]]
+    directions = [d for d in directions if any(d)]
+    if not directions:
+        return Fraction(1)
+    orthogonal = kernel_lattice_basis(directions, polytope.ambient)
+    basis = kernel_lattice_basis(orthogonal, polytope.ambient)
+    coords = _coordinates(polytope.vertices, origin, basis)
+    assert coords is not None
+    return _pyramid_volume(coords, len(basis))
 
 
 def nef_shift(matrix, can):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -135,6 +136,24 @@ def test_verify_quick(capsys):
     assert data["quick"] is True
     assert all(row["status"] == "pass" for row in data["report"])
     assert len(data["report"]) >= 10
+
+
+def test_an_uncertified_volume_fails_verify_quick_with_exit_4(capsys,
+                                                              monkeypatch):
+    """A volume check that does not certify is a failed row, and the
+    battery exits 4 with the report on stdout."""
+    def uncertified(self, divisor, levels):
+        return {"certified": False, "gap": Fraction(1, 2),
+                "hull_volume": Fraction(1)}
+
+    monkeypatch.setattr(okounkov.OkounkovEngine, "volume_check", uncertified)
+    code, out = run(capsys, ["verify", "--quick"])
+    assert code == 4
+    data = json.loads(out)
+    assert data["passed"] is False
+    assert [row for row in data["report"] if row["status"] != "pass"] == [
+        {"case": "A2:(1,2)", "invariant": "volume-identity",
+         "status": "fail", "details": "gap 1/2"}]
 
 
 def test_verify_quick_counts_nef_characters_in_one_place(capsys,
@@ -302,6 +321,37 @@ def test_validation_errors_exit_2(capsys):
         code = main(argv)
         capsys.readouterr()
         assert code == 2, argv
+
+
+def test_an_empty_word_exits_2_with_one_line(capsys):
+    code = main(["body", "--type", "A2", "--word", "", "--bundle",
+                 "can:1,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: word must be a nonempty comma list"]
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read {path}: "),
+    ("{bad", "{path} is not valid JSON: "),
+    ("[1, 2]", "config file must hold a JSON object"),
+], ids=["missing", "not-json", "array"])
+def test_bad_config_files_exit_2_with_one_line(tmp_path, capsys, content,
+                                               message):
+    """The message starts as given; the reader's own reason follows."""
+    path = tmp_path / "job.json"
+    if content is not None:
+        path.write_text(content)
+    code = main(["body", "--config", str(path), "--type", "A2", "--word",
+                 "1,2", "--bundle", "can:1,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: " + message.format(path=path))
 
 
 @pytest.mark.parametrize("word", ["1,,2", "1,2,"])
@@ -545,7 +595,8 @@ def test_type_a_models_build_only_the_word_letters(capsys):
     ("[[1.5, 0]]", "torus projection entry 1.5 is not an integer"),
     ("[[true, 0]]", "torus projection entry True is not an integer"),
     ("[]", "torus projection needs at least one row"),
-], ids=["string", "flat", "fraction", "boolean", "no-rows"])
+    ('{"a": 1}', "torus projection file must hold a JSON array of rows"),
+], ids=["string", "flat", "fraction", "boolean", "no-rows", "object"])
 def test_bad_projection_files_exit_2_with_one_line(tmp_path, capsys,
                                                    content, message):
     path = tmp_path / "proj.json"
@@ -607,6 +658,28 @@ def test_hulls_past_the_ambient_caps_exit_2_at_once(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {message}"]
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("raw, message", [
+    (((1, 0, 0), (0, 1, Fraction(1, 2)), (0, 0, 1)),
+     "order matrices give a non-integral basis change: "
+     "((1, 0, 0), (0, 1, Fraction(1, 2)), (0, 0, 1))"),
+    (((2, 0, 0), (0, 1, 0), (0, 0, 1)),
+     "basis change has diagonal entry 2 != 1 at column 1"),
+], ids=["non-integral", "diagonal"])
+def test_bad_basis_changes_exit_4_with_one_line(capsys, monkeypatch, raw,
+                                                message):
+    """An effective class needs the basis change, which refuses a matrix
+    read off the order matrices that is not integral or has a diagonal
+    entry other than 1."""
+    monkeypatch.setattr(sections.SectionEngine,
+                        "effective_to_canonical_matrix", lambda self: raw)
+    code = main(["body", "--type", "A2", "--word", "1,2,1", "--bundle",
+                 "eff:0,1,0"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"verification failure: {message}"]
 
 
 def test_engine_failures_exit_4(capsys, monkeypatch):

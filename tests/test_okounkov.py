@@ -692,6 +692,36 @@ def test_no_sum_grows_from_a_section_route_class(lattice_a2_12,
             RationalPolytope.from_points(points[mc], ambient=2).vertices)
 
 
+def test_an_uncertified_sum_falls_back_to_the_route_rule(lattice_a2_12):
+    """With a point dropped from slot 1's valuation set, the sum for
+    (2, 1) falls short of the character dimension, so it is not kept and
+    the level set comes from the section route, the same 7 points as a
+    fresh engine's certified sum."""
+    expected = OkounkovEngine(lattice_a2_12).valuation_points(can(2, 1))
+    assert len(expected) == 7
+    engine = OkounkovEngine(lattice_a2_12)
+    slots = engine._slot_sets()
+    nus, hull = slots[0]
+    slots[0] = (nus[:-1], hull)
+    assert engine.valuation_points(can(2, 1)) == expected
+    assert (2, 1) not in engine._sums and (2, 1) in engine._points
+    assert engine.level_count(can(2, 1)) == 7
+
+
+def test_engine_refusals(okounkov_a1, okounkov_a2_12):
+    """A restriction needs a second letter, and a level set a positive
+    level."""
+    with pytest.raises(ValidationError,
+                       match="^restriction needs a word of length at "
+                             "least 2$"):
+        okounkov_a1.restriction_check(can(1), 2)
+    for query in (okounkov_a2_12.valuation_points,
+                  okounkov_a2_12.level_count):
+        with pytest.raises(ValidationError,
+                           match="^level must be a positive integer$"):
+            query(can(1, 1), 0)
+
+
 def test_cone_session_decodes_no_point(lattice_a2_12):
     """Work pin for an A2 (1,2) session shaped like the benchmark's: the
     sweep (4,2), (6,3), (8,4), three level-8 volume checks and one

@@ -28,6 +28,7 @@ from bottsam.polyhedra import (
 from bottsam import polyhedra
 from oracles import (
     convex_hull_2d,
+    direction_lattice_volume,
     extreme_rays_2d,
     shoelace_area,
     two_sweep_vertices,
@@ -94,12 +95,18 @@ def test_volume_is_unimodular_invariant():
 @settings(max_examples=100)
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
                 min_size=3, max_size=8),
-       st.integers(-3, 3), st.integers(-3, 3))
-def test_embedded_polygon_volumes_match_shoelace(points, a, b):
+       st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3),
+       st.tuples(*[st.sampled_from([0, Fraction(1, 2), Fraction(-1, 3)])] * 2))
+def test_embedded_polygon_volumes_match_shoelace(points, a, b, q, shift):
     """The planar hull's volume and the lattice volume of its copy on the
     plane z = a x + b y in Q^3 both equal the shoelace area: the map
     (x, y) -> (x, y, a x + b y) carries Z^2 onto that plane's saturated
-    lattice."""
+    lattice.  The points are scaled by 1/q and shifted, so facets may miss
+    every lattice point; a facet height measured with a normal that is not
+    primitive made the triangle (0, 1/2), (1, 1/2), (0, 3/2) of area 1/2
+    report volume 1."""
+    points = [(Fraction(x, q) + shift[0], Fraction(y, q) + shift[1])
+              for x, y in points]
     hull = convex_hull_2d(points)
     assume(len(hull) >= 3)
     area = shoelace_area(hull)
@@ -179,7 +186,10 @@ def point_sets(draw, dim):
 
 
 def brute_force_lattice_points(polytope, k):
-    """Every point of (1/k) Z^n in the bounding box, filtered by contains."""
+    """Every point of (1/k) Z^n in the bounding box, filtered by contains;
+    none for the empty polytope."""
+    if polytope.is_empty:
+        return []
     ranges = []
     for i in range(polytope.ambient):
         values = [v[i] * k for v in polytope.vertices]
@@ -237,18 +247,49 @@ def test_one_sweep_vertices_match_two_sweeps(dim, data):
 @given(data=st.data(), k=st.integers(1, 4))
 def test_lattice_point_count_matches_the_listing(dim, data, k):
     """Counting the points of a dilation off the last coordinate's
-    interval gives the length of the listing, on hulls with Fraction
-    vertices and with equations, and on slices whose equations pin the
-    last coordinate at values that need not be integers."""
+    interval gives the length of the listing and of the brute-force
+    filter of the bounding box, on hulls with Fraction vertices and with
+    equations, and on slices whose equations pin the last coordinate at
+    values that need not be integers."""
     polytope = RationalPolytope.from_points(
         data.draw(rational_point_sets(dim)))
-    assert polytope.lattice_point_count(k) == len(polytope.lattice_points(k))
+    count = polytope.lattice_point_count(k)
+    assert count == len(polytope.lattice_points(k))
+    assert count == len(brute_force_lattice_points(polytope, k))
     if dim > 1:
         coeffs = data.draw(st.tuples(*[st.integers(-1, 2)] * dim))
         value = data.draw(st.sampled_from([0, 1, Fraction(1, 2)]))
         sliced = polytope.sliced([(coeffs, value)])
-        assert sliced.lattice_point_count(k) == \
-            len(sliced.lattice_points(k))
+        count = sliced.lattice_point_count(k)
+        assert count == len(sliced.lattice_points(k))
+        assert count == len(brute_force_lattice_points(sliced, k))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_lattice_volume_matches_the_direction_lattice(dim, data):
+    """The lattice volume taken in the integer kernel of the equation
+    normals equals the one taken in the saturated lattice of the
+    directions from the first vertex, on int and Fraction point sets
+    whose affine span has any dimension up to dim, single points
+    included."""
+    points = data.draw(st.one_of(point_sets(dim), rational_point_sets(dim)))
+    polytope = RationalPolytope.from_points(points)
+    assert polytope.lattice_volume() == direction_lattice_volume(polytope)
+    if polytope.dim() == dim:
+        assert polytope.lattice_volume() == polytope.volume()
+
+
+@pytest.mark.parametrize("rows", [[(0, 1, 0), (0, 0, 1)], [(0, 1, 0)]],
+                         ids=["recession-ray", "line"])
+def test_unbounded_inequality_systems_are_refused(rows):
+    """The quadrant x, y >= 0 has recession rays and the half-plane
+    x >= 0 holds a line; neither is a polytope."""
+    with pytest.raises(ValidationError,
+                       match="^inequality system describes an unbounded "
+                             "set$"):
+        RationalPolytope.from_inequalities(rows)
 
 
 def test_lattice_point_count_keeps_the_guard(monkeypatch):

@@ -601,6 +601,24 @@ def test_span_deficiency_falls_back_to_the_glue_route(eng12, monkeypatch):
         == [(poly_terms(sp), sp.weight) for sp in expected]
 
 
+def test_slot_products_that_fall_short_raise_and_fall_back(a2):
+    """With slot 1's last section dropped, the products for (2, 1) span
+    only 3 of its 7 dimensions: section_basis_nef raises SpanDeficiency
+    and section_basis takes the glue route."""
+    engine = SectionEngine(a2, WeylWord([1, 2]))
+    engine._slot_polys[1] = engine.slot_polynomials(1)[:-1]
+    with pytest.raises(SpanDeficiency,
+                       match=r"^slot products span 3 of 7 dimensions for "
+                             r"multidegree \(2, 1\)$"):
+        engine.section_basis_nef((2, 1))
+    got = engine.section_basis((2, 1))
+    assert len(got) == engine.nef_dimension((2, 1)) == 7
+    expected = SectionEngine(a2, WeylWord([1, 2])).section_basis_glue(
+        can=(2, 1))
+    assert [(poly_terms(sp), sp.weight) for sp in got] \
+        == [(poly_terms(sp), sp.weight) for sp in expected]
+
+
 def test_effective_coordinates_take_the_glue_route(monkeypatch,
                                                    lattice_a2_12,
                                                    lattice_a2_121):

@@ -32,7 +32,7 @@ from bottsam import (
     weight_projection,
     weighted_semigroup,
 )
-from bottsam import cli
+from bottsam import cli, weights
 from bottsam._kernel import solve_dense
 from bottsam.sections import SectionEngine, SectionPoly
 from bottsam.valuation import adapted_basis
@@ -146,6 +146,26 @@ def test_not_interior_names_the_weight_as_typed(lattice_a2_12):
         assert str(error.value) == (
             f"weight {text} is not in the relative interior of the weight "
             "polytope")
+
+
+def test_a_weight_off_the_span_is_not_interior(lattice_a2_12, monkeypatch):
+    """The weight polytope of can:1,0 on A2 (1,2) is a segment on the line
+    -1 + x + 2y = 0; (0, 0) passes both its inequalities strictly and is
+    refused by the equation."""
+    seen = []
+    interior = weights._in_relative_interior
+
+    def recorded(polytope, point):
+        seen.append((polytope, point))
+        return interior(polytope, point)
+
+    monkeypatch.setattr(weights, "_in_relative_interior", recorded)
+    with pytest.raises(NotInterior):
+        multiplicity_asymptotics(lattice_a2_12, can((1, 0)), (0, 0), 3)
+    [(polytope, point)] = seen
+    assert polytope.equations == ((-1, 1, 2),)
+    assert all(row[0] + sum(a * x for a, x in zip(row[1:], point)) > 0
+               for row in polytope.inequalities)
 
 
 def test_rational_weights_use_integral_levels(lattice_a2_121):
