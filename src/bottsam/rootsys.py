@@ -395,11 +395,14 @@ def demazure_dimension(datum: CartanDatum, i: int, char: Character,
 
 def bs_character(datum: CartanDatum, word: WeylWord | Sequence[int],
                  multidegree: Sequence[int]) -> Character:
-    """Character of the section space attached to a word and a multidegree.
+    """Demazure character attached to a word and a multidegree.
 
     The multidegree is in the canonical line-bundle basis: entry k twists by
     the k-th fundamental weight along the word. The recursion applies the
     Demazure operator of each letter from the innermost (last) letter out.
+    On the nef cone (every entry >= 0) it is the character of the section
+    space; off it, of the Euler characteristic sum_i (-1)^i H^i: for A2
+    (1,2) and (-3, 3) its dimension is -2, where there is one section.
     """
     indices = tuple(word)
     degrees = tuple(int(m) for m in multidegree)

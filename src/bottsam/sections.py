@@ -465,7 +465,8 @@ def _regular(checks, a: Mono) -> bool:
     """The sign test of a monomial chart: t^a is regular there exactly
     when g + col . a >= 0 on every row (g, col) of its exponent gaps.  It
     reads only the rows that can fail, the chart's checks.  _glue_space
-    inlines it for one-candidate classes, the probe run's hot path."""
+    calls it on a monomial chart for every class whose vectors are still
+    the unit vectors of its candidates."""
     for g, col in checks:
         if g + sum(map(mul, a, col)) < 0:
             return False
@@ -519,28 +520,22 @@ class SectionEngine:
             return frame
         n = self.n
         x_weights = self._chart_weights(flips)
-        numerators, denominators, slot_factors = [], [], []
         pairings = self._pairings(self._chart_chain(flips),
                                   lambda c: Polynomial.constant(n, c))
-        for j, (d_prev, a_prev, d_now, a_now) in enumerate(pairings):
-            num = a_now * d_prev - a_prev * d_now
-            den = d_now * d_prev
+        for j, (num, den, factor) in enumerate(pairings):
             if not den:
                 raise EngineError(
                     f"chart {flips} is degenerate at slot {j + 1}")
-            numerators.append(num)
-            denominators.append(den)
-            slot_factors.append(d_now)
             for poly, what in ((num, "coordinate numerator"),
                                (den, "coordinate denominator"),
-                               (d_now, "slot factor")):
+                               (factor, "slot factor")):
                 if len({_torus_weight(m, x_weights) for m in poly.terms}) > 1:
                     raise EngineError(
                         f"{what} at slot {j + 1} is not torus homogeneous; "
                         "representation data or chart conventions are "
                         "inconsistent")
-        frame = _ChartFrame(flips, tuple(numerators), tuple(denominators),
-                            tuple(slot_factors))
+        numerators, denominators, slot_factors = zip(*pairings)
+        frame = _ChartFrame(flips, numerators, denominators, slot_factors)
         if not any(flips):
             one = Polynomial.one(n)
             for j in range(n):
@@ -576,18 +571,22 @@ class SectionEngine:
         return vec
 
     def _pairings(self, chain: Sequence[list], const) -> list[tuple]:
-        """Per slot j, (d_prev, a_prev, d_now, a_now): the highest-weight
-        entry d and the entry a at the image of v_hw under f of the orbit
-        vectors of chain[:j] and chain[:j + 1] in the slot's representation.
-        const builds the ring constants, Polynomial or Fraction."""
+        """Per slot j, the numerator, denominator and slot factor d_now of
+        t_j = (a_now d_prev - a_prev d_now) / (d_now d_prev), with d the
+        highest-weight entry and a the entry at f v_hw of the orbit vectors
+        of chain[:j] (prev) and chain[:j + 1] (now) in the slot's
+        representation.  const builds the ring constants, Polynomial or
+        Fraction."""
         out = []
         zero = const(0)
         for j, letter in enumerate(self._letters):
             hw, fidx = self.model.rep(letter).highest, self._fidx[letter]
             prev, now = (self._orbit(chain[:m], letter, const(1))
                          for m in (j, j + 1))
-            out.append((prev.get(hw, zero), prev.get(fidx, zero),
-                        now.get(hw, zero), now.get(fidx, zero)))
+            d_prev, a_prev = prev.get(hw, zero), prev.get(fidx, zero)
+            d_now, a_now = now.get(hw, zero), now.get(fidx, zero)
+            out.append((a_now * d_prev - a_prev * d_now, d_now * d_prev,
+                        d_now))
         return out
 
     def _chart_weights(self, flips: tuple[int, ...]) -> tuple[tuple, ...]:
@@ -660,8 +659,6 @@ class SectionEngine:
                                   self.datum.zero_weight())
             for factor in itertools.chain.from_iterable(choice):
                 section = section.multiplied(factor)
-            if not section.poly:
-                continue
             if span.add(dict(section.poly.terms)) is not None:
                 basis.append(section)
                 if len(basis) == expected:
@@ -933,10 +930,10 @@ class SectionEngine:
           - a class of two or more candidates keeps the vectors whose
             candidate passes the sign test (_regular), with no rows,
             nullspace or span;
-          - a class of one candidate pays one inline sign test and puts
-            its one-column system, [{0: 1}] when irregular and []
-            otherwise, to nullspace, the call the probe-run work pins
-            count; its vectors stay None, for [{0: 1}], on those charts.
+          - a class of one candidate pays the same sign test and puts its
+            one-column system, [{0: 1}] when irregular and [] otherwise,
+            to nullspace, the call the probe-run work pins count; its
+            vectors stay None, for [{0: 1}], on those charts.
 
         Every other (class, chart) pair lifts and divides in _chart_filter.
         Inside reusing_box_classes the classes of a box are built once.
@@ -969,11 +966,7 @@ class SectionEngine:
                 checks = chart.checks
                 if checks is not None and units:
                     if single:
-                        rows = []
-                        for g, col in checks:
-                            if g + sum(map(mul, cands[0], col)) < 0:
-                                rows = [{0: 1}]
-                                break
+                        rows = [] if _regular(checks, cands[0]) else [{0: 1}]
                         if nullspace(rows, 1):
                             continue
                         break
@@ -1066,8 +1059,6 @@ class SectionEngine:
                         vec[cidx] = acc
                     else:
                         vec.pop(cidx, None)
-            if not vec:
-                continue
             reduced = span.add(vec)
             if reduced is not None:
                 filtered.append(reduced)
@@ -1163,9 +1154,8 @@ class SectionEngine:
                     "the equivariance check needs sections with a weight label")
             for _ in range(EQUIVARIANCE_TRIALS):
                 for _attempt in range(80):
-                    taus = [self._random_fraction(rng, nonzero=True)
-                            for _ in range(self.n)]
-                    zs = [[self._random_fraction(rng, nonzero=True)
+                    taus = [self._random_fraction(rng) for _ in range(self.n)]
+                    zs = [[self._random_fraction(rng)
                            for _ in range(rank)] for _ in range(self.n)]
                     translators = []
                     for k in range(self.n):
@@ -1216,12 +1206,10 @@ class SectionEngine:
         return failures
 
     @staticmethod
-    def _random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
-        num = rng.randint(1 if nonzero else 0, 3)
-        if nonzero and rng.random() < 0.5:
+    def _random_fraction(rng: random.Random) -> Fraction:
+        num = rng.randint(1, 3)
+        if rng.random() < 0.5:
             num = -num
-        elif not nonzero:
-            num *= rng.choice((-1, 1))
         return Fraction(num, rng.randint(1, 3))
 
     def _chain_values(self, chain):
@@ -1231,10 +1219,9 @@ class SectionEngine:
         denominator vanishes.
         """
         t_values, factors = [], []
-        for d_prev, a_prev, d_now, a_now in self._pairings(chain, Fraction):
-            if d_now == 0 or d_prev == 0:
+        for num, den, factor in self._pairings(chain, Fraction):
+            if den == 0:
                 return None
-            t_values.append((a_now * d_prev - a_prev * d_now)
-                            / (d_now * d_prev))
-            factors.append(d_now)
+            t_values.append(num / den)
+            factors.append(factor)
         return t_values, factors

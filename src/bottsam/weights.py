@@ -8,10 +8,10 @@ rule SectionEngine.section_weight (weight_projection).  The weight polytope
 is the image of the level sets' hull vertices under that map, divided by
 their level, and slicing the Okounkov body along a fiber of the map gives
 the polytope whose lattice-normalized volume governs the growth of
-weight-space dimensions.  weighted_semigroup labels every point with the
-rule.  Both walk levels 1..L through the engine's one checked run
-(OkounkovEngine._run), so they refuse the classes and level counts that
-body refuses, with the same errors.
+weight-space dimensions, each the number of points the map sends to its
+weight; weighted_semigroup labels every point with it.  Both walk levels
+1..L through the engine's one checked run (OkounkovEngine._run), so they
+refuse the classes and level counts that body refuses, with the same errors.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import NonIntegralAll, NotInterior, ValidationError
 from .okounkov import OkounkovEngine
 from .picard import DivisorClass, PicardLattice
 from .polyhedra import RationalPolytope
-from .rootsys import Weight, _integer_entry, bs_character
+from .rootsys import Weight, _integer_entry
 
 
 class WeightedSemigroup:
@@ -68,34 +68,40 @@ def weighted_semigroup(engine: OkounkovEngine, divisor: DivisorClass,
                        torus_projection=None) -> WeightedSemigroup:
     """Collect (valuation, level, weight) triples for levels 1..levels.
 
-    The points are the engine's level sets, each labeled by
-    SectionEngine.section_weight in the canonical class of its level, the
-    weight rule of every section the package builds.  The run is checked
-    as the engine checks a body's: a level count below 1 or a class that
-    is not effective raises ValidationError, and a run whose level sets
-    exceed the guard raises Unstable, each before level 1.
+    The points are the engine's level sets, labeled by weight_projection,
+    the map read off the weight rule of every section the package builds.
+    The run is checked as the engine checks a body's: a level count below 1
+    or a class that is not effective raises ValidationError, and a run
+    whose level sets exceed the guard raises Unstable, each before level 1
+    and before any change of basis.
     """
     lattice = engine.lattice
-    projection = _coerce_projection(torus_projection, lattice.datum.rank)
-    label = lattice.engine.section_weight
-    triples = [(nu, k, _project(label(mc, nu), projection))
-               for k, mc in enumerate(engine._run(divisor, levels), 1)
+    rows = _coerce_projection(torus_projection, lattice.datum.rank)
+    classes = engine._run(divisor, levels)
+    projection = weight_projection(lattice, divisor, rows)
+    triples = [(nu, k, projection.apply(nu, k))
+               for k, mc in enumerate(classes, 1)
                for nu in engine._level_points(mc)]
-    width = len(projection) if projection else lattice.datum.rank
-    return WeightedSemigroup(divisor, levels, triples, width)
+    return WeightedSemigroup(divisor, levels, triples,
+                             len(projection.level_part))
+
+
+def _exact(value):
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class WeightProjection:
-    """Exact affine weight map mu = C nu + k b on the graded semigroup."""
+    """Exact affine weight map mu = C nu + k b on the graded semigroup, its
+    integral entries kept as ints."""
 
     __slots__ = ("matrix", "level_part")
 
     def __init__(self, matrix, level_part):
-        self.matrix = tuple(tuple(Fraction(v) for v in row)
-                            for row in matrix)
-        self.level_part = tuple(Fraction(v) for v in level_part)
+        self.matrix = tuple(tuple(_exact(v) for v in row) for row in matrix)
+        self.level_part = tuple(_exact(v) for v in level_part)
 
-    def apply(self, nu: Sequence[int], level: int) -> tuple[Fraction, ...]:
+    def apply(self, nu: Sequence[int], level: int) -> tuple:
         return tuple(
             sum(row[j] * nu[j] for j in range(len(nu)))
             + self.level_part[i] * level
@@ -159,11 +165,13 @@ def multiplicity_asymptotics(lattice: PicardLattice, divisor: DivisorClass,
                              require_interior: bool = True) -> dict:
     """Weight-space dimensions against the sliced Okounkov body.
 
-    Reports dim W_{k mu} for each level with k mu integral, the slice
-    polytope of the weight fiber with its lattice-normalized volume, and
-    the ratio sequence dim / k^(d - r) where d is the body dimension and r
-    the weight-polytope dimension.  With require_interior=False, boundary
-    weights are reported instead of rejected.  A body or a weight polytope
+    Reports dim W_{k mu} in H^0, on the nef cone and off it, for each level
+    with k mu integral: the level-k points the weight map sends to k mu.
+    Also the slice polytope of the weight fiber with its lattice-normalized
+    volume, and the ratio sequence dim / k^(d - r) where d is the body
+    dimension and r the weight-polytope dimension.  With
+    require_interior=False, boundary weights are reported instead of
+    rejected.  A body or a weight polytope
     past the polytope ambient cap is refused (ValidationError) before any
     level set, and the run is checked as a body's (OkounkovEngine._run).
     """
@@ -185,7 +193,7 @@ def multiplicity_asymptotics(lattice: PicardLattice, divisor: DivisorClass,
     projection = weight_projection(lattice, divisor, projection_rows)
     # An affine map sends the hull of each level set onto the hull of its
     # image, so the level sets' hull vertices span the weight polytope.
-    images = [tuple(x / k for x in projection.apply(vert, k))
+    images = [tuple(Fraction(x, k) for x in projection.apply(vert, k))
               for k, mc in enumerate(classes, 1)
               for vert in engine._hull_vertices(mc)]
     weight_polytope = RationalPolytope.from_points(images,
@@ -204,11 +212,9 @@ def multiplicity_asymptotics(lattice: PicardLattice, divisor: DivisorClass,
             f"no level up to {levels} makes {mu_text} integral")
     rows = []
     for k in usable:
-        character = bs_character(lattice.datum, lattice.word,
-                                 classes[k - 1])
-        target = tuple(k * v for v in mu_coords)
-        dimension = sum(mult for weight, mult in character.terms.items()
-                        if _project(weight, projection_rows) == target)
+        target = tuple((k * v).numerator for v in mu_coords)
+        dimension = sum(projection.apply(nu, k) == target
+                        for nu in engine._level_points(classes[k - 1]))
         ratio = Fraction(dimension, k ** (d - r))
         rows.append({"level": k, "dimension": dimension, "ratio": ratio})
     slice_polytope = body.sliced(_fiber_equalities(projection, mu_coords))

@@ -10,7 +10,10 @@ the level sets; fitted_weight_projection and
 fitted_multiplicity_asymptotics keep the weight map fitted through every
 label and the weight polytope hulled from every label, before the map was
 read off the weight rule and the polytope taken as the image of the level
-hulls; dense_chart and dense_slot_sections keep the dense matrix
+hulls (the oracle counts each weight space among all the labels; it read
+the counts off Demazure characters, which off the nef cone are Euler
+characteristics, until the package counted the labeled level sets too);
+dense_chart and dense_slot_sections keep the dense matrix
 products that charts and slot sections came from before they were read off
 sparse orbit vectors; raw_point_body and raw_point_image hull every
 valuation point, as bodies did before they hulled memoized class hulls;
@@ -36,7 +39,9 @@ vertices read off a second double-description sweep, before they were read
 off the tight-facet masks of the first; direction_lattice_volume keeps the
 lattice volume taken in a basis of the direction lattice (primitive
 directions from the first vertex, then two integer kernels), before the
-lattice was read off the span's equation normals.  divisible_part is a
+lattice was read off the span's equation normals.  gelfand_tsetlin_points
+and gelfand_tsetlin_weight are the textbook Gelfand-Tsetlin patterns of
+type A and their weights.  divisible_part is a
 second route to an off-nef section space, off the spanning route's basis
 of a nef class and the verified basis change, with no chart and no degree
 box.
@@ -149,6 +154,44 @@ def weyl_dim_a2(a, b):
 def weyl_dim_b2(a, b):
     """Highest weight a*omega_1 + b*omega_2 with alpha_1 the long root."""
     return (a + 1) * (b + 1) * (a + b + 2) * (2 * a + b + 3) // 6
+
+
+def gelfand_tsetlin_points(highest):
+    """The Gelfand-Tsetlin patterns of a dominant weight of sl(r + 1), in
+    fundamental-weight coordinates (lam_1, ..., lam_r), sorted.
+
+    The top row is the partition (lam_1 + ... + lam_r, ..., lam_r, 0), and
+    each row below it interlaces the row above: x_{j+1} <= y_j <= x_j.  A
+    pattern is the tuple of its rows below the top, top first, each read
+    left to right."""
+    r = len(highest)
+    top = tuple(sum(highest[i:]) for i in range(r)) + (0,)
+    patterns = []
+
+    def descend(row, entries):
+        if len(row) == 1:
+            patterns.append(entries)
+            return
+        for below in itertools.product(*(range(row[j + 1], row[j] + 1)
+                                         for j in range(len(row) - 1))):
+            descend(below, entries + below)
+
+    descend(top, ())
+    return sorted(patterns)
+
+
+def gelfand_tsetlin_weight(pattern, highest):
+    """The weight (e_1, ..., e_{r+1}) in epsilon-coordinates of a
+    Gelfand-Tsetlin pattern of gelfand_tsetlin_points(highest): e_i is the
+    sum of the i-th row from the bottom less the sum of the row below."""
+    r = len(highest)
+    rows = [tuple(sum(highest[i:]) for i in range(r)) + (0,)]
+    start = 0
+    for length in range(r, 0, -1):
+        rows.append(pattern[start:start + length])
+        start += length
+    sums = [0] + [sum(row) for row in reversed(rows)]
+    return tuple(b - a for a, b in zip(sums, sums[1:]))
 
 
 def hirzebruch_count(c1, c2):
@@ -510,12 +553,13 @@ def fitted_multiplicity_asymptotics(lattice, divisor, mu, levels,
                                     torus_projection=None,
                                     require_interior=True):
     """multiplicity_asymptotics by labeling every point of every level,
-    hulling all the labels divided by their level, and fitting the weight
-    map through the labels; the same report, errors and messages."""
+    hulling all the labels divided by their level, fitting the weight map
+    through the labels and counting the labels equal to k mu; the same
+    report, errors and messages."""
     from bottsam import (NonIntegralAll, NotInterior, OkounkovEngine,
-                         RationalPolytope, ValidationError, Weight,
-                         bs_character, weighted_semigroup)
-    from bottsam.weights import _coerce_projection, _project
+                         RationalPolytope, ValidationError,
+                         weighted_semigroup)
+    from bottsam.weights import _coerce_projection
 
     mu = tuple(Fraction(v) for v in mu)
     rows = _coerce_projection(torus_projection, lattice.datum.rank)
@@ -547,12 +591,9 @@ def fitted_multiplicity_asymptotics(lattice, divisor, mu, levels,
                              "integral")
     level_rows = []
     for k in usable:
-        mc = lattice.canonical(divisor.scaled(k)).coords
-        character = bs_character(lattice.datum, lattice.word, mc)
         target = tuple(k * v for v in mu)
-        dimension = character.multiplicity(Weight(target)) if rows is None \
-            else sum(m for w, m in character.terms.items()
-                     if _project(w, rows) == target)
+        dimension = sum(level == k and tuple(label) == target
+                        for _, level, label in semigroup.triples)
         level_rows.append({"level": k, "dimension": dimension,
                            "ratio": Fraction(dimension, k ** (d - r))})
     fiber = [(row, mu[i] - projection.level_part[i])

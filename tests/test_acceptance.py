@@ -16,6 +16,7 @@ from pathlib import Path
 from bottsam import (
     Basis,
     DivisorClass,
+    Weight,
     bs_character,
     multiplicity_asymptotics,
 )
@@ -132,12 +133,18 @@ def test_weight_asymptotics(lattice_a2_121):
         lattice_a2_121, can((0, 1, 1)), (0, 0), 6)
     rows = report["levels"]
     assert [row["dimension"] for row in rows] == [2, 3, 4, 5, 6, 7]
+    for row in rows:
+        k = row["level"]
+        character = bs_character(lattice_a2_121.datum, (1, 2, 1),
+                                 (0, k, k))
+        assert row["dimension"] == character.multiplicity(Weight((0, 0)))
     assert report["slice_volume"] == 1
     gaps = [abs(row["ratio"] - report["slice_volume"]) for row in rows]
     assert gaps == [Fraction(1, k) for k in range(1, 7)]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
-    print("PASS [7/9] weight multiplicities match the character oracle and "
-          "converge monotonically to the slice volume")
+    print("PASS [7/9] weight-space dimensions counted off the labeled level "
+          "sets match the character oracle and converge monotonically to the "
+          "slice volume")
 
 
 def test_both_section_routes_agree(lattice_a2_12, lattice_a2_121,

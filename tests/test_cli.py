@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bottsam import (SpanDeficiency, Unstable, cli, okounkov, picard,
-                     polyhedra, rootsys, sections, weights)
+import bottsam
+from bottsam import (SpanDeficiency, Unstable, VerificationFailure, cli,
+                     okounkov, picard, polyhedra, rootsys, sections, weights)
 from bottsam.cli import main
 
 
@@ -156,12 +157,148 @@ def test_an_uncertified_volume_fails_verify_quick_with_exit_4(capsys,
          "status": "fail", "details": "gap 1/2"}]
 
 
+def _patched_result(monkeypatch, owner, name, change):
+    """Replace owner.name by a call that passes its result through change."""
+    call = getattr(owner, name)
+
+    def patched(*args, **kwargs):
+        return change(call(*args, **kwargs))
+
+    monkeypatch.setattr(owner, name, patched)
+
+
+def _with(**fields):
+    def change(report):
+        report.update(fields)
+        return report
+    return change
+
+
+def _unsaturated(approx):
+    approx.saturated = False
+    return approx
+
+
+def _glue_short_of_one(monkeypatch):
+    glue = sections.SectionEngine.section_basis_glue
+
+    def short(self, can=None, eff=None):
+        basis = glue(self, can, eff)
+        return basis[:-1] if can == (1, 1) else basis
+
+    monkeypatch.setattr(sections.SectionEngine, "section_basis_glue", short)
+
+
+def _rays_short_of_one(monkeypatch):
+    rays = okounkov.GlobalConeApprox.rays.fget
+    monkeypatch.setattr(okounkov.GlobalConeApprox, "rays",
+                        property(lambda self: rays(self)[:-1]))
+
+
+def _payload_short_of_one_vertex(polytope):
+    return polyhedra.RationalPolytope.from_points(polytope.vertices[:-1],
+                                                  ambient=polytope.ambient)
+
+
+def _dimensions_off_by_one(report):
+    for row in report["levels"]:
+        row["dimension"] += 1
+    return report
+
+
+def _failed_probe_run(monkeypatch):
+    def refused(engine):
+        raise VerificationFailure("probe check failed")
+
+    monkeypatch.setattr(picard, "compute_basis_change", refused)
+
+
+CHANGE_ROWS = ("A1:(1) global-cone-rays", "A2:(1,2) basis-change-probes",
+               "A2:(1,2) global-cone-saturation",
+               "A2:(1,2,1) basis-change-probes")
+VERIFY_FAULTS = {
+    "counting": (
+        lambda mp: _patched_result(mp, picard.PicardLattice,
+                                   "section_dimension", lambda d: d + 1),
+        {"A1:(1) counting-identity":
+         "class can:(0,) level 1: 1 valuation points vs dimension 2",
+         "A2:(1,2) counting-identity":
+         "class can:(0, 0) level 1: 1 valuation points vs dimension 2"}),
+    "glue-dimension": (
+        _glue_short_of_one,
+        {"A2:(1,2) nef-glue-agreement": "dims differ: 5 vs 4"}),
+    "glue-span": (
+        lambda mp: _patched_result(mp, cli, "rank", lambda r: r + 1),
+        {"A2:(1,2) nef-glue-agreement":
+         "span differs: joint rank 6 vs dimension 5"}),
+    "equivariance": (
+        lambda mp: _patched_result(mp, sections.SectionEngine,
+                                   "equivariance_failures", lambda f: 3),
+        {"A2:(1,2) equivariance": "3 failed specializations"}),
+    "saturation": (
+        lambda mp: _patched_result(mp, okounkov.OkounkovEngine,
+                                   "global_cone", _unsaturated),
+        {"A1:(1) global-cone-rays": "not saturated at (3, 3)",
+         "A2:(1,2) global-cone-saturation": "not saturated at (6, 3)"}),
+    "rays": (
+        _rays_short_of_one,
+        {"A1:(1) global-cone-rays": "rays [(0, 1)]",
+         "A2:(1,2) global-cone-saturation":
+         "rays [(0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 0, 1)]"}),
+    "restriction": (
+        lambda mp: _patched_result(mp, okounkov.OkounkovEngine,
+                                   "restriction_check", _with(equal=False)),
+        {"A2:(1,2) restriction-identity":
+         "image and intrinsic bodies differ"}),
+    "round-trip": (
+        lambda mp: _patched_result(mp, cli, "polytope_from_payload",
+                                   _payload_short_of_one_vertex),
+        {"A2:(1,2) polytope-round-trip":
+         "payload round-trip changed the polytope"}),
+    "weight-dimensions": (
+        lambda mp: _patched_result(mp, cli, "multiplicity_asymptotics",
+                                   _dimensions_off_by_one),
+        {"A2:(1,2,1) weight-asymptotics": "dimension sequence [3, 4, 5]"}),
+    "slice-volume": (
+        lambda mp: _patched_result(mp, cli, "multiplicity_asymptotics",
+                                   _with(slice_volume=Fraction(2))),
+        {"A2:(1,2,1) weight-asymptotics": "slice volume 2"}),
+    "adapted": (
+        lambda mp: mp.setattr(cli, "valuation", lambda section: (0,)),
+        {"A2:(1,2) adapted-valuations":
+         "valuations collide after adaptation"}),
+    "engine-error": (
+        _failed_probe_run,
+        dict.fromkeys(CHANGE_ROWS,
+                      "VerificationFailure: probe check failed")),
+}
+
+
+@pytest.mark.parametrize("fault", VERIFY_FAULTS)
+def test_every_verify_row_can_fail(capsys, monkeypatch, fault):
+    """Each invariant of verify --quick fails its row when the engine call
+    under it gives a wrong answer, and an EngineError fails every row that
+    raises it: the battery exits 4 with "passed" false, and only those rows
+    fail, with their details."""
+    patch, expected = VERIFY_FAULTS[fault]
+    patch(monkeypatch)
+    code, out = run(capsys, ["verify", "--quick"])
+    assert code == 4
+    data = json.loads(out)
+    assert data["passed"] is False
+    assert {f"{row['case']} {row['invariant']}": row["details"]
+            for row in data["report"] if row["status"] != "pass"} \
+        == expected
+
+
 def test_verify_quick_counts_nef_characters_in_one_place(capsys,
                                                          monkeypatch):
     """Every nef dimension of verify --quick is SectionEngine.nef_dimension,
-    which builds one tail character per tail class: 28 characters, and 3
-    more for the weights check's multiplicities.  Counted separately by the
-    picard and okounkov layers, the same pairs took 70."""
+    which builds one tail character per tail class: 28 characters.  The
+    weights check counts its weight spaces off the labeled level sets, so
+    it builds none (3 more when it read them off characters).  Counted
+    separately by the picard and okounkov layers, the same pairs took
+    70."""
     calls = []
     build = rootsys.bs_character
 
@@ -172,14 +309,14 @@ def test_verify_quick_counts_nef_characters_in_one_place(capsys,
     def refused(*args, **kwargs):
         raise AssertionError("a character built outside the section engine")
 
-    for module in (sections, weights):
-        monkeypatch.setattr(module, "bs_character", counted)
-    for module in (picard, okounkov):
+    assert not hasattr(weights, "bs_character")
+    monkeypatch.setattr(sections, "bs_character", counted)
+    for module in (picard, okounkov, rootsys, bottsam):
         monkeypatch.setattr(module, "bs_character", refused)
     code, out = run(capsys, ["verify", "--quick"])
     assert code == 0
     assert json.loads(out)["passed"] is True
-    assert len(calls) == 31
+    assert len(calls) == 28
 
 
 @pytest.mark.parametrize("argv, hulls", [

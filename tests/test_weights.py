@@ -24,6 +24,7 @@ from bottsam import (
     RationalPolytope,
     Unstable,
     ValidationError,
+    Weight,
     WeightedSemigroup,
     WeylWord,
     bs_character,
@@ -40,6 +41,8 @@ from bottsam.valuation import adapted_basis
 from oracles import (
     fitted_multiplicity_asymptotics,
     fitted_weight_projection,
+    gelfand_tsetlin_points,
+    gelfand_tsetlin_weight,
     section_weight_triples,
 )
 
@@ -168,6 +171,24 @@ def test_a_weight_off_the_span_is_not_interior(lattice_a2_12, monkeypatch):
                for row in polytope.inequalities)
 
 
+def test_weight_spaces_off_the_nef_cone_count_sections(lattice_a2_12):
+    """Off the nef cone a weight-space dimension counts sections, not the
+    Euler characteristic's multiplicity: can:-1,1 at level 3 has one
+    section, and the Demazure character of (-3, 3) has dimension -2 and
+    multiplicity -1 at the weight 0."""
+    character = bs_character(lattice_a2_12.datum, (1, 2), (-3, 3))
+    assert character.dimension() == -2
+    assert character.multiplicity(Weight((0, 0))) == -1
+    report = multiplicity_asymptotics(
+        lattice_a2_12, can((-1, 1)), (0, 0), 4, require_interior=False)
+    assert [row["dimension"] for row in report["levels"]] == [0, 0, 0, 0]
+    report = multiplicity_asymptotics(
+        lattice_a2_12, can((-1, 2)), (0, Fraction(3, 2)), 4,
+        require_interior=False)
+    assert [(row["level"], row["dimension"]) for row in report["levels"]] \
+        == [(2, 0), (4, 0)]
+
+
 def test_rational_weights_use_integral_levels(lattice_a2_121):
     half = (Fraction(1, 2), Fraction(1, 2))
     report = multiplicity_asymptotics(
@@ -279,6 +300,51 @@ def test_weighted_semigroup_matches_the_section_route(section_route, data):
                    for nu, k, mu in semigroup.triples), (case, row)
 
 
+# (type, word, box, levels, order, points): on these words the level-k
+# set of the class pulled back from L(lam) is the set of Gelfand-Tsetlin
+# patterns of k lam, read as nu[order[0]], nu[order[1]], ... plus the
+# least pattern (string polytopes as Okounkov bodies, Kaveh 2015).  points
+# counts the patterns over every nonzero lam in box^rank and every level.
+GT_WORDS = (
+    ("A2", (1, 2, 1), range(4), 2, (2, 0, 1), 1642),
+    ("A3", (1, 2, 1, 3, 2, 1), range(3), 2, (5, 2, 0, 4, 1, 3), 50615),
+)
+
+
+@pytest.mark.parametrize("cartan, word, box, levels, order, points",
+                         GT_WORDS, ids=["A2-121", "A3-121321"])
+def test_level_sets_are_gelfand_tsetlin_patterns(cartan, word, box, levels,
+                                                 order, points):
+    """Each labeled point of weighted_semigroup is a Gelfand-Tsetlin
+    pattern, and its label is the pattern's weight with the
+    epsilon-coordinates reversed (the twist by the longest Weyl element),
+    in fundamental-weight coordinates.  This checks the level sets and the
+    one weight rule point by point, with no Demazure character."""
+    lattice = PicardLattice(CartanDatum.from_type(cartan), WeylWord(word))
+    engine = OkounkovEngine(lattice)
+    checked = 0
+    for lam in itertools.product(box, repeat=lattice.datum.rank):
+        if not any(lam):
+            continue
+        semigroup = weighted_semigroup(
+            engine, lattice.pullback_from_flag_variety(Weight(lam)), levels)
+        for k in range(1, levels + 1):
+            highest = tuple(k * c for c in lam)
+            patterns = gelfand_tsetlin_points(highest)
+            least = tuple(map(min, zip(*patterns)))
+            expected = []
+            for pattern in patterns:
+                eps = gelfand_tsetlin_weight(pattern, highest)[::-1]
+                expected.append((pattern, tuple(
+                    a - b for a, b in zip(eps, eps[1:]))))
+            assert sorted(
+                (tuple(nu[i] + c for i, c in zip(order, least)), mu)
+                for nu, level, mu in semigroup.triples if level == k) \
+                == sorted(expected), (lam, k)
+            checked += len(patterns)
+    assert checked == points
+
+
 def _outcome(call, *args):
     try:
         return call(*args)
@@ -293,7 +359,9 @@ def test_asymptotics_match_the_fitted_pipeline(section_route, data):
     {0, 1, 1/2}^rank or a drawn projection row and a one-coordinate
     weight, and both require_interior values, multiplicity_asymptotics
     gives the report, or the error type and message, of the pipeline that
-    labels every point, hulls every label and fits the weight map."""
+    labels every point, hulls every label, fits the weight map and counts
+    the labels.  On a nef class each dimension is also the multiplicity
+    of k mu in the Demazure character of level k, projected or not."""
     for case, (engine, _) in section_route.items():
         coords, levels = case[2:]
         lattice = engine.lattice
@@ -303,11 +371,25 @@ def test_asymptotics_match_the_fitted_pipeline(section_route, data):
             *[st.integers(-2, 2)] * rank)))
         mu = data.draw(st.tuples(
             *[weight] * (rank if projection is None else 1)))
+        rows = projection or [tuple(int(i == j) for j in range(rank))
+                              for i in range(rank)]
         for interior in (True, False):
             args = (lattice, can(coords), mu, levels, projection, interior)
-            assert _outcome(multiplicity_asymptotics, *args) == _outcome(
+            report = _outcome(multiplicity_asymptotics, *args)
+            assert report == _outcome(
                 fitted_multiplicity_asymptotics, *args), \
                 (case, mu, projection, interior)
+            if min(coords) < 0 or not isinstance(report, dict):
+                continue
+            for row in report["levels"]:
+                k = row["level"]
+                character = bs_character(lattice.datum, lattice.word,
+                                         tuple(k * c for c in coords))
+                target = tuple(k * v for v in mu)
+                assert row["dimension"] == sum(
+                    m for w, m in character.terms.items()
+                    if tuple(sum(map(mul, r, w.coords)) for r in rows)
+                    == target), (case, mu, projection, k)
 
 
 def test_weighted_semigroup_refuses_a_long_run_at_once(lattice_a2_12):
