@@ -6,15 +6,21 @@ construction.  On the nef cone they are the plain Minkowski sums
 m_1 N_1 + ... + m_n N_n of the slot valuation sets, certified against the
 character count, kept as a count and packed codes and decoded into points
 only when asked for; their hull vertices are read off one vertex list per
-support of the class.  A nef class whose sum does not certify takes the
-route rule's section space instead, and no sum grows from it.  Okounkov
-bodies are hulls of scaled semigroup points; the global cone collects
-(valuation, class) pairs over a box of effective classes and is certified
-by double stabilization in both the level cap and the box.  Every walk
-over levels 1..L of one class, the semigroup, bodies, the identity reports
-and the weights layer's, is one checked run (OkounkovEngine._run): the
-level count, the class and the size of the run are checked once, before
-any level set, and the canonical class of each level is converted once.
+support of the class.  Each step of a sum grows from a copy of its source,
+since every slot set holds the zero valuation.  A nef class whose sum does
+not certify takes the route rule's section space instead, and no sum grows
+from it.  Off the nef cone, on a word without a repeated letter, a level
+set is the lattice points of an order polytope, so its hull vertices are
+that polytope's when they are integral, read off one double-description
+sweep, and its points are enumerated only when they or their count are
+asked for.  Okounkov bodies are hulls of scaled semigroup points; the
+global cone collects (valuation, class) pairs over a box of effective
+classes and is certified by double stabilization in both the level cap
+and the box.  Every walk over levels 1..L of one class, the semigroup,
+bodies, the identity reports and the weights layer's, is one checked run
+(OkounkovEngine._run): the level count, the class and the size of the run
+are checked once, before any level set, and the canonical class of each
+level is converted once.
 """
 
 from __future__ import annotations
@@ -213,7 +219,9 @@ class OkounkovEngine:
         its coordinates read as base-major digits of a bit width above any
         coordinate the sums reach: a sum of codes is then the code of the
         sum, and code order is lex order.  The codes are kept as they are;
-        only valuation_points decodes them.
+        only valuation_points decodes them.  Each slot set N_k holds the
+        zero valuation (_slot_sets), so a step S + N_k is a copy of S
+        updated with S + y for each nonzero code y of N_k.
         """
         slots = self._slot_sets()
         weight = self._weight(mc)
@@ -229,9 +237,12 @@ class OkounkovEngine:
             codes = {_pack(_unpack(code, bits, self.n), width)
                      for code in codes}
         for a, b, (nus, _) in zip(prev, mc, slots):
-            steps = [_pack(nu, width) for nu in nus]
+            steps = [_pack(nu, width) for nu in nus[1:]]
             for _ in range(b - a):
-                codes = {x + y for x in codes for y in steps}
+                grown = codes.copy()
+                for y in steps:
+                    grown.update([x + y for x in codes])
+                codes = grown
         if len(codes) != target:
             return False
         self._sums[mc] = (codes, width, top)
@@ -257,14 +268,26 @@ class OkounkovEngine:
         return ranked[0][1]
 
     def _slot_sets(self) -> list[tuple[list, list]]:
-        """Per slot, its valuation set N_k and the hull vertices of N_k."""
+        """Per slot, its valuation set N_k, sorted, and the hull vertices of
+        N_k.
+
+        N_k holds the zero valuation, that of the constant section (the
+        pairing with the highest-weight vector), so it heads the sorted
+        set and _sum_level grows each step from a copy of its source; a
+        slot set without it raises EngineError.
+        """
         if self._slots is None:
             engine = self.lattice.engine
-            self._slots = []
+            zero = (0,) * self.n
+            slots = []
             for k in range(1, self.n + 1):
                 nus = sorted({valuation(p)
                               for p in engine.slot_polynomials(k)})
-                self._slots.append((nus, self._hull(nus)))
+                if nus[:1] != [zero]:
+                    raise EngineError(f"slot {k} has no section of zero "
+                                      "valuation")
+                slots.append((nus, self._hull(nus)))
+            self._slots = slots
         return self._slots
 
     def _hull(self, points) -> list[tuple[int, ...]]:
@@ -296,18 +319,47 @@ class OkounkovEngine:
         """Hull vertices of the level set of a canonical class, memoized
         per class; none when the level set is empty.
 
-        A kept sum reads them off the vertex list of its support
+        A class on the monomial route reads them off its order polytope
+        (_order_vertices), with no point enumerated while its vertices are
+        integral; a kept sum reads them off the vertex list of its support
         (_plain_vertices), with no hull; any other class hulls its points.
         """
         verts = self._vertices.get(mc)
         if verts is None:
-            if self._level(mc) in self._sums:
+            if self.lattice.engine.section_route(mc) == "monomial":
+                verts = self._order_vertices(mc)
+            elif self._level(mc) in self._sums:
                 verts = self._plain_vertices(mc)
             else:
                 points = self._points[mc]
                 verts = self._hull(points) if points else []
             self._vertices[mc] = verts
         return verts
+
+    def _order_vertices(self, mc: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Hull vertices of the level set of a class on the monomial route.
+
+        That level set is the set of lattice points of the order polytope
+        {a >= 0, B a <= mc}, so when every vertex of the polytope is
+        integral, those are the vertices, read off one double-description
+        sweep over its rows (SectionEngine.monomial_inequalities).  A box
+        (SectionEngine.monomial_box) with lo == hi holds its one point and
+        an empty box none, with no sweep.  Only a fractional vertex, such
+        as (0, 1/3) of can:-1,3 on G2 (1, 2), where B has the entry -3,
+        makes the points be enumerated and hulled.
+        """
+        engine = self.lattice.engine
+        box = engine.monomial_box(mc)
+        if box is None:
+            return []
+        lo, hi = box
+        if lo == hi:
+            return [hi]
+        verts, _ = RationalPolytope._vertices_from_hrep(
+            engine.monomial_inequalities(mc), (), self.n)
+        if all(v.denominator == 1 for vert in verts for v in vert):
+            return sorted(tuple(v.numerator for v in vert) for vert in verts)
+        return self._hull(self._level_points(mc))
 
     def _plain_vertices(self, mc: tuple[int, ...]) -> list[tuple[int, ...]]:
         """Hull vertices of a plain class, sum_k mc_k conv(N_k).
@@ -348,9 +400,10 @@ class OkounkovEngine:
         count (ValidationError below 1, Unstable above _LEVEL_SET_GUARD);
         the class, nef for the identity report that nef names (NotNef) and
         otherwise effective (ValidationError, tested before any change of
-        basis); and the run guard (Unstable).  The guard sums each level's
-        nef_dimension on the nef cone, or the points of its order-polytope
-        box on the monomial route, until the total passes _LEVEL_SET_GUARD.
+        basis, by _is_effective); and the run guard (Unstable).  The guard
+        sums each level's nef_dimension on the nef cone, or the points of
+        its order-polytope box on the monomial route, until the total
+        passes _LEVEL_SET_GUARD.
         On the glue route a level's first degree box grows with the level,
         so the top level's decides (SectionEngine.check_glue_box).
         """
@@ -358,7 +411,7 @@ class OkounkovEngine:
             raise ValidationError("levels must be a positive integer")
         if levels > _LEVEL_SET_GUARD:
             raise Unstable("level count exceeds the supported size")
-        if nef is None and not self.lattice.is_effective(divisor):
+        if nef is None and not self._is_effective(divisor):
             raise ValidationError(
                 "divisor class is not effective; its valuation semigroup "
                 "is empty")
@@ -385,6 +438,17 @@ class OkounkovEngine:
                     raise Unstable(
                         "level sets of the run exceed the supported size")
         return [tuple(k * c for c in coords) for k in range(1, levels + 1)]
+
+    def _is_effective(self, divisor: DivisorClass) -> bool:
+        """PicardLattice.is_effective, but a canonical class on the glue
+        route is decided by its level set, which the run then reads: its
+        section space is solved once, not once here and again at level 1.
+        """
+        if (divisor.basis is Basis.CANONICAL and len(divisor) == self.n
+                and self.lattice.engine.section_route(divisor.coords)
+                == "glue"):
+            return self._count(divisor.coords) > 0
+        return self.lattice.is_effective(divisor)
 
     def semigroup(self, divisor: DivisorClass,
                   levels: int) -> list[GradedValuationPoint]:

@@ -44,14 +44,16 @@ On words without repeated letters monomial_section_basis reads a basis off
 the boundary vanishing orders; its exponent vectors (monomial_exponents) are
 already the valuations of an adapted basis.  They are the lattice points of
 an order polytope whose order matrix is unit triangular, so they come by
-back-substitution on plain integers.  SectionEngine.section_route is
-the one rule that picks among the three routes for a canonical class;
-section_basis, the lattice's effectiveness test (PicardLattice.is_effective)
-and the level sets of the okounkov layer all ask it.  Effective
-coordinates go to section_basis_glue directly.  SectionEngine.nef_dimension
-is the one count of a nef section space, the Demazure character dimension:
-the spanning route's certificate, the probe run, the lattice's section
-dimension and the okounkov layer's level counts all read it.
+back-substitution on plain integers; the polytope's rows
+(monomial_inequalities) give its vertices without listing a point.
+SectionEngine.section_route is the one rule that picks among the three
+routes for a canonical class; section_basis, the lattice's effectiveness
+test (PicardLattice.is_effective) and the level sets of the okounkov layer
+all ask it.  Effective coordinates go to section_basis_glue directly.
+SectionEngine.nef_dimension is the one count of a nef section space, the
+Demazure character dimension: the spanning route's certificate, the probe
+run, the lattice's section dimension and the okounkov layer's level counts
+all read it.
 """
 
 from __future__ import annotations
@@ -851,6 +853,26 @@ class SectionEngine:
                 if slope > 0:
                     lo[m] = max(lo[m], -(at0[i] // slope))
         return tuple(lo), tuple(hi)
+
+    def monomial_inequalities(self, can: Sequence[int]
+                              ) -> list[tuple[int, ...]]:
+        """The 2n rows of the order polytope {a >= 0, B a <= can}, whose
+        lattice points are the exponent vectors of monomial_exponents.
+
+        Each row (r_0, r) means r_0 + r . a >= 0, as RationalPolytope's
+        rows do: first a_l >= 0, then can_l - B_l . a >= 0, l = 1..n.
+        Valid only for words without repeated letters, where A is the
+        identity (monomial_box checks the shape of B).
+        """
+        if not self.is_multiplicity_free():
+            raise ValidationError(
+                "monomial bases need a word without repeated letters")
+        can = self._canonical_degree(can)
+        n = self.n
+        rows = [(0,) + tuple(int(j == l) for j in range(n)) for l in range(n)]
+        rows.extend((c,) + tuple(-b for b in row)
+                    for c, row in zip(can, self._orders()[1]))
+        return rows
 
     def section_weight(self, can, mono) -> Weight | None:
         """Torus weight of t^mono as a section of the canonical class can:

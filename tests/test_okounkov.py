@@ -17,6 +17,7 @@ from bottsam import (
     Basis,
     CartanDatum,
     DivisorClass,
+    EngineError,
     NotNef,
     OkounkovEngine,
     PicardLattice,
@@ -34,8 +35,8 @@ from bottsam.okounkov import GradedValuationPoint
 from bottsam.polyhedra import polytope_payload
 from bottsam.valuation import adapted_basis, valuation
 
-from oracles import (hirzebruch_count, minkowski_points, raw_point_body,
-                     raw_point_image)
+from oracles import (convex_hull_2d, hirzebruch_count, minkowski_points,
+                     order_polytope_points, raw_point_body, raw_point_image)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -243,7 +244,9 @@ def test_glue_route_run_is_refused_by_its_top_level_box(a2):
     box of level k grows with k, so a run whose top level's doubled box
     passes the cap is refused at once with the cap's message: A2 (1,2,1)
     can:-1,1,1 runs 15 levels and is refused from 16 on.  Refused only at
-    its last level, body over 1000 levels took about a minute of CPU."""
+    its last level, body over 1000 levels took about a minute of CPU.
+    The one level set computed is level 1's: the effectiveness test solves
+    it, and a run that passes its checks reads it."""
     engine = OkounkovEngine(PicardLattice(a2, WeylWord((1, 2, 1))))
     start = time.process_time()
     assert len(engine._run(can(-1, 1, 1), 15)) == 15
@@ -252,7 +255,26 @@ def test_glue_route_run_is_refused_by_its_top_level_box(a2):
                            r"past the degree-box cap \(64\)$"):
             engine.body(can(-1, 1, 1), levels)
     assert time.process_time() - start < 1.0
-    assert not engine._points and engine.lattice._change is None
+    assert list(engine._points) == [(-1, 1, 1)]
+    assert engine.lattice._change is None
+
+
+def test_glue_route_run_solves_each_level_once(a2, monkeypatch):
+    """A body of A2 (1,2,1) can:-1,1,1 over 4 levels solves each level's
+    section space once: the run's effectiveness test reads level 1's level
+    set, which the body then reuses.  Asking the lattice's is_effective
+    solved level 1 twice, 5 glue calls in all."""
+    solved = []
+    glue = SectionEngine.section_basis_glue
+
+    def counted(self, can=None, eff=None):
+        solved.append(can)
+        return glue(self, can, eff)
+
+    monkeypatch.setattr(SectionEngine, "section_basis_glue", counted)
+    engine = OkounkovEngine(PicardLattice(a2, WeylWord((1, 2, 1))))
+    engine.body(can(-1, 1, 1), 4)
+    assert solved == [(-k, k, k) for k in range(1, 5)]
 
 
 RUN_APIS = {
@@ -513,8 +535,10 @@ def test_monomial_level_sets_run_no_double_description(lattice_a2_12,
     assert sweeps == 0
 
 
-def test_sweep_builds_each_class_hull_once(a2, monkeypatch):
-    """Work regression for the A2 (1,2) sweep (4,2), (6,3), (8,4).
+@pytest.mark.parametrize("cartan", ["A2", "B2"])
+def test_sweep_builds_each_class_hull_once(cartan, monkeypatch):
+    """Work regression for the A2 (1,2) sweep (4,2), (6,3), (8,4), and for
+    the B2 (1,2) sweep that the benchmark's cone session also runs.
 
     Without the vertex memo, every sweep step and its saturation run
     rebuilt each class hull from the whole level set: 715 hulls from 59,454
@@ -531,19 +555,26 @@ def test_sweep_builds_each_class_hull_once(a2, monkeypatch):
     leaves 240.  The 140 nef classes are plain sums of the slot valuation
     sets, so their vertices are read off one hull of slot corner sums per
     support, with no hull of their own: 91 hulls from 1,066 points, and
-    103 sweeps.
+    103 sweeps.  The level set of a class off the nef cone is the lattice
+    points of its order polytope, so its vertices are that polytope's,
+    read off one sweep over its rows while they are integral (on A2 and
+    B2 (1,2) they always are), and no point is enumerated: 5 hulls from
+    14 points, and still 103 sweeps, since a box holding one point takes
+    none (130 sweeps without that shortcut).  The B2 case, added with the
+    order polytope, does the same work.
 
-    The 113 classes off the nef cone read their level sets off monomial
-    exponents, with no monomial section basis and no adapted basis (113
-    of each before).  The nef dimensions need only the character of each
-    of the 28 tail classes, one Demazure operator each (280 operators
-    when each class built its full character, 140 when each built its
-    tail's).  The section engine keeps that memo, so the 4 tails that the
-    probe run already counted are not built again: 24 operators.  A fresh
-    lattice keeps other tests' tails out of the count.  Counts are
-    deterministic where a time bound would be flaky.
+    The 113 classes off the nef cone list no monomial exponents (113
+    calls before the order polytope), and build no monomial section basis
+    and no adapted basis (113 of each before that).  The nef dimensions
+    need only the character of each of the 28 tail classes, one Demazure
+    operator each (280 operators when each class built its full
+    character, 140 when each built its tail's).  The section engine keeps
+    that memo, so the 4 tails that the probe run already counted are not
+    built again: 24 operators.  A fresh lattice keeps other tests' tails
+    out of the count.  Counts are deterministic where a time bound would
+    be flaky.
     """
-    lattice = PicardLattice(a2, WeylWord((1, 2)))
+    lattice = PicardLattice(CartanDatum.from_type(cartan), WeylWord((1, 2)))
     assert lattice.change
     engine = OkounkovEngine(lattice)
     calls = points_in = 0
@@ -556,7 +587,8 @@ def test_sweep_builds_each_class_hull_once(a2, monkeypatch):
         return build(cls, points, ambient)
 
     work = {"demazure_operator": 0, "adapted_basis": 0,
-            "monomial_section_basis": 0, "_dual_description": 0}
+            "monomial_section_basis": 0, "monomial_exponents": 0,
+            "_dual_description": 0}
 
     def tallied(name, fn):
         def wrapper(*args, **kwargs):
@@ -567,17 +599,85 @@ def test_sweep_builds_each_class_hull_once(a2, monkeypatch):
     monkeypatch.setattr(RationalPolytope, "from_points", classmethod(counted))
     for module, name in ((rootsys, "demazure_operator"),
                          (okounkov, "adapted_basis"),
-                         (SectionEngine, "monomial_section_basis")):
+                         (SectionEngine, "monomial_section_basis"),
+                         (SectionEngine, "monomial_exponents")):
         monkeypatch.setattr(module, name, tallied(name, getattr(module, name)))
     monkeypatch.setattr(polyhedra, "_dual_description",
                         tallied("_dual_description",
                                 polyhedra._dual_description))
     for levels, box in ((4, 2), (6, 3), (8, 4)):
         assert engine.global_cone(levels, box).rays == GOLDEN_RAYS_12
-    assert calls == 91
-    assert points_in == 1_066
+    assert calls == 5
+    assert points_in == 14
     assert work == {"demazure_operator": 24, "adapted_basis": 0,
-                    "monomial_section_basis": 0, "_dual_description": 103}
+                    "monomial_section_basis": 0, "monomial_exponents": 0,
+                    "_dual_description": 103}
+
+
+# Words without a repeated letter, on which every class with a negative
+# entry takes the monomial route.  Only on G2 (1,2) does an order polytope
+# have a fractional vertex.
+ORDER_WORDS = (("A2", (1, 2)), ("B2", (1, 2)), ("G2", (1, 2)),
+               ("A3", (1, 2, 3)), ("B3", (1, 2, 3)), ("C3", (3, 2, 1)),
+               ("A3", (2, 1, 3)))
+
+
+@pytest.mark.parametrize(
+    "cartan, word", ORDER_WORDS,
+    ids=[f"{t}-{''.join(map(str, w))}" for t, w in ORDER_WORDS])
+def test_off_nef_vertices_are_the_hull_vertices(monkeypatch, cartan, word):
+    """The vertices a class off the nef cone reads off its order polytope
+    equal the hull vertices of its monomial exponents, and on a length-2
+    word those of the planar oracle hull of the order polytope's points.
+    Points are listed for the hull only when a vertex is fractional,
+    which happens on G2 (1,2) and nowhere else."""
+    lattice = PicardLattice(CartanDatum.from_type(cartan), WeylWord(word))
+    sections = lattice.engine
+    n = lattice.n
+    listed = 0
+    exponents = SectionEngine.monomial_exponents
+
+    def counted(self, mc):
+        nonlocal listed
+        listed += 1
+        return exponents(self, mc)
+
+    monkeypatch.setattr(SectionEngine, "monomial_exponents", counted)
+    hulled = []
+
+    @settings(max_examples=50)
+    @given(st.tuples(*[st.integers(-3, 6)] * n).filter(
+        lambda mc: min(mc) < 0))
+    def check(mc):
+        engine = OkounkovEngine(lattice)
+        before = listed
+        verts = engine._hull_vertices(mc)
+        if listed > before:
+            hulled.append(mc)
+        points = sections.monomial_exponents(mc)
+        assert verts == list(RationalPolytope.from_points(
+            points, ambient=n).vertices)
+        if n == 2:
+            planar, _ = order_polytope_points(
+                sections.slot_order_matrix(),
+                sections.coordinate_order_matrix(), mc)
+            assert verts == sorted(convex_hull_2d(planar))
+
+    check()
+    assert bool(hulled) == (cartan == "G2")
+
+
+def test_slot_set_without_the_zero_valuation_is_refused(a2, monkeypatch):
+    """Minkowski steps grow from a copy of their source, which holds only
+    while every slot set holds the zero valuation; a slot set without it
+    raises EngineError before any sum."""
+    lattice = PicardLattice(a2, WeylWord((1, 2)))
+    slots = lattice.engine.slot_polynomials
+    monkeypatch.setattr(lattice.engine, "slot_polynomials",
+                        lambda k: [p for p in slots(k) if any(valuation(p))])
+    with pytest.raises(EngineError, match="^slot 1 has no section of zero "
+                       "valuation$"):
+        OkounkovEngine(lattice).level_count(can(1, 1))
 
 
 # (type, word, top): nef classes with coordinates in 0..top.
