@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from ._kernel import clear_denominators, normalize_row
@@ -98,7 +99,7 @@ class Polynomial:
         out: dict[Mono, Fraction | int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 s = out.get(m, 0) + c1 * c2
                 if s:
                     out[m] = s

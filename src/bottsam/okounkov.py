@@ -15,12 +15,12 @@ that polytope's when they are integral, read off one double-description
 sweep, and its points are enumerated only when they or their count are
 asked for.  Okounkov bodies are hulls of scaled semigroup points; the
 global cone collects (valuation, class) pairs over a box of effective
-classes and is certified by double stabilization in both the level cap
-and the box.  Every walk over levels 1..L of one class, the semigroup,
-bodies, the identity reports and the weights layer's, is one checked run
-(OkounkovEngine._run): the level count, the class and the size of the run
-are checked once, before any level set, and the canonical class of each
-level is converted once.
+classes, and is flagged saturated when its extreme rays do not change as
+the level cap and the box both grow by one.  Every walk over levels 1..L
+of one class, the semigroup, bodies, the identity reports and the weights
+layer's, is one checked run (OkounkovEngine._run): the level count, the
+class and the size of the run are checked once, before any level set, and
+the canonical class of each level is converted once.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .picard import Basis, DivisorClass, PicardLattice
 from .polyhedra import RationalCone, RationalPolytope
 # Unused here; the benchmark's tracer checks that it wraps this binding.
 from .rootsys import bs_character  # noqa: F401
+from .sections import _CANDIDATE_GUARD
 from .valuation import adapted_basis, valuation
 
 # Bound on dimension x point-set sums for one level-set enumeration, each
@@ -403,9 +404,10 @@ class OkounkovEngine:
         basis, by _is_effective); and the run guard (Unstable).  The guard
         sums each level's nef_dimension on the nef cone, or the points of
         its order-polytope box on the monomial route, until the total
-        passes _LEVEL_SET_GUARD.
-        On the glue route a level's first degree box grows with the level,
-        so the top level's decides (SectionEngine.check_glue_box).
+        passes _LEVEL_SET_GUARD; on the glue route it sums the candidates
+        of each level's proven degree box (SectionEngine.proven_box), the
+        one box its glue call solves, until the total passes the glue
+        candidate guard.
         """
         if levels < 1:
             raise ValidationError("levels must be a positive integer")
@@ -421,22 +423,25 @@ class OkounkovEngine:
                          f"canonical coordinates {coords}")
         sections = self.lattice.engine
         route = sections.section_route(coords)
-        if route == "glue":
-            sections.check_glue_box(tuple(levels * c for c in coords))
+        guard = _LEVEL_SET_GUARD
+        if route == "spanning":
+            size = sections.nef_dimension
+        elif route == "monomial":
+            def size(mc):
+                box = sections.monomial_box(mc)
+                return 0 if box is None else prod(
+                    high - low + 1 for low, high in zip(*box))
         else:
-            if route == "spanning":
-                size = sections.nef_dimension
-            else:
-                def size(mc):
-                    box = sections.monomial_box(mc)
-                    return 0 if box is None else prod(
-                        high - low + 1 for low, high in zip(*box))
-            total = 0
-            for k in range(1, levels + 1):
-                total += size(tuple(k * c for c in coords))
-                if total > _LEVEL_SET_GUARD:
-                    raise Unstable(
-                        "level sets of the run exceed the supported size")
+            guard = _CANDIDATE_GUARD
+
+            def size(mc):
+                return prod(b + 1 for b in sections.proven_box(mc))
+        total = 0
+        for k in range(1, levels + 1):
+            total += size(tuple(k * c for c in coords))
+            if total > guard:
+                raise Unstable(
+                    "level sets of the run exceed the supported size")
         return [tuple(k * c for c in coords) for k in range(1, levels + 1)]
 
     def _is_effective(self, divisor: DivisorClass) -> bool:

@@ -144,6 +144,9 @@ def compute_basis_change(engine: SectionEngine) -> BasisChange:
     repeated letter the effective glue route of m is the canonical glue
     route of M m by construction, so only the canonical space is computed;
     the probes then check M through the zero checks and the columns.
+    There each glue space is solved in one degree box, proven from the
+    class and the slot sections alone (SectionEngine.proven_box), so the
+    box reads no M either.
     Each canonical glue space is computed once per run, and each degree
     box's weight classes are built once per run (reusing_box_classes).
     """

@@ -19,25 +19,27 @@ Section spaces are built two independent ways and cross-checked by the tests:
   - section_basis_nef multiplies out per-slot generator sections and certifies
     the span against the Demazure character dimension;
   - section_basis_glue solves exact regularity (divisibility) conditions on
-    every chart inside a degree box; one loop doubles the box until the
-    space there has the dimension of the space in the doubled box, which
-    certifies stability, and solves each box once.  On a chart a
-    combination of candidates is regular when the chart denominator
-    divides its lifted numerator.  That is exact division: one polynomial
-    is a Groebner basis of its ideal, so the lex division remainder
-    (Polynomial.remainder) is unique, linear, and 0 exactly on multiples.
-    Each lift is reduced once per glue call, and the regular combinations
-    are the nullspace of the remainder coefficients.  On a chart whose
-    tables are single terms, t^a is regular exactly when a passes a sign
-    test on exponent vectors.  So while a weight class's combinations are
-    still single candidates, the glue loop itself decides the class
-    there: it keeps the candidates that pass, with no elimination.  A
-    class of one candidate (every class on a word without a repeated
-    letter) pays one sign test and one one-column nullspace question per
-    monomial chart it reaches, the call that the probe-run work pins
-    count, and nothing besides.  Every other (class, chart) pair lifts
-    and divides.  The boxes of one call share each chart's tables and
-    remainders, and the basis-change probe run builds each box's weight
+    every chart inside a degree box.  On a word with a repeated letter
+    that box is proven (proven_box): by projective normality no section
+    of the class has a larger degree, so the call solves that one box.
+    On a word without one a loop doubles the box until the space there
+    has the dimension of the space in the doubled box, and solves each
+    box once.  On a chart a combination of candidates is regular when the
+    chart denominator divides its lifted numerator.  That is exact
+    division: one polynomial is a Groebner basis of its ideal, so the lex
+    division remainder (Polynomial.remainder) is unique, linear, and 0
+    exactly on multiples.  Each lift is reduced once, and the regular
+    combinations are the nullspace of the remainder coefficients.  On a
+    chart whose tables are single terms, t^a is regular exactly when a
+    passes a sign test on exponent vectors.  So while a weight class's
+    combinations are still single candidates, the glue loop itself
+    decides the class there: it keeps the candidates that pass, with no
+    elimination.  A class of one candidate (every class on a word without
+    a repeated letter) pays one sign test and one one-column nullspace
+    question per monomial chart it reaches, the call that the probe-run
+    work pins count, and nothing besides.  Every other (class, chart)
+    pair lifts and divides.  The boxes of one call share each chart's
+    tables, and the basis-change probe run builds each box's weight
     classes once (reusing_box_classes) and drops them when it ends.
 
 On words without repeated letters monomial_section_basis reads a basis off
@@ -302,9 +304,7 @@ class _ChartPowers:
     numerator and denominator, grown on demand and shared by every weight
     class; num and den are the class-independent factors of the lifted
     numerators and of the common denominator.  A lift or a denominator is
-    one product over the power tables.  rests keeps each lift's remainder
-    terms, keyed by candidate and class top, so no box of the call divides
-    a lift twice.
+    one product over the power tables.
 
     On a monomial chart, where num, den and every coordinate numerator
     and denominator are single terms, the exponent gaps top minus bottom
@@ -316,7 +316,7 @@ class _ChartPowers:
     a >= 0.  On other charts checks is None.
     """
 
-    __slots__ = ("frame", "npow", "dpow", "num", "den", "rests", "checks")
+    __slots__ = ("frame", "npow", "dpow", "num", "den", "checks")
 
     def __init__(self, frame: _ChartFrame, num: Polynomial, den: Polynomial):
         one = Polynomial.one(len(frame.flips))
@@ -325,7 +325,6 @@ class _ChartPowers:
         self.dpow = [[one] for _ in frame.flips]
         self.num = num
         self.den = den
-        self.rests: dict[tuple[Mono, Mono], dict] = {}
         self.checks = None
         tops = (num, *frame.numerators)
         bottoms = (den, *frame.denominators)
@@ -695,22 +694,30 @@ class SectionEngine:
     def section_basis_glue(self, can: Sequence[int] | None = None,
                            eff: Sequence[int] | None = None
                            ) -> list[SectionPoly]:
-        """Solve chart regularity conditions inside a stable degree box.
+        """Solve chart regularity conditions inside a degree box that holds
+        every section.
 
         Exactly one of can (canonical multidegree) and eff (effective
-        coordinates) must be given.  One loop solves the box and the doubled
-        box and returns the box's space once their dimensions agree;
-        otherwise the doubled space becomes the next base, so no box is
-        solved twice.  A doubled box past the cap reports the bundle
-        Unstable.  Every box of the call shares one table per chart
-        (_chart_powers), which goes when the call returns.
+        coordinates) must be given.  On a word with a repeated letter the
+        call solves one box, proven_box, and returns its space.  On a word
+        without one a loop solves the box and the doubled box and returns
+        the box's space once their dimensions agree; otherwise the doubled
+        space becomes the next base, so no box is solved twice, and a
+        doubled box past the cap reports the bundle Unstable.  That loop
+        stays because perfbench/selfcheck.py pins the A2 (1,2) probe run
+        at 88 glue and 30,158 nullspace calls; it goes with the change to
+        the benchmark that re-records them.  Every box of the call shares
+        one table per chart (_chart_powers), which goes when the call
+        returns.
         """
         can, eff = self._route(can, eff)
-        if eff is not None and not self.is_multiplicity_free():
-            # With a repeated letter a boundary divisor can meet a chart in
-            # a non-coordinate hypersurface, so coordinate powers cannot
-            # clear its poles; the slot factors can, at these exponents.
-            can, eff = self.effective_exponents(eff), None
+        if not self.is_multiplicity_free():
+            if eff is not None:
+                # A boundary divisor can meet a chart in a non-coordinate
+                # hypersurface, so coordinate powers cannot clear its
+                # poles; the slot factors can, at these exponents.
+                can, eff = self.effective_exponents(eff), None
+            return self._glue_space(can, None, self.proven_box(can), {})
         box = self._initial_box(can, eff)
         tables: dict[tuple[int, ...], _ChartPowers] = {}
         basis = None
@@ -723,12 +730,32 @@ class SectionEngine:
                 return basis
             box, basis = doubled, check
 
-    def check_glue_box(self, can: Sequence[int]) -> None:
-        """Refuse (Unstable) a canonical class whose first degree box,
-        doubled, passes the cap, as section_basis_glue would before it
-        solves a box.  The box grows with the class's positive entries, so
-        the top level of a run decides for every level below it."""
-        _doubled(self._initial_box(self._canonical_degree(can), None))
+    def proven_box(self, can: Sequence[int]) -> tuple[int, ...]:
+        """A degree box that holds every section of a canonical class c:
+        box_j = sum_{k: c_k > 0} c_k w_kj, with w_kj the largest t_j-degree
+        among the sections of slot k (slot_polynomials).
+
+        The proof.  E = c+ - c, with c+ = max(c, 0) entrywise, has
+        nonnegative canonical coordinates, so S = prod_k s_k^(E_k), each
+        s_k a slot section of slot k, is a nonzero section of E, and
+        f -> f S maps H^0(c) into H^0(c+); degrees add in the polynomial
+        ring of the open cell, so deg_j f <= deg_j (f S).  H^0(c+) is
+        spanned by products of c+_k sections of each slot k: that is
+        projective normality (Lakshmibai, Littelmann & Magyar, Compositio
+        Math. 130, 2002), on which the spanning route's dimension
+        certificate already relies.  So deg_j f <= sum_k c+_k w_kj.
+
+        The box reads only the class and the slot polynomials, never the
+        basis change M, so the probe run that checks M stays independent
+        of it.
+        """
+        box = [0] * self.n
+        for k, c in enumerate(can, 1):
+            if c > 0:
+                polys = self.slot_polynomials(k)
+                box = [b + c * max(p.poly.max_degree_in(j) for p in polys)
+                       for j, b in enumerate(box)]
+        return tuple(box)
 
     def section_basis(self, can: Sequence[int]) -> list[SectionPoly]:
         """A section basis of a canonical class by the route that
@@ -906,19 +933,13 @@ class SectionEngine:
         return v
 
     def _initial_box(self, can, eff) -> tuple[int, ...]:
+        """The first box of the doubling loop of a word without a repeated
+        letter: proven_box plus 2 for a canonical class, and
+        2 + 2 sum |eff| in every coordinate for effective coordinates."""
         if eff is not None:
             base = 2 + 2 * sum(abs(v) for v in eff)
             return (base,) * self.n
-        box = []
-        for j in range(self.n):
-            total = 2
-            for k in range(1, self.n + 1):
-                if can[k - 1] > 0:
-                    worst = max((p.poly.max_degree_in(j)
-                                 for p in self.slot_polynomials(k)), default=0)
-                    total += can[k - 1] * worst
-            box.append(total)
-        return tuple(box)
+        return tuple(b + 2 for b in self.proven_box(can))
 
     @contextlib.contextmanager
     def reusing_box_classes(self):
@@ -1044,20 +1065,13 @@ class SectionEngine:
         lift is reduced once, and the regular combinations are the
         nullspace of the remainder rows over the incoming vectors.  This
         is the general filter, for any chart and any incoming vectors.
-        Remainders the chart holds (rests) are read, not lifted again.
         """
         amax = tuple(map(max, zip(*cands)))
-        rests, den = {}, None
-        for i in {i for vec in vectors for i in vec}:
-            rest = chart.rests.get((cands[i], amax))
-            if rest is None:
-                if den is None:
-                    for j, power in enumerate(amax):
-                        chart.grow(j, power)
-                    den = chart.denominator(amax)
-                rest = chart.rests[cands[i], amax] = chart.lift(
-                    cands[i], amax).remainder(den).terms
-            rests[i] = rest
+        for j, power in enumerate(amax):
+            chart.grow(j, power)
+        den = chart.denominator(amax)
+        rests = {i: chart.lift(cands[i], amax).remainder(den).terms
+                 for i in {i for vec in vectors for i in vec}}
         rows: dict[Mono, dict[int, Fraction | int]] = {}
         for col, vec in enumerate(vectors):
             for i, c in vec.items():

@@ -53,6 +53,11 @@ def lattice_b2_12(b2):
 
 
 @pytest.fixture(scope="session")
+def lattice_b2_121(b2):
+    return PicardLattice(b2, WeylWord([1, 2, 1]))
+
+
+@pytest.fixture(scope="session")
 def okounkov_a1(lattice_a1):
     return OkounkovEngine(lattice_a1)
 

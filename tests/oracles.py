@@ -34,7 +34,10 @@ from character dimensions and the pullback searched among characters,
 before torus localization and the closed-form pullback;
 glue_space_by_filters keeps the glue class loop that sent every
 (class, chart) pair through the chart filter, before classes on monomial
-charts were decided inline; two_sweep_vertices keeps the hull
+charts were decided inline; glue_space_by_doubling keeps the loop that
+doubled a canonical class's degree box until the glue dimension settled,
+before words with a repeated letter solved one proven box;
+two_sweep_vertices keeps the hull
 vertices read off a second double-description sweep, before they were read
 off the tight-facet masks of the first; direction_lattice_volume keeps the
 lattice volume taken in a basis of the direction lattice (primitive
@@ -1092,3 +1095,25 @@ def divisible_part(lattice, can):
     """
     shift, nef = nef_shift(lattice.change.matrix, can)
     return divided_sections(lattice.engine.section_basis_nef(nef), shift)
+
+
+def glue_space_by_doubling(engine, can):
+    """The glue space of a canonical class by the doubling loop: the first
+    box is 2 plus, per coordinate t_j, the sum over the positive entries
+    c_k of c_k times the largest t_j-degree among slot k's sections; the
+    box and the doubled box are solved, sharing the chart tables, until
+    their spaces have the same dimension, and the smaller box's space is
+    returned.  No cap: the proven box holds every section, so the loop
+    stops once the box contains it."""
+    box = tuple(2 + sum(c * max(sp.poly.max_degree_in(j)
+                                for sp in engine.slot_polynomials(k))
+                        for k, c in enumerate(can, 1) if c > 0)
+                for j in range(engine.n))
+    tables = {}
+    basis = engine._glue_space(can, None, box, tables)
+    while True:
+        doubled = tuple(2 * b for b in box)
+        check = engine._glue_space(can, None, doubled, tables)
+        if len(check) == len(basis):
+            return basis
+        box, basis = doubled, check

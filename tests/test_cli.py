@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,8 @@ import bottsam
 from bottsam import (SpanDeficiency, Unstable, VerificationFailure, cli,
                      okounkov, picard, polyhedra, rootsys, sections, weights)
 from bottsam.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, argv):
@@ -66,21 +69,22 @@ B2_121_RAYS = _rays(
 
 
 @pytest.mark.parametrize("cartan, saturated, rays, tables, lifts", [
-    ("A2", True, A2_121_RAYS, 334, 5_334),
-    ("B2", False, B2_121_RAYS, 432, 7_401),
+    ("A2", True, A2_121_RAYS, 334, 2_410),
+    ("B2", False, B2_121_RAYS, 432, 3_243),
 ], ids=["A2", "B2"])
 def test_length_three_global_cone(tmp_path, capsys, monkeypatch, cartan,
                                   saturated, rays, tables, lifts):
     """Global cones of a word with a repeated letter at level 2 and box 1:
     A2 (1,2,1) is saturated with seven rays, B2 (1,2,1) is not and has
     eight, both with no lineality, and a rerun writes the same bytes.  Off
-    the nef cone their classes take the glue route, whose boxes share
-    their chart tables: the A2 step builds 334 of them and the B2 step
-    432, from 668 and 864 when each box built its own.  The tables also
-    keep the remainders they have divided, so the doubled box lifts only
-    the candidates its base box did not: the A2 step makes 5,334 lifts
-    and the B2 step 7,401, from 6,864 and 9,432 when it lifted them all
-    again."""
+    the nef cone their classes take the glue route, one table per chart
+    and glue call: the A2 step builds 334 of them and the B2 step 432.
+    Each glue call solves one box, the proven one, so the A2 step makes
+    2,410 lifts and the B2 step 3,243.  When each call doubled its box
+    until the dimension settled, sharing the tables and the remainders
+    they had divided across its boxes, the steps made 5,334 and 7,401
+    lifts (6,864 and 9,432 with no remainders kept, 668 and 864 tables
+    when each box built its own)."""
     built = {"tables": 0, "lifts": 0}
     build = sections.SectionEngine._chart_powers
     lift = sections._ChartPowers.lift
@@ -107,6 +111,26 @@ def test_length_three_global_cone(tmp_path, capsys, monkeypatch, cartan,
     assert data["cone"]["rays"] == rays
     assert data["cone"]["lineality"] == []
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("cartan", ["A2", "B2"])
+def test_length_three_global_cone_matches_the_golden_rays(capsys, cartan):
+    """The (3,2) steps of A2 and B2 (1,2,1) are saturated, with the seven
+    rays of tests/data/golden_rays_{a2,b2}_121.json and no lineality.
+    Those rays were found by two earlier routes as well: glue spaces in a
+    proven box, and the chart-free oracles.divisible_part.  While glue
+    calls doubled their boxes, both steps exited 3 at the degree-box cap
+    after about 12 s."""
+    golden = json.loads((DATA / f"golden_rays_{cartan.lower()}_121.json")
+                        .read_text())
+    code, out = run(capsys, [
+        "global", "--type", golden["type"], "--word", golden["word"],
+        "--max-level", str(golden["max_level"]), "--box", str(golden["box"])])
+    assert code == 0
+    data = json.loads(out)
+    assert data["saturated"] is True
+    assert data["cone"]["rays"] == golden["rays"]
+    assert data["cone"]["lineality"] == []
 
 
 def test_weights_command(capsys):

@@ -239,20 +239,22 @@ def test_run_guard_sums_the_levels(request, engine, coords, last):
         engine._run(can(*coords), last + 1)
 
 
-def test_glue_route_run_is_refused_by_its_top_level_box(a2):
-    """A class on the glue route has no level-set sum, but the first degree
-    box of level k grows with k, so a run whose top level's doubled box
-    passes the cap is refused at once with the cap's message: A2 (1,2,1)
-    can:-1,1,1 runs 15 levels and is refused from 16 on.  Refused only at
-    its last level, body over 1000 levels took about a minute of CPU.
-    The one level set computed is level 1's: the effectiveness test solves
-    it, and a run that passes its checks reads it."""
+def test_glue_route_run_is_refused_by_its_summed_boxes(a2):
+    """A class on the glue route solves one proven degree box per level,
+    so the run guard sums the candidates of those boxes over levels 1..L
+    against the glue candidate guard (400,000) and refuses at once:
+    A2 (1,2,1) can:-1,1,1 has the box (2k, 2k, k) at level k, 340,699
+    candidates over 23 levels and 400,724 over 24, so it runs 23 levels
+    and is refused from 24 on.  Refused only at its last level, body over
+    1000 levels took about a minute of CPU.  The one level set computed is
+    level 1's: the effectiveness test solves it, and a run that passes its
+    checks reads it."""
     engine = OkounkovEngine(PicardLattice(a2, WeylWord((1, 2, 1))))
     start = time.process_time()
-    assert len(engine._run(can(-1, 1, 1), 15)) == 15
-    for levels in (16, 1000):
-        with pytest.raises(Unstable, match=r"^glue dimensions kept growing "
-                           r"past the degree-box cap \(64\)$"):
+    assert len(engine._run(can(-1, 1, 1), 23)) == 23
+    for levels in (24, 1000):
+        with pytest.raises(Unstable, match=r"^level sets of the run exceed "
+                           r"the supported size$"):
             engine.body(can(-1, 1, 1), levels)
     assert time.process_time() - start < 1.0
     assert list(engine._points) == [(-1, 1, 1)]
@@ -263,7 +265,8 @@ def test_glue_route_run_solves_each_level_once(a2, monkeypatch):
     """A body of A2 (1,2,1) can:-1,1,1 over 4 levels solves each level's
     section space once: the run's effectiveness test reads level 1's level
     set, which the body then reuses.  Asking the lattice's is_effective
-    solved level 1 twice, 5 glue calls in all."""
+    solved level 1 twice, 5 glue calls in all.  The proven degree boxes
+    read no basis change, so the body runs no probe run."""
     solved = []
     glue = SectionEngine.section_basis_glue
 
@@ -275,6 +278,7 @@ def test_glue_route_run_solves_each_level_once(a2, monkeypatch):
     engine = OkounkovEngine(PicardLattice(a2, WeylWord((1, 2, 1))))
     engine.body(can(-1, 1, 1), 4)
     assert solved == [(-k, k, k) for k in range(1, 5)]
+    assert engine.lattice._change is None
 
 
 RUN_APIS = {

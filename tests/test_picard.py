@@ -99,27 +99,47 @@ def test_basis_change_matrices(lattice_a1, lattice_a2_12, lattice_a2_121,
     assert lattice_a2_121.change.matrix == ((1, -1, 1), (0, 1, -1), (0, 0, 1))
 
 
+def _perturbations(n, wide):
+    """Changes of the off-diagonal entries of an n x n matrix, as tuples of
+    ((row, col), delta): every +-1 change of one entry and, when wide,
+    every +-2 change of one entry and every +-1/+-1 change of two."""
+    entries = list(itertools.permutations(range(n), 2))
+    deltas = (1, -1, 2, -2) if wide else (1, -1)
+    changes = [((entry, d),) for entry in entries for d in deltas]
+    if wide:
+        changes += [((first, d), (second, e))
+                    for first, second in itertools.combinations(entries, 2)
+                    for d in (1, -1) for e in (1, -1)]
+    return changes
+
+
 @pytest.mark.parametrize("fixture", ["lattice_a2_12", "lattice_b2_12",
-                                     "lattice_a2_121"])
+                                     "lattice_a2_121", "lattice_b2_121"])
 def test_perturbed_basis_changes_are_rejected(request, monkeypatch, fixture):
     """Mutation check: every +-1 change of one off-diagonal entry of the raw
     matrix fails verification, on words with and without a repeated letter.
-    On A2 (1,2,1) four of them pass the probes alone; the boundary-section
-    column check rejects them."""
+    On A2 and B2 (1,2,1), whose glue calls solve the proven degree box,
+    so do every +-2 change of one entry and every +-1/+-1 change of two,
+    84 matrices per word: on A2 48 fail the integral-inverse check, 23 the
+    boundary-section column check and 13 the probes; on B2 38, 34 and 12.
+    """
     engine = request.getfixturevalue(fixture).engine
     raw = engine.effective_to_canonical_matrix()
+    wide = not engine.is_multiplicity_free()
+    changes = _perturbations(engine.n, wide)
+    assert len(changes) == (84 if wide else 4)
     accepted = []
-    for row, col in itertools.permutations(range(engine.n), 2):
-        for delta in (1, -1):
-            matrix = [list(line) for line in raw]
+    for change in changes:
+        matrix = [list(line) for line in raw]
+        for (row, col), delta in change:
             matrix[row][col] += delta
-            monkeypatch.setattr(engine, "effective_to_canonical_matrix",
-                                lambda m=tuple(map(tuple, matrix)): m)
-            try:
-                picard.compute_basis_change(engine)
-            except VerificationFailure:
-                continue
-            accepted.append((row, col, delta))
+        monkeypatch.setattr(engine, "effective_to_canonical_matrix",
+                            lambda m=tuple(map(tuple, matrix)): m)
+        try:
+            picard.compute_basis_change(engine)
+        except VerificationFailure:
+            continue
+        accepted.append(change)
     assert accepted == []
 
 

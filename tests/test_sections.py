@@ -44,6 +44,7 @@ from oracles import (
     dense_chart,
     dense_rank,
     dense_slot_sections,
+    glue_space_by_doubling,
     glue_space_by_filters,
     hirzebruch_count,
     oracle_actions,
@@ -286,13 +287,15 @@ def test_probe_run_work_on_a_repeated_letter(a2, monkeypatch):
     Its weight classes can hold several candidates.  While a class's
     vectors are single candidates, _glue_space decides it on a monomial
     chart by the sign test alone, with no nullspace or elimination, where
-    each such (class, chart) pair used to go through _chart_filter: the
-    run's 26 glue calls make 1,015 nullspace calls (4,290 before) and 38
-    echelon calls (2,843 before), counting those of the basis-change
-    solves.  Each chart table holds the remainders it has divided, per
-    candidate and class top, for the rest of its glue call, so the doubled
-    box does not lift and divide its base box's candidates again: the run
-    makes 224 lifts (348 before).
+    each such (class, chart) pair used to go through _chart_filter.  Each
+    glue call solves the one proven degree box of its class
+    (SectionEngine.proven_box): the run's 26 glue calls make 248 nullspace
+    calls and 9 echelon calls, counting those of the basis-change solves,
+    and 103 lifts.  When each call doubled its box until the dimension
+    stopped growing, the run made 1,015 nullspace calls, 38 echelon calls
+    and 224 lifts, with each chart table keeping the remainders it had
+    divided so that a doubled box did not lift its base box's candidates
+    again (4,290, 2,843 and 348 before that).
     """
     lattice = PicardLattice(a2, WeylWord((1, 2, 1)))
     engine = lattice.engine
@@ -313,8 +316,8 @@ def test_probe_run_work_on_a_repeated_letter(a2, monkeypatch):
     monkeypatch.setattr(_kernel, "echelon", counted("echelon", reduce))
     monkeypatch.setattr(_ChartPowers, "lift", counted("lift", lift))
     assert lattice.change.matrix == ((1, -1, 1), (0, 1, -1), (0, 0, 1))
-    assert counts == {"glue": 26, "nullspace": 1_015, "echelon": 38,
-                      "lift": 224}
+    assert counts == {"glue": 26, "nullspace": 248, "echelon": 9,
+                      "lift": 103}
 
 
 def test_probe_run_builds_each_box_classes_once(a2, monkeypatch):
@@ -524,29 +527,61 @@ def test_distinct_candidates_leave_distinct_remainders(request, engine):
     assert max(seen) > 1
 
 
-@pytest.mark.parametrize("engine, can", [
-    ("eng12", (2, 1)),
-    ("eng121", (1, 1, 1)),
-])
-def test_glue_solves_each_box_once(request, monkeypatch, engine, can):
-    """From a box of ones the dimension grows twice before it settles; the
-    doubling loop reuses each doubled space as its next base."""
+@pytest.mark.parametrize("engine, can, boxes", [
+    ("eng12", (2, 1), [(b, b) for b in (1, 2, 4, 8)]),
+    ("eng121", (1, 1, 1), [(3, 2, 1)]),
+], ids=["eng12-can0", "eng121-can1"])
+def test_glue_solves_each_box_once(request, monkeypatch, engine, can, boxes):
+    """On a word without a repeated letter, from a box of ones the
+    dimension grows twice before it settles; the doubling loop reuses each
+    doubled space as its next base.  On a word with a repeated letter the
+    call solves one box, the proven one, and reads no first box of the
+    doubling loop: on A2 (1,2,1) the slot sections reach t-degrees
+    (1,0,0), (1,1,0) and (1,1,1), so can:1,1,1 has the box (3,2,1)."""
     engine = request.getfixturevalue(engine)
     expected = engine.section_basis_glue(can=can)
-    boxes = []
+    solved = []
     solve = engine._glue_space
 
     def spy(can, eff, box, tables):
-        boxes.append(box)
+        solved.append(box)
         return solve(can, eff, box, tables)
 
     monkeypatch.setattr(engine, "_initial_box",
                         lambda can, eff: (1,) * engine.n)
     monkeypatch.setattr(engine, "_glue_space", spy)
     got = engine.section_basis_glue(can=can)
-    assert boxes == [(b,) * engine.n for b in (1, 2, 4, 8)]
+    assert solved == boxes
     assert [(poly_terms(sp), sp.weight) for sp in got] \
         == [(poly_terms(sp), sp.weight) for sp in expected]
+
+
+@pytest.mark.parametrize("name, word", [
+    ("A2", (1, 2, 1)), ("B2", (1, 2, 1)), ("B2", (2, 1, 2)),
+    ("A3", (1, 2, 1, 3)), ("A3", (2, 1, 3, 2)), ("G2", (1, 2, 1))],
+    ids=lambda v: v if isinstance(v, str) else "".join(map(str, v)))
+def test_proven_box_space_is_the_doubling_space(name, word):
+    """On words with a repeated letter section_basis_glue solves one box,
+    the proven one, and gets the space of the doubling loop
+    (glue_space_by_doubling) that it replaced, section for section, term
+    for term and weight for weight, on classes in [-r, r + 1]^n: r = 2 on
+    the words of length 3 and r = 1 on those of length 4.  Each word's
+    draws include a class off the nef cone."""
+    engine = SectionEngine(CartanDatum.from_type(name), WeylWord(word))
+    r = {3: 2, 4: 1}[len(word)]
+    off_nef = []
+
+    @settings(max_examples=8)
+    @given(st.tuples(*[st.integers(-r, r + 1)] * len(word)))
+    def check(can):
+        got = engine.section_basis_glue(can=can)
+        want = glue_space_by_doubling(engine, can)
+        assert [(list(sp.poly.terms.items()), sp.weight) for sp in got] \
+            == [(list(sp.poly.terms.items()), sp.weight) for sp in want]
+        off_nef.append(min(can) < 0)
+
+    check()
+    assert any(off_nef)
 
 
 def test_monomial_basis_matches_glue_for_multiplicity_free(eng12):
