@@ -1,10 +1,13 @@
 """Command-line front end: body, global, weights, and verify subcommands.
 
-Every command validates its inputs, runs the exact engines, and emits a
+Every command takes its settings (``_SETTINGS``) from flags over an optional
+JSON config file, validates them, runs the exact engines, and emits a
 deterministic JSON document (sorted keys, integers as decimal strings,
-rationals as [numerator, denominator] string pairs).  Exit codes: 0 on
-success, 2 on invalid input, 3 on computational instability, 4 on a failed
-verification or cross-check.
+rationals as [numerator, denominator] string pairs).  The config, matrix and
+torus projection files are all read by ``rootsys.read_json``, so a file that
+cannot be read or decoded is invalid input.  Exit codes: 0 on success, 2 on
+invalid input, 3 on computational instability, 4 on a failed verification
+or cross-check.
 """
 
 from __future__ import annotations
@@ -39,34 +42,17 @@ from .polyhedra import (
     polytope_from_payload,
     polytope_payload,
 )
-from .rootsys import CartanDatum, WeylWord
+from .rootsys import CartanDatum, Weight, WeylWord, read_json
 from .sections import EQUIVARIANCE_TRIALS
 from .valuation import adapted_basis, valuation
 from .weights import multiplicity_asymptotics
 
-_STRING_KEYS = ("type", "matrix_file", "word", "bundle", "mu",
-                "torus_proj_file", "out")
-_CONFIG_KEYS = _STRING_KEYS + ("max_level", "box", "seed", "quick")
-
-
-class JobConfig:
-    """Validated inputs for one command, merged from flags and config file."""
-
-    __slots__ = ("datum", "word", "bundle", "max_level", "box", "mu",
-                 "torus_projection", "out", "seed", "quick")
-
-    def __init__(self, datum, word, bundle, max_level, box, mu,
-                 torus_projection, out, seed, quick):
-        self.datum = datum
-        self.word = word
-        self.bundle = bundle
-        self.max_level = max_level
-        self.box = box
-        self.mu = mu
-        self.torus_projection = torus_projection
-        self.out = out
-        self.seed = seed
-        self.quick = quick
+# Every setting of a command and its value when unset.  A default of None
+# takes a string; any other default fixes the setting's JSON type.
+_SETTINGS = {"type": None, "matrix_file": None, "word": None, "bundle": None,
+             "mu": None, "torus_proj_file": None, "out": None,
+             "quick": False, "max_level": 4, "box": 2, "seed": 1}
+_KINDS = {str: "a string", bool: "true or false", int: "an integer"}
 
 
 def _parse_word(text: str) -> WeylWord:
@@ -88,96 +74,70 @@ def _parse_mu(text: str) -> tuple[Fraction, ...]:
         raise ValidationError(f"bad weight {text!r}: {exc}") from exc
 
 
-def _load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+def _setting(key: str, value):
+    """A setting's value, or its default when unset; a value of another JSON
+    type than the default's, a bool or a float for an integer included, is
+    bad input."""
+    default = _SETTINGS[key]
+    if value is None:
+        return default
+    kind = str if default is None else default.__class__
+    if value.__class__ is not kind:
+        raise ValidationError(f"{key} must be {_KINDS[kind]}, got {value!r}")
+    return value
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    merged = {key: None for key in _CONFIG_KEYS}
-    if getattr(args, "config", None):
-        payload = _load_json(args.config)
-        if not isinstance(payload, dict):
+def _build_config(args: argparse.Namespace,
+                  need_word: bool) -> argparse.Namespace:
+    """The settings of one command, each flag over the config file's value,
+    with the datum, word, weight and torus projection parsed.  The integer
+    settings are checked last, so the first bad setting is reported in one
+    order: strings, quick, the parsed inputs, then the integers."""
+    given = {}
+    if args.config:
+        given = read_json(args.config)
+        if not isinstance(given, dict):
             raise ValidationError("config file must hold a JSON object")
-        unknown = sorted(set(payload) - set(_CONFIG_KEYS))
+        unknown = sorted(set(given) - set(_SETTINGS))
         if unknown:
             raise ValidationError(
                 f"unknown config keys: {', '.join(unknown)}")
-        merged.update(payload)
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _optional_int(merged: dict, key: str, default: int | None = None):
-    """An integer setting, or the default when it is unset; any other JSON
-    value, a bool or a float included, is bad input."""
-    value = merged[key]
-    if value is None:
-        return default
-    if value.__class__ is not int:
-        raise ValidationError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _optional_str(merged: dict, key: str) -> str | None:
-    """A string setting, or None when it is unset."""
-    value = merged[key]
-    if value is not None and not isinstance(value, str):
-        raise ValidationError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _build_config(args: argparse.Namespace, need_word: bool) -> JobConfig:
-    merged = _merge_config(args)
-    text = {key: _optional_str(merged, key) for key in _STRING_KEYS}
-    quick = merged["quick"]
-    if quick is not None and quick.__class__ is not bool:
-        raise ValidationError(f"quick must be true or false, got {quick!r}")
-    datum = None
-    if text["type"] is not None and text["matrix_file"] is not None:
+    config = argparse.Namespace()
+    for key, default in _SETTINGS.items():
+        value = getattr(args, key)
+        if value is None:
+            value = given.get(key)
+        if default.__class__ is not int:
+            value = _setting(key, value)
+        setattr(config, key, value)
+    if config.type is not None and config.matrix_file is not None:
         raise ValidationError("give either a type or a matrix file, not both")
-    if text["type"] is not None:
-        datum = CartanDatum.from_type(text["type"])
-    elif text["matrix_file"] is not None:
-        datum = CartanDatum.from_matrix_file(text["matrix_file"])
+    config.datum = None
+    if config.type is not None:
+        config.datum = CartanDatum.from_type(config.type)
+    elif config.matrix_file is not None:
+        config.datum = CartanDatum.from_matrix_file(config.matrix_file)
     elif need_word:
         raise ValidationError("a Cartan type or matrix file is required")
-    word = None
-    if text["word"] is not None:
-        word = _parse_word(text["word"])
+    if config.word is not None:
+        config.word = _parse_word(config.word)
     elif need_word:
         raise ValidationError("a reduced word is required")
-    mu = _parse_mu(text["mu"]) if text["mu"] is not None else None
-    torus_projection = None
-    if text["torus_proj_file"] is not None:
-        rows = _load_json(text["torus_proj_file"])
-        if not isinstance(rows, list):
+    if config.mu is not None:
+        config.mu = _parse_mu(config.mu)
+    config.torus_projection = None
+    if config.torus_proj_file is not None:
+        config.torus_projection = read_json(config.torus_proj_file)
+        if not isinstance(config.torus_projection, list):
             raise ValidationError(
                 "torus projection file must hold a JSON array of rows")
-        torus_projection = rows
-    return JobConfig(
-        datum=datum,
-        word=word,
-        bundle=text["bundle"],
-        max_level=_optional_int(merged, "max_level", 4),
-        box=_optional_int(merged, "box", 2),
-        mu=mu,
-        torus_projection=torus_projection,
-        out=text["out"],
-        seed=_optional_int(merged, "seed", 1),
-        quick=bool(quick),
-    )
+    for key, default in _SETTINGS.items():
+        if default.__class__ is int:
+            setattr(config, key, _setting(key, getattr(config, key)))
+    return config
 
 
-def _require_bundle(config: JobConfig) -> DivisorClass:
+def _require_bundle(config: argparse.Namespace) -> DivisorClass:
     if config.bundle is None:
         raise ValidationError("a --bundle value such as can:1,1 is required")
     return parse_divisor(config.bundle, len(config.word))
@@ -207,7 +167,7 @@ def _volume_report(report: dict) -> dict:
     }
 
 
-def cmd_body(config: JobConfig) -> dict:
+def cmd_body(config: argparse.Namespace) -> dict:
     divisor = _require_bundle(config)
     lattice = PicardLattice(config.datum, config.word)
     engine = OkounkovEngine(lattice)
@@ -226,7 +186,7 @@ def cmd_body(config: JobConfig) -> dict:
     return payload
 
 
-def cmd_global(config: JobConfig) -> dict:
+def cmd_global(config: argparse.Namespace) -> dict:
     lattice = PicardLattice(config.datum, config.word)
     engine = OkounkovEngine(lattice)
     approx = engine.global_cone(config.max_level, config.box)
@@ -240,7 +200,7 @@ def cmd_global(config: JobConfig) -> dict:
     }
 
 
-def cmd_weights(config: JobConfig) -> dict:
+def cmd_weights(config: argparse.Namespace) -> dict:
     divisor = _require_bundle(config)
     if config.mu is None:
         raise ValidationError("a --mu value such as 0,0 is required")
@@ -414,7 +374,7 @@ def _verify_battery(quick: bool, seed: int) -> list[dict]:
          lambda: f"matrix {lat3.change.matrix}"),
         ("A2:(1,2,1)", "weight-asymptotics",
          lambda: _check_weights(lat3, lat3.pullback_from_flag_variety(
-             _omega_sum(a2)), 3 if quick else 6)),
+             Weight((1,) * a2.rank)), 3 if quick else 6)),
     ]
     if not quick:
         b2 = CartanDatum.from_type("B2")
@@ -446,14 +406,7 @@ def _verify_battery(quick: bool, seed: int) -> list[dict]:
     return rows
 
 
-def _omega_sum(datum: CartanDatum):
-    total = datum.zero_weight()
-    for i in range(1, datum.rank + 1):
-        total = total + datum.fundamental_weight(i)
-    return total
-
-
-def cmd_verify(config: JobConfig) -> dict:
+def cmd_verify(config: argparse.Namespace) -> dict:
     rows = _verify_battery(config.quick, config.seed)
     return {
         "quick": config.quick,
@@ -464,6 +417,16 @@ def cmd_verify(config: JobConfig) -> dict:
 
 
 # ----- entry point -----------------------------------------------------------
+
+# Each subcommand: its help line and the handler that builds its payload.
+_COMMANDS = {
+    "body": ("Okounkov body of one divisor class, with the volume "
+             "cross-check", cmd_body),
+    "global": ("global valuation cone over a box of classes", cmd_global),
+    "weights": ("weight multiplicities against the sliced body",
+                cmd_weights),
+    "verify": ("run the invariant battery and report pass/fail", cmd_verify),
+}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -508,34 +471,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact Okounkov-body computations for Bott-Samelson "
         "varieties.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-            ("body", "Okounkov body of one divisor class, with the volume "
-             "cross-check"),
-            ("global", "global valuation cone over a box of classes"),
-            ("weights", "weight multiplicities against the sliced body"),
-            ("verify", "run the invariant battery and report pass/fail")):
-        command = sub.add_parser(name, help=text)
-        _add_common(command)
+    for name, (text, _) in _COMMANDS.items():
+        _add_common(sub.add_parser(name, help=text))
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        need_word = args.command != "verify"
-        config = _build_config(args, need_word)
-        if args.command == "body":
-            payload = cmd_body(config)
-        elif args.command == "global":
-            payload = cmd_global(config)
-        elif args.command == "weights":
-            payload = cmd_weights(config)
-        else:
-            payload = cmd_verify(config)
+        config = _build_config(args, need_word=args.command != "verify")
+        payload = _COMMANDS[args.command][1](config)
         _emit(payload, config.out)
-        if args.command == "verify" and not payload["passed"]:
-            return 4
-        return 0
+        return 0 if payload.get("passed", True) else 4
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

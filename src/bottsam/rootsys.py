@@ -74,6 +74,19 @@ def _integer_entry(value, what: str) -> int:
     raise ValidationError(f"{what} entry {value!r} is not an integer")
 
 
+def read_json(path: str):
+    """The JSON value held in a file.  A file that cannot be opened, is not
+    UTF-8, is not JSON, nests past the recursion limit or holds an integer
+    past the interpreter's digit limit is invalid input, named by its path."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+
+
 class CartanDatum:
     """A rank and a valid generalized Cartan matrix.
 
@@ -110,9 +123,16 @@ class CartanDatum:
     def from_type(cls, name: str) -> "CartanDatum":
         """Build a datum from a type string such as "A2", "B3" or "G2"."""
         name = name.strip().upper()
-        if len(name) < 2 or name[0] not in "ABCDG" or not name[1:].isdigit():
+        family, digits = name[:1], name[1:]
+        # str.isdigit alone admits superscripts such as "²", which int refuses.
+        if len(name) < 2 or family not in "ABCDG" \
+                or not (digits.isascii() and digits.isdigit()):
             raise ValidationError(f"unrecognized type string: {name!r}")
-        family, rank = name[0], int(name[1:])
+        try:
+            rank = int(digits)
+        except ValueError:  # past the interpreter's integer-string limit
+            raise ValidationError(
+                f"type rank has too many digits: {len(digits)}") from None
         if rank < 1:
             raise ValidationError("rank must be positive")
         if family == "G" and rank != 2:
@@ -143,13 +163,7 @@ class CartanDatum:
     @classmethod
     def from_matrix_file(cls, path: str) -> "CartanDatum":
         """Read a JSON file holding {"matrix": rows} or the bare rows."""
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except OSError as exc:
-            raise ValidationError(f"cannot read {path}: {exc}") from exc
-        except ValueError as exc:
-            raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+        data = read_json(path)
         matrix = data.get("matrix") if isinstance(data, dict) else data
         if not isinstance(matrix, list) or not all(
                 isinstance(row, list) and all(type(v) is int for v in row)

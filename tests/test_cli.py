@@ -25,6 +25,27 @@ def run(capsys, argv):
     return code, captured.out
 
 
+# File contents the JSON reader cannot decode: bytes that are not UTF-8,
+# arrays nested past the recursion limit, an integer past the digit limit.
+UNREADABLE = [b"\xff\xfe", ("[" * 200_000 + "]" * 200_000).encode(),
+              b"1" * 5001]
+UNREADABLE_IDS = ["not-utf8", "nested", "long-integer"]
+
+
+def unreadable_reason(raw: bytes) -> str:
+    """The reader's reason for refusing raw, as this interpreter words it."""
+    try:
+        json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
+    raise AssertionError("content decodes")
+
+
+def write_content(path: Path, content) -> None:
+    path.write_bytes(content if isinstance(content, bytes)
+                     else content.encode())
+
+
 def test_body_command(capsys):
     code, out = run(capsys, ["body", "--type", "A1", "--word", "1",
                              "--bundle", "can:3"])
@@ -471,6 +492,9 @@ def test_validation_errors_exit_2(capsys):
     cases = [
         ["body", "--type", "A1", "--word", "1", "--bundle", "foo:3"],
         ["body", "--type", "Z9", "--word", "1", "--bundle", "can:3"],
+        ["body", "--type", "A\u00b2", "--word", "1", "--bundle", "can:3"],
+        ["body", "--type", "A1" + "0" * 5000, "--word", "1",
+         "--bundle", "can:3"],
         ["body", "--type", "A2", "--word", "1,1", "--bundle", "can:1,1"],
         ["body", "--type", "A2", "--word", "1,,2", "--bundle", "can:1,1"],
         ["body", "--type", "A2", "--word", "1,2,", "--bundle", "can:1,1"],
@@ -480,8 +504,9 @@ def test_validation_errors_exit_2(capsys):
     ]
     for argv in cases:
         code = main(argv)
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert code == 2, argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_an_empty_word_exits_2_with_one_line(capsys):
@@ -498,13 +523,14 @@ def test_an_empty_word_exits_2_with_one_line(capsys):
     (None, "cannot read {path}: "),
     ("{bad", "{path} is not valid JSON: "),
     ("[1, 2]", "config file must hold a JSON object"),
-], ids=["missing", "not-json", "array"])
+] + [(raw, "{path} is not valid JSON: ") for raw in UNREADABLE],
+    ids=["missing", "not-json", "array"] + UNREADABLE_IDS)
 def test_bad_config_files_exit_2_with_one_line(tmp_path, capsys, content,
                                                message):
     """The message starts as given; the reader's own reason follows."""
     path = tmp_path / "job.json"
     if content is not None:
-        path.write_text(content)
+        write_content(path, content)
     code = main(["body", "--config", str(path), "--type", "A2", "--word",
                  "1,2", "--bundle", "can:1,1"])
     captured = capsys.readouterr()
@@ -531,17 +557,19 @@ def test_empty_word_entries_exit_2_with_one_line(capsys, word):
     ('{"matrix": [[2, -1.5], [-1, 2]]}', "with integer entries"),
     ('{"matrix": [[2, -2], [-2, 2]]}',
      "root system is not finite; the Cartan matrix is not of finite type"),
-], ids=["missing", "not-json", "no-matrix-key", "non-integer", "affine"])
+] + [(raw, "{path} is not valid JSON: ") for raw in UNREADABLE],
+    ids=["missing", "not-json", "no-matrix-key", "non-integer", "affine"]
+    + UNREADABLE_IDS)
 def test_bad_matrix_files_exit_2(tmp_path, capsys, content, message):
     path = tmp_path / "cartan.json"
     if content is not None:
-        path.write_text(content)
+        write_content(path, content)
     code = main(["body", "--matrix-file", str(path), "--word", "1,2",
                  "--bundle", "can:1,1"])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert message in err
+    assert message.format(path=path) in err
 
 
 @pytest.mark.parametrize("name", ["C2", "G2"])
@@ -757,19 +785,23 @@ def test_type_a_models_build_only_the_word_letters(capsys):
     ("[[true, 0]]", "torus projection entry True is not an integer"),
     ("[]", "torus projection needs at least one row"),
     ('{"a": 1}', "torus projection file must hold a JSON array of rows"),
-], ids=["string", "flat", "fraction", "boolean", "no-rows", "object"])
+] + [(raw, "{path} is not valid JSON: " + unreadable_reason(raw))
+     for raw in UNREADABLE],
+    ids=["string", "flat", "fraction", "boolean", "no-rows", "object"]
+    + UNREADABLE_IDS)
 def test_bad_projection_files_exit_2_with_one_line(tmp_path, capsys,
                                                    content, message):
     path = tmp_path / "proj.json"
     argv = ["weights", "--type", "A2", "--word", "1,2", "--bundle",
             "can:2,1", "--mu", "1", "--torus-proj-file", str(path),
             "--max-level", "2"]
-    path.write_text(content)
+    write_content(path, content)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.err.splitlines() == [
+        "error: " + message.replace("{path}", str(path))]
     path.write_text("[[1, 0]]")
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["weight_dimension"] == 1
@@ -944,8 +976,8 @@ def config_objects(draw, out):
               "box": draw(st.integers(0, 1))}
     if draw(st.booleans()):
         config["out"] = out
-    keys = st.sampled_from(cli._CONFIG_KEYS) | st.text(min_size=1,
-                                                       max_size=3)
+    keys = st.sampled_from(list(cli._SETTINGS)) | st.text(min_size=1,
+                                                          max_size=3)
     for key in draw(st.lists(keys, max_size=2, unique=True)):
         value = draw(JSON_VALUES)
         if key == "out" and isinstance(value, str):

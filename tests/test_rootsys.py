@@ -56,7 +56,8 @@ def test_builtin_cartan_matrices():
 
 
 def test_from_type_rejects_unknown_names():
-    for name in ("E8", "A0", "H2", "B1", "", "A", "2A"):
+    for name in ("E8", "A0", "H2", "B1", "", "A", "2A", "A\u00b2",
+                 "A1" + "0" * 5000):
         with pytest.raises(ValidationError):
             CartanDatum.from_type(name)
 
